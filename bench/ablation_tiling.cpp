@@ -11,12 +11,15 @@
 //    (matrix, format, threads) cell.
 //
 // The sweep forces each stripe width (SPC_TILE semantics), with "off" as
-// the untiled baseline; the summary aggregates geomean ns/nnz per
-// (format, tile) at the highest thread count and reports the best stripe
-// vs untiled for each format. On graph-class matrices the u8-unit% should
-// rise strictly as the stripe narrows; banded/fem rows barely move (their
-// deltas are already short) and mostly pay segment overhead — which is
-// exactly why the auto planner declines them.
+// the untiled baseline and an "auto" row showing what the planner
+// resolved for the cell (its stripe count, or its decline reason), so the
+// ablation reads whether auto picked the best width. The summary
+// aggregates geomean ns/nnz per (format, tile) at the highest thread
+// count and reports each width vs untiled for each format. On
+// graph-class matrices the u8-unit% should rise strictly as the stripe
+// narrows; banded/fem rows barely move (their deltas are already short)
+// and mostly pay segment overhead — which is exactly why the auto
+// planner declines them ("x band fits cache").
 //
 // JSONL (under SPC_METRICS) carries "tiling" / "stripe_bytes";
 // profile_report groups by (format, isa, numa, schedule, tiling,
@@ -54,6 +57,13 @@ std::string u8_unit_pct(const SpmvInstance& inst) {
                    1);
 }
 
+// The stripe count when tiled, else why the plan declined ("off" for the
+// untiled baseline).
+std::string resolved_tiling(const SpmvInstance& inst) {
+  return inst.tiling_active() ? std::to_string(inst.tile_stripes())
+                              : std::string(inst.tile_plan().decline_reason);
+}
+
 void run(bool smoke) {
   // The sweep sets tiling programmatically; a stray SPC_TILE in the
   // environment would override every cell to one value.
@@ -73,10 +83,12 @@ void run(bool smoke) {
     const char* label;
     TileConfig tile;
   };
-  // Widest to narrowest so each row's u8-unit% trend reads top-down;
-  // "off" is the untiled baseline each cell normalizes against.
+  // "off" is the untiled baseline each cell normalizes against, "auto"
+  // the planner's choice; then widest to narrowest so each row's
+  // u8-unit% trend reads top-down.
   const Width widths[] = {
       {"off", {TileMode::kOff, 0}},
+      {"auto", {TileMode::kAuto, 0}},
       {"256k", {TileMode::kForced, 256u << 10}},
       {"64k", {TileMode::kForced, 64u << 10}},
       {"16k", {TileMode::kForced, 16u << 10}},
@@ -90,9 +102,9 @@ void run(bool smoke) {
   }
 
   TextTable table({"matrix", "cls", "format", "tile", "threads", "MFLOPS",
-                   "vs untiled", "u8-unit%", "stripes", "bytes"});
+                   "vs untiled", "u8-unit%", "stripes/declined", "bytes"});
   // (format, tile) at max_threads -> aggregate for the summary. The
-  // width index keeps the off..4k sweep order in the map.
+  // width index keeps the sweep order in the map.
   std::map<std::pair<std::string, std::size_t>, CellStat> by_cell;
   std::vector<std::vector<std::string>> csv_rows;
 
@@ -110,24 +122,21 @@ void run(bool smoke) {
             mflops_untiled = m.mflops;
           }
           const std::string u8pct = u8_unit_pct(inst);
+          const std::string resolved = resolved_tiling(inst);
           table.add_row(
               {mc.name, mc.cls, format_name(fmt), widths[w].label,
                std::to_string(n), fmt_fixed(m.mflops, 1),
                mflops_untiled > 0.0
                    ? fmt_fixed(m.mflops / mflops_untiled, 2)
                    : "-",
-               u8pct,
-               inst.tiling_active()
-                   ? std::to_string(inst.tile_stripes())
-                   : "-",
-               human_bytes(inst.matrix_bytes())});
+               u8pct, resolved, human_bytes(inst.matrix_bytes())});
           csv_rows.push_back(
               {mc.name, mc.cls, format_name(fmt), widths[w].label,
                std::to_string(n), fmt_fixed(m.mflops, 1),
                mflops_untiled > 0.0
                    ? fmt_fixed(m.mflops / mflops_untiled, 3)
                    : "",
-               u8pct, std::to_string(inst.matrix_bytes())});
+               u8pct, resolved, std::to_string(inst.matrix_bytes())});
           emit_metrics_record("ablation_tiling", mc, inst, m, 0.0, {});
 
           if (n == max_threads) {
@@ -173,16 +182,20 @@ void run(bool smoke) {
 
   write_csv("ablation_tiling.csv",
             {"matrix", "cls", "format", "tile", "threads", "mflops",
-             "speedup_vs_untiled", "u8_unit_pct", "matrix_bytes"},
+             "speedup_vs_untiled", "u8_unit_pct", "resolved",
+             "matrix_bytes"},
             csv_rows);
   std::cout
       << "\ndata: ablation_tiling.csv\nnote: \"u8-unit%\" is the share "
          "of CSR-DU ctl units in the one-byte delta class of the "
          "instance's decode-side histogram (stripe-local when tiled; "
          "RLE units classify by their stride); \"vs untiled\" > 1 means "
-         "the tiled layout is faster. Forced widths bypass the auto "
-         "planner — small matrices whose x already fits cache are "
-         "expected to lose here; the planner exists to decline them.\n";
+         "the tiled layout is faster; \"stripes/declined\" is the stripe "
+         "count, or why the plan declined (the auto row shows the "
+         "planner's choice). Forced widths bypass the auto planner — "
+         "matrices whose x, or whose rows' x band, already fits cache "
+         "are expected to lose here; the planner exists to decline "
+         "them.\n";
 }
 
 }  // namespace

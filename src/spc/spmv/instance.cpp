@@ -715,19 +715,18 @@ void SpmvInstance::setup_tiling(const Triplets& t) {
     tile_plan_.decline_reason = "off";
     return;
   }
-  // Setup-only cost: the topology probe and the row-span scan run once
-  // per instance, off the timed path.
+  // Setup-only cost: the topology probe and the x-band scan (auto only)
+  // run once per instance, off the timed path.
   const Topology topo = discover_topology();
-  tile_plan_ = plan_tiles(cfg, nrows_, ncols_, nnz_, mean_row_span_cols(t),
-                          topo.l1d_bytes, topo.l2_bytes);
+  tile_plan_ = plan_tiles(
+      cfg, nrows_, ncols_, nnz_,
+      cfg.mode == TileMode::kAuto ? x_band_cols(t) : 0, topo.l1d_bytes,
+      topo.l2_bytes);
   auto& reg = obs::Registry::global();
   if (!tile_plan_.active) {
     reg.counter("spc.tile.declined").add();
     note_decision("tiling", tile_config_name(cfg), "off",
-                  tile_plan_.decline_reason != nullptr &&
-                          *tile_plan_.decline_reason != '\0'
-                      ? tile_plan_.decline_reason
-                      : "tile plan declined");
+                  tile_plan_.decline_detail);
     return;
   }
   obs::TraceSpan tiling_span("tiling");
@@ -2203,10 +2202,10 @@ usize_t SpmvInstance::matrix_bytes() const {
     // The tiled store replaces the matrix's execution arrays; the VI
     // formats keep their unique-value table.
     usize_t b = tile_store_.bytes();
-    if (const auto* m = std::get_if<CsrVi>(&matrix_)) {
-      b += m->vals_unique().size() * sizeof(value_t);
-    } else if (const auto* m = std::get_if<CsrDuVi>(&matrix_)) {
-      b += m->vals_unique().size() * sizeof(value_t);
+    if (const auto* vi = std::get_if<CsrVi>(&matrix_)) {
+      b += vi->vals_unique().size() * sizeof(value_t);
+    } else if (const auto* duvi = std::get_if<CsrDuVi>(&matrix_)) {
+      b += duvi->vals_unique().size() * sizeof(value_t);
     }
     return b;
   }

@@ -114,8 +114,8 @@ struct InstanceOptions {
   /// overrides either.
   usize_t chunk_nnz = 0;
   /// Column tiling (overridable via SPC_TILE): kAuto stripes the CSR /
-  /// CSR-VI / CSR-DU(-VI) stores into ~L1d-wide column tiles when the
-  /// matrix's x working set and row spans make it profitable, and stays
+  /// CSR-VI / CSR-DU(-VI) stores into ~L1d-wide column tiles when both
+  /// the matrix's x and its rows' x band overflow the cache, and stays
   /// off (zero overhead) otherwise. See spmv/tiling.hpp.
   TileConfig tiling;
   /// Conflict-reduction strategy for the symmetric formats (overridable

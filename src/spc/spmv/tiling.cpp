@@ -1,6 +1,8 @@
 #include "spc/spmv/tiling.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 
 #include "spc/support/env.hpp"
 #include "spc/support/error.hpp"
@@ -75,80 +77,125 @@ TileConfig tile_config_from_env(const TileConfig& cfg) {
   return out;
 }
 
+namespace {
+
+// "352 KiB" / "2 MiB": binary units, matching how caches are sized.
+std::string binary_bytes(std::size_t bytes) {
+  constexpr std::size_t kMiB = 1u << 20;
+  if (bytes >= kMiB) {
+    return fmt_fixed(static_cast<double>(bytes) / kMiB,
+                     bytes % kMiB == 0 ? 0 : 1) +
+           " MiB";
+  }
+  return std::to_string((bytes + 512) >> 10) + " KiB";
+}
+
+// x_band_cols histogram: distances below 16 get their own bucket, then
+// each power of two [2^e, 2^(e+1)) splits into 8 linear sub-buckets.
+constexpr std::size_t kBandExact = 16;
+constexpr std::size_t kBandBuckets = kBandExact + (32 - 4) * 8;
+
+std::size_t band_bucket(index_t d) {
+  if (d < kBandExact) {
+    return d;
+  }
+  const int e = std::bit_width(d) - 1;  // 4..31
+  return kBandExact + static_cast<std::size_t>(e - 4) * 8 +
+         ((d >> (e - 3)) & 7u);
+}
+
+}  // namespace
+
 TilePlan plan_tiles(const TileConfig& cfg, index_t nrows, index_t ncols,
-                    usize_t nnz, double mean_row_span_cols,
-                    std::size_t l1d_bytes, std::size_t l2_bytes) {
+                    usize_t nnz, index_t x_band_cols, std::size_t l1d_bytes,
+                    std::size_t l2_bytes) {
   constexpr std::size_t kMinStripeBytes = 8u << 10;
   constexpr std::size_t kMaxStripeBytes = 256u << 10;
   constexpr std::size_t kDefaultStripeBytes = 16u << 10;
   constexpr std::size_t kMinCacheBytes = 256u << 10;
 
   TilePlan p;
-  if (cfg.mode == TileMode::kOff) {
-    p.decline_reason = "off";
+  const auto decline = [&p](const char* reason, std::string detail) {
+    p.decline_reason = reason;
+    p.decline_detail = std::move(detail);
     return p;
+  };
+  if (cfg.mode == TileMode::kOff) {
+    return decline("off", "off");
   }
   if (nrows == 0 || ncols == 0 || nnz == 0) {
-    p.decline_reason = "empty matrix";
-    return p;
+    return decline("empty matrix", "empty matrix");
   }
   std::size_t sb = cfg.stripe_bytes;
   if (cfg.mode == TileMode::kAuto) {
     sb = l1d_bytes != 0 ? l1d_bytes / 2 : kDefaultStripeBytes;
     sb = std::clamp(sb, kMinStripeBytes, kMaxStripeBytes);
-  }
-  const index_t stripe_cols = static_cast<index_t>(
-      std::max<std::size_t>(1, sb / sizeof(value_t)));
-  const index_t nstripes =
-      (ncols + stripe_cols - 1) / stripe_cols;
 
-  if (cfg.mode == TileMode::kAuto) {
+    const std::size_t cache = std::max(l2_bytes, kMinCacheBytes);
+    const std::string cache_name =
+        binary_bytes(cache) + (l2_bytes >= kMinCacheBytes ? " L2" : " cache");
     const std::size_t x_bytes =
         static_cast<std::size_t>(ncols) * sizeof(value_t);
-    const std::size_t cache = std::max(l2_bytes, kMinCacheBytes);
     if (x_bytes <= 2 * cache) {
-      p.decline_reason = "x fits cache";
-      return p;
+      return decline("x fits cache", "x fits cache: x " +
+                                         binary_bytes(x_bytes) +
+                                         " fits 2x " + cache_name);
     }
-    if (nstripes < 2) {
-      p.decline_reason = "single stripe";
-      return p;
-    }
-    if (mean_row_span_cols <=
-        2.0 * static_cast<double>(stripe_cols)) {
-      p.decline_reason = "banded rows";
-      return p;
+    const std::size_t window_bytes =
+        2 * static_cast<std::size_t>(x_band_cols) * sizeof(value_t);
+    if (window_bytes <= cache) {
+      return decline("x band fits cache",
+                     "x band fits cache: x band " +
+                         std::to_string(x_band_cols) + " cols (" +
+                         binary_bytes(window_bytes) + " window) fits " +
+                         cache_name);
     }
   }
 
+  const index_t stripe_cols = static_cast<index_t>(
+      std::max<std::size_t>(1, sb / sizeof(value_t)));
   p.active = true;
   p.stripe_cols = stripe_cols;
-  p.nstripes = nstripes;
+  p.nstripes = (ncols + stripe_cols - 1) / stripe_cols;
   p.stripe_bytes = static_cast<std::size_t>(stripe_cols) * sizeof(value_t);
   return p;
 }
 
-double mean_row_span_cols(const Triplets& t) {
+index_t x_band_cols(const Triplets& t) {
   const std::vector<Entry>& es = t.entries();
   if (es.empty()) {
-    return 0.0;
+    return 0;
   }
-  double weighted = 0.0;
-  usize_t k = 0;
-  const usize_t n = es.size();
-  while (k < n) {
-    const index_t row = es[k].row;
-    const index_t first = es[k].col;  // sorted: min column of the row
-    usize_t e = k;
-    while (e + 1 < n && es[e + 1].row == row) {
-      ++e;
+  struct Bucket {
+    usize_t count = 0;
+    index_t max_dist = 0;
+  };
+  std::array<Bucket, kBandBuckets> hist{};
+  const std::uint64_t nrows = t.nrows();
+  const std::uint64_t ncols = t.ncols();
+  index_t row = es.front().row;
+  std::uint64_t diag = row * ncols / nrows;
+  for (const Entry& e : es) {
+    if (e.row != row) {  // sorted: once per row, not per element
+      row = e.row;
+      diag = row * ncols / nrows;
     }
-    const usize_t row_nnz = e - k + 1;
-    weighted += static_cast<double>(row_nnz) *
-                static_cast<double>(es[e].col - first + 1);
-    k = e + 1;
+    const std::uint64_t c = e.col;
+    const auto d = static_cast<index_t>(c > diag ? c - diag : diag - c);
+    Bucket& b = hist[band_bucket(d)];
+    ++b.count;
+    b.max_dist = std::max(b.max_dist, d);
   }
-  return weighted / static_cast<double>(n);
+  // The first bucket at which ceil(0.99 * nnz) elements are covered.
+  const usize_t target = es.size() - es.size() / 100;
+  usize_t seen = 0;
+  for (const Bucket& b : hist) {
+    seen += b.count;
+    if (seen >= target) {
+      return b.max_dist;
+    }
+  }
+  return hist.back().max_dist;  // not reached: the buckets hold every element
 }
 
 namespace {

@@ -75,33 +75,47 @@ struct TilePlan {
   index_t stripe_cols = 0;       ///< x elements per stripe (>= 1)
   index_t nstripes = 0;          ///< ceil(ncols / stripe_cols)
   std::size_t stripe_bytes = 0;  ///< stripe_cols * sizeof(value_t)
-  /// Why an auto request declined ("" when active or mode off).
+  /// Why the plan declined ("" when active): a short static string
+  /// ("off", "x fits cache", "x band fits cache", ...), stable for
+  /// record fields and ledger keys.
   const char* decline_reason = "";
+  /// decline_reason with the measured sizes behind it, e.g. "x band fits
+  /// cache: x band 22500 cols (352 KiB window) fits 2 MiB L2" — what
+  /// SpmvInstance::decisions() reports.
+  std::string decline_detail;
 };
 
 /// Decides whether and how to tile.
 ///
 /// Forced widths always engage (even a single stripe — the caller asked
 /// for the layout). Auto engages only when the stripes can pay for the
-/// re-ordered storage:
+/// re-ordered storage. With cache = max(l2_bytes, 256 KiB):
 ///  * x must overflow the cache: ncols * sizeof(value_t) greater than
-///    2 * max(l2_bytes, 256 KiB) — otherwise the gathers already hit;
-///  * at least two stripes must result;
-///  * the nnz-weighted mean row column-span must exceed twice the
-///    stripe width — banded matrices already gather from a narrow,
-///    resident window, so striping only adds segment overhead.
+///    2 * cache — otherwise the gathers already hit. (Past this bound at
+///    least three stripes result.)
+///  * the rows' x band must overflow it too: 2 * x_band_cols *
+///    sizeof(value_t) greater than cache. A row-ordered pass only reads x
+///    inside [diag - B, diag + B] around the current row's diagonal, so
+///    when that window is cache-resident (stencils, banded and
+///    near-diagonal rows) the stripes buy no locality and only add
+///    per-segment metadata and short DU units.
 /// Auto stripe width: clamp(l1d_bytes / 2, 8 KiB, 256 KiB), defaulting
 /// to 16 KiB when the topology exposes no L1d size. Half the L1d leaves
 /// room for the y rows, the value stream, and the ctl/index stream that
 /// compete for the same set.
 TilePlan plan_tiles(const TileConfig& cfg, index_t nrows, index_t ncols,
-                    usize_t nnz, double mean_row_span_cols,
-                    std::size_t l1d_bytes, std::size_t l2_bytes);
+                    usize_t nnz, index_t x_band_cols, std::size_t l1d_bytes,
+                    std::size_t l2_bytes);
 
-/// nnz-weighted mean column span of the rows of `t` (0 when empty):
-/// sum_r nnz_r * (max_col_r - min_col_r + 1) / nnz. The banded-matrix
-/// decline test of plan_tiles. O(nnz) over the sorted triplets.
-double mean_row_span_cols(const Triplets& t);
+/// The x band B of `t` (0 when empty): the nnz-weighted 99th percentile
+/// of |col - row * ncols / nrows|, each non-zero's column distance from
+/// the diagonal (scaled to the rectangle). One O(nnz) scan over the
+/// sorted triplets into a fixed log-linear histogram (exact below 16,
+/// then 8 buckets per power of two), each bucket keeping the largest
+/// distance it saw; B is that maximum for the percentile's bucket, so it
+/// is exact when the bucket holds one distance (a stencil's offsets) and
+/// at most 1/8 high otherwise.
+index_t x_band_cols(const Triplets& t);
 
 // ------------------------------------------------------------------------
 // Tiled storage

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <unordered_map>
 
-#include "spc/spmv/tiling.hpp"
 #include "spc/support/error.hpp"
 
 namespace spc::tune {
@@ -39,6 +38,32 @@ class Fnv1a {
  private:
   std::uint64_t h_ = 0xcbf29ce484222325ull;
 };
+
+// nnz-weighted mean column span of the rows of `t` (0 when empty):
+// sum_r nnz_r * (max_col_r - min_col_r + 1) / nnz. O(nnz) over the
+// sorted triplets.
+double mean_row_span_cols(const Triplets& t) {
+  const std::vector<Entry>& es = t.entries();
+  if (es.empty()) {
+    return 0.0;
+  }
+  double weighted = 0.0;
+  usize_t k = 0;
+  const usize_t n = es.size();
+  while (k < n) {
+    const index_t row = es[k].row;
+    const index_t first = es[k].col;  // sorted: min column of the row
+    usize_t e = k;
+    while (e + 1 < n && es[e + 1].row == row) {
+      ++e;
+    }
+    const usize_t row_nnz = e - k + 1;
+    weighted += static_cast<double>(row_nnz) *
+                static_cast<double>(es[e].col - first + 1);
+    k = e + 1;
+  }
+  return weighted / static_cast<double>(n);
+}
 
 }  // namespace
 

@@ -26,8 +26,7 @@ struct TuneFeatures {
   /// Fraction of non-zeros at stride 1 from their left neighbor — the
   /// predictor for CSR-DU's RLE units.
   double delta1_frac = 0.0;
-  /// nnz-weighted mean column span of a row (bandedness; the tiling
-  /// planner uses the same figure).
+  /// nnz-weighted mean column span of a row (bandedness).
   double mean_row_span = 0.0;
   /// Coefficient of variation of row lengths (stddev / mean): high
   /// values mean ragged rows, where per-row overheads dominate.

@@ -11,6 +11,7 @@
 // a matrix narrower than one stripe, and stripes with no non-zeros.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 
 #include "spc/gen/generators.hpp"
@@ -313,9 +314,8 @@ TEST(TileConfigParse, NameRoundTrips) {
 
 TEST(TilePlanner, ForcedAlwaysEngages) {
   const TileConfig cfg{TileMode::kForced, 8u << 10};
-  const TilePlan p =
-      plan_tiles(cfg, 100, 100, 500, /*mean_row_span_cols=*/4.0,
-                 /*l1d=*/32u << 10, /*l2=*/1u << 20);
+  const TilePlan p = plan_tiles(cfg, 100, 100, 500, /*x_band_cols=*/4,
+                                /*l1d=*/32u << 10, /*l2=*/1u << 20);
   EXPECT_TRUE(p.active);
   EXPECT_EQ(p.stripe_cols, static_cast<index_t>((8u << 10) / sizeof(value_t)));
 }
@@ -323,31 +323,149 @@ TEST(TilePlanner, ForcedAlwaysEngages) {
 TEST(TilePlanner, AutoDeclinesWhenXFitsCache) {
   const TileConfig cfg{TileMode::kAuto, 0};
   // ncols * 8 well under 2 * l2.
-  const TilePlan p = plan_tiles(cfg, 1u << 16, 1u << 14, 1u << 20, 5000.0,
-                                32u << 10, 1u << 20);
+  const TilePlan p = plan_tiles(cfg, 1u << 16, 1u << 14, 1u << 20,
+                                /*x_band_cols=*/5000, 32u << 10, 1u << 20);
   EXPECT_FALSE(p.active);
   EXPECT_STREQ(p.decline_reason, "x fits cache");
+  EXPECT_EQ(p.decline_detail, "x fits cache: x 128 KiB fits 2x 1 MiB L2");
 }
 
-TEST(TilePlanner, AutoDeclinesBandedRows) {
+// x overflows the cache, but the rows' band does not: declined exactly
+// up to 2 * B * sizeof(value_t) == cache (B = 16384 at a 256 KiB L2).
+TEST(TilePlanner, AutoDeclinesWhenXBandFitsCache) {
   const TileConfig cfg{TileMode::kAuto, 0};
-  // x overflows cache but rows span only a few columns.
   const TilePlan p = plan_tiles(cfg, 1u << 20, 1u << 20, 1u << 22,
-                                /*mean_row_span_cols=*/16.0, 32u << 10,
+                                /*x_band_cols=*/16384, 32u << 10,
                                 256u << 10);
   EXPECT_FALSE(p.active);
-  EXPECT_STREQ(p.decline_reason, "banded rows");
+  EXPECT_STREQ(p.decline_reason, "x band fits cache");
+  EXPECT_EQ(p.decline_detail,
+            "x band fits cache: x band 16384 cols (256 KiB window) fits "
+            "256 KiB L2");
+  const TilePlan wider = plan_tiles(cfg, 1u << 20, 1u << 20, 1u << 22,
+                                    /*x_band_cols=*/16385, 32u << 10,
+                                    256u << 10);
+  EXPECT_TRUE(wider.active);
+  // An unknown L2 falls back to the 256 KiB floor, named as such.
+  const TilePlan no_l2 =
+      plan_tiles(cfg, 1u << 20, 1u << 20, 1u << 22, 16, 32u << 10, 0);
+  EXPECT_STREQ(no_l2.decline_reason, "x band fits cache");
+  EXPECT_NE(no_l2.decline_detail.find("fits 256 KiB cache"),
+            std::string::npos)
+      << no_l2.decline_detail;
 }
 
 TEST(TilePlanner, AutoEngagesOnWideIrregularMatrices) {
   const TileConfig cfg{TileMode::kAuto, 0};
   const TilePlan p = plan_tiles(cfg, 1u << 20, 1u << 20, 1u << 22,
-                                /*mean_row_span_cols=*/500000.0, 32u << 10,
+                                /*x_band_cols=*/500000, 32u << 10,
                                 256u << 10);
   EXPECT_TRUE(p.active);
+  EXPECT_STREQ(p.decline_reason, "");
   EXPECT_GE(p.nstripes, 2u);
   // clamp(l1d/2, 8k, 256k) with l1d = 32 KiB -> 16 KiB stripes.
   EXPECT_EQ(p.stripe_bytes, 16u << 10);
+}
+
+// Machine-independent: the band is measured on generator output and the
+// caches are passed explicitly. The 7-point Laplacian's band is its
+// plane offset nx * ny, a window far inside L2 although its mean row
+// span (2 * nx * ny + 1) is many stripes wide; R-MAT scatters columns
+// over the whole row space.
+TEST(TilePlanner, BandDeclinesLaplacianAndEngagesRmat) {
+  constexpr std::size_t kL1d = 48u << 10;
+  constexpr std::size_t kL2 = 256u << 10;
+  const TileConfig cfg{TileMode::kAuto, 0};
+
+  const Triplets lap = gen_laplacian_3d(48, 48, 48);  // x = 864 KiB
+  const index_t lap_band = x_band_cols(lap);
+  EXPECT_EQ(lap_band, 48u * 48u);
+  const TilePlan lp = plan_tiles(cfg, lap.nrows(), lap.ncols(), lap.nnz(),
+                                 lap_band, kL1d, kL2);
+  EXPECT_FALSE(lp.active);
+  EXPECT_STREQ(lp.decline_reason, "x band fits cache");
+  EXPECT_EQ(lp.decline_detail,
+            "x band fits cache: x band 2304 cols (36 KiB window) fits "
+            "256 KiB L2");
+
+  Rng rng(61);
+  const Triplets rmat = gen_rmat(17, 600000, rng, ValueModel::pooled(8));
+  const index_t rmat_band = x_band_cols(rmat);
+  EXPECT_GT(rmat_band, rmat.ncols() / 4);
+  const TilePlan rp = plan_tiles(cfg, rmat.nrows(), rmat.ncols(),
+                                 rmat.nnz(), rmat_band, kL1d, kL2);
+  EXPECT_TRUE(rp.active) << rp.decline_detail;
+  EXPECT_EQ(rp.stripe_bytes, kL1d / 2);
+}
+
+// The diagonal is scaled to the rectangle: row r of a 4x-wide matrix
+// sits around column 4r, so rows following that diagonal have a narrow
+// band although |col - row| reaches 3 * nrows.
+TEST(TilePlanner, BandFollowsTheScaledDiagonalOfRectangles) {
+  constexpr index_t kRows = 20000;
+  Triplets t(kRows, 4 * kRows);  // x = 625 KiB
+  for (index_t r = 0; r < kRows; ++r) {
+    for (index_t k = 0; k < 4; ++k) {
+      t.add(r, 4 * r + k, 1.0 + k);
+    }
+    if (r >= 2) {
+      t.add(r, 4 * r - 8, -1.0);
+    }
+  }
+  t.sort_and_combine();
+  EXPECT_EQ(x_band_cols(t), 8u);
+  const TilePlan p =
+      plan_tiles(TileConfig{TileMode::kAuto, 0}, t.nrows(), t.ncols(),
+                 t.nnz(), x_band_cols(t), 32u << 10, 256u << 10);
+  EXPECT_FALSE(p.active);
+  EXPECT_STREQ(p.decline_reason, "x band fits cache");
+
+  // Tall: 4 rows per column, diagonal at row / 4.
+  Triplets tall(4 * kRows, kRows);
+  for (index_t r = 0; r < 4 * kRows; ++r) {
+    tall.add(r, r / 4, 1.0);
+  }
+  tall.sort_and_combine();
+  EXPECT_EQ(x_band_cols(tall), 0u);
+}
+
+// B is the nnz-weighted 99th percentile, not the maximum: 1% of far
+// entries set it, fewer do not.
+TEST(TilePlanner, BandIsTheNinetyNinthPercentile) {
+  const auto band_with_far = [](index_t far_rows) {
+    Triplets t(1000, 1000);
+    for (index_t r = 0; r < 1000; ++r) {
+      t.add(r, r, 1.0);
+      if (r < far_rows) {
+        t.add(r, r + 500, 1.0);
+      }
+    }
+    t.sort_and_combine();
+    return x_band_cols(t);
+  };
+  EXPECT_EQ(band_with_far(0), 0u);
+  EXPECT_EQ(band_with_far(9), 0u);     // 9 of 1009 entries: under 1%
+  EXPECT_EQ(band_with_far(20), 500u);  // 20 of 1020: over 1%
+  EXPECT_EQ(x_band_cols(Triplets(5, 5)), 0u);
+}
+
+// Against the exact percentile of random distances: never below it, and
+// at most one sub-bucket (1/8) above.
+TEST(TilePlanner, BandBoundsTheExactPercentile) {
+  for (int seed = 0; seed < 8; ++seed) {
+    Rng rng(6200 + seed);
+    const index_t n = 200 + static_cast<index_t>(rng.next_below(50000));
+    const Triplets t = test::random_triplets(n, n, 4 * n, rng);
+    std::vector<index_t> dist;
+    for (const Entry& e : t.entries()) {
+      dist.push_back(e.col > e.row ? e.col - e.row : e.row - e.col);
+    }
+    std::sort(dist.begin(), dist.end());
+    const index_t exact = dist[dist.size() - dist.size() / 100 - 1];
+    const index_t band = x_band_cols(t);
+    EXPECT_GE(band, exact) << "seed " << seed;
+    EXPECT_LE(band, exact + exact / 8) << "seed " << seed;
+  }
 }
 
 // The tiled store swaps the execution arrays but must still represent
