@@ -139,7 +139,8 @@ void run(bool smoke) {
             << " threads:\n";
   summary.print(std::cout);
   std::cout << "\nnote: \"sched\" is the schedule in effect after "
-               "resolution (dynamic schedules require the pool backend); "
+               "resolution (dynamic schedules need a multithreaded "
+               "row-partitioned format); "
                "\"imbalance\" is max/mean worker busy time over the timed "
                "loop; \"steals\" counts chunks executed by non-owners. "
                "On hosts with fewer CPUs than threads, the dynamic rows "

@@ -1,14 +1,13 @@
 // Ablation: symmetry exploitation (§III-C, Lee et al.) against the
 // paper's compression formats, on the symmetric members of the corpus.
 // SymCsr halves index *and* value data — the largest ws reduction
-// available — but pays a scatter (and a reduction when multithreaded).
+// available — but pays a scatter (and, multithreaded, a conflict-window
+// reduction; see ablation_sym for window vs private y).
 #include <iostream>
 
 #include "spc/bench/harness.hpp"
 #include "spc/formats/sym_csr.hpp"
-#include "spc/spmv/sym_spmv.hpp"
 #include "spc/support/strutil.hpp"
-#include "spc/support/timing.hpp"
 
 namespace spc {
 namespace {
@@ -33,8 +32,8 @@ void run() {
 
     SpmvInstance csr(mc.mat, Format::kCsr, 1, opts);
     const double csr_b = static_cast<double>(csr.matrix_bytes());
-    for (const Format f :
-         {Format::kCsr, Format::kCsrDu, Format::kCsrVi}) {
+    for (const Format f : {Format::kCsr, Format::kCsrDu, Format::kCsrVi,
+                           Format::kSymCsr, Format::kSymCsrVi}) {
       SpmvInstance s1(mc.mat, f, 1, opts);
       SpmvInstance sn(mc.mat, f, mt, opts);
       table.add_row(
@@ -44,25 +43,6 @@ void run() {
            fmt_fixed(time_spmv(sn, cfg.iterations, cfg.warmup) * 1e3,
                      2)});
     }
-    // SymCsr path (separate runner: scatter needs private-y reduction).
-    SymSpmv sym1(mc.mat, 1);
-    SymSpmv symn(mc.mat, mt, cfg.pin_threads);
-    Rng rng(1);
-    const Vector x = random_vector(mc.mat.ncols(), rng);
-    Vector y(mc.mat.nrows(), 0.0);
-    const auto time_sym = [&](SymSpmv& runner) {
-      runner.run(x, y);
-      Timer t;
-      for (std::size_t i = 0; i < cfg.iterations; ++i) {
-        runner.run(x, y);
-      }
-      return t.elapsed_s();
-    };
-    table.add_row(
-        {mc.name, "sym-csr",
-         fmt_fixed(static_cast<double>(sym1.matrix_bytes()) / csr_b, 2),
-         fmt_fixed(time_sym(sym1) * 1e3, 2),
-         fmt_fixed(time_sym(symn) * 1e3, 2)});
   });
   table.print(std::cout);
   std::cout << "(symmetric corpus members: " << used << ")\n\n";

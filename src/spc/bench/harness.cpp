@@ -185,7 +185,7 @@ RunMetrics time_spmv_metrics(SpmvInstance& inst, std::size_t iters,
   if (pool != nullptr) {
     pool->busy_reset();
     pool->counters_start();
-  } else if (inst.nthreads() == 1 && obs::counters_enabled()) {
+  } else if (obs::counters_enabled()) {
     // Serial runs execute on this thread; attach the group here.
     serial_session = std::make_unique<obs::PerfSession>();
     serial_session->start();
@@ -235,13 +235,9 @@ RunMetrics time_spmv_metrics(SpmvInstance& inst, std::size_t iters,
     serial_session->stop();
     m.counters = serial_session->read();
     m.imbalance = 1.0;
-  } else if (inst.nthreads() == 1) {
+  } else {
     m.counters.reason = "disabled (SPC_COUNTERS=0)";
     m.imbalance = 1.0;
-  } else {
-    // OpenMP backend: no per-thread sessions or busy accounting.
-    m.counters.reason = "openmp backend (no per-thread attach)";
-    m.imbalance = 0.0;
   }
   return m;
 }

@@ -105,7 +105,7 @@ struct RunMetrics {
   std::vector<double> sample_seconds;
   double mflops = 0.0;
   /// max/mean worker busy time over the whole timed loop; 1.0 for
-  /// serial runs, 0.0 when unknown (OpenMP backend).
+  /// serial runs.
   double imbalance = 1.0;
   std::vector<double> busy_seconds;  ///< per-worker busy time (empty serial)
   /// Chunks in the dynamic-schedule plan; 0 under the static schedule.

@@ -50,8 +50,8 @@ struct EngineOptions {
   /// behind the pool.
   bool serial_fallback = true;
   /// Instance knobs applied to every registered matrix (NUMA, schedule,
-  /// tiling, ...). backend/pin_threads/placement inside are ignored —
-  /// the engine's shared pool is already built.
+  /// tiling, ...). pin_threads/placement inside are ignored — the
+  /// engine's shared pool is already built.
   InstanceOptions instance;
 
   /// Checks the option values: at least one dispatcher, a nonzero queue

@@ -9,10 +9,6 @@
 #include <tuple>
 #include <utility>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "spc/obs/metrics_io.hpp"
 #include "spc/obs/trace.hpp"
 #include "spc/spmv/kernels.hpp"
@@ -20,26 +16,6 @@
 #include "spc/support/timing.hpp"
 
 namespace spc {
-
-bool openmp_available() {
-#ifdef _OPENMP
-  return true;
-#else
-  return false;
-#endif
-}
-
-void SpmvInstance::dispatch(const std::function<void(std::size_t)>& body) {
-#ifdef _OPENMP
-  if (opts_.backend == Backend::kOpenMP) {
-    const int n = static_cast<int>(nthreads_);
-#pragma omp parallel num_threads(n)
-    { body(static_cast<std::size_t>(omp_get_thread_num())); }
-    return;
-  }
-#endif
-  xpool_->run(body);
-}
 
 void SpmvInstance::dispatch_raw(ThreadPool::RawJob fn) {
   xpool_->run(fn, this);
@@ -187,66 +163,91 @@ void SpmvInstance::sym_reduce_job(void* ctx, std::size_t tid) {
   }
 }
 
-std::string format_name(Format f) {
-  switch (f) {
-    case Format::kCsr:
-      return "csr";
-    case Format::kCsr16:
-      return "csr16";
-    case Format::kCoo:
-      return "coo";
-    case Format::kCsc:
-      return "csc";
-    case Format::kBcsr:
-      return "bcsr";
-    case Format::kEll:
-      return "ell";
-    case Format::kDia:
-      return "dia";
-    case Format::kJds:
-      return "jds";
-    case Format::kCsrDu:
-      return "csr-du";
-    case Format::kCsrDuRle:
-      return "csr-du-rle";
-    case Format::kCsrVi:
-      return "csr-vi";
-    case Format::kCsrDuVi:
-      return "csr-du-vi";
-    case Format::kDcsr:
-      return "dcsr";
-    case Format::kSymCsr:
-      return "sym-csr";
-    case Format::kSymCsrVi:
-      return "sym-csr-vi";
+namespace {
+
+// What each format supports, one row per Format in enum order (which is
+// also all_formats()'s presentation order). The names are tune-cache
+// keys: never rename one.
+struct FormatCaps {
+  Format format;
+  const char* name;
+  /// The encoder refuses matrices that are not numerically symmetric.
+  bool symmetric;
+  /// Per-thread work is a contiguous row range of one kernel, so it can
+  /// run as chunks under the dynamic schedules.
+  bool chunkable;
+  /// Has a column-tiled (stripe-major) execution path.
+  bool tileable;
+  /// Per-thread work is a row-partitioned slice of plain arrays that the
+  /// NUMA placement can repack.
+  bool repackable;
+};
+
+constexpr FormatCaps kFormatCaps[] = {
+    // format           name          sym    chunk  tile   repack
+    {Format::kCsr,      "csr",        false, true,  true,  true},
+    {Format::kCsr16,    "csr16",      false, true,  false, true},
+    {Format::kCoo,      "coo",        false, false, false, false},
+    {Format::kCsc,      "csc",        false, false, false, false},
+    {Format::kBcsr,     "bcsr",       false, true,  false, true},
+    {Format::kEll,      "ell",        false, true,  false, true},
+    {Format::kDia,      "dia",        false, false, false, false},
+    {Format::kJds,      "jds",        false, false, false, false},
+    {Format::kCsrDu,    "csr-du",     false, true,  true,  true},
+    {Format::kCsrDuRle, "csr-du-rle", false, true,  true,  true},
+    {Format::kCsrVi,    "csr-vi",     false, true,  true,  true},
+    {Format::kCsrDuVi,  "csr-du-vi",  false, true,  true,  true},
+    {Format::kDcsr,     "dcsr",       false, false, false, false},
+    {Format::kSymCsr,   "sym-csr",    true,  true,  false, true},
+    {Format::kSymCsrVi, "sym-csr-vi", true,  true,  false, true},
+};
+
+constexpr bool caps_in_enum_order() {
+  for (std::size_t i = 0; i < std::size(kFormatCaps); ++i) {
+    if (static_cast<std::size_t>(kFormatCaps[i].format) != i) {
+      return false;
+    }
   }
-  return "?";
+  return true;
+}
+static_assert(caps_in_enum_order(),
+              "kFormatCaps must list every Format in enum order");
+
+const FormatCaps& caps(Format f) {
+  const auto i = static_cast<std::size_t>(f);
+  SPC_CHECK_MSG(i < std::size(kFormatCaps), "unknown Format value");
+  return kFormatCaps[i];
+}
+
+}  // namespace
+
+std::string format_name(Format f) {
+  const auto i = static_cast<std::size_t>(f);
+  return i < std::size(kFormatCaps) ? kFormatCaps[i].name : "?";
 }
 
 Format parse_format(const std::string& name) {
   const std::string n = to_lower(name);
-  for (const Format f : all_formats()) {
-    if (format_name(f) == n) {
-      return f;
+  for (const FormatCaps& c : kFormatCaps) {
+    if (n == c.name) {
+      return c.format;
     }
   }
   throw InvalidArgument("unknown format: " + name);
 }
 
 const std::vector<Format>& all_formats() {
-  static const std::vector<Format> kAll = {
-      Format::kCsr,      Format::kCsr16, Format::kCoo,
-      Format::kCsc,      Format::kBcsr,  Format::kEll,
-      Format::kDia,      Format::kJds,   Format::kCsrDu,
-      Format::kCsrDuRle, Format::kCsrVi, Format::kCsrDuVi,
-      Format::kDcsr,     Format::kSymCsr, Format::kSymCsrVi,
-  };
+  static const std::vector<Format> kAll = [] {
+    std::vector<Format> all;
+    for (const FormatCaps& c : kFormatCaps) {
+      all.push_back(c.format);
+    }
+    return all;
+  }();
   return kAll;
 }
 
-bool format_requires_symmetry(Format f) {
-  return f == Format::kSymCsr || f == Format::kSymCsrVi;
-}
+bool format_requires_symmetry(Format f) { return caps(f).symmetric; }
 
 SpmvInstance::~SpmvInstance() = default;
 SpmvInstance::SpmvInstance(SpmvInstance&&) noexcept = default;
@@ -301,9 +302,6 @@ SpmvInstance::SpmvInstance(const Triplets& t, Format format,
       shared_pool_(std::move(pool)) {
   SPC_CHECK_MSG(shared_pool_ != nullptr,
                 "shared-pool SpmvInstance requires a pool");
-  // The pool already exists, so the knobs that shape pool construction
-  // don't apply; everything else (schedule, tiling, NUMA, ...) does.
-  opts_.backend = Backend::kPool;
   init(t);
 }
 
@@ -466,57 +464,44 @@ void SpmvInstance::init(const Triplets& t) {
       }
     }
 
-    // The OpenMP backend uses parallel regions instead of the pool
-    // (thread binding is then the runtime's job, via OMP_PROC_BIND);
-    // without OpenMP support it degrades to the pool (see decisions()).
-    if (opts_.backend == Backend::kOpenMP && openmp_available()) {
-      opts_.pin_threads = false;
-      setup_tiling(t);
+    Topology topo;
+    std::vector<int> plan;
+    if (shared_pool_ != nullptr) {
+      // Borrowed pool: placement facts come from its workers. An unpinned
+      // pool leaves every worker's node unknowable.
+      topo = discover_topology();
+      const std::vector<int>& cpus = shared_pool_->worker_cpus();
+      if (!cpus.empty() && cpus[0] >= 0) {
+        plan = cpus;
+      }
+      xpool_ = shared_pool_.get();
+      run_mu_ = std::make_unique<std::mutex>();
     } else {
-      if (opts_.backend == Backend::kOpenMP) {
-        note_decision("backend", "openmp", "pool",
-                      "library built without OpenMP support");
-      }
-      opts_.backend = Backend::kPool;
-      Topology topo;
-      std::vector<int> plan;
-      if (shared_pool_ != nullptr) {
-        // Borrowed pool: placement facts come from its workers. An
-        // unpinned pool leaves every worker's node unknowable.
+      if (opts_.pin_threads) {
         topo = discover_topology();
-        const std::vector<int>& cpus = shared_pool_->worker_cpus();
-        if (!cpus.empty() && cpus[0] >= 0) {
-          plan = cpus;
-        }
-        xpool_ = shared_pool_.get();
-        run_mu_ = std::make_unique<std::mutex>();
-      } else {
-        if (opts_.pin_threads) {
-          topo = discover_topology();
-          plan = plan_placement(topo, nthreads, opts_.placement);
-        }
-        pool_ = std::make_unique<ThreadPool>(nthreads, plan);
-        xpool_ = pool_.get();
+        plan = plan_placement(topo, nthreads, opts_.placement);
       }
-      // Schedule first, NUMA second: the chunk plan (and the DU chunk
-      // slices) are computed against the pristine arrays, then
-      // setup_numa translates the owned slices into each worker's
-      // repacked arena block.
-      setup_schedule(t, topo);
-      // Tiling after the schedule (the chunk plan defines the execution
-      // blocks) and before NUMA placement (which repacks the tiled
-      // store's per-worker spans instead of the matrix's).
-      setup_tiling(t);
-      // NUMA placement needs pinned workers: without a plan a worker's
-      // node is unknowable, so the policy resolves to off.
-      if (!plan.empty()) {
-        setup_numa(topo);
-      } else if (const NumaPolicy req = numa_policy_from_env(opts_.numa);
-                 req != NumaPolicy::kOff) {
-        note_decision("numa", numa_policy_name(req), "off",
-                      "workers are not pinned, so per-worker NUMA nodes "
-                      "are unknown");
-      }
+      pool_ = std::make_unique<ThreadPool>(nthreads, plan);
+      xpool_ = pool_.get();
+    }
+    // Schedule first, NUMA second: the chunk plan (and the DU chunk
+    // slices) are computed against the pristine arrays, then setup_numa
+    // translates the owned slices into each worker's repacked arena
+    // block.
+    setup_schedule(t, topo);
+    // Tiling after the schedule (the chunk plan defines the execution
+    // blocks) and before NUMA placement (which repacks the tiled store's
+    // per-worker spans instead of the matrix's).
+    setup_tiling(t);
+    // NUMA placement needs pinned workers: without a plan a worker's node
+    // is unknowable, so the policy resolves to off.
+    if (!plan.empty()) {
+      setup_numa(topo);
+    } else if (const NumaPolicy req = numa_policy_from_env(opts_.numa);
+               req != NumaPolicy::kOff) {
+      note_decision("numa", numa_policy_name(req), "off",
+                    "workers are not pinned, so per-worker NUMA nodes "
+                    "are unknown");
     }
     if (sym_active_) {
       if (sym_reduce_ == SymReduce::kWindow) {
@@ -553,46 +538,32 @@ void SpmvInstance::setup_schedule(const Triplets& t, const Topology& topo) {
   if (requested == Schedule::kStatic) {
     return;
   }
-  // Only formats whose per-thread work is a contiguous row range of a
-  // single kernel can run as chunks. The rest (CSC's column partition +
-  // reduction, DIA/JDS diagonal traversals, COO, DCSR) silently keep the
-  // static schedule; schedule() reports what actually runs.
-  switch (format_) {
-    case Format::kCsr:
-    case Format::kCsr16:
-    case Format::kCsrVi:
-    case Format::kCsrDu:
-    case Format::kCsrDuRle:
-    case Format::kCsrDuVi:
-    case Format::kBcsr:
-    case Format::kEll:
-      break;
-    case Format::kSymCsr:
-    case Format::kSymCsrVi:
-      // A stolen symmetric chunk would scatter into the owner's conflict
-      // window concurrently with the owner — a data race the window
-      // scheme cannot absorb. Chunked keeps every chunk on its owner
-      // (run in ascending order), so it stays bit-identical and safe.
-      if (requested == Schedule::kSteal) {
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true)) {
-          std::fprintf(stderr,
-                       "spc: schedule=steal is unsafe for the symmetric "
-                       "formats (concurrent window scatters); running "
-                       "schedule=chunked instead\n");
-        }
-        note_decision("schedule", "steal", "chunked",
-                      "stolen symmetric chunks would scatter into the "
-                      "owner's conflict window concurrently");
-        requested = Schedule::kChunked;
-      }
-      break;
-    default:
-      note_decision("schedule", schedule_name(requested), "static",
-                    format_name(format_) +
-                        " has no chunked execution path (work is not a "
-                        "contiguous row range of one kernel)");
-      return;
+  // Formats without a chunked path (CSC's column partition + reduction,
+  // DIA/JDS diagonal traversals, COO, DCSR) silently keep the static
+  // schedule; schedule() reports what actually runs.
+  if (!caps(format_).chunkable) {
+    note_decision("schedule", schedule_name(requested), "static",
+                  format_name(format_) +
+                      " has no chunked execution path (work is not a "
+                      "contiguous row range of one kernel)");
+    return;
+  }
+  // A stolen symmetric chunk would scatter into the owner's conflict
+  // window concurrently with the owner — a data race the window scheme
+  // cannot absorb. Chunked keeps every chunk on its owner (run in
+  // ascending order), so it stays bit-identical and safe.
+  if (caps(format_).symmetric && requested == Schedule::kSteal) {
+    static std::atomic<bool> warned{false};
+    if (!warned.exchange(true)) {
+      std::fprintf(stderr,
+                   "spc: schedule=steal is unsafe for the symmetric "
+                   "formats (concurrent window scatters); running "
+                   "schedule=chunked instead\n");
+    }
+    note_decision("schedule", "steal", "chunked",
+                  "stolen symmetric chunks would scatter into the "
+                  "owner's conflict window concurrently");
+    requested = Schedule::kChunked;
   }
   obs::TraceSpan sched_span("schedule:" + schedule_name(requested));
 
@@ -696,18 +667,11 @@ void SpmvInstance::sched_reset() {
 }
 
 void SpmvInstance::setup_tiling(const Triplets& t) {
-  // Only the row-partitioned CSR-shaped formats have a tiled execution
-  // path. CSR-16 keeps its untiled kernels (its 16-bit columns already
-  // bound the index working set); the rest aren't row-sliced at all.
-  switch (format_) {
-    case Format::kCsr:
-    case Format::kCsrVi:
-    case Format::kCsrDu:
-    case Format::kCsrDuRle:
-    case Format::kCsrDuVi:
-      break;
-    default:
-      return;
+  // CSR-16 keeps its untiled kernels (its 16-bit columns already bound
+  // the index working set); the other untileable formats aren't
+  // CSR-shaped row slices at all.
+  if (!caps(format_).tileable) {
+    return;
   }
   const TileConfig cfg = tile_config_from_env(opts_.tiling);
   if (cfg.mode == TileMode::kOff) {
@@ -830,33 +794,19 @@ void SpmvInstance::setup_tiling(const Triplets& t) {
 }
 
 void SpmvInstance::setup_numa(const Topology& topo) {
-  // Only formats whose per-thread work is a contiguous row-partitioned
-  // slice of plain arrays can be repacked. The rest (CSC's column
-  // partition + reduction, DIA/JDS diagonal layouts, COO, DCSR) keep the
-  // shared arrays.
-  switch (format_) {
-    case Format::kCsr:
-    case Format::kCsr16:
-    case Format::kCsrVi:
-    case Format::kCsrDu:
-    case Format::kCsrDuRle:
-    case Format::kCsrDuVi:
-    case Format::kBcsr:
-    case Format::kEll:
-    case Format::kSymCsr:
-    case Format::kSymCsrVi:
-      break;
-    default:
-      if (const NumaPolicy req = numa_policy_from_env(opts_.numa);
-          req != NumaPolicy::kOff) {
-        note_decision("numa", numa_policy_name(req), "off",
-                      format_name(format_) +
-                          " keeps shared arrays (work is not a "
-                          "row-partitioned slice of plain arrays)");
-      }
-      return;
-  }
+  // Formats that cannot be repacked (CSC's column partition +
+  // reduction, DIA/JDS diagonal layouts, COO, DCSR) keep the shared
+  // arrays.
   const NumaPolicy requested = numa_policy_from_env(opts_.numa);
+  if (!caps(format_).repackable) {
+    if (requested != NumaPolicy::kOff) {
+      note_decision("numa", numa_policy_name(requested), "off",
+                    format_name(format_) +
+                        " keeps shared arrays (work is not a "
+                        "row-partitioned slice of plain arrays)");
+    }
+    return;
+  }
   const NumaPolicy policy =
       resolve_numa_policy(requested, topo.num_nodes());
   if (policy == NumaPolicy::kOff) {
@@ -2261,9 +2211,9 @@ std::uint64_t SpmvInstance::run_probe(const Vector& x, Vector& y) {
 }
 
 bool SpmvInstance::can_run_on_caller() const {
-  // Two-phase paths (symmetric scatter/reduce; unbound formats: CSC's
-  // partial-sum reduction, DIA/JDS/COO) either have no serial kernel or
-  // would reassociate the sums — not bit-identical to the pooled run.
+  // CSC, DIA and JDS bind no serial kernel; a serial pass of a pooled
+  // symmetric instance would skip its scatter/reduce phases and
+  // reassociate the sums — not bit-identical to the pooled run.
   if (sym_active_ || !binding_.bound()) {
     return false;
   }
@@ -2317,19 +2267,6 @@ void SpmvInstance::run_parallel(const Vector& x, Vector& y) {
     run_args_.y = yp;
     const bool reduce_needed = sym_reduce_ == SymReduce::kPrivate ||
                                sym_plan_.total_rows > 0;
-    if (xpool_ == nullptr) {
-      // OpenMP backend: same phases as parallel regions.
-      dispatch([&](std::size_t th) { sym_compute_job(this, th); });
-      if (reduce_needed) {
-        const std::uint64_t t0 = now_ns();
-        dispatch([&](std::size_t th) { sym_reduce_job(this, th); });
-        const std::uint64_t t1 = now_ns();
-        const std::uint64_t dt = t1 >= t0 ? t1 - t0 : 0;
-        sym_reduce_ns_ += dt;
-        sym_reduce_counter_->add(dt);
-      }
-      return;
-    }
     if (!numa_x_copy_.empty()) {
       dispatch_raw(&SpmvInstance::xcopy_job);
     }
@@ -2352,11 +2289,6 @@ void SpmvInstance::run_parallel(const Vector& x, Vector& y) {
   // copies its chunk of x into the node-placed mirror — and worker_x()
   // swaps in the per-thread mirror pointer.
   if (!binding_.per_thread.empty()) {
-    if (xpool_ == nullptr) {
-      // OpenMP backend: parallel regions, always static.
-      dispatch([&](std::size_t th) { binding_.per_thread[th](xp, yp); });
-      return;
-    }
     run_args_.x = xp;
     run_args_.y = yp;
     if (!numa_x_copy_.empty()) {
@@ -2385,14 +2317,14 @@ void SpmvInstance::run_parallel(const Vector& x, Vector& y) {
     case Format::kCsc: {
       // Column partitioning with private y copies and a reduction (§II-C).
       const auto& m = std::get<Csc>(matrix_);
-      dispatch([&](std::size_t th) {
+      xpool_->run([&](std::size_t th) {
         Vector& scratch = csc_scratch_[th];
         std::fill(scratch.begin(), scratch.end(), 0.0);
         spmv_csc_cols(m, xp, scratch.data(), partition_.row_begin(th),
                       partition_.row_end(th));
       });
       // Reduce: rows split evenly across threads (precomputed).
-      dispatch([&](std::size_t th) {
+      xpool_->run([&](std::size_t th) {
         const index_t r0 = csc_reduce_rows_.row_begin(th);
         const index_t r1 = csc_reduce_rows_.row_end(th);
         std::fill(yp + r0, yp + r1, 0.0);
@@ -2407,7 +2339,7 @@ void SpmvInstance::run_parallel(const Vector& x, Vector& y) {
     }
     case Format::kDia: {
       const auto& m = std::get<Dia>(matrix_);
-      dispatch([&](std::size_t th) {
+      xpool_->run([&](std::size_t th) {
         spmv_dia_range(m, xp, yp, partition_.row_begin(th),
                        partition_.row_end(th));
       });
@@ -2415,7 +2347,7 @@ void SpmvInstance::run_parallel(const Vector& x, Vector& y) {
     }
     case Format::kJds: {
       const auto& m = std::get<Jds>(matrix_);
-      dispatch([&](std::size_t th) {
+      xpool_->run([&](std::size_t th) {
         spmv_jds_range(m, xp, yp, partition_.row_begin(th),
                        partition_.row_end(th));
       });

@@ -77,13 +77,6 @@ const std::vector<Format>& all_formats();
 /// should pair this with SymCsr::applicable().
 bool format_requires_symmetry(Format f);
 
-/// Multithreaded execution backend.
-enum class Backend {
-  kPool,    ///< persistent pinned thread pool (the paper's pthread model)
-  kOpenMP,  ///< OpenMP parallel region (thread binding via OMP_PROC_BIND);
-            ///< falls back to kPool when built without OpenMP
-};
-
 struct InstanceOptions {
   CsrDuOptions du;                 ///< encoder knobs for the DU formats
   index_t bcsr_block_rows = 2;     ///< BCSR block shape
@@ -97,7 +90,6 @@ struct InstanceOptions {
   Placement placement = Placement::kCloseFirst;
   /// Partition rows by nnz (paper's scheme); false = equal row counts.
   bool balance_by_nnz = true;
-  Backend backend = Backend::kPool;
   /// NUMA data placement (overridable via SPC_NUMA): kAuto repacks
   /// per-thread slices on multi-node machines and stays off on flat
   /// ones. See support/first_touch.hpp.
@@ -107,7 +99,7 @@ struct InstanceOptions {
   /// kChunked/kSteal run the row-partitioned formats as cache-sized
   /// chunks, with kSteal letting idle workers steal from NUMA-near
   /// victims. Non-static requests silently fall back to static for
-  /// unsupported formats, the OpenMP backend, and serial instances.
+  /// unsupported formats and serial instances.
   Schedule schedule = Schedule::kStatic;
   /// Target non-zeros per chunk for the dynamic schedules; 0 derives it
   /// from the discovered L2 size (parallel/schedule.hpp). SPC_CHUNK_NNZ
@@ -139,14 +131,11 @@ struct InstanceOptions {
 /// tile plan that declined, NUMA placement off because workers are
 /// unpinned. Silent-at-run-time fallbacks stay queryable this way.
 struct InstanceDecision {
-  std::string aspect;     ///< "backend" | "schedule" | "tiling" | "numa" | "isa"
+  std::string aspect;     ///< "schedule" | "tiling" | "numa" | "isa"
   std::string requested;  ///< what the options/env asked for
   std::string resolved;   ///< what actually runs
   std::string reason;
 };
-
-/// True when the library was compiled with OpenMP support.
-bool openmp_available();
 
 class SpmvInstance {
  public:
@@ -159,10 +148,9 @@ class SpmvInstance {
   /// caller owns (and may lend to many instances — the serving engine's
   /// model). The instance serializes its own runs internally, so several
   /// threads may call run() on instances sharing one pool concurrently;
-  /// opts.backend/pin_threads/placement are ignored (the pool is already
-  /// built). NUMA placement engages only when the pool's workers are
-  /// pinned. The pool must outlive the instance — the shared_ptr
-  /// enforces that.
+  /// opts.pin_threads/placement are ignored (the pool is already built).
+  /// NUMA placement engages only when the pool's workers are pinned. The
+  /// pool must outlive the instance — the shared_ptr enforces that.
   SpmvInstance(const Triplets& t, Format format,
                std::shared_ptr<ThreadPool> pool,
                const InstanceOptions& opts = {});
@@ -188,9 +176,10 @@ class SpmvInstance {
 
   /// True when run_on_caller() can execute this instance: a serial
   /// kernel is bound and computes bit-identically to the pooled run.
-  /// False for the two-phase paths (symmetric scatter/reduce, CSC,
-  /// DIA/JDS/COO) and for tiled instances under NUMA placement (the
-  /// serial binding reads one worker's arena copy).
+  /// False for pooled symmetric instances (their scatter/reduce phases
+  /// would reassociate the sums), for the formats with no bound serial
+  /// kernel (CSC, DIA, JDS), and for tiled instances under NUMA
+  /// placement (the serial binding reads one worker's arena copy).
   bool can_run_on_caller() const;
 
   /// Degraded-mode execution: computes y = A*x entirely on the calling
@@ -201,7 +190,7 @@ class SpmvInstance {
   bool run_on_caller(const Vector& x, Vector& y);
 
   /// Every configuration aspect resolved away from its requested value
-  /// (backend/schedule/tiling/numa/isa fallbacks), in resolution order.
+  /// (schedule/tiling/numa/isa fallbacks), in resolution order.
   /// Empty when everything runs exactly as asked.
   const std::vector<InstanceDecision>& decisions() const {
     return decisions_;
@@ -228,9 +217,8 @@ class SpmvInstance {
   const RowPartition& partition() const { return partition_; }
 
   /// The worker pool executing this instance — owned or borrowed
-  /// (nullptr for serial instances and the OpenMP backend). The bench
-  /// harness uses it to read busy-time imbalance and drive hardware
-  /// counters.
+  /// (nullptr exactly when nthreads() == 1). The bench harness uses it to
+  /// read busy-time imbalance and drive hardware counters.
   ThreadPool* pool() const { return xpool_; }
 
   /// True when the pool was lent by the caller (the shared-pool
@@ -238,9 +226,9 @@ class SpmvInstance {
   bool pool_is_shared() const { return shared_pool_ != nullptr; }
 
   /// The data-placement policy actually in effect: the resolved value of
-  /// opts.numa / SPC_NUMA, or kOff when the format, backend, or thread
-  /// count rules placement out. Recorded into the JSONL metrics as
-  /// "numa".
+  /// opts.numa / SPC_NUMA, or kOff when the format, unpinned workers, or
+  /// the thread count rule placement out. Recorded into the JSONL metrics
+  /// as "numa".
   NumaPolicy numa_policy() const { return numa_policy_; }
 
   /// NUMA node each worker's pin target lives on (empty when placement
@@ -260,8 +248,8 @@ class SpmvInstance {
   NumaResidency matrix_residency() const;
 
   /// The schedule actually in effect: the resolved value of
-  /// opts.schedule / SPC_SCHED, or kStatic when the format, backend, or
-  /// thread count rules dynamic scheduling out. Recorded into the JSONL
+  /// opts.schedule / SPC_SCHED, or kStatic when the format or thread
+  /// count rules dynamic scheduling out. Recorded into the JSONL
   /// metrics as "schedule".
   Schedule schedule() const { return sched_; }
 
@@ -369,9 +357,7 @@ class SpmvInstance {
   /// The run()/run_probe() execution body (serial-vs-parallel split),
   /// under the run mutex when this instance shares its pool.
   void run_locked(const Vector& x, Vector& y);
-  /// Runs body(tid) on every worker via the configured backend.
-  void dispatch(const std::function<void(std::size_t)>& body);
-  /// Pool-only raw dispatch for the scheduler executors (ctx = this).
+  /// Raw pool dispatch for the scheduler executors (ctx = this).
   void dispatch_raw(ThreadPool::RawJob fn);
   /// Resolves opts.schedule / SPC_SCHED and, when a dynamic schedule is
   /// active, builds the chunk plan, the per-worker deques, and the
@@ -415,7 +401,7 @@ class SpmvInstance {
   std::unique_ptr<ThreadPool> pool_;    ///< owned pool (classic ctor)
   std::shared_ptr<ThreadPool> shared_pool_;  ///< borrowed pool (engine)
   /// The pool runs execute on: pool_.get(), shared_pool_.get(), or
-  /// nullptr (serial / OpenMP backend).
+  /// nullptr (serial).
   ThreadPool* xpool_ = nullptr;
   /// Serializes run()/run_probe() on shared-pool instances, so several
   /// engine dispatchers may drive one matrix concurrently. Heap-held
@@ -500,8 +486,8 @@ class SpmvInstance {
     value_t* y = nullptr;
   };
   RunArgs run_args_;
-  // Symmetric conflict-window execution (kSymCsr / kSymCsrVi, pool
-  // backend): the resolved reduction strategy, the per-thread window
+  // Symmetric conflict-window execution (kSymCsr / kSymCsrVi, pooled
+  // runs): the resolved reduction strategy, the per-thread window
   // plan, the window buffers (arena-backed under NUMA, heap otherwise;
   // private mode reuses csc_scratch_), and the reduction-phase timer.
   bool sym_active_ = false;

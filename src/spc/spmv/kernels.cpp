@@ -145,15 +145,11 @@ void spmv_dia_range(const Dia& m, const value_t* x, value_t* y,
   const std::int64_t ncols = m.ncols();
   for (std::size_t d = 0; d < m.ndiags(); ++d) {
     const std::int64_t off = m.offsets()[d];
-    // Rows where the diagonal stays inside the matrix and the range.
-    std::int64_t rlo = row_begin;
-    if (off < 0) {
-      rlo = std::max<std::int64_t>(rlo, -off);
-    }
-    std::int64_t rhi = row_end;
-    if (off > 0) {
-      rhi = std::min<std::int64_t>(rhi, ncols - off);
-    }
+    // Rows where the diagonal stays inside the matrix and the range:
+    // 0 <= r + off < ncols. The upper clamp binds for every offset on a
+    // tall matrix (nrows > ncols), not just the super-diagonals.
+    const std::int64_t rlo = std::max<std::int64_t>(row_begin, -off);
+    const std::int64_t rhi = std::min<std::int64_t>(row_end, ncols - off);
     const value_t* const diag = values + d * static_cast<usize_t>(nrows);
     for (std::int64_t r = rlo; r < rhi; ++r) {
       y[r] += diag[r] * x[r + off];

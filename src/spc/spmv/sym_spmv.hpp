@@ -1,29 +1,25 @@
-// SpMV for the symmetric formats (§III-C).
+// Conflict reduction for the symmetric formats (§III-C).
 //
 // The implicit upper triangle makes the kernel scatter into y[col], so
 // row ranges no longer write disjoint y. Instead of the classic fix — a
 // full private y copy per thread plus an O(nthreads x nrows) reduction —
-// the runners here use a *bounded conflict window* (Batista et al.,
-// arXiv:1003.0952): each thread writes its own row range directly into
-// the shared y and scatters only into a compact buffer covering
-// [win_begin, row_begin), the span its rows actually reach below its
-// partition. The reduction then touches only the window rows, shrinking
-// the reduction traffic from O(nthreads x nrows) to the conflict span —
-// near zero on banded matrices. When windows degenerate toward ~nrows
-// (e.g. a dense first column), the private-y path is still the cheaper
-// one and remains as fallback.
+// SpmvInstance's pooled symmetric runs use a *bounded conflict window*
+// (Batista et al., arXiv:1003.0952): each thread writes its own row
+// range directly into the shared y and scatters only into a compact
+// buffer covering [win_begin, row_begin), the span its rows actually
+// reach below its partition. The reduction then touches only the window
+// rows, shrinking the reduction traffic from O(nthreads x nrows) to the
+// conflict span — near zero on banded matrices. When windows degenerate
+// toward ~nrows (e.g. a dense first column), the private-y path is still
+// the cheaper one and remains as fallback. This header holds the
+// strategy selection and the window planner.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "spc/mm/vector.hpp"
 #include "spc/parallel/partition.hpp"
-#include "spc/parallel/thread_pool.hpp"
-#include "spc/spmv/kernels.hpp"
-#include "spc/support/first_touch.hpp"
 
 namespace spc {
 
@@ -66,74 +62,5 @@ SymWindowPlan plan_sym_windows(const index_t* row_ptr,
                                const RowPartition& partition,
                                std::size_t nthreads, index_t nrows,
                                SymReduce requested);
-
-/// Row-range partial kernel over raw arrays (private/serial-mode
-/// parameterization of spmv_sym_csr_win; kept for callers of the
-/// pre-window API). y must be zeroed for rows outside the range that
-/// scatters can reach; rows inside the range are assigned.
-void spmv_sym_rows_raw(const index_t* row_ptr, const index_t* col_ind,
-                       const value_t* values, const value_t* diag,
-                       const value_t* x, value_t* y, index_t row_begin,
-                       index_t row_end);
-
-/// Row-range partial kernel over the format object (same contract).
-void spmv_sym_rows(const SymCsr& m, const value_t* x, value_t* y,
-                   index_t row_begin, index_t row_end);
-
-/// Prepared multithreaded symmetric SpMV (conflict-window reduction,
-/// private-y fallback).
-class SymSpmv {
- public:
-  /// `numa` resolves like SpmvInstance's: on a pinned multi-node run the
-  /// per-thread row slices (and the window/scratch buffers) repack into
-  /// first-touched node-local blocks. The scatter path has no x mirror,
-  /// so replicate/interleave degrade to local placement here.
-  explicit SymSpmv(const Triplets& t, std::size_t nthreads = 1,
-                   bool pin_threads = false,
-                   NumaPolicy numa = NumaPolicy::kAuto,
-                   SymReduce reduce = SymReduce::kAuto);
-
-  index_t nrows() const { return m_.nrows(); }
-  usize_t matrix_bytes() const { return m_.bytes(); }
-  const SymCsr& matrix() const { return m_; }
-
-  /// The placement actually in effect (kOff unless pinned and resolved).
-  NumaPolicy numa_policy() const { return numa_policy_; }
-  /// The reduction path actually in effect (kWindow or kPrivate; kAuto
-  /// never survives resolution). Single-threaded runs report kWindow
-  /// with zero window rows.
-  SymReduce reduce_mode() const { return reduce_mode_; }
-  /// Total window rows across threads (0 in private mode).
-  usize_t window_rows() const { return plan_.total_rows; }
-
-  void run(const Vector& x, Vector& y);
-
- private:
-  SymCsr m_;
-  std::size_t nthreads_;
-  RowPartition partition_;
-  SymReduce reduce_mode_ = SymReduce::kWindow;
-  SymWindowPlan plan_;
-  // Window mode: per-thread conflict buffers sized to the window span.
-  // Private mode: per-thread full-length y copies.
-  std::vector<Vector> scratch_;
-  std::unique_ptr<ThreadPool> pool_;
-  // NUMA repack (see instance.cpp): per-thread rebased array pointers
-  // and arena-backed buffers replacing the master-touched Vectors.
-  NumaPolicy numa_policy_ = NumaPolicy::kOff;
-  std::unique_ptr<FirstTouchArena> arena_;
-  struct ThreadArrays {
-    const index_t* row_ptr = nullptr;
-    const index_t* col_ind = nullptr;
-    const value_t* values = nullptr;
-    const value_t* diag = nullptr;
-    value_t* scratch = nullptr;  ///< window buffer or private y
-  };
-  std::vector<ThreadArrays> numa_;
-
-  value_t* scratch_ptr(std::size_t th) {
-    return numa_.empty() ? scratch_[th].data() : numa_[th].scratch;
-  }
-};
 
 }  // namespace spc

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "spc/formats/dia.hpp"
 #include "spc/formats/ell.hpp"
 #include "spc/formats/jds.hpp"
 #include "spc/gen/generators.hpp"
+#include "spc/spmv/kernels.hpp"
 #include "test_util.hpp"
 
 namespace spc {
@@ -117,6 +121,36 @@ TEST(Dia, RectangularMatrix) {
   t.add(1, 6, 3.0);
   t.sort_and_combine();
   test::expect_triplets_eq(t, Dia::from_triplets(t).to_triplets());
+}
+
+TEST(Dia, TallMatrixReadsOnlyNcolsOfX) {
+  // nrows > ncols: the sub-diagonals run off the right edge too, so the
+  // kernel must stop every diagonal at column ncols-1. x sits at the
+  // front of a longer buffer whose tail is NaN; any read past x[3]
+  // poisons y.
+  const Triplets t = nonzero_random(40, 4, 120, 5);
+  const Dia m = Dia::from_triplets(t);
+  Vector buf(44, std::numeric_limits<value_t>::quiet_NaN());
+  Rng xr(6);
+  for (index_t c = 0; c < 4; ++c) {
+    buf[c] = xr.next_double(-1.0, 1.0);
+  }
+  const Vector x(buf.begin(), buf.begin() + 4);
+  const Vector ref = test::reference_spmv(t, x);
+
+  Vector y(40, -1.0);
+  spmv(m, buf.data(), y.data());
+  // The multithreaded path runs the same kernel over row ranges.
+  Vector y_ranges(40, -1.0);
+  for (index_t r = 0; r < 40; r += 13) {
+    spmv_dia_range(m, buf.data(), y_ranges.data(), r,
+                   std::min<index_t>(40, r + 13));
+  }
+  // Per-row EXPECT_NEAR, not rel_error: a NaN row must fail the test.
+  for (index_t r = 0; r < 40; ++r) {
+    EXPECT_NEAR(y[r], ref[r], 1e-12) << "row " << r;
+    EXPECT_NEAR(y_ranges[r], ref[r], 1e-12) << "row " << r;
+  }
 }
 
 // ------------------------------------------------------------------ JDS

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <tuple>
 
 #include "spc/formats/csr.hpp"
 #include "spc/gen/generators.hpp"
-#include "spc/spmv/sym_spmv.hpp"
+#include "spc/spmv/instance.hpp"
+#include "spc/spmv/kernels.hpp"
 #include "test_util.hpp"
 
 namespace spc {
@@ -88,68 +91,119 @@ TEST(SymCsr, SerialKernelMatchesReference) {
   EXPECT_LT(rel_error(ref, y), kTol);
 }
 
-class SymSpmvMt : public ::testing::TestWithParam<std::size_t> {};
+// Pooled runs of the symmetric formats go through SpmvInstance's
+// scatter/reduce phases (conflict windows or private y).
+class SymInstanceMt
+    : public ::testing::TestWithParam<std::tuple<Format, std::size_t>> {};
 
-TEST_P(SymSpmvMt, MatchesReferenceAcrossThreadCounts) {
+TEST_P(SymInstanceMt, MatchesReferenceAcrossThreadCounts) {
+  const auto [format, threads] = GetParam();
   const Triplets t = random_symmetric(400, 2500, 11);
   Rng xr(12);
   const Vector x = random_vector(400, xr);
   const Vector ref = test::reference_spmv(t, x);
-  SymSpmv runner(t, GetParam());
+  InstanceOptions opts;
+  opts.pin_threads = false;
+  SpmvInstance inst(t, format, threads, opts);
   Vector y(400, 0.0);
-  runner.run(x, y);
+  inst.run(x, y);
   EXPECT_LT(rel_error(ref, y), kTol);
-  // Stability across repeated runs (scratch re-zeroing).
+  // Stability across repeated runs (window/scratch re-zeroing).
   Vector y2(400, 5.0);
-  runner.run(x, y2);
+  inst.run(x, y2);
   EXPECT_EQ(max_abs_diff(y, y2), 0.0);
 }
 
-INSTANTIATE_TEST_SUITE_P(ThreadCounts, SymSpmvMt,
-                         ::testing::Values(1, 2, 3, 4, 8));
+INSTANTIATE_TEST_SUITE_P(
+    ThreadCounts, SymInstanceMt,
+    ::testing::Combine(::testing::Values(Format::kSymCsr,
+                                         Format::kSymCsrVi),
+                       ::testing::Values(1, 2, 3, 4, 8)));
 
-TEST(SymSpmv, NumaRepackIsBitIdenticalToOff) {
-  // The repacked per-thread slices are verbatim copies and both phases
-  // run in the same order, so placement must not change a single bit.
-  test::ScopedEnv env("SPC_NUMA", "");  // ctor arg decides, not the env
+TEST(SymInstance, NumaRepackIsBitIdenticalToOff) {
+  // The repacked per-thread slices (rows, diagonal, window buffer) are
+  // verbatim copies and every phase runs in the same order, so placement
+  // must not change a single bit — in either reduction mode and under the
+  // chunked schedule too.
+  test::ScopedEnv isa("SPC_ISA", "scalar");
+  test::ScopedEnv red("SPC_SYM_REDUCE", "");  // opts decide, not the env
+  test::ScopedEnv sch("SPC_SCHED", "");
   const Triplets t = random_symmetric(500, 4000, 17);
   Rng xr(18);
   const Vector x = random_vector(500, xr);
 
-  SymSpmv off(t, 4, /*pin_threads=*/true, NumaPolicy::kOff);
-  EXPECT_EQ(off.numa_policy(), NumaPolicy::kOff);
+  InstanceOptions opts;
+  opts.pin_threads = true;  // placement needs pinned workers
+  for (const Format f : {Format::kSymCsr, Format::kSymCsrVi}) {
+    for (const SymReduce reduce : {SymReduce::kWindow, SymReduce::kPrivate}) {
+      for (const Schedule sched : {Schedule::kStatic, Schedule::kChunked}) {
+        opts.sym_reduce = reduce;
+        opts.schedule = sched;
+        const std::string cell = format_name(f) + " " +
+                                 sym_reduce_name(reduce) + " " +
+                                 schedule_name(sched);
+        Vector y_off(500, 0.0);
+        {
+          test::ScopedEnv numa("SPC_NUMA", "off");
+          SpmvInstance off(t, f, 4, opts);
+          ASSERT_EQ(off.numa_policy(), NumaPolicy::kOff) << cell;
+          ASSERT_EQ(off.sym_reduce(), reduce) << cell;
+          off.run(x, y_off);
+        }
+        EXPECT_LT(rel_error(test::reference_spmv(t, x), y_off), kTol)
+            << cell;
+        for (const char* policy : {"local", "replicate", "interleaved"}) {
+          test::ScopedEnv numa("SPC_NUMA", policy);
+          SpmvInstance placed(t, f, 4, opts);
+          EXPECT_EQ(numa_policy_name(placed.numa_policy()), policy) << cell;
+          for (int run = 0; run < 2; ++run) {
+            Vector y(500, -1.0);
+            placed.run(x, y);
+            EXPECT_EQ(max_abs_diff(y_off, y), 0.0)
+                << cell << " " << policy << " run " << run;
+          }
+        }
+      }
+    }
+  }
+
+  // Unpinned runs can't know worker nodes: placement resolves to off,
+  // and the result is the pinned off run's.
+  opts.sym_reduce = SymReduce::kAuto;
+  opts.schedule = Schedule::kStatic;
   Vector y_off(500, 0.0);
-  off.run(x, y_off);
-
-  SymSpmv local(t, 4, /*pin_threads=*/true, NumaPolicy::kLocal);
-  EXPECT_EQ(local.numa_policy(), NumaPolicy::kLocal);
-  Vector y_local(500, 0.0);
-  local.run(x, y_local);
-  EXPECT_EQ(max_abs_diff(y_off, y_local), 0.0);
-
-  // Unpinned runs can't know worker nodes: placement resolves to off.
-  SymSpmv unpinned(t, 4, /*pin_threads=*/false, NumaPolicy::kLocal);
+  {
+    test::ScopedEnv numa("SPC_NUMA", "off");
+    SpmvInstance(t, Format::kSymCsr, 4, opts).run(x, y_off);
+  }
+  test::ScopedEnv numa("SPC_NUMA", "local");
+  opts.pin_threads = false;
+  SpmvInstance unpinned(t, Format::kSymCsr, 4, opts);
   EXPECT_EQ(unpinned.numa_policy(), NumaPolicy::kOff);
-  Vector y_unpinned(500, 0.0);
+  Vector y_unpinned(500, -1.0);
   unpinned.run(x, y_unpinned);
   EXPECT_EQ(max_abs_diff(y_off, y_unpinned), 0.0);
 }
 
-TEST(SymSpmv, WorksInsideCg) {
+TEST(SymInstance, WorksInsideCg) {
   // The symmetric format inside CG — the §III-C use case end-to-end.
   const Triplets t = gen_laplacian_2d(16, 16);
-  SymSpmv A(t, 2);
-  Rng rng(13);
-  Vector x_true = random_vector(t.nrows(), rng);
-  const Vector b = test::reference_spmv(t, x_true);
-  // Minimal CG inline via the solver API is tested elsewhere; here just
-  // validate repeated operator application drifts nowhere.
-  Vector y1(t.nrows(), 0.0), y2(t.nrows(), 0.0);
-  A.run(b, y1);
-  for (int i = 0; i < 10; ++i) {
-    A.run(b, y2);
+  InstanceOptions opts;
+  opts.pin_threads = false;
+  for (const Format f : {Format::kSymCsr, Format::kSymCsrVi}) {
+    SpmvInstance A(t, f, 2, opts);
+    Rng rng(13);
+    Vector x_true = random_vector(t.nrows(), rng);
+    const Vector b = test::reference_spmv(t, x_true);
+    // Minimal CG inline via the solver API is tested elsewhere; here just
+    // validate repeated operator application drifts nowhere.
+    Vector y1(t.nrows(), 0.0), y2(t.nrows(), 0.0);
+    A.run(b, y1);
+    for (int i = 0; i < 10; ++i) {
+      A.run(b, y2);
+    }
+    EXPECT_EQ(max_abs_diff(y1, y2), 0.0) << format_name(f);
   }
-  EXPECT_EQ(max_abs_diff(y1, y2), 0.0);
 }
 
 TEST(SymCsr, EmptyAndDiagonalOnly) {

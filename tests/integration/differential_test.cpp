@@ -1,8 +1,8 @@
-// Differential testing: for a swarm of random matrices, every format,
-// every thread count and both backends must produce results
-// *bit-identical* to serial CSR (all kernels accumulate per row in the
-// same element order), and every round-trippable format must reproduce
-// the exact triplets. This is the library's strongest global invariant.
+// Differential testing: for a swarm of random matrices, every format and
+// every thread count must produce results *bit-identical* to serial CSR
+// (all kernels accumulate per row in the same element order), and every
+// round-trippable format must reproduce the exact triplets. This is the
+// library's strongest global invariant.
 #include <gtest/gtest.h>
 
 #include <limits>

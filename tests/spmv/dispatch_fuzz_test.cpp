@@ -9,11 +9,14 @@
 // instead (a few ulps — the reassociation of ~row_length addends).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <limits>
+#include <memory>
 
 #include "spc/gen/generators.hpp"
 #include "spc/spmv/dispatch.hpp"
 #include "spc/spmv/instance.hpp"
+#include "spc/support/topology.hpp"
 #include "test_util.hpp"
 
 namespace spc {
@@ -250,6 +253,83 @@ TEST_P(SchedFuzz, DynamicSchedulesMatchStaticAcrossFormatsAndTiers) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Swarm, SchedFuzz, ::testing::Range(0, 21));
+
+// run_on_caller() is the serving engine's serial fallback and a serial
+// pass on a pooled instance: whenever it runs it must reproduce the
+// pooled run's bits, and it may refuse only where can_run_on_caller()
+// says so — exactly the formats that bind no serial kernel (CSC, DIA,
+// JDS) and tiled instances under NUMA placement. Swept over every
+// non-symmetric format x SPC_TILE x SPC_NUMA x SPC_SCHED at the scalar
+// tier and the active one.
+class CallerFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(CallerFuzz, RunOnCallerMatchesPooledRunBitForBit) {
+  const Triplets t = fuzz_matrix(GetParam());
+  if (t.nnz() == 0) {
+    GTEST_SKIP() << "degenerate draw";
+  }
+  Rng xr(9300 + GetParam());
+  const Vector x = random_vector(t.ncols(), xr);
+  const Vector y_ref = test::reference_spmv(t, x);
+  // Finite, so a row left unwritten fails the reference check (NaN would
+  // slip through max_abs_diff).
+  constexpr value_t kUnwritten = -1e300;
+
+  // One pinned pool lent to every instance, as the serving engine does
+  // (NUMA placement needs pinned workers).
+  const auto pool = std::make_shared<ThreadPool>(
+      4, plan_placement(discover_topology(), 4, Placement::kCloseFirst));
+  InstanceOptions opts;
+  opts.chunk_nnz = 64;  // several chunks per worker, so steals happen
+  std::vector<IsaTier> tiers = {IsaTier::kScalar};
+  if (active_isa_tier() != IsaTier::kScalar) {
+    tiers.push_back(active_isa_tier());
+  }
+  for (const IsaTier tier : tiers) {
+    test::ScopedEnv isa("SPC_ISA", isa_tier_name(tier).c_str());
+    for (const char* tile : {"off", "4k"}) {
+      test::ScopedEnv tile_env("SPC_TILE", tile);
+      for (const char* numa : {"off", "replicate"}) {
+        test::ScopedEnv numa_env("SPC_NUMA", numa);
+        for (const char* sched : {"static", "steal"}) {
+          test::ScopedEnv sched_env("SPC_SCHED", sched);
+          for (const Format f : all_formats()) {
+            if (format_requires_symmetry(f) ||
+                (f == Format::kCsr16 && !csr16_applicable(t))) {
+              continue;
+            }
+            SpmvInstance inst(t, f, pool, opts);
+            const std::string what =
+                format_name(f) + " tile=" + tile + " numa=" + numa +
+                " sched=" + sched + " @" + isa_tier_name(tier) +
+                " seed " + std::to_string(GetParam());
+            Vector y_pool(t.nrows(), kUnwritten);
+            inst.run(x, y_pool);
+            EXPECT_LT(rel_error(y_ref, y_pool), kVectorTol) << what;
+
+            const bool refuses =
+                f == Format::kCsc || f == Format::kDia ||
+                f == Format::kJds ||
+                (inst.tiling_active() &&
+                 inst.numa_policy() != NumaPolicy::kOff);
+            EXPECT_EQ(inst.can_run_on_caller(), !refuses) << what;
+            Vector y_caller(t.nrows(), kUnwritten);
+            const bool ran = inst.run_on_caller(x, y_caller);
+            EXPECT_EQ(ran, inst.can_run_on_caller()) << what;
+            if (ran) {
+              EXPECT_EQ(std::memcmp(y_caller.data(), y_pool.data(),
+                                    y_pool.size() * sizeof(value_t)),
+                        0)
+                  << what;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Swarm, CallerFuzz, ::testing::Range(0, 21));
 
 }  // namespace
 }  // namespace spc
