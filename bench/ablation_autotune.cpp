@@ -37,8 +37,7 @@ namespace spc {
 namespace {
 
 /// The tuner's candidate pool, measured exhaustively for the oracle.
-const Format kPool[] = {Format::kCsr,   Format::kCsr16,
-                        Format::kCsrDu, Format::kCsrDuRle,
+const Format kPool[] = {Format::kCsr,   Format::kCsr16,  Format::kCsrDu,
                         Format::kCsrVi, Format::kCsrDuVi};
 
 struct GeoMean {

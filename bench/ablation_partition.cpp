@@ -1,7 +1,6 @@
 // Ablation of work partitioning (DESIGN.md §6, item 5): the paper's
-// nnz-balanced row partitioning vs naive equal-row-count splitting, and
-// CSC column partitioning with private-y reduction (§II-C), on matrices
-// with skewed row lengths where the difference matters.
+// nnz-balanced row partitioning vs naive equal-row-count splitting, on
+// matrices with skewed row lengths where the difference matters.
 #include <iostream>
 
 #include "spc/bench/harness.hpp"
@@ -17,11 +16,11 @@ void run() {
   cfg.max_matrices = cfg.max_matrices ? cfg.max_matrices : 8;
   const std::size_t mt =
       *std::max_element(cfg.threads.begin(), cfg.threads.end());
-  std::cout << "=== Ablation: partitioning (nnz-balanced vs even rows vs "
-               "CSC columns) ===\n[" << cfg.describe() << "]\n";
+  std::cout << "=== Ablation: partitioning (nnz-balanced vs even rows) "
+               "===\n[" << cfg.describe() << "]\n";
 
   TextTable table({"matrix", "imbalance(nnz)", "imbalance(even)",
-                   "csr-nnz ms", "csr-even ms", "csc-cols ms"});
+                   "csr-nnz ms", "csr-even ms"});
   for_each_matrix(cfg, [&](MatrixCase& mc) {
     const Csr csr = Csr::from_triplets(mc.mat);
     const double imb_nnz = partition_imbalance(
@@ -37,13 +36,11 @@ void run() {
     even.balance_by_nnz = false;
     SpmvInstance csr_even(mc.mat, Format::kCsr, mt, even);
 
-    SpmvInstance csc(mc.mat, Format::kCsc, mt, balanced);
-
     table.add_row(
         {mc.name, fmt_fixed(imb_nnz, 2), fmt_fixed(imb_even, 2),
          fmt_fixed(time_spmv(csr_nnz, cfg.iterations, cfg.warmup) * 1e3, 2),
-         fmt_fixed(time_spmv(csr_even, cfg.iterations, cfg.warmup) * 1e3, 2),
-         fmt_fixed(time_spmv(csc, cfg.iterations, cfg.warmup) * 1e3, 2)});
+         fmt_fixed(time_spmv(csr_even, cfg.iterations, cfg.warmup) * 1e3,
+                   2)});
   });
   table.print(std::cout);
   std::cout << "\n";

@@ -1,14 +1,13 @@
-// Ablation: work scheduling — static owner-computes vs chunked
-// self-scheduling vs NUMA-aware work stealing, across formats and
-// thread counts.
+// Ablation: work scheduling — static owner-computes vs NUMA-aware work
+// stealing, across formats and thread counts.
 //
 // The static nnz-balanced split is optimal when cost per non-zero is
 // uniform, but compression skews it: CSR-DU decode cost varies with
 // delta structure, cache misses vary with column locality, and a
-// co-scheduled daemon stalls one worker's whole range. The dynamic
-// schedules split each worker's range into cache-sized row-aligned
-// chunks; "steal" lets idle workers drain other deques, preferring
-// same-NUMA-node victims so stolen chunks keep their page locality.
+// co-scheduled daemon stalls one worker's whole range. "steal" splits
+// each worker's range into cache-sized row-aligned chunks and lets idle
+// workers drain other deques, preferring same-NUMA-node victims so
+// stolen chunks keep their page locality.
 // Chunks never split a row, so results are bit-identical to static at
 // the scalar tier (see dispatch_fuzz_test) — this ablation measures
 // pure scheduling cost/benefit.
@@ -64,8 +63,7 @@ void run(bool smoke) {
             << (smoke ? ", smoke" : "") << "]\n";
 
   const Format formats[] = {Format::kCsr, Format::kCsrDu, Format::kCsrVi};
-  const Schedule schedules[] = {Schedule::kStatic, Schedule::kChunked,
-                                Schedule::kSteal};
+  const Schedule schedules[] = {Schedule::kStatic, Schedule::kSteal};
 
   std::size_t max_threads = 1;
   for (const std::size_t n : cfg.threads) {
@@ -139,11 +137,11 @@ void run(bool smoke) {
             << " threads:\n";
   summary.print(std::cout);
   std::cout << "\nnote: \"sched\" is the schedule in effect after "
-               "resolution (dynamic schedules need a multithreaded "
-               "row-partitioned format); "
+               "resolution (steal needs a multithreaded non-symmetric "
+               "format); "
                "\"imbalance\" is max/mean worker busy time over the timed "
                "loop; \"steals\" counts chunks executed by non-owners. "
-               "On hosts with fewer CPUs than threads, the dynamic rows "
+               "On hosts with fewer CPUs than threads, the steal rows "
                "measure time-slicing, not scheduling — compare only at "
                "thread counts the hardware can actually run.\n";
 }

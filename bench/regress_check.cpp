@@ -147,8 +147,7 @@ std::vector<spc::Format> suite_formats(bool smoke) {
   if (smoke) {
     return {Format::kCsr, Format::kCsrDu, Format::kCsrVi};
   }
-  return {Format::kCsr, Format::kCsrDu, Format::kCsrDuRle, Format::kCsrVi,
-          Format::kCsrDuVi};
+  return {Format::kCsr, Format::kCsrDu, Format::kCsrVi, Format::kCsrDuVi};
 }
 
 spc::BenchConfig suite_config(const Options& o) {

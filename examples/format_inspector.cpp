@@ -12,7 +12,12 @@
 #include <string>
 
 #include "spc/bench/harness.hpp"
+#include "spc/formats/coo.hpp"
+#include "spc/formats/csc.hpp"
 #include "spc/formats/csr_vi.hpp"
+#include "spc/formats/dcsr.hpp"
+#include "spc/formats/dia.hpp"
+#include "spc/formats/jds.hpp"
 #include "spc/gen/corpus.hpp"
 #include "spc/mm/mtx.hpp"
 #include "spc/mm/stats.hpp"
@@ -79,20 +84,29 @@ int main(int argc, char** argv) {
   std::printf("%-11s %12s %9s\n", "format", "bytes", "vs csr");
   SpmvInstance csr(t, Format::kCsr);
   const double csr_b = static_cast<double>(csr.matrix_bytes());
-  for (const Format f : all_formats()) {
-    // Guard the padded formats against pathological blowup; report the
-    // refusal instead of allocating gigabytes.
-    InstanceOptions opts;
-    opts.ell_max_width_factor = 24.0;
-    opts.dia_max_diags = 2048;
+  const auto row = [&](const std::string& name, const auto& bytes_of) {
     try {
-      SpmvInstance inst(t, f, 1, opts);
-      std::printf("%-11s %12llu %9.3f\n", format_name(f).c_str(),
-                  static_cast<unsigned long long>(inst.matrix_bytes()),
-                  static_cast<double>(inst.matrix_bytes()) / csr_b);
+      const usize_t b = bytes_of();
+      std::printf("%-11s %12llu %9.3f\n", name.c_str(),
+                  static_cast<unsigned long long>(b),
+                  static_cast<double>(b) / csr_b);
     } catch (const Error&) {
-      std::printf("%-11s %12s %9s\n", format_name(f).c_str(), "-", "n/a");
+      std::printf("%-11s %12s %9s\n", name.c_str(), "-", "n/a");
     }
+  };
+  // Guard the padded formats (ELL, DIA) against pathological blowup;
+  // report the refusal instead of allocating gigabytes.
+  InstanceOptions opts;
+  opts.ell_max_width_factor = 24.0;
+  for (const Format f : all_formats()) {
+    row(format_name(f),
+        [&] { return SpmvInstance(t, f, 1, opts).matrix_bytes(); });
   }
+  // The §III-A/B comparators are format classes only.
+  row("coo", [&] { return Coo::from_triplets(t).bytes(); });
+  row("csc", [&] { return Csc::from_triplets(t).bytes(); });
+  row("dia", [&] { return Dia::from_triplets(t, 2048).bytes(); });
+  row("jds", [&] { return Jds::from_triplets(t).bytes(); });
+  row("dcsr", [&] { return Dcsr::from_triplets(t).bytes(); });
   return 0;
 }

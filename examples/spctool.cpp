@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "spc/bench/harness.hpp"
+#include "spc/formats/dcsr.hpp"
 #include "spc/formats/serialize.hpp"
 #include "spc/gen/corpus.hpp"
 #include "spc/mm/mtx.hpp"
@@ -105,15 +106,17 @@ int cmd_inspect(std::vector<std::string> args) {
               static_cast<unsigned long long>(s.unique_values), s.ttu,
               100.0 * s.u8_delta_fraction());
   SpmvInstance csr(t, Format::kCsr);
-  for (const Format f :
-       {Format::kCsr, Format::kCsrDu, Format::kCsrVi, Format::kCsrDuVi,
-        Format::kDcsr}) {
-    SpmvInstance inst(t, f);
-    std::printf("  %-10s %10s (%.3f of csr)\n", format_name(f).c_str(),
-                human_bytes(inst.matrix_bytes()).c_str(),
-                static_cast<double>(inst.matrix_bytes()) /
+  const auto row = [&](const std::string& name, usize_t bytes) {
+    std::printf("  %-10s %10s (%.3f of csr)\n", name.c_str(),
+                human_bytes(bytes).c_str(),
+                static_cast<double>(bytes) /
                     static_cast<double>(csr.matrix_bytes()));
+  };
+  for (const Format f :
+       {Format::kCsr, Format::kCsrDu, Format::kCsrVi, Format::kCsrDuVi}) {
+    row(format_name(f), SpmvInstance(t, f).matrix_bytes());
   }
+  row("dcsr", Dcsr::from_triplets(t).bytes());
   return 0;
 }
 

@@ -5,6 +5,7 @@
 #include <map>
 #include <ostream>
 
+#include "spc/formats/dcsr.hpp"
 #include "spc/support/strutil.hpp"
 #include "spc/tune/cost.hpp"
 
@@ -363,11 +364,12 @@ void run_working_set_report(const BenchConfig& cfg, std::ostream& os) {
           stripe_csv.push_back(pct(1));
           stripe_csv.push_back(pct(2));
         }
+        const Dcsr dcsr = Dcsr::from_triplets(mc.mat);
         row.insert(row.end(), {human_bytes(csr.matrix_bytes()),
                                rel(Format::kCsrDu),
                                rel(Format::kCsrVi),
                                rel(Format::kCsrDuVi),
-                               rel(Format::kDcsr)});
+                               f2(static_cast<double>(dcsr.bytes()) / csr_b)});
         // Cost-model check (§II-B): the tuner's predicted streamed
         // bytes/nnz for its top pick, next to the same figure recomputed
         // from the actually-encoded instance. A drifting err% means the

@@ -19,7 +19,9 @@
 #include "spc/obs/json.hpp"
 #include "spc/obs/perf_counters.hpp"
 #include "spc/spmv/instance.hpp"
+#include "spc/spmv/kernels.hpp"
 #include "spc/support/stats.hpp"
+#include "spc/support/timing.hpp"
 
 namespace spc {
 
@@ -87,6 +89,24 @@ void for_each_matrix(const BenchConfig& cfg,
 /// Times `iters` consecutive y = A*x (after `warmup` untimed runs) and
 /// returns the total seconds. Uses a deterministic random x (§VI-A).
 double time_spmv(SpmvInstance& inst, std::size_t iters, std::size_t warmup);
+
+/// time_spmv for a format object SpmvInstance does not run (the §III-A/B
+/// comparators): serial y = A*x through the object's own spmv(), with
+/// time_spmv's x.
+template <typename M>
+double time_format_spmv(const M& m, std::size_t iters, std::size_t warmup) {
+  Rng rng(0xbe7cull ^ m.nnz());
+  const Vector x = random_vector(m.ncols(), rng);
+  Vector y(m.nrows(), 0.0);
+  for (std::size_t i = 0; i < warmup; ++i) {
+    spmv(m, x.data(), y.data());
+  }
+  const Timer timer;
+  for (std::size_t i = 0; i < iters; ++i) {
+    spmv(m, x.data(), y.data());
+  }
+  return timer.elapsed_s();
+}
 
 /// Everything one timed run can tell about itself: wall clock, derived
 /// rates, per-thread busy-time balance, and hardware-counter readings

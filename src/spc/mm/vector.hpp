@@ -30,14 +30,21 @@ inline Vector const_vector(index_t n, value_t fill = 0.0) {
   return Vector(n, fill);
 }
 
-/// Max-norm distance between two vectors (for kernel verification).
+/// Max-norm distance between two vectors (for kernel verification). A
+/// NaN difference (a NaN on either side, or two equal infinities)
+/// counts as infinitely far, so a NaN-initialised y with an unwritten
+/// row never compares equal to a reference.
 inline double max_abs_diff(const Vector& a, const Vector& b) {
   if (a.size() != b.size()) {
     return std::numeric_limits<double>::infinity();
   }
   double m = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    m = std::max(m, std::fabs(a[i] - b[i]));
+    const double d = std::fabs(a[i] - b[i]);
+    if (std::isnan(d)) {
+      return std::numeric_limits<double>::infinity();
+    }
+    m = std::max(m, d);
   }
   return m;
 }

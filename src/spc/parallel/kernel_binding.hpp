@@ -24,9 +24,7 @@ namespace spc {
 /// One bound kernel invocation: y = (my part of A) * x.
 using BoundKernel = std::function<void(const value_t* x, value_t* y)>;
 
-/// The bound kernels of one prepared instance. Empty (bound() == false)
-/// for formats the dispatch layer does not route, which keep their
-/// format-specific execution paths.
+/// The bound kernels of one prepared instance.
 struct KernelBinding {
   BoundKernel serial;                    ///< full-matrix kernel
   std::vector<BoundKernel> per_thread;   ///< one per worker (MT instances)
@@ -35,8 +33,6 @@ struct KernelBinding {
   /// chunk row ranges are disjoint, so any executing worker writes its
   /// own rows of y and results match static bit-for-bit.
   std::vector<BoundKernel> per_chunk;
-
-  bool bound() const { return static_cast<bool>(serial); }
 
   void clear() {
     serial = nullptr;

@@ -12,8 +12,6 @@ std::string schedule_name(Schedule s) {
   switch (s) {
     case Schedule::kStatic:
       return "static";
-    case Schedule::kChunked:
-      return "chunked";
     case Schedule::kSteal:
       return "steal";
   }
@@ -22,8 +20,7 @@ std::string schedule_name(Schedule s) {
 
 bool parse_schedule(const std::string& name, Schedule* out) {
   const std::string n = to_lower(name);
-  for (const Schedule s :
-       {Schedule::kStatic, Schedule::kChunked, Schedule::kSteal}) {
+  for (const Schedule s : {Schedule::kStatic, Schedule::kSteal}) {
     if (schedule_name(s) == n) {
       *out = s;
       return true;
@@ -39,7 +36,7 @@ Schedule schedule_from_env(Schedule fallback) {
   }
   Schedule s = fallback;
   if (!parse_schedule(*env, &s)) {
-    env_warn_once("SPC_SCHED", *env, "static|chunked|steal");
+    env_warn_once("SPC_SCHED", *env, "static|steal");
   }
   return s;
 }

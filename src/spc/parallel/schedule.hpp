@@ -3,17 +3,14 @@
 // The paper's static nnz-balanced partition (§II-C) equalizes flops, not
 // time: cache and memory-system effects make per-row cost unknowable at
 // partition time (Schubert/Hager/Fehske), so irregular matrices leave
-// workers finishing far apart. The dynamic policies here keep the static
+// workers finishing far apart. The dynamic policy here keeps the static
 // partition as the *assignment* — each worker still owns a contiguous
 // row range, preserving first-touch NUMA placement and the bit-exact
-// accumulation order — but subdivide every range into cache-sized,
+// accumulation order — but subdivides every range into cache-sized,
 // row-aligned chunks:
 //
 //  * kStatic  — one kernel call per worker over its whole range; the
-//               zero-overhead default, bit-identical to all prior PRs.
-//  * kChunked — each worker walks its own chunks in order. Same work,
-//               same order, split into smaller kernel calls; isolates
-//               the chunking overhead from the stealing benefit.
+//               zero-overhead default.
 //  * kSteal   — chunks live in per-worker lock-free deques
 //               (chunk_queue.hpp); workers drain their own deque, then
 //               steal from victims, same-NUMA-node victims first.
@@ -35,12 +32,11 @@
 namespace spc {
 
 enum class Schedule {
-  kStatic,   ///< one range per worker (the paper's model; default)
-  kChunked,  ///< own chunks, executed in order — no stealing
-  kSteal,    ///< own chunks first, then steal from NUMA-near victims
+  kStatic,  ///< one range per worker (the paper's model; default)
+  kSteal,   ///< own chunks first, then steal from NUMA-near victims
 };
 
-/// Canonical lower-case name ("static", "chunked", "steal").
+/// Canonical lower-case name ("static", "steal").
 std::string schedule_name(Schedule s);
 
 /// Parses a schedule name; returns false (leaving *out untouched) on

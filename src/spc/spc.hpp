@@ -45,9 +45,14 @@
 #include "spc/gen/corpus.hpp"
 #include "spc/gen/generators.hpp"
 
-// formats/ — the storage encodings. instance.hpp includes the full set;
-// listed explicitly here only where an application touches the encoding
-// object itself (inspection, serialization).
+// formats/ — the storage encodings. instance.hpp includes the formats it
+// runs; the §III-A/B comparators (format classes only) and serialization
+// are listed here.
+#include "spc/formats/coo.hpp"
+#include "spc/formats/csc.hpp"
+#include "spc/formats/dcsr.hpp"
+#include "spc/formats/dia.hpp"
+#include "spc/formats/jds.hpp"
 #include "spc/formats/serialize.hpp"
 
 // spmv/ + parallel/ — prepared execution.

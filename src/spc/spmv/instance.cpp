@@ -31,18 +31,6 @@ void SpmvInstance::static_job(void* ctx, std::size_t tid) {
   self->binding_.per_thread[tid](self->worker_x(tid), self->run_args_.y);
 }
 
-void SpmvInstance::chunked_job(void* ctx, std::size_t tid) {
-  auto* self = static_cast<SpmvInstance*>(ctx);
-  const value_t* const x = self->worker_x(tid);
-  value_t* const y = self->run_args_.y;
-  const std::uint32_t b = self->chunk_plan_.owner_begin[tid];
-  const std::uint32_t e = self->chunk_plan_.owner_begin[tid + 1];
-  for (std::uint32_t c = b; c < e; ++c) {
-    self->binding_.per_chunk[c](x, y);
-  }
-  self->sched_slots_[tid].executed += e - b;
-}
-
 void SpmvInstance::steal_job(void* ctx, std::size_t tid) {
   auto* self = static_cast<SpmvInstance*>(ctx);
   const value_t* const x = self->worker_x(tid);
@@ -98,7 +86,7 @@ void SpmvInstance::steal_job(void* ctx, std::size_t tid) {
 
 void SpmvInstance::sym_compute_job(void* ctx, std::size_t tid) {
   auto* self = static_cast<SpmvInstance*>(ctx);
-  // Zero this worker's conflict window (or full private scratch) before
+  // Zero this worker's conflict window (or full private y copy) before
   // its rows run; the kernels accumulate into it.
   if (self->sym_reduce_ == SymReduce::kWindow) {
     value_t* const win = self->sym_win_ptr_[tid];
@@ -106,24 +94,10 @@ void SpmvInstance::sym_compute_job(void* ctx, std::size_t tid) {
                         self->sym_plan_.win_begin[tid];
     std::fill(win, win + len, 0.0);
   } else {
-    Vector& s = self->csc_scratch_[tid];
+    Vector& s = self->sym_private_y_[tid];
     std::fill(s.begin(), s.end(), 0.0);
   }
-  const value_t* const x = self->worker_x(tid);
-  value_t* const y = self->run_args_.y;
-  if (self->sched_ != Schedule::kStatic &&
-      !self->binding_.per_chunk.empty()) {
-    // kChunked only: every chunk stays on its owner (ascending row
-    // order), so the window writes match the static schedule exactly.
-    const std::uint32_t b = self->chunk_plan_.owner_begin[tid];
-    const std::uint32_t e = self->chunk_plan_.owner_begin[tid + 1];
-    for (std::uint32_t c = b; c < e; ++c) {
-      self->binding_.per_chunk[c](x, y);
-    }
-    self->sched_slots_[tid].executed += e - b;
-  } else {
-    self->binding_.per_thread[tid](x, y);
-  }
+  self->binding_.per_thread[tid](self->worker_x(tid), self->run_args_.y);
 }
 
 void SpmvInstance::sym_reduce_job(void* ctx, std::size_t tid) {
@@ -151,10 +125,10 @@ void SpmvInstance::sym_reduce_job(void* ctx, std::size_t tid) {
     }
   } else {
     // Private-y fallback: even row split sums the full-length copies.
-    const index_t r0 = self->csc_reduce_rows_.row_begin(tid);
-    const index_t r1 = self->csc_reduce_rows_.row_end(tid);
+    const index_t r0 = self->sym_reduce_rows_.row_begin(tid);
+    const index_t r1 = self->sym_reduce_rows_.row_end(tid);
     std::fill(y + r0, y + r1, 0.0);
-    for (const Vector& s : self->csc_scratch_) {
+    for (const Vector& s : self->sym_private_y_) {
       const value_t* const sp = s.data();
       for (index_t r = r0; r < r1; ++r) {
         y[r] += sp[r];
@@ -171,35 +145,24 @@ namespace {
 struct FormatCaps {
   Format format;
   const char* name;
-  /// The encoder refuses matrices that are not numerically symmetric.
+  /// The encoder refuses matrices that are not numerically symmetric,
+  /// and the steal schedule resolves to static.
   bool symmetric;
-  /// Per-thread work is a contiguous row range of one kernel, so it can
-  /// run as chunks under the dynamic schedules.
-  bool chunkable;
   /// Has a column-tiled (stripe-major) execution path.
   bool tileable;
-  /// Per-thread work is a row-partitioned slice of plain arrays that the
-  /// NUMA placement can repack.
-  bool repackable;
 };
 
 constexpr FormatCaps kFormatCaps[] = {
-    // format           name          sym    chunk  tile   repack
-    {Format::kCsr,      "csr",        false, true,  true,  true},
-    {Format::kCsr16,    "csr16",      false, true,  false, true},
-    {Format::kCoo,      "coo",        false, false, false, false},
-    {Format::kCsc,      "csc",        false, false, false, false},
-    {Format::kBcsr,     "bcsr",       false, true,  false, true},
-    {Format::kEll,      "ell",        false, true,  false, true},
-    {Format::kDia,      "dia",        false, false, false, false},
-    {Format::kJds,      "jds",        false, false, false, false},
-    {Format::kCsrDu,    "csr-du",     false, true,  true,  true},
-    {Format::kCsrDuRle, "csr-du-rle", false, true,  true,  true},
-    {Format::kCsrVi,    "csr-vi",     false, true,  true,  true},
-    {Format::kCsrDuVi,  "csr-du-vi",  false, true,  true,  true},
-    {Format::kDcsr,     "dcsr",       false, false, false, false},
-    {Format::kSymCsr,   "sym-csr",    true,  true,  false, true},
-    {Format::kSymCsrVi, "sym-csr-vi", true,  true,  false, true},
+    // format           name          sym    tile
+    {Format::kCsr,      "csr",        false, true},
+    {Format::kCsr16,    "csr16",      false, false},
+    {Format::kBcsr,     "bcsr",       false, false},
+    {Format::kEll,      "ell",        false, false},
+    {Format::kCsrDu,    "csr-du",     false, true},
+    {Format::kCsrVi,    "csr-vi",     false, true},
+    {Format::kCsrDuVi,  "csr-du-vi",  false, true},
+    {Format::kSymCsr,   "sym-csr",    true,  false},
+    {Format::kSymCsrVi, "sym-csr-vi", true,  false},
 };
 
 constexpr bool caps_in_enum_order() {
@@ -333,12 +296,6 @@ void SpmvInstance::init(const Triplets& t) {
                     "csr16 requires ncols <= 65536");
       matrix_.emplace<Csr16>(Csr16::from_triplets(t));
       break;
-    case Format::kCoo:
-      matrix_.emplace<Coo>(Coo::from_triplets(t));
-      break;
-    case Format::kCsc:
-      matrix_.emplace<Csc>(Csc::from_triplets(t));
-      break;
     case Format::kBcsr:
       matrix_.emplace<Bcsr>(Bcsr::from_triplets(t, opts_.bcsr_block_rows,
                                                 opts_.bcsr_block_cols));
@@ -347,32 +304,14 @@ void SpmvInstance::init(const Triplets& t) {
       matrix_.emplace<Ell>(
           Ell::from_triplets(t, opts_.ell_max_width_factor));
       break;
-    case Format::kDia:
-      matrix_.emplace<Dia>(Dia::from_triplets(t, opts_.dia_max_diags));
+    case Format::kCsrDu:
+      matrix_.emplace<CsrDu>(CsrDu::from_triplets(t, opts_.du));
       break;
-    case Format::kJds:
-      matrix_.emplace<Jds>(Jds::from_triplets(t));
-      break;
-    case Format::kCsrDu: {
-      CsrDuOptions du = opts_.du;
-      du.enable_rle = false;
-      matrix_.emplace<CsrDu>(CsrDu::from_triplets(t, du));
-      break;
-    }
-    case Format::kCsrDuRle: {
-      CsrDuOptions du = opts_.du;
-      du.enable_rle = true;
-      matrix_.emplace<CsrDu>(CsrDu::from_triplets(t, du));
-      break;
-    }
     case Format::kCsrVi:
       matrix_.emplace<CsrVi>(CsrVi::from_triplets(t));
       break;
     case Format::kCsrDuVi:
       matrix_.emplace<CsrDuVi>(CsrDuVi::from_triplets(t, opts_.du));
-      break;
-    case Format::kDcsr:
-      matrix_.emplace<Dcsr>(Dcsr::from_triplets(t));
       break;
     case Format::kSymCsr:
       matrix_.emplace<SymCsr>(SymCsr::from_triplets(t));
@@ -382,41 +321,14 @@ void SpmvInstance::init(const Triplets& t) {
       break;
   }
 
-  // Partition work. CSC partitions columns (§II-C); everything else rows.
+  // Partition rows (§II-C).
   if (nthreads > 1) {
     obs::TraceSpan partition_span("partition");
-    if (format == Format::kCsc) {
-      aligned_vector<index_t> col_ptr(t.ncols() + 1, 0);
-      for (const Entry& e : t.entries()) {
-        ++col_ptr[e.col + 1];
-      }
-      for (index_t c = 0; c < t.ncols(); ++c) {
-        col_ptr[c + 1] += col_ptr[c];
-      }
-      partition_ = opts_.balance_by_nnz
-                       ? partition_rows_by_nnz(col_ptr, nthreads)
-                       : partition_rows_even(t.ncols(), nthreads);
-      csc_scratch_.assign(nthreads, Vector(t.nrows(), 0.0));
-    } else if (format == Format::kBcsr) {
+    if (format == Format::kBcsr) {
       const auto& m = std::get<Bcsr>(matrix_);
       partition_ = opts_.balance_by_nnz
                        ? partition_rows_by_nnz(m.block_row_ptr(), nthreads)
                        : partition_rows_even(m.nblock_rows(), nthreads);
-    } else if (format == Format::kJds) {
-      // JDS threads own ranges of *permuted* positions; balance by the
-      // permuted rows' lengths.
-      const auto& m = std::get<Jds>(matrix_);
-      std::vector<index_t> len(t.nrows(), 0);
-      for (const Entry& e : t.entries()) {
-        ++len[e.row];
-      }
-      aligned_vector<index_t> pptr(t.nrows() + 1, 0);
-      for (index_t i = 0; i < t.nrows(); ++i) {
-        pptr[i + 1] = pptr[i] + len[m.perm()[i]];
-      }
-      partition_ = opts_.balance_by_nnz
-                       ? partition_rows_by_nnz(pptr, nthreads)
-                       : partition_rows_even(t.nrows(), nthreads);
     } else if (format_requires_symmetry(format)) {
       // Balance by stored (lower-triangle) elements, not full nnz.
       const aligned_vector<index_t>& rp =
@@ -456,11 +368,6 @@ void SpmvInstance::init(const Triplets& t) {
       for (std::size_t th = 0; th < nthreads; ++th) {
         du_slices_.push_back(duvi->du().slice(partition_.row_begin(th),
                                               partition_.row_end(th)));
-      }
-    } else if (const auto* dc = std::get_if<Dcsr>(&matrix_)) {
-      for (std::size_t th = 0; th < nthreads; ++th) {
-        dcsr_slices_.push_back(
-            dc->slice(partition_.row_begin(th), partition_.row_end(th)));
       }
     }
 
@@ -517,8 +424,8 @@ void SpmvInstance::init(const Triplets& t) {
           }
         }
       } else {
-        csc_scratch_.assign(nthreads, Vector(t.nrows(), 0.0));
-        csc_reduce_rows_ = partition_rows_even(nrows_, nthreads);
+        sym_private_y_.assign(nthreads, Vector(t.nrows(), 0.0));
+        sym_reduce_rows_ = partition_rows_even(nrows_, nthreads);
       }
       auto& reg = obs::Registry::global();
       sym_reduce_counter_ = &reg.counter("spc.sym.reduce_ns");
@@ -534,36 +441,25 @@ void SpmvInstance::init(const Triplets& t) {
 }
 
 void SpmvInstance::setup_schedule(const Triplets& t, const Topology& topo) {
-  Schedule requested = schedule_from_env(opts_.schedule);
+  const Schedule requested = schedule_from_env(opts_.schedule);
   if (requested == Schedule::kStatic) {
-    return;
-  }
-  // Formats without a chunked path (CSC's column partition + reduction,
-  // DIA/JDS diagonal traversals, COO, DCSR) silently keep the static
-  // schedule; schedule() reports what actually runs.
-  if (!caps(format_).chunkable) {
-    note_decision("schedule", schedule_name(requested), "static",
-                  format_name(format_) +
-                      " has no chunked execution path (work is not a "
-                      "contiguous row range of one kernel)");
     return;
   }
   // A stolen symmetric chunk would scatter into the owner's conflict
   // window concurrently with the owner — a data race the window scheme
-  // cannot absorb. Chunked keeps every chunk on its owner (run in
-  // ascending order), so it stays bit-identical and safe.
-  if (caps(format_).symmetric && requested == Schedule::kSteal) {
+  // cannot absorb — so the symmetric formats keep the static schedule.
+  if (caps(format_).symmetric) {
     static std::atomic<bool> warned{false};
     if (!warned.exchange(true)) {
       std::fprintf(stderr,
                    "spc: schedule=steal is unsafe for the symmetric "
                    "formats (concurrent window scatters); running "
-                   "schedule=chunked instead\n");
+                   "schedule=static instead\n");
     }
-    note_decision("schedule", "steal", "chunked",
+    note_decision("schedule", "steal", "static",
                   "stolen symmetric chunks would scatter into the "
                   "owner's conflict window concurrently");
-    requested = Schedule::kChunked;
+    return;
   }
   obs::TraceSpan sched_span("schedule:" + schedule_name(requested));
 
@@ -584,14 +480,6 @@ void SpmvInstance::setup_schedule(const Triplets& t, const Topology& topo) {
   // (rebuilt from the triplets — the DU family has no row_ptr).
   if (format_ == Format::kBcsr) {
     chunk_plan_ = plan_chunks(std::get<Bcsr>(matrix_).block_row_ptr(),
-                              partition_, target);
-  } else if (format_ == Format::kSymCsr) {
-    // Budget stored (lower-triangle) elements — the sym kernels never
-    // touch the mirrored upper half.
-    chunk_plan_ = plan_chunks(std::get<SymCsr>(matrix_).row_ptr(),
-                              partition_, target);
-  } else if (format_ == Format::kSymCsrVi) {
-    chunk_plan_ = plan_chunks(std::get<SymCsrVi>(matrix_).row_ptr(),
                               partition_, target);
   } else {
     aligned_vector<index_t> rp(nrows_ + 1, 0);
@@ -621,29 +509,27 @@ void SpmvInstance::setup_schedule(const Triplets& t, const Topology& topo) {
   }
 
   sched_slots_.assign(nthreads_, SchedSlot{});
-  if (sched_ == Schedule::kSteal) {
-    std::vector<std::uint32_t> ids(chunk_plan_.nchunks());
-    for (std::size_t c = 0; c < ids.size(); ++c) {
-      ids[c] = static_cast<std::uint32_t>(c);
-    }
-    deques_ = std::vector<ChunkDeque>(nthreads_);
-    for (std::size_t th = 0; th < nthreads_; ++th) {
-      deques_[th].init(
-          ids.data() + chunk_plan_.owner_begin[th],
-          chunk_plan_.owner_begin[th + 1] - chunk_plan_.owner_begin[th]);
-    }
-    // NUMA-near victim order from the pin plan; unknown topology (or a
-    // single node) degrades to plain rotation inside the helper.
-    std::vector<int> tnodes;
-    const std::vector<int>& cpus = xpool_->worker_cpus();
-    if (topo.num_nodes() > 1 && !cpus.empty() && cpus[0] >= 0) {
-      tnodes.resize(nthreads_);
-      for (std::size_t th = 0; th < nthreads_; ++th) {
-        tnodes[th] = std::max(0, topo.node_of_cpu(cpus[th]));
-      }
-    }
-    steal_victims_ = steal_victim_order(nthreads_, tnodes);
+  std::vector<std::uint32_t> ids(chunk_plan_.nchunks());
+  for (std::size_t c = 0; c < ids.size(); ++c) {
+    ids[c] = static_cast<std::uint32_t>(c);
   }
+  deques_ = std::vector<ChunkDeque>(nthreads_);
+  for (std::size_t th = 0; th < nthreads_; ++th) {
+    deques_[th].init(
+        ids.data() + chunk_plan_.owner_begin[th],
+        chunk_plan_.owner_begin[th + 1] - chunk_plan_.owner_begin[th]);
+  }
+  // NUMA-near victim order from the pin plan; unknown topology (or a
+  // single node) degrades to plain rotation inside the helper.
+  std::vector<int> tnodes;
+  const std::vector<int>& cpus = xpool_->worker_cpus();
+  if (topo.num_nodes() > 1 && !cpus.empty() && cpus[0] >= 0) {
+    tnodes.resize(nthreads_);
+    for (std::size_t th = 0; th < nthreads_; ++th) {
+      tnodes[th] = std::max(0, topo.node_of_cpu(cpus[th]));
+    }
+  }
+  steal_victims_ = steal_victim_order(nthreads_, tnodes);
 
   auto& reg = obs::Registry::global();
   sched_steals_counter_ = &reg.counter("spc.sched.steals");
@@ -729,12 +615,6 @@ void SpmvInstance::setup_tiling(const Triplets& t) {
     case Format::kCsrDu:
       spec.du = true;
       spec.du_opts = opts_.du;
-      spec.du_opts.enable_rle = false;
-      break;
-    case Format::kCsrDuRle:
-      spec.du = true;
-      spec.du_opts = opts_.du;
-      spec.du_opts.enable_rle = true;
       break;
     case Format::kCsrDuVi: {
       const auto& m = std::get<CsrDuVi>(matrix_);
@@ -794,19 +674,7 @@ void SpmvInstance::setup_tiling(const Triplets& t) {
 }
 
 void SpmvInstance::setup_numa(const Topology& topo) {
-  // Formats that cannot be repacked (CSC's column partition +
-  // reduction, DIA/JDS diagonal layouts, COO, DCSR) keep the shared
-  // arrays.
   const NumaPolicy requested = numa_policy_from_env(opts_.numa);
-  if (!caps(format_).repackable) {
-    if (requested != NumaPolicy::kOff) {
-      note_decision("numa", numa_policy_name(requested), "off",
-                    format_name(format_) +
-                        " keeps shared arrays (work is not a "
-                        "row-partitioned slice of plain arrays)");
-    }
-    return;
-  }
   const NumaPolicy policy =
       resolve_numa_policy(requested, topo.num_nodes());
   if (policy == NumaPolicy::kOff) {
@@ -868,7 +736,6 @@ void SpmvInstance::setup_numa(const Topology& topo) {
     return {w, w + 1};
   };
   const bool tiled_du_family = tiled_ && (format_ == Format::kCsrDu ||
-                                          format_ == Format::kCsrDuRle ||
                                           format_ == Format::kCsrDuVi);
 
   // Plans the CSR-shaped formats: a rebased row_ptr slice plus nnz-sized
@@ -945,7 +812,6 @@ void SpmvInstance::setup_numa(const Topology& topo) {
       break;
     }
     case Format::kCsrDu:
-    case Format::kCsrDuRle:
     case Format::kCsrDuVi: {
       const std::size_t vi_elem =
           format_ == Format::kCsrDuVi
@@ -1020,8 +886,6 @@ void SpmvInstance::setup_numa(const Topology& topo) {
       }
       break;
     }
-    default:
-      break;
   }
   }
 
@@ -1202,7 +1066,6 @@ void SpmvInstance::setup_numa(const Topology& topo) {
       break;
     }
     case Format::kCsrDu:
-    case Format::kCsrDuRle:
     case Format::kCsrDuVi: {
       // The ctl stream and (pre-offset) values move into the owner's
       // block; the slice is then redirected at the copies. For DU-VI the
@@ -1367,8 +1230,6 @@ void SpmvInstance::setup_numa(const Topology& topo) {
       }
       break;
     }
-    default:
-      break;
   }
   }
 
@@ -1643,8 +1504,7 @@ void SpmvInstance::prepare() {
       }
       break;
     }
-    case Format::kCsrDu:
-    case Format::kCsrDuRle: {
+    case Format::kCsrDu: {
       const auto& m = std::get<CsrDu>(matrix_);
       du_hist_ = m.unit_histogram();
       has_du_hist_ = true;
@@ -1726,57 +1586,6 @@ void SpmvInstance::prepare() {
       }
       break;
     }
-    case Format::kCoo: {
-      // Not a dispatch-table format, but binding still pays: the
-      // per-thread entry ranges (binary searches over the row array)
-      // move from every run to here.
-      const auto& m = std::get<Coo>(matrix_);
-      const index_t* rr = m.rows().data();
-      const index_t* cc = m.cols().data();
-      const value_t* vv = m.values().data();
-      const usize_t nnz = m.nnz();
-      binding_.serial = [=](const value_t* x, value_t* y) {
-        std::fill(y, y + nrows, 0.0);
-        for (usize_t k = 0; k < nnz; ++k) {
-          y[rr[k]] += vv[k] * x[cc[k]];
-        }
-      };
-      for (std::size_t th = 0; th < partition_.nthreads(); ++th) {
-        const index_t r0 = partition_.row_begin(th);
-        const index_t r1 = partition_.row_end(th);
-        const auto& rows = m.rows();
-        const usize_t lo = static_cast<usize_t>(
-            std::lower_bound(rows.begin(), rows.end(), r0) - rows.begin());
-        const usize_t hi = static_cast<usize_t>(
-            std::lower_bound(rows.begin(), rows.end(), r1) - rows.begin());
-        binding_.per_thread.push_back([=](const value_t* x, value_t* y) {
-          std::fill(y + r0, y + r1, 0.0);
-          for (usize_t k = lo; k < hi; ++k) {
-            y[rr[k]] += vv[k] * x[cc[k]];
-          }
-        });
-      }
-      break;
-    }
-    case Format::kDcsr: {
-      const auto& m = std::get<Dcsr>(matrix_);
-      const Dcsr::Slice full = m.full();
-      binding_.serial = [=](const value_t* x, value_t* y) {
-        spmv(full, x, y);
-      };
-      for (const Dcsr::Slice& s : dcsr_slices_) {
-        binding_.per_thread.push_back(
-            [=](const value_t* x, value_t* y) { spmv(s, x, y); });
-      }
-      break;
-    }
-    case Format::kCsc:
-      // Two-phase execution keeps its own path; precompute the
-      // reduce-phase row split here instead of every run.
-      if (nthreads_ > 1) {
-        csc_reduce_rows_ = partition_rows_even(nrows_, nthreads_);
-      }
-      break;
     case Format::kBcsr: {
       // Bound over raw arrays (not via bind_rows: the partition and the
       // serial range are in *block* rows) so the NUMA repack can swap in
@@ -1839,7 +1648,7 @@ void SpmvInstance::prepare() {
       // The sym closures carry the window parameterization (see
       // kernels.hpp): per-thread closures write their own rows directly
       // into the shared y and scatter conflicts into the thread's window
-      // (private mode: everything into the thread's full-length scratch).
+      // (private mode: everything into the thread's full-length y copy).
       // run_parallel wraps them in the zero/compute/reduce phases — the
       // generic dispatch path never runs them bare.
       const auto bind_sym = [&](auto fn, auto shared, auto arrays_of) {
@@ -1881,7 +1690,7 @@ void SpmvInstance::prepare() {
                       arrs);
                 });
           } else {
-            value_t* const sp = csc_scratch_[th].data();
+            value_t* const sp = sym_private_y_[th].data();
             binding_.per_thread.push_back(
                 [=](const value_t* x, value_t*) {
                   std::apply(
@@ -1891,39 +1700,6 @@ void SpmvInstance::prepare() {
                       },
                       arrs);
                 });
-          }
-        }
-        if (want_chunks) {
-          binding_.per_chunk.reserve(chunk_plan_.nchunks());
-          for (std::size_t c = 0; c < chunk_plan_.nchunks(); ++c) {
-            const std::size_t t = chunk_plan_.owner[c];
-            const index_t b = chunk_plan_.row_begin(c);
-            const index_t e = chunk_plan_.row_end(c);
-            const auto arrs = owner_arrays(t);
-            if (window) {
-              value_t* const win = sym_win_ptr_[t];
-              const index_t wb = sym_plan_.win_begin[t];
-              const index_t db = partition_.row_begin(t);
-              binding_.per_chunk.push_back(
-                  [=](const value_t* x, value_t* y) {
-                    std::apply(
-                        [&](const auto*... a) {
-                          fn(a..., x, y, win, wb, db, b, e);
-                        },
-                        arrs);
-                  });
-            } else {
-              value_t* const sp = csc_scratch_[t].data();
-              binding_.per_chunk.push_back(
-                  [=](const value_t* x, value_t*) {
-                    std::apply(
-                        [&](const auto*... a) {
-                          fn(a..., x, sp, nullptr, index_t{0}, index_t{0},
-                             b, e);
-                        },
-                        arrs);
-                  });
-            }
           }
         }
       };
@@ -1971,10 +1747,6 @@ void SpmvInstance::prepare() {
       }
       break;
     }
-    case Format::kDia:
-    case Format::kJds:
-      // Format-object kernels; executed via the run_parallel switch.
-      break;
   }
 }
 
@@ -2020,8 +1792,7 @@ void SpmvInstance::bind_tiled(const KernelTable& kt) {
     }
   };
 
-  if (format_ == Format::kCsrDu || format_ == Format::kCsrDuRle ||
-      format_ == Format::kCsrDuVi) {
+  if (format_ == Format::kCsrDu || format_ == Format::kCsrDuVi) {
     // The histogram the gate (and du_histogram()) sees is the aggregate
     // over the stripe-local tile streams — the deltas actually decoded.
     du_hist_ = tile_store_.du_hist;
@@ -2073,8 +1844,7 @@ void SpmvInstance::bind_tiled(const KernelTable& kt) {
       }
       break;
     }
-    case Format::kCsrDu:
-    case Format::kCsrDuRle: {
+    case Format::kCsrDu: {
       DuKernelFn fn = kt.du_acc;
       if (!du_vector_profitable(du_hist_)) {
         fn = kernel_table(IsaTier::kScalar).du_acc;
@@ -2211,10 +1981,10 @@ std::uint64_t SpmvInstance::run_probe(const Vector& x, Vector& y) {
 }
 
 bool SpmvInstance::can_run_on_caller() const {
-  // CSC, DIA and JDS bind no serial kernel; a serial pass of a pooled
-  // symmetric instance would skip its scatter/reduce phases and
-  // reassociate the sums — not bit-identical to the pooled run.
-  if (sym_active_ || !binding_.bound()) {
+  // A serial pass of a pooled symmetric instance would skip its
+  // scatter/reduce phases and reassociate the sums — not bit-identical
+  // to the pooled run.
+  if (sym_active_) {
     return false;
   }
   // The tiled serial binding walks every block through worker 0's array
@@ -2247,11 +2017,7 @@ bool SpmvInstance::run_on_caller(const Vector& x, Vector& y) {
 }
 
 void SpmvInstance::run_serial(const value_t* x, value_t* y) {
-  if (binding_.bound()) {
-    binding_.serial(x, y);
-    return;
-  }
-  std::visit([&](const auto& m) { spmv(m, x, y); }, matrix_);
+  binding_.serial(x, y);
 }
 
 void SpmvInstance::run_parallel(const Vector& x, Vector& y) {
@@ -2282,94 +2048,27 @@ void SpmvInstance::run_parallel(const Vector& x, Vector& y) {
     return;
   }
 
-  // Dispatch-bound formats: everything was fixed by prepare(); the
+  // Non-symmetric formats: everything was fixed by prepare(); the
   // timed path is the raw-callable pool dispatch — one function-pointer
   // call per worker, no std::function construction. The
   // replicate/interleave x policies add a refresh phase — each worker
   // copies its chunk of x into the node-placed mirror — and worker_x()
   // swaps in the per-thread mirror pointer.
-  if (!binding_.per_thread.empty()) {
-    run_args_.x = xp;
-    run_args_.y = yp;
-    if (!numa_x_copy_.empty()) {
-      dispatch_raw(&SpmvInstance::xcopy_job);
-    }
-    switch (sched_) {
-      case Schedule::kStatic:
-        dispatch_raw(&SpmvInstance::static_job);
-        break;
-      case Schedule::kChunked:
-        dispatch_raw(&SpmvInstance::chunked_job);
-        break;
-      case Schedule::kSteal:
-        // Refill every deque with its owner's chunks; the pool's
-        // dispatch handshake publishes these stores to the workers.
-        for (ChunkDeque& d : deques_) {
-          d.reset();
-        }
-        dispatch_raw(&SpmvInstance::steal_job);
-        break;
-    }
+  run_args_.x = xp;
+  run_args_.y = yp;
+  if (!numa_x_copy_.empty()) {
+    dispatch_raw(&SpmvInstance::xcopy_job);
+  }
+  if (sched_ == Schedule::kStatic) {
+    dispatch_raw(&SpmvInstance::static_job);
     return;
   }
-
-  switch (format_) {
-    case Format::kCsc: {
-      // Column partitioning with private y copies and a reduction (§II-C).
-      const auto& m = std::get<Csc>(matrix_);
-      xpool_->run([&](std::size_t th) {
-        Vector& scratch = csc_scratch_[th];
-        std::fill(scratch.begin(), scratch.end(), 0.0);
-        spmv_csc_cols(m, xp, scratch.data(), partition_.row_begin(th),
-                      partition_.row_end(th));
-      });
-      // Reduce: rows split evenly across threads (precomputed).
-      xpool_->run([&](std::size_t th) {
-        const index_t r0 = csc_reduce_rows_.row_begin(th);
-        const index_t r1 = csc_reduce_rows_.row_end(th);
-        std::fill(yp + r0, yp + r1, 0.0);
-        for (const Vector& scratch : csc_scratch_) {
-          const value_t* const sp = scratch.data();
-          for (index_t r = r0; r < r1; ++r) {
-            yp[r] += sp[r];
-          }
-        }
-      });
-      break;
-    }
-    case Format::kDia: {
-      const auto& m = std::get<Dia>(matrix_);
-      xpool_->run([&](std::size_t th) {
-        spmv_dia_range(m, xp, yp, partition_.row_begin(th),
-                       partition_.row_end(th));
-      });
-      break;
-    }
-    case Format::kJds: {
-      const auto& m = std::get<Jds>(matrix_);
-      xpool_->run([&](std::size_t th) {
-        spmv_jds_range(m, xp, yp, partition_.row_begin(th),
-                       partition_.row_end(th));
-      });
-      break;
-    }
-    case Format::kCsr:
-    case Format::kCsr16:
-    case Format::kCoo:
-    case Format::kBcsr:
-    case Format::kEll:
-    case Format::kCsrDu:
-    case Format::kCsrDuRle:
-    case Format::kCsrVi:
-    case Format::kCsrDuVi:
-    case Format::kDcsr:
-    case Format::kSymCsr:
-    case Format::kSymCsrVi:
-      // Always bound by prepare() (sym: handled by the two-phase path
-      // above).
-      SPC_CHECK_MSG(false, "dispatch-bound format reached the switch");
-      break;
+  // Refill every deque with its owner's chunks; the pool's dispatch
+  // handshake publishes these stores to the workers.
+  for (ChunkDeque& d : deques_) {
+    d.reset();
   }
+  dispatch_raw(&SpmvInstance::steal_job);
 }
 
 Vector spmv_simple(const Triplets& t, const Vector& x) {

@@ -16,16 +16,11 @@
 #include <vector>
 
 #include "spc/formats/bcsr.hpp"
-#include "spc/formats/coo.hpp"
-#include "spc/formats/csc.hpp"
 #include "spc/formats/csr.hpp"
 #include "spc/formats/csr_du.hpp"
 #include "spc/formats/csr_du_vi.hpp"
 #include "spc/formats/csr_vi.hpp"
-#include "spc/formats/dcsr.hpp"
-#include "spc/formats/dia.hpp"
 #include "spc/formats/ell.hpp"
-#include "spc/formats/jds.hpp"
 #include "spc/formats/sym_csr.hpp"
 #include "spc/formats/sym_csr_vi.hpp"
 #include "spc/mm/triplets.hpp"
@@ -44,21 +39,17 @@
 
 namespace spc {
 
-/// Storage formats selectable by name.
+/// Storage formats selectable by name. The §III-A/B comparators (COO,
+/// CSC, DIA, JDS, DCSR) are format classes only: they run through their
+/// own serial spmv() overloads, not through SpmvInstance.
 enum class Format {
   kCsr,       ///< baseline CSR, 32-bit indices (paper baseline)
   kCsr16,     ///< CSR with 16-bit column indices (needs ncols <= 2^16)
-  kCoo,       ///< coordinate format (serial only)
-  kCsc,       ///< compressed sparse column (column-partitioned when MT)
   kBcsr,      ///< blocked CSR, block shape from InstanceOptions
   kEll,       ///< ELLPACK fixed-width rows (§III-A baseline)
-  kDia,       ///< compressed diagonal storage (§III-A baseline)
-  kJds,       ///< jagged diagonal storage (§III-A baseline)
   kCsrDu,     ///< CSR-DU index compression (the paper's §IV)
-  kCsrDuRle,  ///< CSR-DU with the RLE1 dense-run extension enabled
   kCsrVi,     ///< CSR-VI value compression (the paper's §V)
   kCsrDuVi,   ///< combined index+value compression
-  kDcsr,      ///< simplified Willcock–Lumsdaine comparator
   kSymCsr,    ///< symmetric SSS storage (§III-C), conflict-window MT
   kSymCsrVi,  ///< symmetric storage + value compression (§III-C + §V)
 };
@@ -78,14 +69,14 @@ const std::vector<Format>& all_formats();
 bool format_requires_symmetry(Format f);
 
 struct InstanceOptions {
-  CsrDuOptions du;                 ///< encoder knobs for the DU formats
+  /// Encoder knobs for the DU formats, applied as given (enable_rle
+  /// turns on CSR-DU's RLE units).
+  CsrDuOptions du;
   index_t bcsr_block_rows = 2;     ///< BCSR block shape
   index_t bcsr_block_cols = 2;
-  /// Construction guards against pathological blowup (0 = unguarded):
-  /// ELL refuses a width beyond this factor of the mean row length, DIA
-  /// refuses more than this many distinct diagonals.
+  /// Construction guard against pathological blowup (0 = unguarded):
+  /// ELL refuses a width beyond this factor of the mean row length.
   double ell_max_width_factor = 0.0;
-  std::size_t dia_max_diags = 0;
   bool pin_threads = true;         ///< bind workers per the placement plan
   Placement placement = Placement::kCloseFirst;
   /// Partition rows by nnz (paper's scheme); false = equal row counts.
@@ -95,13 +86,12 @@ struct InstanceOptions {
   /// ones. See support/first_touch.hpp.
   NumaPolicy numa = NumaPolicy::kAuto;
   /// Work scheduling (overridable via SPC_SCHED): kStatic is the
-  /// paper's one-range-per-worker model (zero-overhead default);
-  /// kChunked/kSteal run the row-partitioned formats as cache-sized
-  /// chunks, with kSteal letting idle workers steal from NUMA-near
-  /// victims. Non-static requests silently fall back to static for
-  /// unsupported formats and serial instances.
+  /// paper's one-range-per-worker model (zero-overhead default); kSteal
+  /// runs the row-partitioned formats as cache-sized chunks that idle
+  /// workers steal from NUMA-near victims. Steal falls back to static
+  /// for the symmetric formats and serial instances (see decisions()).
   Schedule schedule = Schedule::kStatic;
-  /// Target non-zeros per chunk for the dynamic schedules; 0 derives it
+  /// Target non-zeros per chunk for the steal schedule; 0 derives it
   /// from the discovered L2 size (parallel/schedule.hpp). SPC_CHUNK_NNZ
   /// overrides either.
   usize_t chunk_nnz = 0;
@@ -127,7 +117,7 @@ struct InstanceOptions {
 
 /// One configuration aspect the instance resolved differently from what
 /// was requested (including env-var overrides), with the reason — e.g. a
-/// steal schedule demoted to chunked for a symmetric format, an auto
+/// steal schedule demoted to static for a symmetric format, an auto
 /// tile plan that declined, NUMA placement off because workers are
 /// unpinned. Silent-at-run-time fallbacks stay queryable this way.
 struct InstanceDecision {
@@ -177,8 +167,7 @@ class SpmvInstance {
   /// True when run_on_caller() can execute this instance: a serial
   /// kernel is bound and computes bit-identically to the pooled run.
   /// False for pooled symmetric instances (their scatter/reduce phases
-  /// would reassociate the sums), for the formats with no bound serial
-  /// kernel (CSC, DIA, JDS), and for tiled instances under NUMA
+  /// would reassociate the sums) and for tiled instances under NUMA
   /// placement (the serial binding reads one worker's arena copy).
   bool can_run_on_caller() const;
 
@@ -213,7 +202,7 @@ class SpmvInstance {
     return has_du_hist_ ? &du_hist_ : nullptr;
   }
 
-  /// The partition in use (empty bounds for serial-only formats).
+  /// The partition in use (empty bounds for serial instances).
   const RowPartition& partition() const { return partition_; }
 
   /// The worker pool executing this instance — owned or borrowed
@@ -389,15 +378,11 @@ class SpmvInstance {
   usize_t nnz_ = 0;
   InstanceOptions opts_;
 
-  std::variant<Csr, Csr16, Coo, Csc, Bcsr, Ell, Dia, Jds, CsrDu, CsrVi,
-               CsrDuVi, Dcsr, SymCsr, SymCsrVi>
+  std::variant<Csr, Csr16, Bcsr, Ell, CsrDu, CsrVi, CsrDuVi, SymCsr,
+               SymCsrVi>
       matrix_;
-  RowPartition partition_;               ///< row ranges (or column ranges for CSC)
+  RowPartition partition_;               ///< per-thread row ranges
   std::vector<CsrDu::Slice> du_slices_;  ///< per-thread DU slices
-  std::vector<Dcsr::Slice> dcsr_slices_;
-  /// Per-thread private y for CSC and for the symmetric formats'
-  /// private-y fallback mode.
-  std::vector<Vector> csc_scratch_;
   std::unique_ptr<ThreadPool> pool_;    ///< owned pool (classic ctor)
   std::shared_ptr<ThreadPool> shared_pool_;  ///< borrowed pool (engine)
   /// The pool runs execute on: pool_.get(), shared_pool_.get(), or
@@ -414,7 +399,6 @@ class SpmvInstance {
   KernelBinding binding_;
   CsrDu::UnitHistogram du_hist_;
   bool has_du_hist_ = false;
-  RowPartition csc_reduce_rows_;  ///< reduce-phase row split for CSC
   // NUMA placement (set up once by setup_numa, off the timed path): the
   // resolved policy, each worker's node, the arena holding the repacked
   // per-thread slices and x mirrors, and the pointers prepare() rebinds
@@ -462,10 +446,10 @@ class SpmvInstance {
     const void* vi = nullptr;
   };
   std::vector<TileArrays> tile_arrays_;  ///< one per worker
-  // Dynamic scheduling (set up once by setup_schedule, off the timed
-  // path): the resolved schedule, the row-aligned chunk plan, per-chunk
-  // DU slices (DU formats only), one deque of owned chunks per worker,
-  // and each worker's NUMA-near-first victim order.
+  // Work stealing (set up once by setup_schedule, off the timed path):
+  // the resolved schedule, the row-aligned chunk plan, per-chunk DU
+  // slices (DU formats only), one deque of owned chunks per worker, and
+  // each worker's NUMA-near-first victim order.
   Schedule sched_ = Schedule::kStatic;
   ChunkPlan chunk_plan_;
   std::vector<CsrDu::Slice> du_chunk_slices_;  ///< one per chunk
@@ -488,13 +472,16 @@ class SpmvInstance {
   RunArgs run_args_;
   // Symmetric conflict-window execution (kSymCsr / kSymCsrVi, pooled
   // runs): the resolved reduction strategy, the per-thread window
-  // plan, the window buffers (arena-backed under NUMA, heap otherwise;
-  // private mode reuses csc_scratch_), and the reduction-phase timer.
+  // plan, the window buffers (arena-backed under NUMA, heap otherwise),
+  // the private-mode full-length y copies and their even reduce split,
+  // and the reduction-phase timer.
   bool sym_active_ = false;
   SymReduce sym_reduce_ = SymReduce::kWindow;
   SymWindowPlan sym_plan_;
   std::vector<Vector> sym_win_store_;
   std::vector<value_t*> sym_win_ptr_;  ///< one per worker
+  std::vector<Vector> sym_private_y_;  ///< one per worker (kPrivate)
+  RowPartition sym_reduce_rows_;       ///< kPrivate reduce-phase split
   std::uint64_t sym_reduce_ns_ = 0;
   obs::Counter* sym_reduce_counter_ = nullptr;
   TuneProvenance tune_;
@@ -502,13 +489,11 @@ class SpmvInstance {
   /// raw-callable path keeps the per-run cost at one function-pointer
   /// call per worker — no std::function allocation on the timed path.
   static void static_job(void* ctx, std::size_t tid);
-  static void chunked_job(void* ctx, std::size_t tid);
   static void steal_job(void* ctx, std::size_t tid);
   static void xcopy_job(void* ctx, std::size_t tid);
   /// Symmetric-path executors: the compute job zeroes the worker's
-  /// window (or private scratch) then runs its rows — statically or as
-  /// its owned chunks under kChunked; the reduce job folds the
-  /// overlapping windows (or sums the private copies) into y.
+  /// window (or private y copy) then runs its rows; the reduce job folds
+  /// the overlapping windows (or sums the private copies) into y.
   static void sym_compute_job(void* ctx, std::size_t tid);
   static void sym_reduce_job(void* ctx, std::size_t tid);
   /// The x pointer worker `th` should read (its NUMA replica when the

@@ -143,8 +143,8 @@ void spmv(const Coo& m, const value_t* x, value_t* y);
 void spmv(const Csc& m, const value_t* x, value_t* y);
 
 /// Column-range CSC kernel accumulating into `y` *without* zero-filling;
-/// used by the column-partitioned multithreaded path (§II-C), where each
-/// thread owns a private y copy that is reduced afterwards.
+/// the serial kernel's core, and the per-thread step of §II-C's column
+/// partitioning (each thread fills a private y copy, reduced afterwards).
 void spmv_csc_cols(const Csc& m, const value_t* x, value_t* y,
                    index_t col_begin, index_t col_end);
 

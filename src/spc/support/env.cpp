@@ -101,13 +101,12 @@ const std::vector<EnvVarInfo>& env_registry() {
        "InstanceOptions::numa",
        "NUMA data-placement policy for per-thread matrix slices and x "
        "mirrors."},
-      {"SPC_SCHED", "enum", "static|chunked|steal",
+      {"SPC_SCHED", "enum", "static|steal",
        "InstanceOptions::schedule",
-       "Work schedule: one-range-per-worker, owned cache-sized chunks, "
-       "or work stealing."},
+       "Work schedule: one-range-per-worker or work stealing."},
       {"SPC_CHUNK_NNZ", "u64", "non-zeros per chunk (0 = L2-derived)",
        "InstanceOptions::chunk_nnz",
-       "Target chunk weight for the dynamic schedules."},
+       "Target chunk weight for the steal schedule."},
       {"SPC_TILE", "size", "auto|off|<bytes>[k|m]",
        "InstanceOptions::tiling",
        "Column tiling: auto-plan, hard off, or a forced stripe width."},

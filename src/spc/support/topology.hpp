@@ -48,7 +48,7 @@ struct Topology {
   std::size_t llc_bytes = 0;       ///< size of one last-level cache
   std::size_t llc_instances = 1;   ///< number of distinct LLC domains
   /// Size of one level-2 data/unified cache (0 when sysfs doesn't expose
-  /// it, e.g. the flat fallback model). The chunked scheduler derives
+  /// it, e.g. the flat fallback model). The stealing scheduler derives
   /// its target chunk size from this (parallel/schedule.hpp).
   std::size_t l2_bytes = 0;
   /// Size of one level-1 data/unified cache (0 when unknown). The column

@@ -18,16 +18,11 @@ constexpr double kVal = 8.0;
 // the small jumps that dominate once a unit exists at all).
 constexpr double kDuUnitHeaderBytes = 3.0;
 
-// Stride-1 elements only join an RLE unit when their run reaches
-// rle_min_run; discounting this share of delta1_frac approximates the
-// short runs that stay in plain delta units.
-constexpr double kRleShortRunShare = 0.2;
-
 struct Common {
   double nnz = 0.0;
   double rp = 0.0;       // row-pointer bytes per nnz
   double vec = 0.0;      // amortized x + y vector bytes per nnz
-  double du_ctl = 0.0;   // CSR-DU ctl stream bytes per nnz (no RLE)
+  double du_ctl = 0.0;   // CSR-DU ctl stream bytes per nnz
   double vi_w = 0.0;     // CSR-VI value-index width
   double vi_table = 0.0; // amortized unique-value table bytes per nnz
 };
@@ -83,16 +78,6 @@ CandidatePrediction predict_format(const TuneFeatures& f, Format fmt) {
     case Format::kCsrDu:
       p.matrix_bytes_per_nnz = kVal + c.du_ctl;
       break;
-    case Format::kCsrDuRle: {
-      if (f.delta1_frac < 0.25) {
-        p.applicable = false;
-        p.why = "few unit-stride runs";
-      }
-      const double elided =
-          std::max(0.0, f.delta1_frac - kRleShortRunShare);
-      p.matrix_bytes_per_nnz = kVal + c.du_ctl - elided;
-      break;
-    }
     case Format::kCsrVi:
       if (s.ttu <= 5.0) {
         p.applicable = false;
@@ -138,9 +123,9 @@ CandidatePrediction predict_format(const TuneFeatures& f, Format fmt) {
       break;
     }
     default:
-      // Outside the tuner's pool (COO, CSC, BCSR, ...): these trade
-      // bytes for different access patterns the stream model cannot
-      // rank, so the tuner never auto-selects them.
+      // Outside the tuner's pool (BCSR, ELL): these trade bytes for
+      // different access patterns the stream model cannot rank, so the
+      // tuner never auto-selects them.
       p.applicable = false;
       p.why = "outside the tuning pool";
       p.matrix_bytes_per_nnz = kIdx + kVal + c.rp;
@@ -153,9 +138,8 @@ CandidatePrediction predict_format(const TuneFeatures& f, Format fmt) {
 std::vector<CandidatePrediction> predict_candidates(const TuneFeatures& f) {
   std::vector<CandidatePrediction> out;
   for (const Format fmt :
-       {Format::kCsr, Format::kCsr16, Format::kCsrDu, Format::kCsrDuRle,
-        Format::kCsrVi, Format::kCsrDuVi, Format::kSymCsr,
-        Format::kSymCsrVi}) {
+       {Format::kCsr, Format::kCsr16, Format::kCsrDu, Format::kCsrVi,
+        Format::kCsrDuVi, Format::kSymCsr, Format::kSymCsrVi}) {
     out.push_back(predict_format(f, fmt));
   }
   return out;

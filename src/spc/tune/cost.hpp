@@ -36,8 +36,8 @@ struct CandidatePrediction {
 };
 
 /// Predictions for the whole candidate pool (csr, csr16, csr-du,
-/// csr-du-rle, csr-vi, csr-du-vi, sym-csr, sym-csr-vi), applicable or
-/// not, in pool order. The symmetric pair is gated on numeric symmetry
+/// csr-vi, csr-du-vi, sym-csr, sym-csr-vi), applicable or not, in pool
+/// order. The symmetric pair is gated on numeric symmetry
 /// (structure and values), so asymmetric matrices never probe them.
 std::vector<CandidatePrediction> predict_candidates(const TuneFeatures& f);
 

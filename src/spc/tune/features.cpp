@@ -98,7 +98,6 @@ TuneFeatures extract_features(const Triplets& t) {
                          static_cast<double>(total);
     }
   }
-  f.delta1_frac = f.stats.delta1_fraction();
   f.mean_row_span = mean_row_span_cols(t);
   f.row_cv = f.stats.row_len_mean > 0.0
                  ? f.stats.row_len_stddev / f.stats.row_len_mean

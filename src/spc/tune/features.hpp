@@ -4,8 +4,8 @@
 // show the winning format is a function of a handful of structural and
 // value properties: the column-delta distribution drives CSR-DU, the
 // total-to-unique value ratio drives CSR-VI (§VI-E's ttu > 5 criterion),
-// stride-1 runs drive the RLE variant, and row-length/row-span shape
-// decides whether decode overhead can hide behind memory stalls at all.
+// and row-length/row-span shape decides whether decode overhead can hide
+// behind memory stalls at all.
 // TuneFeatures packages exactly those inputs for the cost model
 // (cost.hpp), plus a content fingerprint that keys the persistent
 // tuning cache (cache.hpp).
@@ -23,9 +23,6 @@ struct TuneFeatures {
   /// Share of each DeltaClass among all column deltas (sums to 1 when
   /// nnz > 0). Index matches DeltaClass / CSR-DU unit byte widths.
   double delta_share[4] = {0.0, 0.0, 0.0, 0.0};
-  /// Fraction of non-zeros at stride 1 from their left neighbor — the
-  /// predictor for CSR-DU's RLE units.
-  double delta1_frac = 0.0;
   /// nnz-weighted mean column span of a row (bandedness).
   double mean_row_span = 0.0;
   /// Coefficient of variation of row lengths (stddev / mean): high

@@ -123,8 +123,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(SymInstance, NumaRepackIsBitIdenticalToOff) {
   // The repacked per-thread slices (rows, diagonal, window buffer) are
   // verbatim copies and every phase runs in the same order, so placement
-  // must not change a single bit — in either reduction mode and under the
-  // chunked schedule too.
+  // must not change a single bit — in either reduction mode.
   test::ScopedEnv isa("SPC_ISA", "scalar");
   test::ScopedEnv red("SPC_SYM_REDUCE", "");  // opts decide, not the env
   test::ScopedEnv sch("SPC_SCHED", "");
@@ -136,32 +135,26 @@ TEST(SymInstance, NumaRepackIsBitIdenticalToOff) {
   opts.pin_threads = true;  // placement needs pinned workers
   for (const Format f : {Format::kSymCsr, Format::kSymCsrVi}) {
     for (const SymReduce reduce : {SymReduce::kWindow, SymReduce::kPrivate}) {
-      for (const Schedule sched : {Schedule::kStatic, Schedule::kChunked}) {
-        opts.sym_reduce = reduce;
-        opts.schedule = sched;
-        const std::string cell = format_name(f) + " " +
-                                 sym_reduce_name(reduce) + " " +
-                                 schedule_name(sched);
-        Vector y_off(500, 0.0);
-        {
-          test::ScopedEnv numa("SPC_NUMA", "off");
-          SpmvInstance off(t, f, 4, opts);
-          ASSERT_EQ(off.numa_policy(), NumaPolicy::kOff) << cell;
-          ASSERT_EQ(off.sym_reduce(), reduce) << cell;
-          off.run(x, y_off);
-        }
-        EXPECT_LT(rel_error(test::reference_spmv(t, x), y_off), kTol)
-            << cell;
-        for (const char* policy : {"local", "replicate", "interleaved"}) {
-          test::ScopedEnv numa("SPC_NUMA", policy);
-          SpmvInstance placed(t, f, 4, opts);
-          EXPECT_EQ(numa_policy_name(placed.numa_policy()), policy) << cell;
-          for (int run = 0; run < 2; ++run) {
-            Vector y(500, -1.0);
-            placed.run(x, y);
-            EXPECT_EQ(max_abs_diff(y_off, y), 0.0)
-                << cell << " " << policy << " run " << run;
-          }
+      opts.sym_reduce = reduce;
+      const std::string cell = format_name(f) + " " + sym_reduce_name(reduce);
+      Vector y_off(500, 0.0);
+      {
+        test::ScopedEnv numa("SPC_NUMA", "off");
+        SpmvInstance off(t, f, 4, opts);
+        ASSERT_EQ(off.numa_policy(), NumaPolicy::kOff) << cell;
+        ASSERT_EQ(off.sym_reduce(), reduce) << cell;
+        off.run(x, y_off);
+      }
+      EXPECT_LT(rel_error(test::reference_spmv(t, x), y_off), kTol) << cell;
+      for (const char* policy : {"local", "replicate", "interleaved"}) {
+        test::ScopedEnv numa("SPC_NUMA", policy);
+        SpmvInstance placed(t, f, 4, opts);
+        EXPECT_EQ(numa_policy_name(placed.numa_policy()), policy) << cell;
+        for (int run = 0; run < 2; ++run) {
+          Vector y(500, -1.0);
+          placed.run(x, y);
+          EXPECT_EQ(max_abs_diff(y_off, y), 0.0)
+              << cell << " " << policy << " run " << run;
         }
       }
     }

@@ -7,6 +7,7 @@
 
 #include <limits>
 
+#include "spc/formats/dcsr.hpp"
 #include "spc/gen/generators.hpp"
 #include "spc/spmv/instance.hpp"
 #include "test_util.hpp"
@@ -80,14 +81,12 @@ TEST_P(Differential, AllFormatsBitIdenticalToSerialCsr) {
                std::numeric_limits<double>::quiet_NaN());
       inst.run(x, y);
       // Row-major per-row accumulation order is shared by all row-based
-      // kernels: results must be exactly equal. Scatter-based formats
-      // (COO and CSC add in different orders, BCSR/ELL/DIA/JDS regroup)
-      // are held to a tight tolerance instead.
+      // kernels: results must be exactly equal. BCSR and ELL regroup, so
+      // they are held to a tight tolerance instead.
       const bool exact =
           f == Format::kCsr || f == Format::kCsr16 ||
-          f == Format::kCsrDu || f == Format::kCsrDuRle ||
-          f == Format::kCsrVi || f == Format::kCsrDuVi ||
-          f == Format::kDcsr;
+          f == Format::kCsrDu || f == Format::kCsrVi ||
+          f == Format::kCsrDuVi;
       if (exact) {
         EXPECT_EQ(max_abs_diff(y_ref, y), 0.0)
             << format_name(f) << " x" << threads << " seed "

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "spc/gen/generators.hpp"
+#include "spc/mm/vector.hpp"
 #include "test_util.hpp"
 
 namespace spc {
@@ -177,6 +180,18 @@ TEST(Kronecker, LaplacianIdentityStructure) {
   const Triplets k = gen_kronecker(eye, a);
   EXPECT_EQ(k.nnz(), 3 * a.nnz());
   EXPECT_EQ(k.nrows(), 3 * a.nrows());
+}
+
+TEST(VectorCompare, NanDifferenceIsInfinitelyFar) {
+  // A NaN-initialised y whose row a kernel never wrote must not compare
+  // equal to the reference.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(max_abs_diff(Vector{0.0, kNan}, Vector{0.0, 0.0}), kInf);
+  EXPECT_EQ(max_abs_diff(Vector{0.0, 0.0}, Vector{0.0, kNan}), kInf);
+  EXPECT_EQ(max_abs_diff(Vector{kNan, 1.0}, Vector{kNan, 1.0}), kInf);
+  EXPECT_EQ(rel_error(Vector{1.0, 2.0}, Vector{kNan, 2.0}), kInf);
+  EXPECT_EQ(max_abs_diff(Vector{1.0, -2.0}, Vector{1.5, -2.0}), 0.5);
 }
 
 }  // namespace

@@ -17,8 +17,7 @@ aligned_vector<index_t> row_ptr_of(const Triplets& t) {
 }
 
 TEST(Schedule, NamesRoundTrip) {
-  for (const Schedule s :
-       {Schedule::kStatic, Schedule::kChunked, Schedule::kSteal}) {
+  for (const Schedule s : {Schedule::kStatic, Schedule::kSteal}) {
     Schedule parsed = Schedule::kStatic;
     EXPECT_TRUE(parse_schedule(schedule_name(s), &parsed));
     EXPECT_EQ(parsed, s);
@@ -31,16 +30,17 @@ TEST(Schedule, NamesRoundTrip) {
 
 TEST(Schedule, EnvOverridesFallback) {
   {
-    test::ScopedEnv env("SPC_SCHED", "chunked");
-    EXPECT_EQ(schedule_from_env(Schedule::kStatic), Schedule::kChunked);
+    test::ScopedEnv env("SPC_SCHED", "steal");
+    EXPECT_EQ(schedule_from_env(Schedule::kStatic), Schedule::kSteal);
   }
   {
     test::ScopedEnv env("SPC_SCHED", "");
     EXPECT_EQ(schedule_from_env(Schedule::kSteal), Schedule::kSteal);
   }
   {
-    test::ScopedEnv env("SPC_SCHED", "not-a-schedule");
-    EXPECT_EQ(schedule_from_env(Schedule::kChunked), Schedule::kChunked);
+    // Retired names are unparseable like any other.
+    test::ScopedEnv env("SPC_SCHED", "chunked");
+    EXPECT_EQ(schedule_from_env(Schedule::kSteal), Schedule::kSteal);
   }
 }
 

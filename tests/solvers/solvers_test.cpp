@@ -316,7 +316,7 @@ TEST(Solvers, AllFormatsGiveSameCgSolution) {
   SpmvInstance ref(shifted, Format::kCsr);
   cg(op_of(ref), b, x_ref);
 
-  for (const Format f : {Format::kCsrDu, Format::kCsrVi, Format::kDcsr,
+  for (const Format f : {Format::kCsrDu, Format::kCsrVi, Format::kCsrDuVi,
                          Format::kBcsr}) {
     SpmvInstance A(shifted, f);
     Vector x(shifted.nrows(), 0.0);

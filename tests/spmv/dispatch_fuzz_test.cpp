@@ -89,13 +89,55 @@ Triplets fuzz_matrix(int seed) {
   }
 }
 
-const std::vector<Format>& dispatch_formats() {
-  static const std::vector<Format> kFormats = {
-      Format::kCsr,      Format::kCsr16,   Format::kCsrVi,
-      Format::kCsrDu,    Format::kCsrDuRle, Format::kCsrDuVi,
-      Format::kDcsr,     Format::kCoo,
+// One fuzzed instance configuration: a format, plus (for CSR-DU) RLE
+// units switched on with a run length short enough that the fuzz rows
+// actually form them — the only instance-level path into the RLE
+// decoders.
+struct FuzzRow {
+  Format format;
+  bool rle = false;
+};
+
+std::string row_name(const FuzzRow& r) {
+  return format_name(r.format) + (r.rle ? "+rle" : "");
+}
+
+InstanceOptions with_row(InstanceOptions opts, const FuzzRow& r) {
+  if (r.rle) {
+    opts.du.enable_rle = true;
+    opts.du.rle_min_run = 4;
+  }
+  return opts;
+}
+
+const std::vector<FuzzRow>& dispatch_rows() {
+  static const std::vector<FuzzRow> kRows = {
+      {Format::kCsr},   {Format::kCsr16},       {Format::kCsrVi},
+      {Format::kCsrDu}, {Format::kCsrDu, true}, {Format::kCsrDuVi},
   };
-  return kFormats;
+  return kRows;
+}
+
+// The RLE row must really form RLE units on the swarm — stride-1 dense
+// runs and strided runs both — or the suites below would only re-run
+// plain CSR-DU.
+TEST(RleRow, SwarmFormsStrideOneAndStridedRuns) {
+  usize_t seq_units = 0;
+  usize_t strided_units = 0;
+  for (int seed = 0; seed < 21; ++seed) {
+    const Triplets t = fuzz_matrix(seed);
+    if (t.nnz() == 0) {
+      continue;
+    }
+    const SpmvInstance inst(t, Format::kCsrDu, 1,
+                            with_row({}, {Format::kCsrDu, true}));
+    const CsrDu::UnitHistogram* h = inst.du_histogram();
+    ASSERT_NE(h, nullptr);
+    seq_units += h->seq_units;
+    strided_units += h->rle_units - h->seq_units;
+  }
+  EXPECT_GT(seq_units, 0u);
+  EXPECT_GT(strided_units, 0u);
 }
 
 class DispatchFuzz : public ::testing::TestWithParam<int> {};
@@ -109,27 +151,27 @@ TEST_P(DispatchFuzz, EveryFormatEveryTierMatchesScalarCsrOracle) {
   const Vector x = random_vector(t.ncols(), xr);
   const Vector y_ref = test::reference_spmv(t, x);
 
-  InstanceOptions opts;
-  opts.pin_threads = false;
+  InstanceOptions base;
+  base.pin_threads = false;
   for (const IsaTier tier : available_isa_tiers()) {
     test::ScopedEnv isa("SPC_ISA", isa_tier_name(tier).c_str());
-    for (const Format f : dispatch_formats()) {
-      if (f == Format::kCsr16 && !csr16_applicable(t)) {
+    for (const FuzzRow& row : dispatch_rows()) {
+      if (row.format == Format::kCsr16 && !csr16_applicable(t)) {
         continue;
       }
       for (const std::size_t threads : {1u, 4u}) {
-        SpmvInstance inst(t, f, threads, opts);
+        SpmvInstance inst(t, row.format, threads, with_row(base, row));
         ASSERT_LE(static_cast<int>(inst.isa_tier()),
                   static_cast<int>(tier));
         Vector y(t.nrows(), std::numeric_limits<double>::quiet_NaN());
         inst.run(x, y);
-        const std::string what = format_name(f) + " @" +
+        const std::string what = row_name(row) + " @" +
                                  isa_tier_name(tier) + " x" +
                                  std::to_string(threads) + " seed " +
                                  std::to_string(GetParam());
         // Row-order formats at the scalar tier share the oracle's exact
-        // accumulation order; COO scatters, so tolerance there.
-        if (tier == IsaTier::kScalar && f != Format::kCoo) {
+        // accumulation order.
+        if (tier == IsaTier::kScalar) {
           EXPECT_EQ(max_abs_diff(y_ref, y), 0.0) << what;
         } else {
           EXPECT_LT(rel_error(y_ref, y), kVectorTol) << what;
@@ -145,13 +187,13 @@ INSTANTIATE_TEST_SUITE_P(Swarm, DispatchFuzz, ::testing::Range(0, 21));
 // byte-for-byte result of the policy-off run: the first-touch repack
 // copies slices verbatim and the kernels run in the same order, so at
 // the scalar tier even the floating-point accumulation is identical.
-const std::vector<Format>& numa_formats() {
-  static const std::vector<Format> kFormats = {
-      Format::kCsr,    Format::kCsr16,    Format::kCsrVi,
-      Format::kCsrDu,  Format::kCsrDuRle, Format::kCsrDuVi,
-      Format::kBcsr,   Format::kEll,
+const std::vector<FuzzRow>& numa_rows() {
+  static const std::vector<FuzzRow> kRows = {
+      {Format::kCsr},   {Format::kCsr16},       {Format::kCsrVi},
+      {Format::kCsrDu}, {Format::kCsrDu, true}, {Format::kCsrDuVi},
+      {Format::kBcsr},  {Format::kEll},
   };
-  return kFormats;
+  return kRows;
 }
 
 class NumaFuzz : public ::testing::TestWithParam<int> {};
@@ -165,29 +207,30 @@ TEST_P(NumaFuzz, RepackedSlicesAreBitIdenticalAcrossPolicies) {
   const Vector x = random_vector(t.ncols(), xr);
 
   test::ScopedEnv isa("SPC_ISA", "scalar");
-  InstanceOptions opts;
-  opts.pin_threads = true;  // placement needs pinned workers
+  InstanceOptions base;
+  base.pin_threads = true;  // placement needs pinned workers
   constexpr std::size_t kThreads = 4;
-  for (const Format f : numa_formats()) {
-    if (f == Format::kCsr16 && !csr16_applicable(t)) {
+  for (const FuzzRow& row : numa_rows()) {
+    if (row.format == Format::kCsr16 && !csr16_applicable(t)) {
       continue;
     }
+    const InstanceOptions opts = with_row(base, row);
     Vector y_off(t.nrows(), 0.0);
     {
       test::ScopedEnv numa("SPC_NUMA", "off");
-      SpmvInstance inst(t, f, kThreads, opts);
+      SpmvInstance inst(t, row.format, kThreads, opts);
       EXPECT_EQ(inst.numa_policy(), NumaPolicy::kOff);
       inst.run(x, y_off);
     }
     for (const char* policy : {"local", "replicate", "interleaved"}) {
       test::ScopedEnv numa("SPC_NUMA", policy);
-      SpmvInstance inst(t, f, kThreads, opts);
+      SpmvInstance inst(t, row.format, kThreads, opts);
       EXPECT_NE(inst.numa_policy(), NumaPolicy::kOff)
-          << format_name(f) << " " << policy;
+          << row_name(row) << " " << policy;
       Vector y(t.nrows(), std::numeric_limits<double>::quiet_NaN());
       inst.run(x, y);
       EXPECT_EQ(max_abs_diff(y_off, y), 0.0)
-          << format_name(f) << " " << policy << " seed " << GetParam();
+          << row_name(row) << " " << policy << " seed " << GetParam();
     }
   }
 }
@@ -201,7 +244,7 @@ INSTANTIATE_TEST_SUITE_P(Swarm, NumaFuzz, ::testing::Range(0, 21));
 // (where the per-row sum itself is lane-split, exactly as under static).
 class SchedFuzz : public ::testing::TestWithParam<int> {};
 
-TEST_P(SchedFuzz, DynamicSchedulesMatchStaticAcrossFormatsAndTiers) {
+TEST_P(SchedFuzz, StealMatchesStaticAcrossFormatsAndTiers) {
   const Triplets t = fuzz_matrix(GetParam());
   if (t.nnz() == 0) {
     GTEST_SKIP() << "degenerate draw";
@@ -210,43 +253,42 @@ TEST_P(SchedFuzz, DynamicSchedulesMatchStaticAcrossFormatsAndTiers) {
   const Vector x = random_vector(t.ncols(), xr);
   const Vector y_ref = test::reference_spmv(t, x);
 
-  InstanceOptions opts;
-  opts.pin_threads = false;
+  InstanceOptions base;
+  base.pin_threads = false;
   // Far below the L2-derived default so the fuzz matrices (a few knnz)
   // actually split into many chunks and steals genuinely happen.
-  opts.chunk_nnz = 64;
+  base.chunk_nnz = 64;
   for (const IsaTier tier : available_isa_tiers()) {
     test::ScopedEnv isa("SPC_ISA", isa_tier_name(tier).c_str());
-    for (const Format f : numa_formats()) {
-      if (f == Format::kCsr16 && !csr16_applicable(t)) {
+    for (const FuzzRow& row : numa_rows()) {
+      if (row.format == Format::kCsr16 && !csr16_applicable(t)) {
         continue;
       }
+      const InstanceOptions opts = with_row(base, row);
       Vector y_static(t.nrows(), 0.0);
       {
         test::ScopedEnv sched("SPC_SCHED", "static");
-        SpmvInstance inst(t, f, 4, opts);
+        SpmvInstance inst(t, row.format, 4, opts);
         ASSERT_EQ(inst.schedule(), Schedule::kStatic);
         inst.run(x, y_static);
       }
-      // Static must itself be correct before it can anchor the others.
+      // Static must itself be correct before it can anchor steal.
       // (Tolerance, not bit-identity: BCSR pads blocks with explicit
       // zeros and so accumulates in a different order than the oracle.)
-      ASSERT_LT(rel_error(y_ref, y_static), kVectorTol) << format_name(f);
-      for (const char* name : {"chunked", "steal"}) {
-        test::ScopedEnv sched("SPC_SCHED", name);
-        SpmvInstance inst(t, f, 4, opts);
-        Vector y(t.nrows(), std::numeric_limits<double>::quiet_NaN());
-        inst.run(x, y);
-        const std::string what = format_name(f) + " " + name + " @" +
-                                 isa_tier_name(tier) + " seed " +
-                                 std::to_string(GetParam());
-        if (tier == IsaTier::kScalar) {
-          // Same kernel, same rows, same per-row accumulation order —
-          // the executor assignment must be invisible in the bits.
-          EXPECT_EQ(max_abs_diff(y_static, y), 0.0) << what;
-        } else {
-          EXPECT_LT(rel_error(y_ref, y), kVectorTol) << what;
-        }
+      ASSERT_LT(rel_error(y_ref, y_static), kVectorTol) << row_name(row);
+      test::ScopedEnv sched("SPC_SCHED", "steal");
+      SpmvInstance inst(t, row.format, 4, opts);
+      Vector y(t.nrows(), std::numeric_limits<double>::quiet_NaN());
+      inst.run(x, y);
+      const std::string what = row_name(row) + " steal @" +
+                               isa_tier_name(tier) + " seed " +
+                               std::to_string(GetParam());
+      if (tier == IsaTier::kScalar) {
+        // Same kernel, same rows, same per-row accumulation order — the
+        // executor assignment must be invisible in the bits.
+        EXPECT_EQ(max_abs_diff(y_static, y), 0.0) << what;
+      } else {
+        EXPECT_LT(rel_error(y_ref, y), kVectorTol) << what;
       }
     }
   }
@@ -257,10 +299,9 @@ INSTANTIATE_TEST_SUITE_P(Swarm, SchedFuzz, ::testing::Range(0, 21));
 // run_on_caller() is the serving engine's serial fallback and a serial
 // pass on a pooled instance: whenever it runs it must reproduce the
 // pooled run's bits, and it may refuse only where can_run_on_caller()
-// says so — exactly the formats that bind no serial kernel (CSC, DIA,
-// JDS) and tiled instances under NUMA placement. Swept over every
-// non-symmetric format x SPC_TILE x SPC_NUMA x SPC_SCHED at the scalar
-// tier and the active one.
+// says so — exactly the tiled instances under NUMA placement. Swept over
+// every non-symmetric format (plus the RLE row) x SPC_TILE x SPC_NUMA x
+// SPC_SCHED at the scalar tier and the active one.
 class CallerFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(CallerFuzz, RunOnCallerMatchesPooledRunBitForBit) {
@@ -271,16 +312,21 @@ TEST_P(CallerFuzz, RunOnCallerMatchesPooledRunBitForBit) {
   Rng xr(9300 + GetParam());
   const Vector x = random_vector(t.ncols(), xr);
   const Vector y_ref = test::reference_spmv(t, x);
-  // Finite, so a row left unwritten fails the reference check (NaN would
-  // slip through max_abs_diff).
-  constexpr value_t kUnwritten = -1e300;
+  constexpr value_t kUnwritten = std::numeric_limits<double>::quiet_NaN();
+  std::vector<FuzzRow> rows;
+  for (const Format f : all_formats()) {
+    if (!format_requires_symmetry(f)) {
+      rows.push_back({f});
+    }
+  }
+  rows.push_back({Format::kCsrDu, true});
 
   // One pinned pool lent to every instance, as the serving engine does
   // (NUMA placement needs pinned workers).
   const auto pool = std::make_shared<ThreadPool>(
       4, plan_placement(discover_topology(), 4, Placement::kCloseFirst));
-  InstanceOptions opts;
-  opts.chunk_nnz = 64;  // several chunks per worker, so steals happen
+  InstanceOptions base;
+  base.chunk_nnz = 64;  // several chunks per worker, so steals happen
   std::vector<IsaTier> tiers = {IsaTier::kScalar};
   if (active_isa_tier() != IsaTier::kScalar) {
     tiers.push_back(active_isa_tier());
@@ -293,25 +339,21 @@ TEST_P(CallerFuzz, RunOnCallerMatchesPooledRunBitForBit) {
         test::ScopedEnv numa_env("SPC_NUMA", numa);
         for (const char* sched : {"static", "steal"}) {
           test::ScopedEnv sched_env("SPC_SCHED", sched);
-          for (const Format f : all_formats()) {
-            if (format_requires_symmetry(f) ||
-                (f == Format::kCsr16 && !csr16_applicable(t))) {
+          for (const FuzzRow& row : rows) {
+            if (row.format == Format::kCsr16 && !csr16_applicable(t)) {
               continue;
             }
-            SpmvInstance inst(t, f, pool, opts);
+            SpmvInstance inst(t, row.format, pool, with_row(base, row));
             const std::string what =
-                format_name(f) + " tile=" + tile + " numa=" + numa +
+                row_name(row) + " tile=" + tile + " numa=" + numa +
                 " sched=" + sched + " @" + isa_tier_name(tier) +
                 " seed " + std::to_string(GetParam());
             Vector y_pool(t.nrows(), kUnwritten);
             inst.run(x, y_pool);
             EXPECT_LT(rel_error(y_ref, y_pool), kVectorTol) << what;
 
-            const bool refuses =
-                f == Format::kCsc || f == Format::kDia ||
-                f == Format::kJds ||
-                (inst.tiling_active() &&
-                 inst.numa_policy() != NumaPolicy::kOff);
+            const bool refuses = inst.tiling_active() &&
+                                 inst.numa_policy() != NumaPolicy::kOff;
             EXPECT_EQ(inst.can_run_on_caller(), !refuses) << what;
             Vector y_caller(t.nrows(), kUnwritten);
             const bool ran = inst.run_on_caller(x, y_caller);

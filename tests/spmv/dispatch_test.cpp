@@ -116,8 +116,7 @@ TEST(InstanceDispatch, HugeColumnCountClampsToScalar) {
 
 TEST(InstanceDispatch, DuHistogramOnlyForDuFormats) {
   const Triplets t = test::paper_matrix();
-  for (const Format f : {Format::kCsrDu, Format::kCsrDuRle,
-                         Format::kCsrDuVi}) {
+  for (const Format f : {Format::kCsrDu, Format::kCsrDuVi}) {
     const SpmvInstance inst(t, f);
     const CsrDu::UnitHistogram* h = inst.du_histogram();
     ASSERT_NE(h, nullptr) << format_name(f);
@@ -125,7 +124,7 @@ TEST(InstanceDispatch, DuHistogramOnlyForDuFormats) {
     EXPECT_GT(h->units, 0u);
     EXPECT_GT(h->avg_unit_elems(), 0.0);
   }
-  for (const Format f : {Format::kCsr, Format::kCsrVi, Format::kCoo}) {
+  for (const Format f : {Format::kCsr, Format::kCsrVi, Format::kEll}) {
     const SpmvInstance inst(t, f);
     EXPECT_EQ(inst.du_histogram(), nullptr) << format_name(f);
   }

@@ -28,6 +28,23 @@ TEST(FormatNames, UnknownNameThrows) {
   EXPECT_THROW(parse_format("hyper-csr"), InvalidArgument);
 }
 
+TEST(FormatNames, InstanceFormatsKeepTheirNamesAndOrder) {
+  // The names are tune-cache keys; the retired rows (the §III-A/B
+  // comparators and csr-du-rle) no longer parse.
+  std::vector<std::string> names;
+  for (const Format f : all_formats()) {
+    names.push_back(format_name(f));
+  }
+  EXPECT_EQ(names,
+            (std::vector<std::string>{"csr", "csr16", "bcsr", "ell", "csr-du",
+                                      "csr-vi", "csr-du-vi", "sym-csr",
+                                      "sym-csr-vi"}));
+  for (const char* retired :
+       {"coo", "csc", "dia", "jds", "dcsr", "csr-du-rle"}) {
+    EXPECT_THROW(parse_format(retired), InvalidArgument) << retired;
+  }
+}
+
 TEST(SpmvInstance, SerialMatchesReferenceForEveryFormat) {
   Rng rng(21);
   const Triplets t = gen_banded(500, 30, 7, rng, ValueModel::pooled(40));
@@ -196,34 +213,6 @@ TEST(SpmvInstance, EllGuardRejectsSkewedMatrix) {
   EXPECT_NO_THROW(SpmvInstance(t, Format::kEll, 1, opts));
 }
 
-TEST(SpmvInstance, DiaGuardRejectsScatteredMatrix) {
-  Rng rng(70);
-  const Triplets t = test::random_triplets(300, 300, 3000, rng);
-  InstanceOptions opts;
-  opts.dia_max_diags = 8;
-  EXPECT_THROW(SpmvInstance(t, Format::kDia, 1, opts), InvalidArgument);
-}
-
-TEST(SpmvInstance, ClassicFormatsMtMatchCsr) {
-  Rng rng(71);
-  const Triplets t =
-      gen_banded(600, 15, 6, rng, ValueModel::random());
-  Rng xr(72);
-  const Vector x = random_vector(t.ncols(), xr);
-  SpmvInstance csr(t, Format::kCsr, 1);
-  Vector y_ref(t.nrows(), 0.0);
-  csr.run(x, y_ref);
-
-  InstanceOptions opts;
-  opts.pin_threads = false;
-  for (const Format f : {Format::kEll, Format::kDia, Format::kJds}) {
-    SpmvInstance inst(t, f, 4, opts);
-    Vector y(t.nrows(), std::numeric_limits<double>::quiet_NaN());
-    inst.run(x, y);
-    EXPECT_LT(rel_error(y_ref, y), kTol) << format_name(f);
-  }
-}
-
 TEST(SpmvInstanceNuma, PolicyOffForSerialInstances) {
   test::ScopedEnv numa("SPC_NUMA", "replicate");
   const Triplets t = test::paper_matrix();
@@ -241,16 +230,6 @@ TEST(SpmvInstanceNuma, PolicyOffWithoutPinnedWorkers) {
   const Triplets t = test::paper_matrix();
   SpmvInstance inst(t, Format::kCsr, 2, opts);
   EXPECT_EQ(inst.numa_policy(), NumaPolicy::kOff);
-}
-
-TEST(SpmvInstanceNuma, PolicyOffForNonRowPartitionedFormats) {
-  test::ScopedEnv numa("SPC_NUMA", "local");
-  Rng rng(55);
-  const Triplets t = gen_banded(200, 10, 3, rng, ValueModel::random());
-  for (const Format f : {Format::kCsc, Format::kDcsr, Format::kJds}) {
-    SpmvInstance inst(t, f, 2);
-    EXPECT_EQ(inst.numa_policy(), NumaPolicy::kOff) << format_name(f);
-  }
 }
 
 TEST(SpmvInstanceNuma, AutoResolvesAgainstTheMachine) {

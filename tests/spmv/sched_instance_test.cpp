@@ -23,9 +23,8 @@ Triplets skewed_matrix() {
 
 const std::vector<Format>& sched_formats() {
   static const std::vector<Format> kFormats = {
-      Format::kCsr,    Format::kCsr16,    Format::kCsrVi,
-      Format::kCsrDu,  Format::kCsrDuRle, Format::kCsrDuVi,
-      Format::kBcsr,   Format::kEll,
+      Format::kCsr,     Format::kCsr16, Format::kCsrVi, Format::kCsrDu,
+      Format::kCsrDuVi, Format::kBcsr,  Format::kEll,
   };
   return kFormats;
 }
@@ -49,12 +48,10 @@ TEST(SchedInstance, OptionsSelectTheSchedule) {
   InstanceOptions opts;
   opts.pin_threads = false;
   opts.chunk_nnz = 1024;
-  for (const Schedule s : {Schedule::kChunked, Schedule::kSteal}) {
-    opts.schedule = s;
-    SpmvInstance inst(t, Format::kCsr, 4, opts);
-    EXPECT_EQ(inst.schedule(), s);
-    EXPECT_GT(inst.sched_chunks(), 4u);
-  }
+  opts.schedule = Schedule::kSteal;
+  SpmvInstance inst(t, Format::kCsr, 4, opts);
+  EXPECT_EQ(inst.schedule(), Schedule::kSteal);
+  EXPECT_GT(inst.sched_chunks(), 4u);
 }
 
 TEST(SchedInstance, DerivedTargetKeepsStealGranular) {
@@ -90,30 +87,6 @@ TEST(SchedInstance, EnvOverridesOptions) {
   EXPECT_EQ(inst.schedule(), Schedule::kSteal);
 }
 
-TEST(SchedInstance, UnsupportedFormatsFallBackToStatic) {
-  test::ScopedEnv sched("SPC_SCHED", "");
-  Rng rng(7);
-  const Triplets t = test::random_triplets(300, 300, 4000, rng);
-  InstanceOptions opts;
-  opts.pin_threads = false;
-  opts.schedule = Schedule::kSteal;
-  opts.chunk_nnz = 64;
-  for (const Format f :
-       {Format::kCsc, Format::kDia, Format::kJds, Format::kCoo,
-        Format::kDcsr}) {
-    SpmvInstance inst(t, f, 4, opts);
-    EXPECT_EQ(inst.schedule(), Schedule::kStatic) << format_name(f);
-    EXPECT_EQ(inst.sched_chunks(), 0u) << format_name(f);
-    // And it still computes the right answer.
-    Rng xr(8);
-    const Vector x = random_vector(t.ncols(), xr);
-    Vector y(t.nrows(), 0.0);
-    inst.run(x, y);
-    EXPECT_LT(rel_error(test::reference_spmv(t, x), y), 1e-12)
-        << format_name(f);
-  }
-}
-
 TEST(SchedInstance, SerialInstancesStayStatic) {
   test::ScopedEnv sched("SPC_SCHED", "");
   const Triplets t = skewed_matrix();
@@ -132,32 +105,26 @@ TEST(SchedInstance, ExecutedChunkCountsSumToPlanTimesRuns) {
   InstanceOptions opts;
   opts.pin_threads = false;
   opts.chunk_nnz = 1024;
-  for (const Schedule s : {Schedule::kChunked, Schedule::kSteal}) {
-    opts.schedule = s;
-    SpmvInstance inst(t, Format::kCsr, 4, opts);
-    const std::size_t chunks = inst.sched_chunks();
-    ASSERT_GT(chunks, 0u);
-    constexpr std::uint64_t kRuns = 5;
-    for (std::uint64_t i = 0; i < kRuns; ++i) {
-      inst.run(x, y);
-    }
-    std::uint64_t executed = 0;
-    for (std::size_t th = 0; th < inst.nthreads(); ++th) {
-      executed += inst.sched_executed(th);
-    }
-    EXPECT_EQ(executed, kRuns * chunks) << schedule_name(s);
-    if (s == Schedule::kChunked) {
-      EXPECT_EQ(inst.sched_steals_total(), 0u);
-    } else {
-      // Steals are opportunistic — only the invariant total is exact;
-      // stolen chunks are a subset of executed ones.
-      EXPECT_LE(inst.sched_steals_total(), executed);
-    }
-    inst.sched_reset();
-    for (std::size_t th = 0; th < inst.nthreads(); ++th) {
-      EXPECT_EQ(inst.sched_executed(th), 0u);
-      EXPECT_EQ(inst.sched_stolen(th), 0u);
-    }
+  opts.schedule = Schedule::kSteal;
+  SpmvInstance inst(t, Format::kCsr, 4, opts);
+  const std::size_t chunks = inst.sched_chunks();
+  ASSERT_GT(chunks, 0u);
+  constexpr std::uint64_t kRuns = 5;
+  for (std::uint64_t i = 0; i < kRuns; ++i) {
+    inst.run(x, y);
+  }
+  std::uint64_t executed = 0;
+  for (std::size_t th = 0; th < inst.nthreads(); ++th) {
+    executed += inst.sched_executed(th);
+  }
+  EXPECT_EQ(executed, kRuns * chunks);
+  // Steals are opportunistic — only the invariant total is exact; stolen
+  // chunks are a subset of executed ones.
+  EXPECT_LE(inst.sched_steals_total(), executed);
+  inst.sched_reset();
+  for (std::size_t th = 0; th < inst.nthreads(); ++th) {
+    EXPECT_EQ(inst.sched_executed(th), 0u);
+    EXPECT_EQ(inst.sched_stolen(th), 0u);
   }
 }
 
@@ -203,15 +170,12 @@ TEST(SchedInstance, EveryFormatMatchesStaticBitForBitAtScalar) {
       SpmvInstance inst(t, f, 4, opts);
       inst.run(x, y_static);
     }
-    for (const Schedule s : {Schedule::kChunked, Schedule::kSteal}) {
-      opts.schedule = s;
-      SpmvInstance inst(t, f, 4, opts);
-      ASSERT_EQ(inst.schedule(), s) << format_name(f);
-      Vector y(t.nrows(), std::numeric_limits<double>::quiet_NaN());
-      inst.run(x, y);
-      EXPECT_EQ(max_abs_diff(y_static, y), 0.0)
-          << format_name(f) << " " << schedule_name(s);
-    }
+    opts.schedule = Schedule::kSteal;
+    SpmvInstance inst(t, f, 4, opts);
+    ASSERT_EQ(inst.schedule(), Schedule::kSteal) << format_name(f);
+    Vector y(t.nrows(), std::numeric_limits<double>::quiet_NaN());
+    inst.run(x, y);
+    EXPECT_EQ(max_abs_diff(y_static, y), 0.0) << format_name(f);
   }
 }
 

@@ -80,9 +80,9 @@ Triplets fuzz_matrix(std::uint64_t seed) {
   }
 }
 
-// The sweep body: for both symmetric formats, every threads x numa x
-// schedule cell must produce a window result bit-identical to the
-// private result, and both within kTol of the serial kernel.
+// The sweep body: for both symmetric formats, every threads x numa cell
+// must produce a window result bit-identical to the private result, and
+// both within kTol of the serial kernel.
 void expect_window_matches_private(const Triplets& t,
                                    const std::string& label,
                                    std::uint64_t xseed) {
@@ -103,33 +103,26 @@ void expect_window_matches_private(const Triplets& t,
 
     for (const std::size_t threads : {2, 4, 8}) {
       for (const NumaPolicy numa : {NumaPolicy::kOff, NumaPolicy::kAuto}) {
-        for (const Schedule sched :
-             {Schedule::kStatic, Schedule::kChunked}) {
-          InstanceOptions opts = base;
-          opts.numa = numa;
-          opts.schedule = sched;
+        InstanceOptions opts = base;
+        opts.numa = numa;
 
-          opts.sym_reduce = SymReduce::kWindow;
-          SpmvInstance win(t, f, threads, opts);
-          ASSERT_EQ(win.sym_reduce(), SymReduce::kWindow);
-          Vector y_win(t.nrows(),
-                       std::numeric_limits<double>::quiet_NaN());
-          win.run(x, y_win);
+        opts.sym_reduce = SymReduce::kWindow;
+        SpmvInstance win(t, f, threads, opts);
+        ASSERT_EQ(win.sym_reduce(), SymReduce::kWindow);
+        Vector y_win(t.nrows(), std::numeric_limits<double>::quiet_NaN());
+        win.run(x, y_win);
 
-          opts.sym_reduce = SymReduce::kPrivate;
-          SpmvInstance priv(t, f, threads, opts);
-          ASSERT_EQ(priv.sym_reduce(), SymReduce::kPrivate);
-          Vector y_priv(t.nrows(),
-                        std::numeric_limits<double>::quiet_NaN());
-          priv.run(x, y_priv);
+        opts.sym_reduce = SymReduce::kPrivate;
+        SpmvInstance priv(t, f, threads, opts);
+        ASSERT_EQ(priv.sym_reduce(), SymReduce::kPrivate);
+        Vector y_priv(t.nrows(), std::numeric_limits<double>::quiet_NaN());
+        priv.run(x, y_priv);
 
-          const std::string cell =
-              label + " " + std::string(format_name(f)) + " x" +
-              std::to_string(threads) + " numa=" +
-              numa_policy_name(numa) + " sched=" + schedule_name(sched);
-          EXPECT_EQ(max_abs_diff(y_win, y_priv), 0.0) << cell;
-          EXPECT_LT(rel_error(ref, y_win), kTol) << cell;
-        }
+        const std::string cell = label + " " + std::string(format_name(f)) +
+                                 " x" + std::to_string(threads) +
+                                 " numa=" + numa_policy_name(numa);
+        EXPECT_EQ(max_abs_diff(y_win, y_priv), 0.0) << cell;
+        EXPECT_LT(rel_error(ref, y_win), kTol) << cell;
       }
     }
   }
@@ -236,10 +229,10 @@ TEST(SymFuzzEnv, EnvOverridesRequestedMode) {
   }
 }
 
-// The work-stealing schedule is demoted to chunked for the symmetric
-// formats (stealing would break the window ownership invariant); the
-// result must still match private-y bit-for-bit.
-TEST(SymFuzzEnv, StealDemotesToChunked) {
+// The work-stealing schedule is demoted to static for the symmetric
+// formats (stealing would break the window ownership invariant), with a
+// decisions() entry; the result must still match private-y bit-for-bit.
+TEST(SymFuzzEnv, StealDemotesToStatic) {
   test::ScopedEnv isa("SPC_ISA", "scalar");
   test::ScopedEnv red("SPC_SYM_REDUCE", "");
   Rng rng(77);
@@ -252,7 +245,12 @@ TEST(SymFuzzEnv, StealDemotesToChunked) {
   opts.schedule = Schedule::kSteal;
   opts.sym_reduce = SymReduce::kWindow;
   SpmvInstance win(t, Format::kSymCsr, 4, opts);
-  EXPECT_EQ(win.schedule(), Schedule::kChunked);
+  EXPECT_EQ(win.schedule(), Schedule::kStatic);
+  EXPECT_EQ(win.sched_chunks(), 0u);
+  ASSERT_FALSE(win.decisions().empty());
+  EXPECT_EQ(win.decisions()[0].aspect, "schedule");
+  EXPECT_EQ(win.decisions()[0].requested, "steal");
+  EXPECT_EQ(win.decisions()[0].resolved, "static");
   Vector y_win(300, 0.0);
   win.run(x, y_win);
 

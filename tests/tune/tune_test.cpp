@@ -11,6 +11,7 @@
 #include <string>
 
 #include "spc/gen/generators.hpp"
+#include "spc/obs/json.hpp"
 #include "spc/spmv/instance.hpp"
 #include "spc/tune/cache.hpp"
 #include "spc/tune/cost.hpp"
@@ -96,11 +97,6 @@ TEST(Features, PaperMatrixShape) {
   EXPECT_DOUBLE_EQ(f.delta_share[0], 1.0);
   EXPECT_DOUBLE_EQ(f.delta_share[1] + f.delta_share[2] + f.delta_share[3],
                    0.0);
-  // Stride-1 pairs: (0,0)->(0,1), (3,4)->(3,5)? no (2 apart) — count
-  // follows MatrixStats::delta1_count, checked in matrix_stats_test;
-  // here only the range invariant matters.
-  EXPECT_GE(f.delta1_frac, 0.0);
-  EXPECT_LE(f.delta1_frac, 1.0);
   EXPECT_GT(f.mean_row_span, 0.0);
 }
 
@@ -208,7 +204,6 @@ tune::TuneFeatures synthetic_features() {
   f.stats.unique_values = 100;
   f.stats.ttu = 200.0;
   f.delta_share[0] = 1.0;
-  f.delta1_frac = 0.5;
   return f;
 }
 
@@ -217,7 +212,8 @@ TEST(CostModel, ApplicabilityCriteria) {
   EXPECT_TRUE(tune::predict_format(f, Format::kCsr).applicable);
   EXPECT_TRUE(tune::predict_format(f, Format::kCsr16).applicable);
   EXPECT_TRUE(tune::predict_format(f, Format::kCsrVi).applicable);
-  EXPECT_TRUE(tune::predict_format(f, Format::kCsrDuRle).applicable);
+  EXPECT_TRUE(tune::predict_format(f, Format::kCsrDu).applicable);
+  EXPECT_TRUE(tune::predict_format(f, Format::kCsrDuVi).applicable);
 
   f.stats.ttu = 2.0;  // below the §VI-E criterion
   EXPECT_FALSE(tune::predict_format(f, Format::kCsrVi).applicable);
@@ -227,13 +223,10 @@ TEST(CostModel, ApplicabilityCriteria) {
   f.stats.ncols = 70000;  // past the u16 column range
   EXPECT_FALSE(tune::predict_format(f, Format::kCsr16).applicable);
 
-  f = synthetic_features();
-  f.delta1_frac = 0.1;  // too few unit-stride runs for RLE
-  EXPECT_FALSE(tune::predict_format(f, Format::kCsrDuRle).applicable);
-
   // Formats outside the tuning pool are never auto-selected.
-  EXPECT_FALSE(tune::predict_format(f, Format::kCoo).applicable);
+  f = synthetic_features();
   EXPECT_FALSE(tune::predict_format(f, Format::kBcsr).applicable);
+  EXPECT_FALSE(tune::predict_format(f, Format::kEll).applicable);
 }
 
 TEST(CostModel, PredictionsAreOrderedSanely) {
@@ -291,6 +284,12 @@ TEST(CostModel, PruningKeepsCsrAndRespectsCap) {
     EXPECT_NE(std::find(c.begin(), c.end(), Format::kCsr), c.end())
         << "cap " << cap << ": CSR must always be probed";
   }
+  // Uncapped, an asymmetric matrix probes exactly the five
+  // non-symmetric pool formats, smallest predicted stream first.
+  EXPECT_EQ(tune::prune_candidates(f, 10),
+            (std::vector<Format>{Format::kCsrDuVi, Format::kCsrVi,
+                                 Format::kCsrDu, Format::kCsr16,
+                                 Format::kCsr}));
   // An empty matrix leaves only the CSR baseline.
   tune::TuneFeatures empty;
   const std::vector<Format> c = tune::prune_candidates(empty, 4);
@@ -342,6 +341,42 @@ TEST(Tuner, CacheHitSkipsProbeOnRepeatRuns) {
   tune::TuneReport other;
   tune::auto_instance(t, 2, opts, topts, &other);
   EXPECT_FALSE(other.cache_hit);
+}
+
+TEST(Tuner, RetiredFormatNamesInTheCacheReprobe) {
+  // A cache written before a format row was retired names a format this
+  // build no longer runs: the line must read as a miss and re-probe.
+  Rng rng(42);
+  const Triplets t = test::random_triplets(200, 200, 3000, rng, 8);
+  InstanceOptions opts;
+  opts.pin_threads = false;
+  const tune::TuneOptions topts = fast_topts("tune_retired");
+
+  tune::TuneReport cold;
+  tune::auto_instance(t, 1, opts, topts, &cold);
+  ASSERT_EQ(cold.source, "probe");
+  std::string line;
+  {
+    std::ifstream f(topts.cache_path);
+    ASSERT_TRUE(std::getline(f, line));
+  }
+  for (const char* retired : {"dcsr", "csr-du-rle"}) {
+    obs::Json j = obs::Json::parse(line);
+    j.set("format", retired);
+    {
+      std::ofstream f(topts.cache_path, std::ios::app);
+      f << j.dump() << '\n';  // later lines win
+    }
+    tune::TuneReport rep;
+    SpmvInstance inst = tune::auto_instance(t, 1, opts, topts, &rep);
+    EXPECT_EQ(rep.source, "probe") << retired;
+    EXPECT_FALSE(rep.cache_hit) << retired;
+    EXPECT_NE(std::find(rep.candidates.begin(), rep.candidates.end(),
+                        rep.chosen),
+              rep.candidates.end())
+        << retired;
+    EXPECT_EQ(inst.format(), rep.chosen) << retired;
+  }
 }
 
 // A + A^T: numerically symmetric by construction, and pooled source
