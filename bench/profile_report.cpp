@@ -37,7 +37,6 @@ struct Record {
   std::string isa;
   std::string numa;
   std::string schedule;
-  std::string tiling;
   std::string tuned;
   std::size_t threads = 1;
   std::uint64_t probe_ns = 0;
@@ -101,11 +100,6 @@ bool parse_record(const std::string& line, Record& r) {
   if (r.schedule.empty()) {
     r.schedule = "static";
   }
-  // Records predating the column-tiling layer ran untiled.
-  r.tiling = str(j, "tiling");
-  if (r.tiling.empty()) {
-    r.tiling = "off";
-  }
   // Records predating the autotuner were all hand-picked cells.
   r.tuned = str(j, "tuned");
   if (r.tuned.empty()) {
@@ -139,7 +133,7 @@ bool parse_record(const std::string& line, Record& r) {
             : 0.0;
     r.sym_window_frac = num(j, "sym_window_frac");
     // Window and private runs of one cell are different reduction
-    // layouts — keep them apart the way tiled/untiled rows are.
+    // layouts — keep them apart.
     if (const std::string mode = str(j, "sym_reduce"); !mode.empty()) {
       r.schedule += "+" + mode;
     }
@@ -226,12 +220,12 @@ int main(int argc, char** argv) {
     std::size_t runs = 0;
   };
   std::map<std::tuple<std::string, std::string, std::string, std::string,
-                      std::string, std::string, std::size_t>,
+                      std::string, std::size_t>,
            Agg>
       by_cell;
   for (const Record& r : records) {
-    Agg& a = by_cell[{r.format, r.isa, r.numa, r.schedule, r.tiling,
-                      r.tuned, r.threads}];
+    Agg& a = by_cell[{r.format, r.isa, r.numa, r.schedule, r.tuned,
+                      r.threads}];
     ++a.runs;
     if (r.tuned == "yes") {
       a.probe_ms.add(static_cast<double>(r.probe_ns) * 1e-6);
@@ -260,8 +254,8 @@ int main(int argc, char** argv) {
       a.reduce_share.add(r.reduce_share);
     }
   }
-  spc::TextTable summary({"format", "isa", "numa", "sched", "tile",
-                          "tuned", "threads", "runs", "MFLOPS", "speedup",
+  spc::TextTable summary({"format", "isa", "numa", "sched", "tuned",
+                          "threads", "runs", "MFLOPS", "speedup",
                           "IPC", "cyc/nnz", "miss/knnz", "B/nnz",
                           "roofline", "probe_ms", "red share",
                           "imbalance"});
@@ -269,8 +263,8 @@ int main(int argc, char** argv) {
   for (const auto& [key, a] : by_cell) {
     any_roofline = any_roofline || a.frac_roofline.n > 0;
     summary.add_row({std::get<0>(key), std::get<1>(key), std::get<2>(key),
-                     std::get<3>(key), std::get<4>(key), std::get<5>(key),
-                     std::to_string(std::get<6>(key)),
+                     std::get<3>(key), std::get<4>(key),
+                     std::to_string(std::get<5>(key)),
                      std::to_string(a.runs), a.mflops.fmt(1),
                      a.speedup.fmt(2), a.ipc.fmt(2),
                      a.cycles_per_nnz.fmt(1), a.misses_per_knnz.fmt(2),
@@ -278,7 +272,7 @@ int main(int argc, char** argv) {
                      a.probe_ms.fmt(2), a.reduce_share.fmt(2),
                      a.imbalance.fmt(2)});
   }
-  std::cout << "per-(format, isa, numa, schedule, tiling, tuned, threads) "
+  std::cout << "per-(format, isa, numa, schedule, tuned, threads) "
                "aggregate:\n";
   summary.print(std::cout);
 

@@ -273,33 +273,6 @@ SuiteRun run_suite(const spc::BenchConfig& cfg,
         }
       },
       /*apply_rejection=*/false);
-  // One column-tiled cell on a graph-class matrix: the layout the tiling
-  // engine targets (wide irregular column spans). Forced so the cell
-  // exists at every corpus scale; its ledger key carries tiling=on +
-  // stripe_bytes, so it never pools with the untiled cells above.
-  // SPC_TILE still wins (a SPC_TILE=off CI leg records it untiled, and
-  // the key follows suit).
-  try {
-    const spc::CorpusSpec spec = spc::corpus_spec("rmat-s", cfg.scale);
-    spc::MatrixCase mc;
-    mc.name = spec.name;
-    mc.cls = spec.cls;
-    mc.vi_friendly = spec.vi_friendly;
-    mc.mat = spec.build();
-    mc.stats = spc::compute_stats(mc.mat);
-    mc.ws = mc.stats.working_set_bytes();
-    mc.set_class = spc::classify_ws(mc.ws, cfg.thresholds());
-    spc::InstanceOptions opts;
-    opts.pin_threads = cfg.pin_threads;
-    opts.tiling.mode = spc::TileMode::kForced;
-    opts.tiling.stripe_bytes = 16u << 10;
-    spc::SpmvInstance inst(mc.mat, spc::Format::kCsrDu, cfg.threads.front(),
-                           opts);
-    time_passes(mc, inst);
-  } catch (const spc::Error& e) {
-    std::cerr << "warning: skipping tiled rmat-s/csr-du cell: " << e.what()
-              << "\n";
-  }
   std::cout << label << ": " << out.cells << " cells timed ("
             << cfg.describe() << ", " << kPasses << "x" << pass_iters
             << " iters/side" << (aa ? ", interleaved A/A" : "") << ")\n";

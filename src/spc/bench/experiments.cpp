@@ -313,20 +313,9 @@ void run_detail_figure(const BenchConfig& cfg, Format compressed,
 void run_working_set_report(const BenchConfig& cfg, std::ostream& os) {
   os << "=== Working-set model (the paper's §II-B formula) and encoded "
         "format sizes ===\n[" << cfg.describe() << "]\n";
-  // Stripe widths for the tiled delta-class columns: how much of the
-  // delta mass drops into the u8 class when columns restart every
-  // `bytes / sizeof(value_t)` columns (spmv/tiling.hpp layout). The
-  // widths bracket the auto planner's clamp range.
-  struct StripeCol {
-    const char* label;
-    std::size_t bytes;
-  };
-  const StripeCol stripes[] = {
-      {"4k", 4u << 10}, {"16k", 16u << 10}, {"64k", 64u << 10}};
   TextTable table({"matrix", "set", "nrows", "nnz", "ws", "ttu",
-                   "u8-delta%", "u8%@4k", "u8%@16k", "u8%@64k", "csr",
-                   "csr-du", "csr-vi", "csr-du-vi", "dcsr", "pick",
-                   "pred-B/nnz", "meas-B/nnz", "err%"});
+                   "u8-delta%", "csr", "csr-du", "csr-vi", "csr-du-vi",
+                   "dcsr", "pick", "pred-B/nnz", "meas-B/nnz", "err%"});
   std::vector<std::vector<std::string>> csv_rows;
   for_each_matrix(
       cfg,
@@ -345,25 +334,6 @@ void run_working_set_report(const BenchConfig& cfg, std::ostream& os) {
             human_bytes(mc.ws),
             f1(mc.stats.ttu),
             f1(100.0 * mc.stats.u8_delta_fraction())};
-        // csv gets the full u8/u16/u32 share breakdown per stripe width;
-        // the table shows the u8 share (the CSR-DU payoff axis).
-        std::vector<std::string> stripe_csv;
-        for (const StripeCol& sc : stripes) {
-          const index_t scols = static_cast<index_t>(
-              std::max<std::size_t>(1, sc.bytes / sizeof(value_t)));
-          std::uint64_t c[4];
-          tiled_delta_class_counts(mc.mat, scols, c);
-          const double total =
-              static_cast<double>(c[0] + c[1] + c[2] + c[3]);
-          const auto pct = [&](int i) {
-            return f1(total > 0.0 ? 100.0 * static_cast<double>(c[i]) / total
-                                  : 0.0);
-          };
-          row.push_back(pct(0));
-          stripe_csv.push_back(pct(0));
-          stripe_csv.push_back(pct(1));
-          stripe_csv.push_back(pct(2));
-        }
         const Dcsr dcsr = Dcsr::from_triplets(mc.mat);
         row.insert(row.end(), {human_bytes(csr.matrix_bytes()),
                                rel(Format::kCsrDu),
@@ -400,20 +370,14 @@ void run_working_set_report(const BenchConfig& cfg, std::ostream& os) {
         row.insert(row.end(), {format_name(pick), f2(pred_streamed),
                                f2(meas_streamed), f1(err_pct)});
         table.add_row(row);
-        // CSV row: table columns plus the u16/u32 shares per width.
-        std::vector<std::string> csv_row(row.begin(), row.begin() + 7);
-        csv_row.insert(csv_row.end(), stripe_csv.begin(), stripe_csv.end());
-        csv_row.insert(csv_row.end(), row.end() - 9, row.end());
-        csv_rows.push_back(std::move(csv_row));
+        csv_rows.push_back(std::move(row));
       },
       /*apply_rejection=*/false);
   table.print(os);
   write_csv("working_set_report.csv",
             {"matrix", "set", "nrows", "nnz", "ws", "ttu", "u8_delta_pct",
-             "u8_pct_4k", "u16_pct_4k", "u32_pct_4k", "u8_pct_16k",
-             "u16_pct_16k", "u32_pct_16k", "u8_pct_64k", "u16_pct_64k",
-             "u32_pct_64k", "csr_bytes", "du_rel", "vi_rel", "duvi_rel",
-             "dcsr_rel", "pick", "pred_b_nnz", "meas_b_nnz", "err_pct"},
+             "csr_bytes", "du_rel", "vi_rel", "duvi_rel", "dcsr_rel", "pick",
+             "pred_b_nnz", "meas_b_nnz", "err_pct"},
             csv_rows);
   os << "data: working_set_report.csv\n\n";
 }

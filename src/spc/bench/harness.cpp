@@ -284,18 +284,6 @@ obs::Json make_metrics_record(
     rec.set("sym_window_frac", m.sym_window_frac);
     rec.set("reduce_ns", m.reduce_ns);
   }
-  // Column-tiling provenance: tiled and untiled runs of one cell are
-  // different layouts; the ledger key splits on these fields so their
-  // baselines never pool.
-  rec.set("tiling", std::string(inst.tiling_active() ? "on" : "off"));
-  if (inst.tiling_active()) {
-    rec.set("stripe_bytes",
-            static_cast<std::uint64_t>(inst.tile_stripe_bytes()));
-    rec.set("stripes", static_cast<std::uint64_t>(inst.tile_stripes()));
-  } else if (const char* why = inst.tile_plan().decline_reason;
-             why != nullptr && *why != '\0') {
-    rec.set("tiling_declined", std::string(why));
-  }
   // Tuning provenance: whether spc::tune chose this cell, what the
   // choice cost, and whether the tuning cache supplied it. The ledger
   // key splits on "tuned" so auto-selected rows never pool with

@@ -50,7 +50,7 @@ struct EngineOptions {
   /// behind the pool.
   bool serial_fallback = true;
   /// Instance knobs applied to every registered matrix (NUMA, schedule,
-  /// tiling, ...). pin_threads/placement inside are ignored — the
+  /// sym-reduce, ...). pin_threads/placement inside are ignored — the
   /// engine's shared pool is already built.
   InstanceOptions instance;
 

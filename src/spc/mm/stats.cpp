@@ -43,11 +43,6 @@ double MatrixStats::u8_delta_fraction() const {
                : 0.0;
 }
 
-double MatrixStats::delta1_fraction() const {
-  return nnz ? static_cast<double>(delta1_count) / static_cast<double>(nnz)
-             : 0.0;
-}
-
 MatrixStats compute_stats(const Triplets& t) {
   SPC_CHECK_MSG(t.is_sorted_unique(),
                 "compute_stats requires sorted/combined triplets");
@@ -85,9 +80,6 @@ MatrixStats compute_stats(const Triplets& t) {
         (e.row == prev_row) ? static_cast<std::uint64_t>(e.col - prev_col)
                             : static_cast<std::uint64_t>(e.col);
     ++s.delta_class_count[static_cast<std::uint8_t>(delta_class_for(delta))];
-    if (e.row == prev_row && delta == 1) {
-      ++s.delta1_count;
-    }
     const std::uint64_t dist =
         e.col >= e.row ? static_cast<std::uint64_t>(e.col - e.row)
                        : static_cast<std::uint64_t>(e.row - e.col);
@@ -110,29 +102,6 @@ MatrixStats compute_stats(const Triplets& t) {
               ? static_cast<double>(s.nnz) / static_cast<double>(s.unique_values)
               : 0.0;
   return s;
-}
-
-void tiled_delta_class_counts(const Triplets& t, index_t stripe_cols,
-                              std::uint64_t counts[4]) {
-  SPC_CHECK_MSG(t.is_sorted_unique(),
-                "tiled_delta_class_counts requires sorted/combined triplets");
-  for (int i = 0; i < 4; ++i) {
-    counts[i] = 0;
-  }
-  index_t prev_row = ~index_t{0};
-  index_t prev_stripe = 0;
-  index_t prev_col = 0;
-  for (const Entry& e : t.entries()) {
-    const index_t stripe = stripe_cols != 0 ? e.col / stripe_cols : 0;
-    const std::uint64_t delta =
-        (e.row == prev_row && stripe == prev_stripe)
-            ? static_cast<std::uint64_t>(e.col - prev_col)
-            : static_cast<std::uint64_t>(e.col - stripe * stripe_cols);
-    ++counts[static_cast<std::uint8_t>(delta_class_for(delta))];
-    prev_row = e.row;
-    prev_stripe = stripe;
-    prev_col = e.col;
-  }
 }
 
 }  // namespace spc

@@ -44,10 +44,6 @@ struct MatrixStats {
   /// Histogram over DeltaClass of within-row column deltas (first element
   /// of a row contributes its absolute column index, per the CSR-DU ujmp).
   std::uint64_t delta_class_count[4] = {0, 0, 0, 0};
-  /// Within-row deltas exactly 1 (consecutive columns). These are the
-  /// elements CSR-DU's stride-1 RLE units can elide entirely, so their
-  /// share predicts whether enable_rle pays.
-  std::uint64_t delta1_count = 0;
 
   // Value structure.
   usize_t unique_values = 0;
@@ -65,25 +61,10 @@ struct MatrixStats {
   /// Fraction of within-row deltas representable in one byte — the main
   /// predictor of CSR-DU compression.
   double u8_delta_fraction() const;
-
-  /// Fraction of non-zeros sitting at stride 1 from their left neighbor —
-  /// the RLE-profitability predictor (see delta1_count).
-  double delta1_fraction() const;
 };
 
 /// Computes all statistics in O(nnz log nnz) (value census dominates).
 /// Requires sorted, combined triplets.
 MatrixStats compute_stats(const Triplets& t);
-
-/// Column-delta class histogram under column tiling: each row is cut at
-/// stripe boundaries every `stripe_cols` columns, and deltas restart
-/// stripe-local — the first element of a (row, stripe) run contributes
-/// its stripe-local column, later elements their within-run delta. This
-/// is the distribution the tiled CSR-DU encoder sees (spmv/tiling.hpp),
-/// so shrinking stripes moves mass toward counts[0] (u8).
-/// `stripe_cols == 0` means untiled and reproduces
-/// MatrixStats::delta_class_count. Requires sorted, combined triplets.
-void tiled_delta_class_counts(const Triplets& t, index_t stripe_cols,
-                              std::uint64_t counts[4]);
 
 }  // namespace spc

@@ -130,8 +130,7 @@ std::string build_git_sha() {
 std::string LedgerRecord::key() const {
   std::ostringstream os;
   os << bench << '|' << matrix << '|' << format << '|' << isa << '|'
-     << numa << '|' << schedule << '|' << tiling << '|' << stripe_bytes
-     << '|' << tuned << '|' << threads;
+     << numa << '|' << schedule << '|' << tuned << '|' << threads;
   return os.str();
 }
 
@@ -159,12 +158,6 @@ bool parse_ledger_record(const Json& j, LedgerRecord* out) {
   if (r.schedule.empty()) {
     r.schedule = "static";
   }
-  // Pre-tiling records ran the untiled layout.
-  r.tiling = json_str(j, "tiling");
-  if (r.tiling.empty()) {
-    r.tiling = "off";
-  }
-  r.stripe_bytes = json_u64(j, "stripe_bytes");
   // Pre-tuner records were all hand-picked cells.
   r.tuned = json_str(j, "tuned");
   if (r.tuned.empty()) {

@@ -68,8 +68,6 @@ struct LedgerRecord {
   std::string isa;
   std::string numa;
   std::string schedule;
-  std::string tiling = "off";        ///< "on"/"off" (pre-tiling rows: "off")
-  std::uint64_t stripe_bytes = 0;    ///< stripe width when tiled (0 untiled)
   std::string tuned = "no";          ///< "yes" when spc::tune chose the cell
   std::uint64_t probe_ns = 0;        ///< tuning cost (0 on cache hit/untuned)
   bool cache_hit = false;            ///< winner came from the tuning cache

@@ -103,25 +103,6 @@ using DuViKernelFn = void (*)(const CsrDu::Slice& s, const IndT* val_ind,
                               const value_t* vals_unique, const value_t* x,
                               value_t* y);
 
-/// Column-tiled CSR segment kernel (spmv/tiling.hpp): runs segments
-/// [seg_begin, seg_end), accumulating into the pre-zeroed y rows.
-using CsrSegKernelFn = void (*)(const index_t* seg_ptr,
-                                const index_t* seg_row,
-                                const std::uint32_t* col_ind,
-                                const value_t* values, const value_t* x,
-                                value_t* y, usize_t seg_begin,
-                                usize_t seg_end);
-
-/// Column-tiled CSR-VI segment kernel, one per value-index width.
-template <typename IndT>
-using CsrViSegKernelFn = void (*)(const index_t* seg_ptr,
-                                  const index_t* seg_row,
-                                  const std::uint32_t* col_ind,
-                                  const IndT* val_ind,
-                                  const value_t* vals_unique,
-                                  const value_t* x, value_t* y,
-                                  usize_t seg_begin, usize_t seg_end);
-
 /// Symmetric (SSS) row-range kernel with the conflict-window scatter
 /// split (spmv/kernels.hpp): columns >= direct_begin update the shared
 /// y, the rest land in win[c - win_begin]. direct_begin == 0 with a
@@ -155,16 +136,6 @@ struct KernelTable {
   DuViKernelFn<std::uint8_t> du_vi_u8 = nullptr;
   DuViKernelFn<std::uint16_t> du_vi_u16 = nullptr;
   DuViKernelFn<std::uint32_t> du_vi_u32 = nullptr;
-  // Column-tiled entries (accumulating; see spmv/tiling.hpp). The SSE4.2
-  // tier inherits the scalar entries like it does for DU.
-  CsrSegKernelFn csr_seg = nullptr;
-  CsrViSegKernelFn<std::uint8_t> csr_vi_seg_u8 = nullptr;
-  CsrViSegKernelFn<std::uint16_t> csr_vi_seg_u16 = nullptr;
-  CsrViSegKernelFn<std::uint32_t> csr_vi_seg_u32 = nullptr;
-  DuKernelFn du_acc = nullptr;
-  DuViKernelFn<std::uint8_t> du_vi_acc_u8 = nullptr;
-  DuViKernelFn<std::uint16_t> du_vi_acc_u16 = nullptr;
-  DuViKernelFn<std::uint32_t> du_vi_acc_u32 = nullptr;
   // Symmetric formats. The vector tiers vectorize the dot-product side
   // (the lower-triangle row gather); the scatter side stays scalar —
   // it is bounded by the window/store dependences, not by arithmetic.

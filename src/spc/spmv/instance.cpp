@@ -148,21 +148,19 @@ struct FormatCaps {
   /// The encoder refuses matrices that are not numerically symmetric,
   /// and the steal schedule resolves to static.
   bool symmetric;
-  /// Has a column-tiled (stripe-major) execution path.
-  bool tileable;
 };
 
 constexpr FormatCaps kFormatCaps[] = {
-    // format           name          sym    tile
-    {Format::kCsr,      "csr",        false, true},
-    {Format::kCsr16,    "csr16",      false, false},
-    {Format::kBcsr,     "bcsr",       false, false},
-    {Format::kEll,      "ell",        false, false},
-    {Format::kCsrDu,    "csr-du",     false, true},
-    {Format::kCsrVi,    "csr-vi",     false, true},
-    {Format::kCsrDuVi,  "csr-du-vi",  false, true},
-    {Format::kSymCsr,   "sym-csr",    true,  false},
-    {Format::kSymCsrVi, "sym-csr-vi", true,  false},
+    // format           name          sym
+    {Format::kCsr,      "csr",        false},
+    {Format::kCsr16,    "csr16",      false},
+    {Format::kBcsr,     "bcsr",       false},
+    {Format::kEll,      "ell",        false},
+    {Format::kCsrDu,    "csr-du",     false},
+    {Format::kCsrVi,    "csr-vi",     false},
+    {Format::kCsrDuVi,  "csr-du-vi",  false},
+    {Format::kSymCsr,   "sym-csr",    true},
+    {Format::kSymCsrVi, "sym-csr-vi", true},
 };
 
 constexpr bool caps_in_enum_order() {
@@ -227,11 +225,6 @@ Status InstanceOptions::validate() const {
         "ell_max_width_factor must be a finite factor >= 0 (0 = "
         "unguarded), got " +
         std::to_string(ell_max_width_factor));
-  }
-  if (tiling.mode == TileMode::kForced && tiling.stripe_bytes == 0) {
-    return Status::Invalid(
-        "a forced tile stripe needs a byte width (stripe_bytes == 0; "
-        "use TileMode::kAuto for a derived width)");
   }
   return Status::Ok();
 }
@@ -396,10 +389,6 @@ void SpmvInstance::init(const Triplets& t) {
     // translates the owned slices into each worker's repacked arena
     // block.
     setup_schedule(t, topo);
-    // Tiling after the schedule (the chunk plan defines the execution
-    // blocks) and before NUMA placement (which repacks the tiled store's
-    // per-worker spans instead of the matrix's).
-    setup_tiling(t);
     // NUMA placement needs pinned workers: without a plan a worker's node
     // is unknowable, so the policy resolves to off.
     if (!plan.empty()) {
@@ -434,9 +423,6 @@ void SpmvInstance::init(const Triplets& t) {
     }
   }
 
-  if (nthreads == 1) {
-    setup_tiling(t);
-  }
   prepare();
 }
 
@@ -552,127 +538,6 @@ void SpmvInstance::sched_reset() {
   }
 }
 
-void SpmvInstance::setup_tiling(const Triplets& t) {
-  // CSR-16 keeps its untiled kernels (its 16-bit columns already bound
-  // the index working set); the other untileable formats aren't
-  // CSR-shaped row slices at all.
-  if (!caps(format_).tileable) {
-    return;
-  }
-  const TileConfig cfg = tile_config_from_env(opts_.tiling);
-  if (cfg.mode == TileMode::kOff) {
-    tile_plan_ = TilePlan{};
-    tile_plan_.decline_reason = "off";
-    return;
-  }
-  // Setup-only cost: the topology probe and the x-band scan (auto only)
-  // run once per instance, off the timed path.
-  const Topology topo = discover_topology();
-  tile_plan_ = plan_tiles(
-      cfg, nrows_, ncols_, nnz_,
-      cfg.mode == TileMode::kAuto ? x_band_cols(t) : 0, topo.l1d_bytes,
-      topo.l2_bytes);
-  auto& reg = obs::Registry::global();
-  if (!tile_plan_.active) {
-    reg.counter("spc.tile.declined").add();
-    note_decision("tiling", tile_config_name(cfg), "off",
-                  tile_plan_.decline_detail);
-    return;
-  }
-  obs::TraceSpan tiling_span("tiling");
-
-  // Execution blocks: the chunk plan's chunks under the dynamic
-  // schedules (stealing then moves whole blocks, so a block's stripes
-  // always execute in column order on one worker), the partition's
-  // per-thread ranges under static, the whole matrix when serial.
-  std::vector<index_t> bounds;
-  tile_block_owner_.clear();
-  if (sched_ != Schedule::kStatic && chunk_plan_.nchunks() > 0) {
-    bounds = chunk_plan_.bounds;
-    tile_block_owner_ = chunk_plan_.owner;
-  } else if (nthreads_ > 1) {
-    bounds.push_back(partition_.row_begin(0));
-    for (std::size_t th = 0; th < partition_.nthreads(); ++th) {
-      bounds.push_back(partition_.row_end(th));
-      tile_block_owner_.push_back(static_cast<std::uint32_t>(th));
-    }
-  } else {
-    bounds = {0, nrows_};
-    tile_block_owner_.push_back(0);
-  }
-
-  TiledStoreSpec spec;
-  switch (format_) {
-    case Format::kCsr:
-      break;
-    case Format::kCsrVi: {
-      const auto& m = std::get<CsrVi>(matrix_);
-      spec.values = false;
-      spec.vi_elem = static_cast<std::size_t>(m.width());
-      spec.vi_src = m.val_ind_raw().data();
-      break;
-    }
-    case Format::kCsrDu:
-      spec.du = true;
-      spec.du_opts = opts_.du;
-      break;
-    case Format::kCsrDuVi: {
-      const auto& m = std::get<CsrDuVi>(matrix_);
-      spec.du = true;
-      spec.du_opts = opts_.du;
-      spec.values = false;
-      spec.vi_elem = static_cast<std::size_t>(m.width());
-      spec.vi_src = m.val_ind_raw().data();
-      break;
-    }
-    default:
-      break;
-  }
-  tile_store_ = build_tiled_store(t, bounds, tile_plan_, spec);
-  tiled_ = true;
-
-  // Per-tile DU slices against the shared store (setup_numa rewrites
-  // them in place when it repacks). The accumulate kernels ignore the
-  // slice row bounds; they are block-local here for reference.
-  if (spec.du) {
-    tile_du_slices_.reserve(tile_store_.tiles.size());
-    for (const TileBlock& blk : tile_store_.blocks) {
-      for (usize_t ti = blk.tile_begin; ti < blk.tile_end; ++ti) {
-        const StripeTile& tile = tile_store_.tiles[ti];
-        CsrDu::Slice s;
-        s.ctl = tile_store_.ctl.data() + tile.ctl_begin;
-        s.ctl_end = tile_store_.ctl.data() + tile.ctl_end;
-        s.values = spec.values
-                       ? tile_store_.val.data() + tile.val_begin
-                       : nullptr;
-        s.val_offset = tile.val_begin;
-        s.row_begin = 0;
-        s.row_end = blk.row_end - blk.row_begin;
-        s.row_state = -1;
-        s.nnz = tile.nnz;
-        tile_du_slices_.push_back(s);
-      }
-    }
-  }
-
-  // Shared-store array pointers, one per worker; setup_numa swaps in the
-  // repacked copies.
-  TileArrays ta;
-  ta.seg_ptr = tile_store_.seg_ptr.data();
-  ta.seg_row = tile_store_.seg_row.data();
-  ta.col = tile_store_.col.data();
-  ta.val = tile_store_.val.data();
-  ta.vi = tile_store_.vi.data();
-  tile_arrays_.assign(nthreads_, ta);
-
-  reg.counter("spc.tile.instances").add();
-  reg.counter("spc.tile.tiles").add(tile_store_.tiles.size());
-  reg.gauge("spc.tile.stripes")
-      .set(static_cast<double>(tile_plan_.nstripes));
-  reg.gauge("spc.tile.stripe_bytes")
-      .set(static_cast<double>(tile_plan_.stripe_bytes));
-}
-
 void SpmvInstance::setup_numa(const Topology& topo) {
   const NumaPolicy requested = numa_policy_from_env(opts_.numa);
   const NumaPolicy policy =
@@ -712,7 +577,6 @@ void SpmvInstance::setup_numa(const Topology& topo) {
 
   struct ThreadPlan {
     FirstTouchArena::Handle rp, ci, val, vi;
-    FirstTouchArena::Handle sr;  ///< tiled CSR family: seg_row copy
     FirstTouchArena::Handle diag;  ///< sym formats: diagonal slice
     FirstTouchArena::Handle win;   ///< sym window mode: conflict buffer
     index_t b = 0, e = 0;  ///< row (or block-row) range
@@ -724,19 +588,6 @@ void SpmvInstance::setup_numa(const Topology& topo) {
     plan[t].b = partition_.row_begin(t);
     plan[t].e = partition_.row_end(t);
   }
-
-  // Worker -> tiled-store block range (blocks are ordered by owner: the
-  // chunk plan's owner ranges under dynamic schedules, one block per
-  // worker under static).
-  const auto worker_blocks =
-      [&](std::size_t w) -> std::pair<std::size_t, std::size_t> {
-    if (sched_ != Schedule::kStatic && chunk_plan_.nchunks() > 0) {
-      return {chunk_plan_.owner_begin[w], chunk_plan_.owner_begin[w + 1]};
-    }
-    return {w, w + 1};
-  };
-  const bool tiled_du_family = tiled_ && (format_ == Format::kCsrDu ||
-                                          format_ == Format::kCsrDuVi);
 
   // Plans the CSR-shaped formats: a rebased row_ptr slice plus nnz-sized
   // col/val/val-ind slices with the given element widths (0 = absent).
@@ -760,42 +611,6 @@ void SpmvInstance::setup_numa(const Topology& topo) {
     }
   };
 
-  if (tiled_) {
-    // Tiled execution reads the stripe-major store, not the matrix's
-    // arrays: each worker's contiguous seg/ctl/element spans move into
-    // its block instead. (Blocks are contiguous per worker, so the spans
-    // are single memcpys.)
-    const std::size_t vi_elem = tile_store_.vi_elem;
-    for (std::size_t w = 0; w < nthreads_; ++w) {
-      ThreadPlan& p = plan[w];
-      const auto [wb, we] = worker_blocks(w);
-      if (wb == we) {
-        continue;  // no blocks — nothing reserved, closures never run
-      }
-      const TileBlock& first = tile_store_.blocks[wb];
-      const TileBlock& last = tile_store_.blocks[we - 1];
-      p.n0 = first.val_begin;
-      p.n = last.val_begin + last.nnz - first.val_begin;  // elements
-      if (tiled_du_family) {
-        p.ci = arena_->reserve<std::uint8_t>(
-            w, last.ctl_end - first.ctl_begin);
-        if (format_ != Format::kCsrDuVi) {
-          p.val = arena_->reserve<value_t>(w, p.n);
-        }
-      } else {
-        const usize_t nsegs = last.seg_end - first.seg_begin;
-        p.rp = arena_->reserve<index_t>(w, nsegs + 1);
-        p.sr = arena_->reserve<index_t>(w, nsegs);
-        p.ci = arena_->reserve<std::uint32_t>(w, p.n);
-        if (format_ == Format::kCsr) {
-          p.val = arena_->reserve<value_t>(w, p.n);
-        }
-      }
-      if (vi_elem) {
-        p.vi = arena_->reserve<std::uint8_t>(w, p.n * vi_elem);
-      }
-    }
-  } else {
   switch (format_) {
     case Format::kCsr:
       plan_csr_like(std::get<Csr>(matrix_).row_ptr().data(),
@@ -887,7 +702,6 @@ void SpmvInstance::setup_numa(const Topology& topo) {
       break;
     }
   }
-  }
 
   std::vector<FirstTouchArena::Handle> xh(x_blocks);
   for (std::size_t i = 0; i < x_blocks; ++i) {
@@ -942,6 +756,12 @@ void SpmvInstance::setup_numa(const Topology& topo) {
         lrp[i - p.b] = rp[i] - rp[p.b];
       }
       ns.row_ptr = rebase_ptr<const index_t>(lrp, p.b);
+      if (p.n == 0) {
+        // Nothing to move, and an empty source array (a diagonal-only
+        // symmetric matrix's col_ind) has a null data() that memcpy must
+        // not see. Kernels never read an empty range's element pointers.
+        continue;
+      }
       if (ci_elem) {
         std::uint8_t* lci = arena_->data<std::uint8_t>(p.ci);
         std::memcpy(lci,
@@ -966,84 +786,6 @@ void SpmvInstance::setup_numa(const Topology& topo) {
     }
   };
 
-  if (tiled_) {
-    // Tiled copies. CSR family: the local seg_ptr holds *rebased* values
-    // (content - first element) with the returned pointer rebased by the
-    // first segment, so the kernels keep absolute segment ids while
-    // col/val/vi index from 0; seg_row copies verbatim (absolute rows).
-    // DU family: the ctl/value/val-ind spans move and the worker's tile
-    // slices are redirected in place — same relative positions, so any
-    // executor decodes identical bytes.
-    const std::size_t vi_elem = tile_store_.vi_elem;
-    for (std::size_t w = 0; w < nthreads_; ++w) {
-      const ThreadPlan& p = plan[w];
-      const auto [wb, we] = worker_blocks(w);
-      if (wb == we || arena_->block_bytes(w) == 0) {
-        continue;
-      }
-      const TileBlock& first = tile_store_.blocks[wb];
-      const TileBlock& last = tile_store_.blocks[we - 1];
-      const usize_t elem0 = first.val_begin;
-      TileArrays& ta = tile_arrays_[w];
-      if (tiled_du_family) {
-        const usize_t ctl0 = first.ctl_begin;
-        std::uint8_t* lctl = arena_->data<std::uint8_t>(p.ci);
-        std::memcpy(lctl, tile_store_.ctl.data() + ctl0,
-                    last.ctl_end - ctl0);
-        value_t* lval = nullptr;
-        if (format_ != Format::kCsrDuVi) {
-          lval = arena_->data<value_t>(p.val);
-          std::memcpy(lval, tile_store_.val.data() + elem0,
-                      p.n * sizeof(value_t));
-          ta.val = lval;
-        }
-        for (usize_t ti = first.tile_begin; ti < last.tile_end; ++ti) {
-          CsrDu::Slice& s = tile_du_slices_[ti];
-          const StripeTile& tile = tile_store_.tiles[ti];
-          s.ctl = lctl + (tile.ctl_begin - ctl0);
-          s.ctl_end = lctl + (tile.ctl_end - ctl0);
-          if (lval) {
-            s.values = lval + (tile.val_begin - elem0);
-          }
-          if (vi_elem) {
-            // Offsets into the worker-local val_ind span bound below.
-            s.val_offset = tile.val_begin - elem0;
-          }
-        }
-      } else {
-        const usize_t seg0 = first.seg_begin;
-        const usize_t nsegs = last.seg_end - seg0;
-        const index_t* sp = tile_store_.seg_ptr.data();
-        index_t* lsp = arena_->data<index_t>(p.rp);
-        for (usize_t s = 0; s <= nsegs; ++s) {
-          lsp[s] = sp[seg0 + s] - static_cast<index_t>(elem0);
-        }
-        ta.seg_ptr = rebase_ptr<const index_t>(
-            lsp, static_cast<std::ptrdiff_t>(seg0));
-        index_t* lsr = arena_->data<index_t>(p.sr);
-        std::memcpy(lsr, tile_store_.seg_row.data() + seg0,
-                    nsegs * sizeof(index_t));
-        ta.seg_row = rebase_ptr<const index_t>(
-            lsr, static_cast<std::ptrdiff_t>(seg0));
-        std::uint32_t* lci = arena_->data<std::uint32_t>(p.ci);
-        std::memcpy(lci, tile_store_.col.data() + elem0,
-                    p.n * sizeof(std::uint32_t));
-        ta.col = lci;
-        if (format_ == Format::kCsr) {
-          value_t* lv = arena_->data<value_t>(p.val);
-          std::memcpy(lv, tile_store_.val.data() + elem0,
-                      p.n * sizeof(value_t));
-          ta.val = lv;
-        }
-      }
-      if (vi_elem) {
-        std::uint8_t* lvi = arena_->data<std::uint8_t>(p.vi);
-        std::memcpy(lvi, tile_store_.vi.data() + elem0 * vi_elem,
-                    p.n * vi_elem);
-        ta.vi = lvi;
-      }
-    }
-  } else {
   switch (format_) {
     case Format::kCsr: {
       const auto& m = std::get<Csr>(matrix_);
@@ -1231,7 +973,6 @@ void SpmvInstance::setup_numa(const Topology& topo) {
       break;
     }
   }
-  }
 
   // ---- x mirrors: per-thread pointer selection plus the refresh jobs
   // run_parallel dispatches before the kernels. ----
@@ -1349,13 +1090,6 @@ bool du_vector_profitable(const CsrDu::UnitHistogram& h) {
                                     static_cast<double>(rest_units);
 }
 
-// Casts the type-erased per-worker val_ind pointer for the tiled VI
-// closures (mirrors the NumaSlice::val_ind casts of the untiled path).
-template <typename IndT>
-const IndT* as_ind(const void* p) {
-  return static_cast<const IndT*>(p);
-}
-
 }  // namespace
 
 void SpmvInstance::prepare() {
@@ -1376,11 +1110,6 @@ void SpmvInstance::prepare() {
   tier_ = kt.tier;  // reflect host/build clamping
   binding_.clear();
   has_du_hist_ = false;
-
-  if (tiled_) {
-    bind_tiled(kt);
-    return;
-  }
 
   const index_t nrows = nrows_;
   // Binds serial + per-thread closures over one row-range kernel `fn`
@@ -1750,160 +1479,6 @@ void SpmvInstance::prepare() {
   }
 }
 
-void SpmvInstance::bind_tiled(const KernelTable& kt) {
-  // All closures capture raw pointers into member containers (stable
-  // across the instance move, per the kernel_binding.hpp rule) plus a
-  // per-worker TileArrays copy — no `this`.
-  const TileBlock* const blocks = tile_store_.blocks.data();
-  const StripeTile* const tiles = tile_store_.tiles.data();
-  const CsrDu::Slice* const slices = tile_du_slices_.data();
-  const std::uint32_t* const owner = tile_block_owner_.data();
-  const std::size_t nblocks = tile_store_.blocks.size();
-  const bool want_chunks =
-      sched_ != Schedule::kStatic && chunk_plan_.nchunks() > 0;
-
-  const auto worker_blocks =
-      [&](std::size_t w) -> std::pair<std::size_t, std::size_t> {
-    if (want_chunks) {
-      return {chunk_plan_.owner_begin[w], chunk_plan_.owner_begin[w + 1]};
-    }
-    return {w, w + 1};
-  };
-  // Binds serial/per-thread/per-chunk closures from a factory producing
-  // "run blocks [b0, b1) over these worker arrays". The serial closure
-  // uses worker 0's arrays: it only ever runs when nthreads_ == 1 (where
-  // they are the sole arrays — NUMA placement needs a pool).
-  const auto bind_all = [&](auto make_job) {
-    binding_.serial = make_job(tile_arrays_[0], 0, nblocks);
-    if (nthreads_ > 1) {
-      for (std::size_t w = 0; w < nthreads_; ++w) {
-        const auto [b0, b1] = worker_blocks(w);
-        binding_.per_thread.push_back(make_job(tile_arrays_[w], b0, b1));
-      }
-      if (want_chunks) {
-        // One closure per chunk (== block), over the *owner's* arrays,
-        // so a stolen chunk reads exactly the bytes its owner would.
-        binding_.per_chunk.reserve(nblocks);
-        for (std::size_t c = 0; c < nblocks; ++c) {
-          binding_.per_chunk.push_back(
-              make_job(tile_arrays_[owner[c]], c, c + 1));
-        }
-      }
-    }
-  };
-
-  if (format_ == Format::kCsrDu || format_ == Format::kCsrDuVi) {
-    // The histogram the gate (and du_histogram()) sees is the aggregate
-    // over the stripe-local tile streams — the deltas actually decoded.
-    du_hist_ = tile_store_.du_hist;
-    has_du_hist_ = tile_store_.has_du_hist;
-  }
-
-  switch (format_) {
-    case Format::kCsr: {
-      const CsrSegKernelFn fn = kt.csr_seg;
-      bind_all([=](const TileArrays& ta, std::size_t b0, std::size_t b1) {
-        return [=](const value_t* x, value_t* y) {
-          for (std::size_t b = b0; b < b1; ++b) {
-            const TileBlock& blk = blocks[b];
-            std::fill(y + blk.row_begin, y + blk.row_end, 0.0);
-            fn(ta.seg_ptr, ta.seg_row, ta.col, ta.val, x, y,
-               blk.seg_begin, blk.seg_end);
-          }
-        };
-      });
-      break;
-    }
-    case Format::kCsrVi: {
-      const auto& m = std::get<CsrVi>(matrix_);
-      const value_t* const uq = m.vals_unique().data();
-      const auto bind_vi = [&](auto fn, auto vi_cast) {
-        bind_all(
-            [=](const TileArrays& ta, std::size_t b0, std::size_t b1) {
-              return [=](const value_t* x, value_t* y) {
-                const auto* const vi = vi_cast(ta.vi);
-                for (std::size_t b = b0; b < b1; ++b) {
-                  const TileBlock& blk = blocks[b];
-                  std::fill(y + blk.row_begin, y + blk.row_end, 0.0);
-                  fn(ta.seg_ptr, ta.seg_row, ta.col, vi, uq, x, y,
-                     blk.seg_begin, blk.seg_end);
-                }
-              };
-            });
-      };
-      switch (m.width()) {
-        case ViWidth::kU8:
-          bind_vi(kt.csr_vi_seg_u8, &as_ind<std::uint8_t>);
-          break;
-        case ViWidth::kU16:
-          bind_vi(kt.csr_vi_seg_u16, &as_ind<std::uint16_t>);
-          break;
-        case ViWidth::kU32:
-          bind_vi(kt.csr_vi_seg_u32, &as_ind<std::uint32_t>);
-          break;
-      }
-      break;
-    }
-    case Format::kCsrDu: {
-      DuKernelFn fn = kt.du_acc;
-      if (!du_vector_profitable(du_hist_)) {
-        fn = kernel_table(IsaTier::kScalar).du_acc;
-      }
-      bind_all([=](const TileArrays&, std::size_t b0, std::size_t b1) {
-        return [=](const value_t* x, value_t* y) {
-          for (std::size_t b = b0; b < b1; ++b) {
-            const TileBlock& blk = blocks[b];
-            std::fill(y + blk.row_begin, y + blk.row_end, 0.0);
-            value_t* const yb = y + blk.row_begin;
-            for (usize_t ti = blk.tile_begin; ti < blk.tile_end; ++ti) {
-              fn(slices[ti], x + tiles[ti].x_base, yb);
-            }
-          }
-        };
-      });
-      break;
-    }
-    case Format::kCsrDuVi: {
-      const auto& m = std::get<CsrDuVi>(matrix_);
-      const value_t* const uq = m.vals_unique().data();
-      const bool vec = du_vector_profitable(du_hist_);
-      const KernelTable& dt = vec ? kt : kernel_table(IsaTier::kScalar);
-      const auto bind_vi = [&](auto fn, auto vi_cast) {
-        bind_all(
-            [=](const TileArrays& ta, std::size_t b0, std::size_t b1) {
-              return [=](const value_t* x, value_t* y) {
-                const auto* const vi = vi_cast(ta.vi);
-                for (std::size_t b = b0; b < b1; ++b) {
-                  const TileBlock& blk = blocks[b];
-                  std::fill(y + blk.row_begin, y + blk.row_end, 0.0);
-                  value_t* const yb = y + blk.row_begin;
-                  for (usize_t ti = blk.tile_begin; ti < blk.tile_end;
-                       ++ti) {
-                    fn(slices[ti], vi, uq, x + tiles[ti].x_base, yb);
-                  }
-                }
-              };
-            });
-      };
-      switch (m.width()) {
-        case ViWidth::kU8:
-          bind_vi(dt.du_vi_acc_u8, &as_ind<std::uint8_t>);
-          break;
-        case ViWidth::kU16:
-          bind_vi(dt.du_vi_acc_u16, &as_ind<std::uint16_t>);
-          break;
-        case ViWidth::kU32:
-          bind_vi(dt.du_vi_acc_u32, &as_ind<std::uint32_t>);
-          break;
-      }
-      break;
-    }
-    default:
-      SPC_CHECK_MSG(false, "untileable format reached bind_tiled");
-      break;
-  }
-}
-
 double SpmvInstance::sym_window_frac() const {
   if (!sym_active_) {
     return 0.0;
@@ -1918,17 +1493,6 @@ double SpmvInstance::sym_window_frac() const {
 }
 
 usize_t SpmvInstance::matrix_bytes() const {
-  if (tiled_) {
-    // The tiled store replaces the matrix's execution arrays; the VI
-    // formats keep their unique-value table.
-    usize_t b = tile_store_.bytes();
-    if (const auto* vi = std::get_if<CsrVi>(&matrix_)) {
-      b += vi->vals_unique().size() * sizeof(value_t);
-    } else if (const auto* duvi = std::get_if<CsrDuVi>(&matrix_)) {
-      b += duvi->vals_unique().size() * sizeof(value_t);
-    }
-    return b;
-  }
   return std::visit([](const auto& m) { return m.bytes(); }, matrix_);
 }
 
@@ -1983,16 +1547,10 @@ std::uint64_t SpmvInstance::run_probe(const Vector& x, Vector& y) {
 bool SpmvInstance::can_run_on_caller() const {
   // A serial pass of a pooled symmetric instance would skip its
   // scatter/reduce phases and reassociate the sums — not bit-identical
-  // to the pooled run.
-  if (sym_active_) {
-    return false;
-  }
-  // The tiled serial binding walks every block through worker 0's array
-  // pointers; under NUMA placement those cover only worker 0's blocks.
-  if (tiled_ && numa_policy_ != NumaPolicy::kOff) {
-    return false;
-  }
-  return true;
+  // to the pooled run. Every other format's serial closure reads the
+  // shared arrays: the values the pooled (possibly NUMA-repacked)
+  // closures read, summed per row in the same order.
+  return !sym_active_;
 }
 
 bool SpmvInstance::run_on_caller(const Vector& x, Vector& y) {

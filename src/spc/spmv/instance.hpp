@@ -33,7 +33,6 @@
 #include "spc/parallel/thread_pool.hpp"
 #include "spc/spmv/dispatch.hpp"
 #include "spc/spmv/sym_spmv.hpp"
-#include "spc/spmv/tiling.hpp"
 #include "spc/support/first_touch.hpp"
 #include "spc/support/status.hpp"
 
@@ -95,11 +94,6 @@ struct InstanceOptions {
   /// from the discovered L2 size (parallel/schedule.hpp). SPC_CHUNK_NNZ
   /// overrides either.
   usize_t chunk_nnz = 0;
-  /// Column tiling (overridable via SPC_TILE): kAuto stripes the CSR /
-  /// CSR-VI / CSR-DU(-VI) stores into ~L1d-wide column tiles when both
-  /// the matrix's x and its rows' x band overflow the cache, and stays
-  /// off (zero overhead) otherwise. See spmv/tiling.hpp.
-  TileConfig tiling;
   /// Conflict-reduction strategy for the symmetric formats (overridable
   /// via SPC_SYM_REDUCE): kAuto uses the bounded conflict windows unless
   /// the plan degenerates toward full-length windows, where the classic
@@ -107,8 +101,7 @@ struct InstanceOptions {
   SymReduce sym_reduce = SymReduce::kAuto;
 
   /// Checks the option values themselves (not their fit to a matrix):
-  /// block shapes at least 1x1, finite non-negative guard factors, a
-  /// forced tile stripe with a nonzero width.
+  /// block shapes at least 1x1 and finite non-negative guard factors.
   /// Returns ok() or an kInvalidArgument status naming the bad field and
   /// value. The SpmvInstance constructor calls this and throws
   /// InvalidArgument with the same message on failure.
@@ -117,11 +110,11 @@ struct InstanceOptions {
 
 /// One configuration aspect the instance resolved differently from what
 /// was requested (including env-var overrides), with the reason — e.g. a
-/// steal schedule demoted to static for a symmetric format, an auto
-/// tile plan that declined, NUMA placement off because workers are
-/// unpinned. Silent-at-run-time fallbacks stay queryable this way.
+/// steal schedule demoted to static for a symmetric format, NUMA
+/// placement off because workers are unpinned. Silent-at-run-time
+/// fallbacks stay queryable this way.
 struct InstanceDecision {
-  std::string aspect;     ///< "schedule" | "tiling" | "numa" | "isa"
+  std::string aspect;     ///< "schedule" | "numa" | "isa"
   std::string requested;  ///< what the options/env asked for
   std::string resolved;   ///< what actually runs
   std::string reason;
@@ -164,11 +157,10 @@ class SpmvInstance {
   /// and must not be run from two threads at once.
   void run(const Vector& x, Vector& y);
 
-  /// True when run_on_caller() can execute this instance: a serial
-  /// kernel is bound and computes bit-identically to the pooled run.
-  /// False for pooled symmetric instances (their scatter/reduce phases
-  /// would reassociate the sums) and for tiled instances under NUMA
-  /// placement (the serial binding reads one worker's arena copy).
+  /// True when run_on_caller() can execute this instance bit-identically
+  /// to its run(). False exactly for pooled symmetric instances: a serial
+  /// pass skips their scatter/reduce phases and would reassociate the
+  /// sums.
   bool can_run_on_caller() const;
 
   /// Degraded-mode execution: computes y = A*x entirely on the calling
@@ -179,7 +171,7 @@ class SpmvInstance {
   bool run_on_caller(const Vector& x, Vector& y);
 
   /// Every configuration aspect resolved away from its requested value
-  /// (schedule/tiling/numa/isa fallbacks), in resolution order.
+  /// (schedule/numa/isa fallbacks), in resolution order.
   /// Empty when everything runs exactly as asked.
   const std::vector<InstanceDecision>& decisions() const {
     return decisions_;
@@ -263,22 +255,16 @@ class SpmvInstance {
   /// loop's counts exclude warmup).
   void sched_reset();
 
-  /// True when the column-tiled execution path is bound (the resolved
-  /// opts.tiling / SPC_TILE engaged for this matrix). Recorded into the
-  /// JSONL metrics as "tiling" / "stripe_bytes".
-  bool tiling_active() const { return tiled_; }
+  /// Always false: no execution path tiles x. Kept only because the
+  /// end-to-end benchmark (bench/e2e, frozen by its contract) still
+  /// records it; delete it once the benchmark stops.
+  bool tiling_active() const { return false; }
 
-  /// The resolved tiling decision (decline_reason says why an auto
-  /// request stayed untiled).
-  const TilePlan& tile_plan() const { return tile_plan_; }
+  /// Always 0; kept for bench/e2e, like tiling_active().
+  std::size_t tile_stripe_bytes() const { return 0; }
 
-  /// Stripe width in bytes of x covered (0 when untiled).
-  std::size_t tile_stripe_bytes() const {
-    return tiled_ ? tile_plan_.stripe_bytes : 0;
-  }
-
-  /// Number of column stripes (0 when untiled).
-  index_t tile_stripes() const { return tiled_ ? tile_plan_.nstripes : 0; }
+  /// Always 0; kept for bench/e2e, like tiling_active().
+  index_t tile_stripes() const { return 0; }
 
   /// True when a symmetric format's scatter/reduce execution path is
   /// active (multithreaded pool runs of kSymCsr / kSymCsrVi).
@@ -332,7 +318,7 @@ class SpmvInstance {
 
  private:
   /// Shared constructor body: validates options, encodes, partitions,
-  /// builds or borrows the pool, resolves schedule/tiling/NUMA, binds.
+  /// builds or borrows the pool, resolves schedule/NUMA, binds.
   /// Expects format_/nthreads_/opts_ (and shared_pool_, when borrowing)
   /// already set.
   void init(const Triplets& t);
@@ -361,15 +347,6 @@ class SpmvInstance {
   /// the replicate/interleave policies need). Called by the constructor
   /// after the pinned pool exists and before prepare().
   void setup_numa(const Topology& topo);
-  /// Resolves opts.tiling / SPC_TILE and, when the plan engages, builds
-  /// the stripe-major tiled store over the execution blocks (the chunk
-  /// plan's chunks under dynamic schedules, the partition's ranges under
-  /// static). Called after setup_schedule and before setup_numa, which
-  /// repacks the tiled arrays instead of the matrix's when tiled_.
-  void setup_tiling(const Triplets& t);
-  /// Binds the tiled execution closures (called by prepare() in place of
-  /// the per-format binding when tiled_).
-  void bind_tiled(const KernelTable& kt);
 
   Format format_;
   std::size_t nthreads_;
@@ -427,25 +404,6 @@ class SpmvInstance {
   // Cached metrics-registry handles (lookup once here, lock-free in run).
   obs::Counter* runs_counter_ = nullptr;
   obs::LatencyHisto* run_histo_ = nullptr;
-  // Column tiling (set up once by setup_tiling, off the timed path): the
-  // resolved plan, the stripe-major store that replaces the matrix's
-  // execution arrays, which worker owns each block, the per-tile DU
-  // slices (DU family; rewritten in place by the NUMA repack), and the
-  // per-worker array pointers the tiled closures read (shared store by
-  // default, arena copies under NUMA).
-  TilePlan tile_plan_;
-  TiledStore tile_store_;
-  bool tiled_ = false;
-  std::vector<std::uint32_t> tile_block_owner_;  ///< one per block
-  std::vector<CsrDu::Slice> tile_du_slices_;     ///< one per tile
-  struct TileArrays {
-    const index_t* seg_ptr = nullptr;  ///< rebased: index with absolute seg
-    const index_t* seg_row = nullptr;
-    const std::uint32_t* col = nullptr;  ///< 0-based within the worker span
-    const value_t* val = nullptr;
-    const void* vi = nullptr;
-  };
-  std::vector<TileArrays> tile_arrays_;  ///< one per worker
   // Work stealing (set up once by setup_schedule, off the timed path):
   // the resolved schedule, the row-aligned chunk plan, per-chunk DU
   // slices (DU formats only), one deque of owned chunks per worker, and

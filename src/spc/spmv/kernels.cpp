@@ -43,15 +43,11 @@ void spmv(const Coo& m, const value_t* x, value_t* y) {
 
 void spmv(const Csc& m, const value_t* x, value_t* y) {
   std::fill(y, y + m.nrows(), 0.0);
-  spmv_csc_cols(m, x, y, 0, m.ncols());
-}
-
-void spmv_csc_cols(const Csc& m, const value_t* x, value_t* y,
-                   index_t col_begin, index_t col_end) {
   const index_t* const __restrict col_ptr = m.col_ptr().data();
   const index_t* const __restrict row_ind = m.row_ind().data();
   const value_t* const __restrict values = m.values().data();
-  for (index_t c = col_begin; c < col_end; ++c) {
+  const index_t ncols = m.ncols();
+  for (index_t c = 0; c < ncols; ++c) {
     const value_t xc = x[c];
     const index_t end = col_ptr[c + 1];
     for (index_t j = col_ptr[c]; j < end; ++j) {
@@ -101,15 +97,10 @@ void spmv_bcsr_raw(index_t block_rows, index_t block_cols, index_t nrows,
   }
 }
 
-void spmv_bcsr_range(const Bcsr& m, const value_t* x, value_t* y,
-                     index_t block_row_begin, index_t block_row_end) {
+void spmv(const Bcsr& m, const value_t* x, value_t* y) {
   spmv_bcsr_raw(m.block_rows(), m.block_cols(), m.nrows(), m.ncols(),
                 m.block_row_ptr().data(), m.block_col().data(),
-                m.values().data(), x, y, block_row_begin, block_row_end);
-}
-
-void spmv(const Bcsr& m, const value_t* x, value_t* y) {
-  spmv_bcsr_range(m, x, y, 0, m.nblock_rows());
+                m.values().data(), x, y, 0, m.nblock_rows());
 }
 
 void spmv_ell_raw(index_t width, const index_t* col_ind,
@@ -127,14 +118,9 @@ void spmv_ell_raw(index_t width, const index_t* col_ind,
   }
 }
 
-void spmv_ell_range(const Ell& m, const value_t* x, value_t* y,
-                    index_t row_begin, index_t row_end) {
-  spmv_ell_raw(m.width(), m.col_ind().data(), m.values().data(), x, y,
-               row_begin, row_end);
-}
-
 void spmv(const Ell& m, const value_t* x, value_t* y) {
-  spmv_ell_range(m, x, y, 0, m.nrows());
+  spmv_ell_raw(m.width(), m.col_ind().data(), m.values().data(), x, y, 0,
+               m.nrows());
 }
 
 void spmv_dia_range(const Dia& m, const value_t* x, value_t* y,
@@ -161,28 +147,20 @@ void spmv(const Dia& m, const value_t* x, value_t* y) {
   spmv_dia_range(m, x, y, 0, m.nrows());
 }
 
-void spmv_jds_range(const Jds& m, const value_t* x, value_t* y,
-                    index_t i_begin, index_t i_end) {
+void spmv(const Jds& m, const value_t* x, value_t* y) {
+  std::fill(y, y + m.nrows(), 0.0);
   const index_t* const __restrict perm = m.perm().data();
   const index_t* const __restrict jd_ptr = m.jd_ptr().data();
   const index_t* const __restrict col_ind = m.col_ind().data();
   const value_t* const __restrict values = m.values().data();
-  for (index_t i = i_begin; i < i_end; ++i) {
-    y[perm[i]] = 0.0;
-  }
   const index_t njd = m.njdiags();
   for (index_t j = 0; j < njd; ++j) {
     const index_t len = jd_ptr[j + 1] - jd_ptr[j];
-    const index_t hi = std::min(i_end, len);
-    for (index_t i = i_begin; i < hi; ++i) {
+    for (index_t i = 0; i < len; ++i) {
       const usize_t k = static_cast<usize_t>(jd_ptr[j]) + i;
       y[perm[i]] += values[k] * x[col_ind[k]];
     }
   }
-}
-
-void spmv(const Jds& m, const value_t* x, value_t* y) {
-  spmv_jds_range(m, x, y, 0, m.nrows());
 }
 
 void spmv(const CsrDu::Slice& s, const value_t* x, value_t* y) {
@@ -291,104 +269,6 @@ void spmv(const CsrDu::Slice& s, const value_t* x, value_t* y) {
   for (std::int64_t r = std::max(row + 1, row_begin);
        r < static_cast<std::int64_t>(s.row_end); ++r) {
     y[r] = 0.0;
-  }
-}
-
-// Accumulating twin of the slice decoder above, for the column-tiled
-// stores (spmv/tiling.hpp): each row's accumulator starts from y[row]
-// (the partial left by the previous stripes) instead of 0, and the
-// empty-row zeroing is dropped — the tiled caller pre-zeroes its block's
-// y rows once. The decode and per-row accumulation order are unchanged,
-// so scalar results are bit-identical to the untiled kernel.
-void spmv_du_acc(const CsrDu::Slice& s, const value_t* x, value_t* y) {
-  const std::uint8_t* p = s.ctl;
-  const std::uint8_t* const end = s.ctl_end;
-  const value_t* __restrict v = s.values;
-  std::int64_t row = s.row_state;
-  std::uint64_t x_idx = 0;
-  value_t acc = 0.0;
-  bool active = false;
-
-  while (p < end) {
-    const std::uint8_t uflags = *p++;
-    std::uint32_t usize = *p++;
-    if (uflags & kDuNewRow) {
-      if (active) {
-        y[row] = acc;
-      }
-      std::uint64_t extra = 0;
-      if (uflags & kDuRJmp) {
-        extra = varint_decode(p);
-      }
-      row += 1 + static_cast<std::int64_t>(extra);
-      x_idx = 0;
-      acc = y[row];
-      active = true;
-    }
-    x_idx += varint_decode(p);
-
-    if (uflags & kDuRle) {
-      const std::uint64_t stride = varint_decode(p);
-      std::uint64_t idx = x_idx;
-      for (std::uint32_t k = 0; k < usize; ++k) {
-        acc += v[k] * x[idx];
-        idx += stride;
-      }
-      v += usize;
-      x_idx = idx - stride;
-      continue;
-    }
-    switch (static_cast<DeltaClass>(uflags & kDuClassMask)) {
-      case DeltaClass::kU8:
-        acc += (*v++) * x[x_idx];
-        --usize;
-        while (usize >= 4) {
-          const std::uint64_t i0 = x_idx + p[0];
-          const std::uint64_t i1 = i0 + p[1];
-          const std::uint64_t i2 = i1 + p[2];
-          const std::uint64_t i3 = i2 + p[3];
-          acc += v[0] * x[i0];
-          acc += v[1] * x[i1];
-          acc += v[2] * x[i2];
-          acc += v[3] * x[i3];
-          x_idx = i3;
-          p += 4;
-          v += 4;
-          usize -= 4;
-        }
-        while (usize-- != 0) {
-          x_idx += *p++;
-          acc += (*v++) * x[x_idx];
-        }
-        break;
-      case DeltaClass::kU16:
-        acc += (*v++) * x[x_idx];
-        while (--usize != 0) {
-          x_idx += load_u16(p);
-          p += 2;
-          acc += (*v++) * x[x_idx];
-        }
-        break;
-      case DeltaClass::kU32:
-        acc += (*v++) * x[x_idx];
-        while (--usize != 0) {
-          x_idx += load_u32(p);
-          p += 4;
-          acc += (*v++) * x[x_idx];
-        }
-        break;
-      case DeltaClass::kU64:
-        acc += (*v++) * x[x_idx];
-        while (--usize != 0) {
-          x_idx += load_u64(p);
-          p += 8;
-          acc += (*v++) * x[x_idx];
-        }
-        break;
-    }
-  }
-  if (active) {
-    y[row] = acc;
   }
 }
 
@@ -538,111 +418,7 @@ void spmv_du_vi_impl(const CsrDu::Slice& s,
   }
 }
 
-// Accumulating twin of spmv_du_vi_impl for the column-tiled stores —
-// same contract as spmv_du_acc above.
-template <typename IndT>
-void spmv_du_vi_acc_impl(const CsrDu::Slice& s,
-                         const IndT* __restrict val_ind,
-                         const value_t* __restrict uniq, const value_t* x,
-                         value_t* y) {
-  const std::uint8_t* p = s.ctl;
-  const std::uint8_t* const end = s.ctl_end;
-  usize_t k = s.val_offset;
-  std::int64_t row = s.row_state;
-  std::uint64_t x_idx = 0;
-  value_t acc = 0.0;
-  bool active = false;
-
-  while (p < end) {
-    const std::uint8_t uflags = *p++;
-    std::uint32_t usize = *p++;
-    if (uflags & kDuNewRow) {
-      if (active) {
-        y[row] = acc;
-      }
-      std::uint64_t extra = 0;
-      if (uflags & kDuRJmp) {
-        extra = varint_decode(p);
-      }
-      row += 1 + static_cast<std::int64_t>(extra);
-      x_idx = 0;
-      acc = y[row];
-      active = true;
-    }
-    x_idx += varint_decode(p);
-
-    if (uflags & kDuRle) {
-      const std::uint64_t stride = varint_decode(p);
-      std::uint64_t idx = x_idx;
-      for (std::uint32_t i = 0; i < usize; ++i) {
-        acc += uniq[val_ind[k + i]] * x[idx];
-        idx += stride;
-      }
-      k += usize;
-      x_idx = idx - stride;
-      continue;
-    }
-    switch (static_cast<DeltaClass>(uflags & kDuClassMask)) {
-      case DeltaClass::kU8:
-        acc += uniq[val_ind[k++]] * x[x_idx];
-        while (--usize != 0) {
-          x_idx += *p++;
-          acc += uniq[val_ind[k++]] * x[x_idx];
-        }
-        break;
-      case DeltaClass::kU16:
-        acc += uniq[val_ind[k++]] * x[x_idx];
-        while (--usize != 0) {
-          x_idx += load_u16(p);
-          p += 2;
-          acc += uniq[val_ind[k++]] * x[x_idx];
-        }
-        break;
-      case DeltaClass::kU32:
-        acc += uniq[val_ind[k++]] * x[x_idx];
-        while (--usize != 0) {
-          x_idx += load_u32(p);
-          p += 4;
-          acc += uniq[val_ind[k++]] * x[x_idx];
-        }
-        break;
-      case DeltaClass::kU64:
-        acc += uniq[val_ind[k++]] * x[x_idx];
-        while (--usize != 0) {
-          x_idx += load_u64(p);
-          p += 8;
-          acc += uniq[val_ind[k++]] * x[x_idx];
-        }
-        break;
-    }
-  }
-  if (active) {
-    y[row] = acc;
-  }
-}
-
 }  // namespace
-
-void spmv_du_vi_acc_slice(const CsrDu::Slice& s,
-                          const std::uint8_t* val_ind,
-                          const value_t* vals_unique, const value_t* x,
-                          value_t* y) {
-  spmv_du_vi_acc_impl(s, val_ind, vals_unique, x, y);
-}
-
-void spmv_du_vi_acc_slice(const CsrDu::Slice& s,
-                          const std::uint16_t* val_ind,
-                          const value_t* vals_unique, const value_t* x,
-                          value_t* y) {
-  spmv_du_vi_acc_impl(s, val_ind, vals_unique, x, y);
-}
-
-void spmv_du_vi_acc_slice(const CsrDu::Slice& s,
-                          const std::uint32_t* val_ind,
-                          const value_t* vals_unique, const value_t* x,
-                          value_t* y) {
-  spmv_du_vi_acc_impl(s, val_ind, vals_unique, x, y);
-}
 
 void spmv_du_vi_slice(const CsrDu::Slice& s, const std::uint8_t* val_ind,
                       const value_t* vals_unique, const value_t* x,

@@ -86,52 +86,6 @@ void spmv_csr_prefetch_range(const BasicCsr<ColIndexT>& m,
   }
 }
 
-// ------------------------------------------------- column-tiled CSR(-VI) ---
-
-/// Segment kernel for the column-tiled stores (spmv/tiling.hpp): each
-/// segment [seg_ptr[s], seg_ptr[s+1]) is one row's run within one
-/// stripe, and *accumulates* into y[seg_row[s]] — the caller pre-zeroes
-/// the block's y rows and executes the block's segments in order
-/// (stripes ascending), so each row's elements are summed left-to-right
-/// exactly as the untiled kernel would: results are bit-identical at
-/// the scalar tier (a store/load of a double between stripes is exact).
-inline void spmv_csr_seg_acc(const index_t* __restrict seg_ptr,
-                             const index_t* __restrict seg_row,
-                             const std::uint32_t* __restrict col_ind,
-                             const value_t* __restrict values,
-                             const value_t* x, value_t* y,
-                             usize_t seg_begin, usize_t seg_end) {
-  for (usize_t s = seg_begin; s < seg_end; ++s) {
-    const index_t r = seg_row[s];
-    value_t acc = y[r];
-    const index_t end = seg_ptr[s + 1];
-    for (index_t j = seg_ptr[s]; j < end; ++j) {
-      acc += values[j] * x[col_ind[j]];
-    }
-    y[r] = acc;
-  }
-}
-
-/// CSR-VI variant: values come through the value-index table.
-template <typename IndT>
-void spmv_csr_vi_seg_acc(const index_t* __restrict seg_ptr,
-                         const index_t* __restrict seg_row,
-                         const std::uint32_t* __restrict col_ind,
-                         const IndT* __restrict val_ind,
-                         const value_t* __restrict vals_unique,
-                         const value_t* x, value_t* y, usize_t seg_begin,
-                         usize_t seg_end) {
-  for (usize_t s = seg_begin; s < seg_end; ++s) {
-    const index_t r = seg_row[s];
-    value_t acc = y[r];
-    const index_t end = seg_ptr[s + 1];
-    for (index_t j = seg_ptr[s]; j < end; ++j) {
-      acc += vals_unique[val_ind[j]] * x[col_ind[j]];
-    }
-    y[r] = acc;
-  }
-}
-
 // ---------------------------------------------------------------- COO ---
 
 /// Serial COO kernel. Writes the full y (zero-fills first).
@@ -142,17 +96,12 @@ void spmv(const Coo& m, const value_t* x, value_t* y);
 /// Serial CSC kernel: column-major scatter into y (zero-fills first).
 void spmv(const Csc& m, const value_t* x, value_t* y);
 
-/// Column-range CSC kernel accumulating into `y` *without* zero-filling;
-/// the serial kernel's core, and the per-thread step of §II-C's column
-/// partitioning (each thread fills a private y copy, reduced afterwards).
-void spmv_csc_cols(const Csc& m, const value_t* x, value_t* y,
-                   index_t col_begin, index_t col_end);
-
 // --------------------------------------------------------------- BCSR ---
 
-/// Raw-array BCSR kernel, the common core of the serial and per-thread
-/// paths. `block_row_ptr` is indexed with absolute block rows (a
-/// repacked per-thread copy passes a rebased pointer, see
+/// Raw-array BCSR kernel over block rows [block_row_begin,
+/// block_row_end), the common core of the serial and per-thread paths.
+/// Handles ragged edge blocks. `block_row_ptr` is indexed with absolute
+/// block rows (a repacked per-thread copy passes a rebased pointer, see
 /// support/first_touch.hpp); `block_col` and `values` are indexed by the
 /// values `block_row_ptr` yields.
 void spmv_bcsr_raw(index_t block_rows, index_t block_cols, index_t nrows,
@@ -161,25 +110,17 @@ void spmv_bcsr_raw(index_t block_rows, index_t block_cols, index_t nrows,
                    const value_t* x, value_t* y, index_t block_row_begin,
                    index_t block_row_end);
 
-/// Row-range (in block rows) BCSR kernel. Handles ragged edge blocks.
-void spmv_bcsr_range(const Bcsr& m, const value_t* x, value_t* y,
-                     index_t block_row_begin, index_t block_row_end);
-
 void spmv(const Bcsr& m, const value_t* x, value_t* y);
 
 // ---------------------------------------------------------------- ELL ---
 
-/// Raw-array ELLPACK kernel; `col_ind` / `values` are indexed with
-/// absolute positions r*width+k (repacked per-thread copies pass rebased
-/// pointers).
+/// Raw-array ELLPACK row-range kernel: fixed-width rows, branch-free
+/// inner loop (padding contributes 0 * x[pad]). `col_ind` / `values` are
+/// indexed with absolute positions r*width+k (repacked per-thread copies
+/// pass rebased pointers).
 void spmv_ell_raw(index_t width, const index_t* col_ind,
                   const value_t* values, const value_t* x, value_t* y,
                   index_t row_begin, index_t row_end);
-
-/// Row-range ELLPACK kernel: fixed-width rows, branch-free inner loop
-/// (padding contributes 0 * x[pad]).
-void spmv_ell_range(const Ell& m, const value_t* x, value_t* y,
-                    index_t row_begin, index_t row_end);
 
 void spmv(const Ell& m, const value_t* x, value_t* y);
 
@@ -194,12 +135,8 @@ void spmv(const Dia& m, const value_t* x, value_t* y);
 
 // ---------------------------------------------------------------- JDS ---
 
-/// JDS kernel over a range [i_begin, i_end) of *permuted* row positions
-/// (each thread owns a contiguous slice of the jagged index space and
-/// therefore a disjoint set of y entries).
-void spmv_jds_range(const Jds& m, const value_t* x, value_t* y,
-                    index_t i_begin, index_t i_end);
-
+/// Serial JDS kernel: zero-fills y, then streams each jagged diagonal
+/// over the permuted row positions.
 void spmv(const Jds& m, const value_t* x, value_t* y);
 
 // ------------------------------------------------------------- CSR-DU ---
@@ -211,14 +148,6 @@ void spmv(const CsrDu::Slice& s, const value_t* x, value_t* y);
 inline void spmv(const CsrDu& m, const value_t* x, value_t* y) {
   spmv(m.full(), x, y);
 }
-
-/// Accumulating DU slice decode for the column-tiled stores: identical
-/// decode loop, but each row's accumulator *starts from* y[row] and is
-/// stored back at row end, and skipped/trailing rows are left untouched
-/// (the tiled caller pre-zeroes the block's y rows once and runs the
-/// block's tiles in ascending stripe order). Per-row element order
-/// matches the untiled stream, so scalar results stay bit-identical.
-void spmv_du_acc(const CsrDu::Slice& s, const value_t* x, value_t* y);
 
 // ------------------------------------------------------------- CSR-VI ---
 
@@ -266,20 +195,6 @@ void spmv_du_vi_slice(const CsrDu::Slice& s,
                       const std::uint32_t* val_ind,
                       const value_t* vals_unique, const value_t* x,
                       value_t* y);
-
-/// Accumulating DU-VI decode (see spmv_du_acc) for the tiled stores.
-void spmv_du_vi_acc_slice(const CsrDu::Slice& s,
-                          const std::uint8_t* val_ind,
-                          const value_t* vals_unique, const value_t* x,
-                          value_t* y);
-void spmv_du_vi_acc_slice(const CsrDu::Slice& s,
-                          const std::uint16_t* val_ind,
-                          const value_t* vals_unique, const value_t* x,
-                          value_t* y);
-void spmv_du_vi_acc_slice(const CsrDu::Slice& s,
-                          const std::uint32_t* val_ind,
-                          const value_t* vals_unique, const value_t* x,
-                          value_t* y);
 
 /// DU slice decode with value indirection. `slice.val_offset` selects the
 /// starting position in the val_ind stream.

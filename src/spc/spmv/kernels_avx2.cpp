@@ -215,11 +215,7 @@ struct IndirectValues {
 // 0 for DirectValues (whose pointer is pre-offset) or s.val_offset for
 // IndirectValues. Mirrors the scalar decoder's row bookkeeping exactly;
 // only the per-unit payload loops differ.
-//
-// Accumulate is the column-tiled variant (see spmv/tiling.hpp): the
-// per-row sum starts from the partial already in y (earlier stripes) and
-// rows the stream skips are left untouched instead of zeroed.
-template <bool Accumulate, typename ValueSource>
+template <typename ValueSource>
 void du_decode_avx2(const CsrDu::Slice& s, const ValueSource& vs, usize_t k,
                     const value_t* x, value_t* y) {
   const std::uint8_t* p = s.ctl;
@@ -242,15 +238,13 @@ void du_decode_avx2(const CsrDu::Slice& s, const ValueSource& vs, usize_t k,
       if (uflags & kDuRJmp) {
         extra = varint_decode(p);
       }
-      if constexpr (!Accumulate) {
-        for (std::int64_t r = std::max(row + 1, row_begin);
-             r < row + 1 + static_cast<std::int64_t>(extra); ++r) {
-          y[r] = 0.0;
-        }
+      for (std::int64_t r = std::max(row + 1, row_begin);
+           r < row + 1 + static_cast<std::int64_t>(extra); ++r) {
+        y[r] = 0.0;
       }
       row += 1 + static_cast<std::int64_t>(extra);
       x_idx = 0;
-      acc = Accumulate ? y[row] : 0.0;
+      acc = 0.0;
       vacc = _mm256_setzero_pd();
       active = true;
     }
@@ -372,144 +366,21 @@ void du_decode_avx2(const CsrDu::Slice& s, const ValueSource& vs, usize_t k,
   if (active) {
     y[row] = acc + hsum256(vacc);
   }
-  if constexpr (!Accumulate) {
-    for (std::int64_t r = std::max(row + 1, row_begin);
-         r < static_cast<std::int64_t>(s.row_end); ++r) {
-      y[r] = 0.0;
-    }
+  for (std::int64_t r = std::max(row + 1, row_begin);
+       r < static_cast<std::int64_t>(s.row_end); ++r) {
+    y[r] = 0.0;
   }
 }
 
 void du_avx2(const CsrDu::Slice& s, const value_t* x, value_t* y) {
-  du_decode_avx2<false>(s, DirectValues{s.values}, 0, x, y);
+  du_decode_avx2(s, DirectValues{s.values}, 0, x, y);
 }
 
 template <typename IndT>
 void du_vi_avx2(const CsrDu::Slice& s, const IndT* val_ind,
                 const value_t* vals_unique, const value_t* x, value_t* y) {
-  du_decode_avx2<false>(s, IndirectValues<IndT>{val_ind, vals_unique},
-                        s.val_offset, x, y);
-}
-
-void du_acc_avx2(const CsrDu::Slice& s, const value_t* x, value_t* y) {
-  du_decode_avx2<true>(s, DirectValues{s.values}, 0, x, y);
-}
-
-template <typename IndT>
-void du_vi_acc_avx2(const CsrDu::Slice& s, const IndT* val_ind,
-                    const value_t* vals_unique, const value_t* x,
-                    value_t* y) {
-  du_decode_avx2<true>(s, IndirectValues<IndT>{val_ind, vals_unique},
-                       s.val_offset, x, y);
-}
-
-// ------------------------------------------------ column-tiled CSR(-VI) --
-
-// Segment kernels for the tiled CSR store (spmv/tiling.hpp): the same
-// gather loops as csr_avx2 / csr_vi_avx2, but each segment's sum starts
-// from the partial already in y — segments of the same row across
-// stripes chain through that y entry.
-
-void csr_seg_avx2(const index_t* __restrict seg_ptr,
-                  const index_t* __restrict seg_row,
-                  const std::uint32_t* __restrict col_ind,
-                  const value_t* __restrict values, const value_t* x,
-                  value_t* y, usize_t seg_begin, usize_t seg_end) {
-  for (usize_t s = seg_begin; s < seg_end; ++s) {
-    const index_t r = seg_row[s];
-    index_t j = seg_ptr[s];
-    const index_t end = seg_ptr[s + 1];
-    value_t acc = y[r];
-    if (end - j < kVectorMinRow) {
-      __m128d a = _mm_setzero_pd();
-      for (; j + 2 <= end; j += 2) {
-        const __m128d xv = _mm_set_pd(x[col_ind[j + 1]], x[col_ind[j]]);
-        a = _mm_fmadd_pd(_mm_loadu_pd(values + j), xv, a);
-      }
-      acc += hsum128(a);
-      if (j < end) {
-        acc += values[j] * x[col_ind[j]];
-      }
-      y[r] = acc;
-      continue;
-    }
-    __m256d acc0 = _mm256_setzero_pd();
-    __m256d acc1 = _mm256_setzero_pd();
-    for (; j + 8 <= end; j += 8) {
-      __builtin_prefetch(col_ind + j + 64, 0, 1);
-      __builtin_prefetch(values + j + 32, 0, 1);
-      const __m256d x0 = _mm256_i32gather_pd(x, load_idx4(col_ind + j), 8);
-      const __m256d x1 =
-          _mm256_i32gather_pd(x, load_idx4(col_ind + j + 4), 8);
-      acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(values + j), x0, acc0);
-      acc1 = _mm256_fmadd_pd(_mm256_loadu_pd(values + j + 4), x1, acc1);
-    }
-    for (; j + 4 <= end; j += 4) {
-      const __m256d x0 = _mm256_i32gather_pd(x, load_idx4(col_ind + j), 8);
-      acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(values + j), x0, acc0);
-    }
-    acc += hsum256(_mm256_add_pd(acc0, acc1));
-    for (; j < end; ++j) {
-      acc += values[j] * x[col_ind[j]];
-    }
-    y[r] = acc;
-  }
-}
-
-template <typename IndT>
-void csr_vi_seg_avx2(const index_t* __restrict seg_ptr,
-                     const index_t* __restrict seg_row,
-                     const std::uint32_t* __restrict col_ind,
-                     const IndT* __restrict val_ind,
-                     const value_t* __restrict vals_unique, const value_t* x,
-                     value_t* y, usize_t seg_begin, usize_t seg_end) {
-  for (usize_t s = seg_begin; s < seg_end; ++s) {
-    const index_t r = seg_row[s];
-    index_t j = seg_ptr[s];
-    const index_t end = seg_ptr[s + 1];
-    value_t acc = y[r];
-    if (end - j < kVectorMinRow) {
-      __m128d a = _mm_setzero_pd();
-      for (; j + 2 <= end; j += 2) {
-        const __m128d vv = _mm_set_pd(vals_unique[val_ind[j + 1]],
-                                      vals_unique[val_ind[j]]);
-        const __m128d xv = _mm_set_pd(x[col_ind[j + 1]], x[col_ind[j]]);
-        a = _mm_fmadd_pd(vv, xv, a);
-      }
-      acc += hsum128(a);
-      if (j < end) {
-        acc += vals_unique[val_ind[j]] * x[col_ind[j]];
-      }
-      y[r] = acc;
-      continue;
-    }
-    __m256d acc0 = _mm256_setzero_pd();
-    __m256d acc1 = _mm256_setzero_pd();
-    for (; j + 8 <= end; j += 8) {
-      __builtin_prefetch(col_ind + j + 64, 0, 1);
-      __builtin_prefetch(val_ind + j + 64, 0, 1);
-      const __m256d v0 =
-          _mm256_i32gather_pd(vals_unique, load_idx4(val_ind + j), 8);
-      const __m256d v1 =
-          _mm256_i32gather_pd(vals_unique, load_idx4(val_ind + j + 4), 8);
-      const __m256d x0 = _mm256_i32gather_pd(x, load_idx4(col_ind + j), 8);
-      const __m256d x1 =
-          _mm256_i32gather_pd(x, load_idx4(col_ind + j + 4), 8);
-      acc0 = _mm256_fmadd_pd(v0, x0, acc0);
-      acc1 = _mm256_fmadd_pd(v1, x1, acc1);
-    }
-    for (; j + 4 <= end; j += 4) {
-      const __m256d v0 =
-          _mm256_i32gather_pd(vals_unique, load_idx4(val_ind + j), 8);
-      const __m256d x0 = _mm256_i32gather_pd(x, load_idx4(col_ind + j), 8);
-      acc0 = _mm256_fmadd_pd(v0, x0, acc0);
-    }
-    acc += hsum256(_mm256_add_pd(acc0, acc1));
-    for (; j < end; ++j) {
-      acc += vals_unique[val_ind[j]] * x[col_ind[j]];
-    }
-    y[r] = acc;
-  }
+  du_decode_avx2(s, IndirectValues<IndT>{val_ind, vals_unique},
+                 s.val_offset, x, y);
 }
 
 // ------------------------------------------------- symmetric (SSS) ------
@@ -672,14 +543,6 @@ const KernelTable& avx2_table() {
     t.du_vi_u8 = &du_vi_avx2<std::uint8_t>;
     t.du_vi_u16 = &du_vi_avx2<std::uint16_t>;
     t.du_vi_u32 = &du_vi_avx2<std::uint32_t>;
-    t.csr_seg = &csr_seg_avx2;
-    t.csr_vi_seg_u8 = &csr_vi_seg_avx2<std::uint8_t>;
-    t.csr_vi_seg_u16 = &csr_vi_seg_avx2<std::uint16_t>;
-    t.csr_vi_seg_u32 = &csr_vi_seg_avx2<std::uint32_t>;
-    t.du_acc = &du_acc_avx2;
-    t.du_vi_acc_u8 = &du_vi_acc_avx2<std::uint8_t>;
-    t.du_vi_acc_u16 = &du_vi_acc_avx2<std::uint16_t>;
-    t.du_vi_acc_u32 = &du_vi_acc_avx2<std::uint32_t>;
     t.sym_csr = &sym_csr_avx2;
     t.sym_csr_vi_u8 = &sym_csr_vi_avx2<std::uint8_t>;
     t.sym_csr_vi_u16 = &sym_csr_vi_avx2<std::uint16_t>;

@@ -20,17 +20,6 @@ void du_vi_scalar(const CsrDu::Slice& s, const IndT* val_ind,
   spmv_du_vi_slice(s, val_ind, vals_unique, x, y);
 }
 
-void du_acc_scalar(const CsrDu::Slice& s, const value_t* x, value_t* y) {
-  spmv_du_acc(s, x, y);
-}
-
-template <typename IndT>
-void du_vi_acc_scalar(const CsrDu::Slice& s, const IndT* val_ind,
-                      const value_t* vals_unique, const value_t* x,
-                      value_t* y) {
-  spmv_du_vi_acc_slice(s, val_ind, vals_unique, x, y);
-}
-
 }  // namespace
 
 const KernelTable& scalar_table() {
@@ -46,14 +35,6 @@ const KernelTable& scalar_table() {
     t.du_vi_u8 = &du_vi_scalar<std::uint8_t>;
     t.du_vi_u16 = &du_vi_scalar<std::uint16_t>;
     t.du_vi_u32 = &du_vi_scalar<std::uint32_t>;
-    t.csr_seg = &spmv_csr_seg_acc;
-    t.csr_vi_seg_u8 = &spmv_csr_vi_seg_acc<std::uint8_t>;
-    t.csr_vi_seg_u16 = &spmv_csr_vi_seg_acc<std::uint16_t>;
-    t.csr_vi_seg_u32 = &spmv_csr_vi_seg_acc<std::uint32_t>;
-    t.du_acc = &du_acc_scalar;
-    t.du_vi_acc_u8 = &du_vi_acc_scalar<std::uint8_t>;
-    t.du_vi_acc_u16 = &du_vi_acc_scalar<std::uint16_t>;
-    t.du_vi_acc_u32 = &du_vi_acc_scalar<std::uint32_t>;
     t.sym_csr = &spmv_sym_csr_win;
     t.sym_csr_vi_u8 = &spmv_sym_csr_vi_win<std::uint8_t>;
     t.sym_csr_vi_u16 = &spmv_sym_csr_vi_win<std::uint16_t>;

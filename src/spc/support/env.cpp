@@ -107,9 +107,6 @@ const std::vector<EnvVarInfo>& env_registry() {
       {"SPC_CHUNK_NNZ", "u64", "non-zeros per chunk (0 = L2-derived)",
        "InstanceOptions::chunk_nnz",
        "Target chunk weight for the steal schedule."},
-      {"SPC_TILE", "size", "auto|off|<bytes>[k|m]",
-       "InstanceOptions::tiling",
-       "Column tiling: auto-plan, hard off, or a forced stripe width."},
       {"SPC_SYM_REDUCE", "enum", "auto|window|private",
        "InstanceOptions::sym_reduce",
        "Conflict-reduction strategy for the symmetric formats."},

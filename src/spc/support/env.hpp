@@ -1,7 +1,7 @@
 // Shared SPC_* environment-variable access.
 //
-// Every runtime knob (SPC_SCHED, SPC_TILE, SPC_NUMA, SPC_ISA, SPC_TUNE,
-// the harness SPC_ITERS family, ...) reads the environment through these
+// Every runtime knob (SPC_SCHED, SPC_NUMA, SPC_ISA, SPC_TUNE, the
+// harness SPC_ITERS family, ...) reads the environment through these
 // helpers instead of hand-rolled getenv + strto* + static-bool-warned
 // blocks. Unset and empty both mean "not configured"; an unparseable
 // value is diagnosed on stderr once per variable name for the whole
@@ -48,7 +48,7 @@ bool env_warn_once(const char* name, const std::string& value,
 /// cannot drift apart silently.
 struct EnvVarInfo {
   const char* name;       ///< "SPC_SCHED"
-  const char* type;       ///< "flag" | "u64" | "double" | "string" | "enum" | "size" | "path" | "list"
+  const char* type;       ///< "flag" | "u64" | "double" | "string" | "enum" | "path" | "list"
   const char* values;     ///< accepted syntax, human-readable
   const char* overrides;  ///< the option/field it overrides ("—" if none)
   const char* effect;     ///< one-line description

@@ -257,25 +257,6 @@ Topology discover_topology(const std::string& sysfs_root) {
         }
       }
     }
-
-    // Level-1 data/unified cache size (feeds the tiling layer's stripe
-    // auto-sizing, spmv/tiling.hpp). Same level-file identification.
-    if (topo.l1d_bytes == 0) {
-      for (int idx = 0; idx <= 4; ++idx) {
-        const std::string cache =
-            cdir + "/cache/index" + std::to_string(idx);
-        if (read_line(cache + "/level") != "1" ||
-            read_line(cache + "/type") == "Instruction") {
-          continue;
-        }
-        const std::size_t sz =
-            parse_cache_size(read_line(cache + "/size"));
-        if (sz > 0) {
-          topo.l1d_bytes = sz;
-          break;
-        }
-      }
-    }
     topo.cpus.push_back(info);
   }
 

@@ -51,9 +51,6 @@ struct Topology {
   /// it, e.g. the flat fallback model). The stealing scheduler derives
   /// its target chunk size from this (parallel/schedule.hpp).
   std::size_t l2_bytes = 0;
-  /// Size of one level-1 data/unified cache (0 when unknown). The column
-  /// tiling layer sizes its x stripes from this (spmv/tiling.hpp).
-  std::size_t l1d_bytes = 0;
   /// CPU model string from /proc/cpuinfo ("model name"); empty when
   /// unknown. Feeds the run-ledger's machine fingerprint (obs/ledger.hpp).
   std::string cpu_model;

@@ -32,7 +32,6 @@ bool parse_entry(const obs::Json& j, TuneCacheEntry* out) {
   e.key.isa = json_str(j, "isa");
   e.key.numa = json_str(j, "numa");
   e.key.schedule = json_str(j, "schedule");
-  e.key.tiling = json_str(j, "tiling");
   e.format = json_str(j, "format");
   if (const obs::Json* v = j.find("probe_ns")) {
     e.probe_ns = v->as_u64();
@@ -58,7 +57,6 @@ obs::Json entry_json(const TuneCacheEntry& e) {
   j.set("isa", e.key.isa);
   j.set("numa", e.key.numa);
   j.set("schedule", e.key.schedule);
-  j.set("tiling", e.key.tiling);
   j.set("format", e.format);
   j.set("probe_ns", e.probe_ns);
   j.set("ns_per_iter", e.best_ns_per_iter);
@@ -71,7 +69,7 @@ obs::Json entry_json(const TuneCacheEntry& e) {
 std::string TuneCacheKey::key() const {
   std::ostringstream os;
   os << matrix_fp << '|' << machine_id << '|' << threads << '|' << isa
-     << '|' << numa << '|' << schedule << '|' << tiling;
+     << '|' << numa << '|' << schedule;
   return os.str();
 }
 

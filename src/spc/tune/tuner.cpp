@@ -9,7 +9,6 @@
 #include "spc/obs/metrics.hpp"
 #include "spc/obs/trace.hpp"
 #include "spc/spmv/dispatch.hpp"
-#include "spc/spmv/tiling.hpp"
 #include "spc/support/env.hpp"
 #include "spc/support/error.hpp"
 #include "spc/support/first_touch.hpp"
@@ -24,10 +23,10 @@ namespace {
 
 // The cache key's execution context: the *requested* configuration
 // after env overrides, matching what every candidate instance will be
-// built with. Resolution that depends on the matrix (e.g. auto tiling
-// declining) happens identically inside each candidate, so it does not
-// belong in the key; resolution that depends on the machine is covered
-// by machine_id.
+// built with. Resolution that depends on the matrix (e.g. a steal
+// schedule degenerating to static) happens identically inside each
+// candidate, so it does not belong in the key; resolution that depends
+// on the machine is covered by machine_id.
 TuneCacheKey make_key(const std::string& fingerprint, std::size_t nthreads,
                       const InstanceOptions& opts) {
   TuneCacheKey key;
@@ -37,7 +36,6 @@ TuneCacheKey make_key(const std::string& fingerprint, std::size_t nthreads,
   key.isa = isa_tier_name(active_isa_tier());
   key.numa = numa_policy_name(numa_policy_from_env(opts.numa));
   key.schedule = schedule_name(schedule_from_env(opts.schedule));
-  key.tiling = tile_config_name(tile_config_from_env(opts.tiling));
   return key;
 }
 

@@ -63,8 +63,8 @@ struct TuneReport {
 bool tune_enabled();
 
 /// Builds the auto-selected instance for `t` under `opts` (the same
-/// options a hand-constructed instance would get — NUMA, schedule, and
-/// tiling requests all apply to every candidate equally). Emits
+/// options a hand-constructed instance would get — NUMA and schedule
+/// requests apply to every candidate equally). Emits
 /// spc.tune.* metrics and stamps the returned instance's provenance.
 SpmvInstance auto_instance(const Triplets& t, std::size_t nthreads = 1,
                            const InstanceOptions& opts = {},

@@ -75,10 +75,7 @@ TEST(EndToEnd, CorpusMatrixThroughCompressedFormatsMatchesCsr) {
 TEST(EndToEnd, CompressionRatiosBehaveAsThePaperPredicts) {
   // §II-B: values are 2/3 of col_ind+values; so even perfect index
   // compression caps at ~1/3 savings, while value compression on a
-  // VI-friendly matrix can save more. The claim is about the *untiled*
-  // encodings — a forced SPC_TILE would swap in segment/tile arrays
-  // with different size trade-offs, so pin tiling off.
-  test::ScopedEnv tile("SPC_TILE", "off");
+  // VI-friendly matrix can save more.
   const Triplets t = corpus_spec("lap2d-s", CorpusScale::kSmall).build();
   SpmvInstance csr(t, Format::kCsr);
   SpmvInstance du(t, Format::kCsrDu);

@@ -110,31 +110,6 @@ TEST(MatrixStats, LaplacianIsViFriendly) {
   EXPECT_GT(s.ttu, 100.0);
 }
 
-TEST(MatrixStats, Delta1CountsUnitStridesWithinRows) {
-  // Paper matrix stride-1 pairs: (0,0)→(0,1), (3,4)→(3,5), (4,3)→(4,4),
-  // (5,2)→(5,3). Row-leading elements are absolute jumps, never strides.
-  const MatrixStats s = compute_stats(test::paper_matrix());
-  EXPECT_EQ(s.delta1_count, 4u);
-  EXPECT_DOUBLE_EQ(s.delta1_fraction(), 4.0 / 16.0);
-
-  // A dense row is all unit strides past its first element; a row whose
-  // gaps exceed 1 contributes none.
-  Triplets t(2, 6);
-  for (index_t c = 0; c < 6; ++c) {
-    t.add(0, c, 1.0);
-  }
-  t.add(1, 0, 1.0);
-  t.add(1, 3, 1.0);
-  t.sort_and_combine();
-  const MatrixStats d = compute_stats(t);
-  EXPECT_EQ(d.delta1_count, 5u);
-  EXPECT_DOUBLE_EQ(d.delta1_fraction(), 5.0 / 8.0);
-
-  Triplets empty(3, 3);
-  empty.sort_and_combine();
-  EXPECT_DOUBLE_EQ(compute_stats(empty).delta1_fraction(), 0.0);
-}
-
 TEST(MatrixStats, RequiresSortedInput) {
   Triplets t(2, 2);
   t.add(1, 1, 1.0);

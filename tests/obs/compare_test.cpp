@@ -259,7 +259,7 @@ TEST(CompareLedgers, VerdictArtifactsCarryTheCells) {
             "regressed");
   const std::string md = cmp.to_markdown();
   EXPECT_NE(md.find("**1 regressed**"), std::string::npos);
-  EXPECT_NE(md.find("| `regress_check|m1|csr|avx2|off|static|off|0|no|1` |"),
+  EXPECT_NE(md.find("| `regress_check|m1|csr|avx2|off|static|no|1` |"),
             std::string::npos);
 }
 

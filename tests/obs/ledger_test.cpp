@@ -168,7 +168,7 @@ TEST(LedgerRecord, KeyCoversCellCoordinatesNotMachine) {
   LedgerRecord r;
   ASSERT_TRUE(parse_ledger_record(full_record(), &r));
   EXPECT_EQ(r.key(),
-            "regress_check|lap2d-s|csr-du|avx2|off|static|off|0|no|2");
+            "regress_check|lap2d-s|csr-du|avx2|off|static|no|2");
   LedgerRecord other = r;
   other.machine_id = "ffffffffffffffff";
   EXPECT_EQ(other.key(), r.key());  // machine checked separately

@@ -9,11 +9,14 @@
 // instead (a few ulps — the reassociation of ~row_length addends).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <memory>
 
 #include "spc/gen/generators.hpp"
+#include "spc/mm/ops.hpp"
 #include "spc/spmv/dispatch.hpp"
 #include "spc/spmv/instance.hpp"
 #include "spc/support/topology.hpp"
@@ -299,9 +302,11 @@ INSTANTIATE_TEST_SUITE_P(Swarm, SchedFuzz, ::testing::Range(0, 21));
 // run_on_caller() is the serving engine's serial fallback and a serial
 // pass on a pooled instance: whenever it runs it must reproduce the
 // pooled run's bits, and it may refuse only where can_run_on_caller()
-// says so — exactly the tiled instances under NUMA placement. Swept over
-// every non-symmetric format (plus the RLE row) x SPC_TILE x SPC_NUMA x
-// SPC_SCHED at the scalar tier and the active one.
+// says so — exactly the pooled symmetric instances, whose serial pass
+// would skip the scatter/reduce phases and reassociate the sums. Swept
+// over every format (plus the RLE row) x SPC_NUMA x SPC_SCHED at the
+// scalar tier and the active one; the symmetric rows run on a
+// symmetrized square copy of the seed's draw.
 class CallerFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(CallerFuzz, RunOnCallerMatchesPooledRunBitForBit) {
@@ -309,15 +314,23 @@ TEST_P(CallerFuzz, RunOnCallerMatchesPooledRunBitForBit) {
   if (t.nnz() == 0) {
     GTEST_SKIP() << "degenerate draw";
   }
+  const index_t n = std::max(t.nrows(), t.ncols());
+  Triplets square(n, n);
+  for (const Entry& e : t.entries()) {
+    square.add(e.row, e.col, e.val);
+  }
+  square.sort_and_combine();
+  const Triplets ts = symmetrize(square);
+  ASSERT_TRUE(SymCsr::applicable(ts));
   Rng xr(9300 + GetParam());
   const Vector x = random_vector(t.ncols(), xr);
+  const Vector xs = random_vector(n, xr);
   const Vector y_ref = test::reference_spmv(t, x);
+  const Vector ys_ref = test::reference_spmv(ts, xs);
   constexpr value_t kUnwritten = std::numeric_limits<double>::quiet_NaN();
   std::vector<FuzzRow> rows;
   for (const Format f : all_formats()) {
-    if (!format_requires_symmetry(f)) {
-      rows.push_back({f});
-    }
+    rows.push_back({f});
   }
   rows.push_back({Format::kCsrDu, true});
 
@@ -333,37 +346,54 @@ TEST_P(CallerFuzz, RunOnCallerMatchesPooledRunBitForBit) {
   }
   for (const IsaTier tier : tiers) {
     test::ScopedEnv isa("SPC_ISA", isa_tier_name(tier).c_str());
-    for (const char* tile : {"off", "4k"}) {
-      test::ScopedEnv tile_env("SPC_TILE", tile);
-      for (const char* numa : {"off", "replicate"}) {
-        test::ScopedEnv numa_env("SPC_NUMA", numa);
-        for (const char* sched : {"static", "steal"}) {
-          test::ScopedEnv sched_env("SPC_SCHED", sched);
-          for (const FuzzRow& row : rows) {
-            if (row.format == Format::kCsr16 && !csr16_applicable(t)) {
-              continue;
-            }
-            SpmvInstance inst(t, row.format, pool, with_row(base, row));
-            const std::string what =
-                row_name(row) + " tile=" + tile + " numa=" + numa +
-                " sched=" + sched + " @" + isa_tier_name(tier) +
-                " seed " + std::to_string(GetParam());
-            Vector y_pool(t.nrows(), kUnwritten);
-            inst.run(x, y_pool);
-            EXPECT_LT(rel_error(y_ref, y_pool), kVectorTol) << what;
+    const std::string at = " @" + isa_tier_name(tier) + " seed " +
+                           std::to_string(GetParam());
+    // A one-thread symmetric instance has no scatter/reduce phases: its
+    // serial pass is its run().
+    for (const Format f : {Format::kSymCsr, Format::kSymCsrVi}) {
+      SpmvInstance one(ts, f, 1, base);
+      ASSERT_TRUE(one.can_run_on_caller()) << format_name(f) << at;
+      Vector y_run(n, kUnwritten);
+      one.run(xs, y_run);
+      Vector y_caller(n, kUnwritten);
+      ASSERT_TRUE(one.run_on_caller(xs, y_caller)) << format_name(f) << at;
+      EXPECT_EQ(std::memcmp(y_caller.data(), y_run.data(),
+                            y_run.size() * sizeof(value_t)),
+                0)
+          << format_name(f) << " 1 thread" << at;
+    }
+    for (const char* numa : {"off", "replicate"}) {
+      test::ScopedEnv numa_env("SPC_NUMA", numa);
+      for (const char* sched : {"static", "steal"}) {
+        test::ScopedEnv sched_env("SPC_SCHED", sched);
+        for (const FuzzRow& row : rows) {
+          if (row.format == Format::kCsr16 && !csr16_applicable(t)) {
+            continue;
+          }
+          const bool sym = format_requires_symmetry(row.format);
+          const Triplets& m = sym ? ts : t;
+          const Vector& xv = sym ? xs : x;
+          SpmvInstance inst(m, row.format, pool, with_row(base, row));
+          const std::string what = row_name(row) + " numa=" + numa +
+                                   " sched=" + sched + at;
+          Vector y_pool(m.nrows(), kUnwritten);
+          inst.run(xv, y_pool);
+          EXPECT_LT(rel_error(sym ? ys_ref : y_ref, y_pool), kVectorTol)
+              << what;
 
-            const bool refuses = inst.tiling_active() &&
-                                 inst.numa_policy() != NumaPolicy::kOff;
-            EXPECT_EQ(inst.can_run_on_caller(), !refuses) << what;
-            Vector y_caller(t.nrows(), kUnwritten);
-            const bool ran = inst.run_on_caller(x, y_caller);
-            EXPECT_EQ(ran, inst.can_run_on_caller()) << what;
-            if (ran) {
-              EXPECT_EQ(std::memcmp(y_caller.data(), y_pool.data(),
-                                    y_pool.size() * sizeof(value_t)),
-                        0)
-                  << what;
-            }
+          EXPECT_EQ(inst.can_run_on_caller(), !sym) << what;
+          Vector y_caller(m.nrows(), kUnwritten);
+          const bool ran = inst.run_on_caller(xv, y_caller);
+          EXPECT_EQ(ran, !sym) << what;
+          if (ran) {
+            EXPECT_EQ(std::memcmp(y_caller.data(), y_pool.data(),
+                                  y_pool.size() * sizeof(value_t)),
+                      0)
+                << what;
+          } else {
+            EXPECT_TRUE(std::all_of(y_caller.begin(), y_caller.end(),
+                                    [](value_t v) { return std::isnan(v); }))
+                << what;
           }
         }
       }

@@ -111,7 +111,6 @@ tune::TuneCacheEntry sample_entry(const std::string& machine_id,
   e.key.isa = "avx2";
   e.key.numa = "off";
   e.key.schedule = "static";
-  e.key.tiling = "auto";
   e.format = format;
   e.probe_ns = 123456;
   e.best_ns_per_iter = 789.5;
@@ -377,6 +376,45 @@ TEST(Tuner, RetiredFormatNamesInTheCacheReprobe) {
         << retired;
     EXPECT_EQ(inst.format(), rep.chosen) << retired;
   }
+}
+
+TEST(Tuner, CacheLinesWithATilingFieldStillHit) {
+  // Cache lines written while the key carried a column-tiling setting
+  // hold "tiling":"auto". The field is no longer part of the key, so
+  // such a line must hit for the same matrix, machine and execution
+  // context instead of forcing a re-probe.
+  Rng rng(42);
+  const Triplets t = test::random_triplets(200, 200, 3000, rng, 8);
+  InstanceOptions opts;
+  opts.pin_threads = false;
+  const tune::TuneOptions topts = fast_topts("tune_tiling_field");
+
+  tune::TuneReport cold;
+  tune::auto_instance(t, 1, opts, topts, &cold);
+  ASSERT_EQ(cold.source, "probe");
+  std::string line;
+  {
+    std::ifstream f(topts.cache_path);
+    ASSERT_TRUE(std::getline(f, line));
+  }
+  // Name a format other than the probed winner, so a hit can only come
+  // from the rewritten line.
+  const Format old_pick =
+      cold.chosen == Format::kCsr ? Format::kCsrVi : Format::kCsr;
+  obs::Json j = obs::Json::parse(line);
+  j.set("tiling", "auto");
+  j.set("format", format_name(old_pick));
+  {
+    std::ofstream f(topts.cache_path, std::ios::trunc);
+    f << j.dump() << '\n';
+  }
+  tune::TuneReport rep;
+  SpmvInstance inst = tune::auto_instance(t, 1, opts, topts, &rep);
+  EXPECT_EQ(rep.source, "cache");
+  EXPECT_TRUE(rep.cache_hit);
+  EXPECT_EQ(rep.probe_ns, 0u);
+  EXPECT_EQ(rep.chosen, old_pick);
+  EXPECT_EQ(inst.format(), old_pick);
 }
 
 // A + A^T: numerically symmetric by construction, and pooled source
