@@ -37,17 +37,15 @@ class BasicCsr {
     m.row_ptr_.assign(t.nrows() + 1, 0);
     m.col_ind_.resize(t.nnz());
     m.values_.resize(t.nnz());
-    for (const Entry& e : t.entries()) {
-      ++m.row_ptr_[e.row + 1];
-    }
-    for (index_t r = 0; r < t.nrows(); ++r) {
-      m.row_ptr_[r + 1] += m.row_ptr_[r];
-    }
     usize_t k = 0;
     for (const Entry& e : t.entries()) {
+      ++m.row_ptr_[e.row + 1];
       m.col_ind_[k] = static_cast<ColIndexT>(e.col);
       m.values_[k] = e.val;
       ++k;
+    }
+    for (index_t r = 0; r < t.nrows(); ++r) {
+      m.row_ptr_[r + 1] += m.row_ptr_[r];
     }
     return m;
   }

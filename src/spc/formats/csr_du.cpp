@@ -51,6 +51,11 @@ struct Segment {
 }  // namespace
 
 CsrDu CsrDu::from_triplets(const Triplets& t, const CsrDuOptions& opts) {
+  return encode(t, opts, true);
+}
+
+CsrDu CsrDu::encode(const Triplets& t, const CsrDuOptions& opts,
+                    bool keep_values) {
   SPC_CHECK_MSG(t.is_sorted_unique(),
                 "CSR-DU construction requires sorted/combined triplets");
   SPC_CHECK_MSG(opts.max_unit >= 1 && opts.max_unit <= 255,
@@ -62,9 +67,15 @@ CsrDu CsrDu::from_triplets(const Triplets& t, const CsrDuOptions& opts) {
   m.nrows_ = t.nrows();
   m.ncols_ = t.ncols();
   m.opts_ = opts;
-  m.values_.reserve(t.nnz());
-  // Heuristic reserve: header ~3B/unit + ~1.2B/delta keeps growth rare.
-  m.ctl_.reserve(t.nnz() + t.nrows() * 3);
+  m.nnz_ = t.nnz();
+  if (keep_values) {
+    m.values_.reserve(t.nnz());
+  }
+  // Two bytes per element and a 5-byte varint per row bound every row of
+  // at most 255 u8/u16-class deltas (the unit header spends the first
+  // element's two bytes), so only rows with wider gaps can make the
+  // stream grow and copy itself.
+  m.ctl_.reserve(2 * t.nnz() + 5 * static_cast<usize_t>(t.nrows()));
 
   const auto& entries = t.entries();
   std::vector<std::uint64_t> deltas;   // deltas of the current row
@@ -85,7 +96,9 @@ CsrDu CsrDu::from_triplets(const Triplets& t, const CsrDuOptions& opts) {
                            : static_cast<std::uint64_t>(entries[i].col -
                                                         prev_col));
       prev_col = entries[i].col;
-      m.values_.push_back(entries[i].val);
+      if (keep_values) {
+        m.values_.push_back(entries[i].val);
+      }
       ++i;
     }
     const usize_t row_len = deltas.size();
@@ -187,7 +200,6 @@ CsrDu CsrDu::from_triplets(const Triplets& t, const CsrDuOptions& opts) {
     }
     prev_row = row;
   }
-  m.nnz_ = m.values_.size();
   return m;
 }
 

@@ -90,14 +90,6 @@ class CsrDu {
   const aligned_vector<value_t>& values() const { return values_; }
   const CsrDuOptions& options() const { return opts_; }
 
-  /// Releases the numerical values array. Used by CSR-DU-VI, which stores
-  /// values through its own indirection; the ctl stream and all slice
-  /// machinery remain valid (Slice::values becomes null).
-  void drop_values() {
-    values_.clear();
-    values_.shrink_to_fit();
-  }
-
   usize_t ctl_bytes() const { return ctl_.size(); }
   /// Matrix data size: ctl stream + numerical values.
   usize_t bytes() const {
@@ -143,7 +135,7 @@ class CsrDu {
   struct Slice {
     const std::uint8_t* ctl = nullptr;
     const std::uint8_t* ctl_end = nullptr;
-    const value_t* values = nullptr;  ///< null after drop_values()
+    const value_t* values = nullptr;  ///< null without a values array
     usize_t val_offset = 0;  ///< index of the slice's first non-zero
     index_t row_begin = 0;   ///< first row owned by this slice
     index_t row_end = 0;     ///< one past the last row owned
@@ -217,6 +209,12 @@ class CsrDu {
   Triplets to_triplets() const;
 
  private:
+  // CSR-DU-VI encodes the ctl stream alone: it keeps values through its
+  // own indirection.
+  friend class CsrDuVi;
+  static CsrDu encode(const Triplets& t, const CsrDuOptions& opts,
+                      bool keep_values);
+
   index_t nrows_ = 0;
   index_t ncols_ = 0;
   usize_t nnz_ = 0;

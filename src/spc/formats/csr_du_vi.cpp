@@ -1,7 +1,6 @@
 #include "spc/formats/csr_du_vi.hpp"
 
-#include <cstring>
-#include <unordered_map>
+#include <utility>
 
 namespace spc {
 
@@ -10,51 +9,13 @@ CsrDuVi CsrDuVi::from_triplets(const Triplets& t, const CsrDuOptions& opts) {
                 "CSR-DU-VI construction requires sorted/combined triplets");
   CsrDuVi m;
   m.nnz_ = t.nnz();
-  m.du_ = CsrDu::from_triplets(t, opts);
-  // The DU values array duplicates what the indirection will hold; drop it.
-  m.du_.drop_values();
-
-  // Value census in row-major order — identical ordering to the ctl
-  // stream's value consumption, so val_ind[k] pairs with the k-th decoded
-  // element.
-  std::unordered_map<std::uint64_t, std::uint32_t> index_of;
-  index_of.reserve(t.nnz());
-  std::vector<std::uint32_t> dense_ind(t.nnz());
-  usize_t k = 0;
-  for (const Entry& e : t.entries()) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &e.val, sizeof(bits));
-    const auto [it, inserted] = index_of.emplace(
-        bits, static_cast<std::uint32_t>(m.vals_unique_.size()));
-    if (inserted) {
-      m.vals_unique_.push_back(e.val);
-    }
-    dense_ind[k++] = it->second;
-  }
-
-  m.width_ = vi_width_for(m.vals_unique_.size());
-  m.val_ind_.resize(t.nnz() * static_cast<usize_t>(m.width_));
-  switch (m.width_) {
-    case ViWidth::kU8:
-      for (usize_t i = 0; i < t.nnz(); ++i) {
-        m.val_ind_[i] = static_cast<std::uint8_t>(dense_ind[i]);
-      }
-      break;
-    case ViWidth::kU16: {
-      auto* p = reinterpret_cast<std::uint16_t*>(m.val_ind_.data());
-      for (usize_t i = 0; i < t.nnz(); ++i) {
-        p[i] = static_cast<std::uint16_t>(dense_ind[i]);
-      }
-      break;
-    }
-    case ViWidth::kU32: {
-      auto* p = reinterpret_cast<std::uint32_t*>(m.val_ind_.data());
-      for (usize_t i = 0; i < t.nnz(); ++i) {
-        p[i] = dense_ind[i];
-      }
-      break;
-    }
-  }
+  m.du_ = CsrDu::encode(t, opts, /*keep_values=*/false);
+  // Row-major like the ctl stream's value consumption, so val_ind[k]
+  // pairs with the k-th decoded element.
+  ValueIndex vi = index_values(t);
+  m.width_ = vi.width;
+  m.val_ind_ = std::move(vi.ind);
+  m.vals_unique_ = std::move(vi.uniques);
   return m;
 }
 

@@ -30,8 +30,8 @@ class CsrDuVi {
   index_t ncols() const { return du_.ncols(); }
   usize_t nnz() const { return nnz_; }
 
-  /// Index side: the DU ctl stream (the embedded CsrDu's own values array
-  /// is dropped after construction; only ctl is live).
+  /// Index side: the DU ctl stream (the embedded CsrDu keeps no values
+  /// array; only ctl is live).
   const CsrDu& du() const { return du_; }
 
   const aligned_vector<value_t>& vals_unique() const { return vals_unique_; }
@@ -55,7 +55,7 @@ class CsrDuVi {
 
  private:
   usize_t nnz_ = 0;
-  CsrDu du_;  ///< ctl stream + slice machinery; values array cleared
+  CsrDu du_;  ///< ctl stream + slice machinery; no values array
   ViWidth width_ = ViWidth::kU8;
   aligned_vector<std::uint8_t> val_ind_;
   aligned_vector<value_t> vals_unique_;

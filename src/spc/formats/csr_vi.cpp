@@ -1,21 +1,8 @@
 #include "spc/formats/csr_vi.hpp"
 
-#include <cstring>
-#include <unordered_map>
+#include <utility>
 
 namespace spc {
-
-ViWidth vi_width_for(usize_t unique_count) {
-  if (unique_count <= (1ULL << 8)) {
-    return ViWidth::kU8;
-  }
-  if (unique_count <= (1ULL << 16)) {
-    return ViWidth::kU16;
-  }
-  SPC_CHECK_MSG(unique_count <= (1ULL << 32),
-                "more than 2^32 unique values");
-  return ViWidth::kU32;
-}
 
 CsrVi CsrVi::from_triplets(const Triplets& t) {
   SPC_CHECK_MSG(t.is_sorted_unique(),
@@ -25,55 +12,18 @@ CsrVi CsrVi::from_triplets(const Triplets& t) {
   m.ncols_ = t.ncols();
   m.row_ptr_.assign(t.nrows() + 1, 0);
   m.col_ind_.resize(t.nnz());
-
-  // Pass 1: census of unique values (bit-pattern identity) and CSR indices.
-  std::unordered_map<std::uint64_t, std::uint32_t> index_of;
-  index_of.reserve(t.nnz());
-  std::vector<std::uint32_t> dense_ind(t.nnz());
   usize_t k = 0;
   for (const Entry& e : t.entries()) {
     ++m.row_ptr_[e.row + 1];
-    m.col_ind_[k] = e.col;
-    std::uint64_t bits;
-    std::memcpy(&bits, &e.val, sizeof(bits));
-    const auto [it, inserted] = index_of.emplace(
-        bits, static_cast<std::uint32_t>(m.vals_unique_.size()));
-    if (inserted) {
-      m.vals_unique_.push_back(e.val);
-    }
-    dense_ind[k] = it->second;
-    ++k;
+    m.col_ind_[k++] = e.col;
   }
   for (index_t r = 0; r < t.nrows(); ++r) {
     m.row_ptr_[r + 1] += m.row_ptr_[r];
   }
-
-  // Pass 2: narrow the value indices to the final width.
-  m.width_ = vi_width_for(m.vals_unique_.size());
-  m.val_ind_.resize(t.nnz() * static_cast<usize_t>(m.width_));
-  switch (m.width_) {
-    case ViWidth::kU8: {
-      auto* p = m.val_ind_.data();
-      for (usize_t i = 0; i < t.nnz(); ++i) {
-        p[i] = static_cast<std::uint8_t>(dense_ind[i]);
-      }
-      break;
-    }
-    case ViWidth::kU16: {
-      auto* p = reinterpret_cast<std::uint16_t*>(m.val_ind_.data());
-      for (usize_t i = 0; i < t.nnz(); ++i) {
-        p[i] = static_cast<std::uint16_t>(dense_ind[i]);
-      }
-      break;
-    }
-    case ViWidth::kU32: {
-      auto* p = reinterpret_cast<std::uint32_t*>(m.val_ind_.data());
-      for (usize_t i = 0; i < t.nnz(); ++i) {
-        p[i] = dense_ind[i];
-      }
-      break;
-    }
-  }
+  ValueIndex vi = index_values(t);
+  m.width_ = vi.width;
+  m.val_ind_ = std::move(vi.ind);
+  m.vals_unique_ = std::move(vi.uniques);
   return m;
 }
 

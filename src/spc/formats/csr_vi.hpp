@@ -13,16 +13,11 @@
 #include <cstdint>
 
 #include "spc/mm/triplets.hpp"
+#include "spc/mm/value_census.hpp"
 #include "spc/support/aligned.hpp"
 #include "spc/support/types.hpp"
 
 namespace spc {
-
-/// Storage width of one value index.
-enum class ViWidth : std::uint8_t { kU8 = 1, kU16 = 2, kU32 = 4 };
-
-/// Smallest width that can address `unique_count` values.
-ViWidth vi_width_for(usize_t unique_count);
 
 /// The paper's empirical applicability rule (§VI-E): ttu > 5.
 inline constexpr double kViTtuThreshold = 5.0;
@@ -31,7 +26,9 @@ class CsrVi {
  public:
   CsrVi() = default;
 
-  /// Builds in O(nnz) using a hash map over value bit patterns (§V).
+  /// Builds in O(nnz) through a census of value bit patterns (§V): one
+  /// pass for the CSR indices, one to count the distinct values and one
+  /// to write their indices.
   static CsrVi from_triplets(const Triplets& t);
 
   /// Reconstructs from raw arrays (the deserialization path) with full

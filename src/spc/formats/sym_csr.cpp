@@ -1,28 +1,13 @@
 #include "spc/formats/sym_csr.hpp"
 
-#include <map>
+#include "spc/mm/ops.hpp"
 
 namespace spc {
 
 bool SymCsr::applicable(const Triplets& t) {
-  if (t.nrows() != t.ncols()) {
-    return false;
-  }
-  // Entries are sorted/unique: mirror each off-diagonal and look it up.
-  std::map<std::pair<index_t, index_t>, value_t> at;
-  for (const Entry& e : t.entries()) {
-    at.emplace(std::make_pair(e.row, e.col), e.val);
-  }
-  for (const Entry& e : t.entries()) {
-    if (e.row == e.col) {
-      continue;
-    }
-    const auto it = at.find(std::make_pair(e.col, e.row));
-    if (it == at.end() || it->second != e.val) {
-      return false;
-    }
-  }
-  return true;
+  // Numeric equality: ±0.0 mirrors match, a NaN never matches.
+  return check_mirrors(t, [](value_t a, value_t b) { return a == b; })
+      .values;
 }
 
 SymCsr SymCsr::from_triplets(const Triplets& t) {

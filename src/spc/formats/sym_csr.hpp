@@ -16,8 +16,9 @@ class SymCsr {
  public:
   SymCsr() = default;
 
-  /// True when `t` is square and numerically symmetric (bit-exact value
-  /// equality, matching the storage scheme's exact reconstruction).
+  /// True when `t` is square and numerically symmetric: every mirrored
+  /// pair compares equal with `==` (±0.0 match, NaN never does).
+  /// Requires sorted/combined triplets.
   static bool applicable(const Triplets& t);
 
   /// Builds from a symmetric matrix; throws InvalidArgument otherwise.

@@ -1,23 +1,10 @@
 #include "spc/formats/sym_csr_vi.hpp"
 
-#include <cstring>
-#include <unordered_map>
 #include <vector>
 
 #include "spc/formats/sym_csr.hpp"
 
 namespace spc {
-
-namespace {
-
-std::uint64_t value_bits(value_t v) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-}  // namespace
 
 bool SymCsrVi::applicable(const Triplets& t) { return SymCsr::applicable(t); }
 
@@ -49,65 +36,35 @@ SymCsrVi SymCsrVi::from_triplets(const Triplets& t) {
     m.row_ptr_[r + 1] += m.row_ptr_[r];
   }
 
-  // Pass 1: census of unique values (bit-pattern identity) across the
-  // diagonal then the strict lower triangle, first-occurrence order,
-  // through one shared table.
-  std::unordered_map<std::uint64_t, std::uint32_t> index_of;
-  index_of.reserve(static_cast<std::size_t>(t.nrows()) + lower);
-  std::vector<std::uint32_t> dense_diag(t.nrows());
-  std::vector<std::uint32_t> dense_ind(lower);
-  const auto census = [&](value_t v) {
-    const auto [it, inserted] = index_of.emplace(
-        value_bits(v), static_cast<std::uint32_t>(m.vals_unique_.size()));
-    if (inserted) {
-      m.vals_unique_.push_back(v);
-    }
-    return it->second;
-  };
-  for (index_t r = 0; r < t.nrows(); ++r) {
-    dense_diag[r] = census(diag[r]);
+  // Census of the diagonal then the strict lower triangle through one
+  // shared table, first-occurrence order.
+  ValueCensus census;
+  for (const value_t d : diag) {
+    census.add(d);
   }
   m.col_ind_.resize(lower);
   usize_t k = 0;
   for (const Entry& e : t.entries()) {
     if (e.col < e.row) {
-      m.col_ind_[k] = e.col;
-      dense_ind[k] = census(e.val);
-      ++k;
+      m.col_ind_[k++] = e.col;
+      census.add(e.val);
     }
   }
 
-  // Pass 2: narrow both index streams to the final width.
-  m.width_ = vi_width_for(m.vals_unique_.size());
+  m.width_ = census.width();
   m.diag_ind_.resize(static_cast<usize_t>(t.nrows()) *
                      static_cast<usize_t>(m.width_));
   m.val_ind_.resize(lower * static_cast<usize_t>(m.width_));
-  const auto narrow = [&](const std::vector<std::uint32_t>& src,
-                          std::uint8_t* dst) {
-    switch (m.width_) {
-      case ViWidth::kU8:
-        for (usize_t i = 0; i < src.size(); ++i) {
-          dst[i] = static_cast<std::uint8_t>(src[i]);
-        }
-        break;
-      case ViWidth::kU16: {
-        auto* p = reinterpret_cast<std::uint16_t*>(dst);
-        for (usize_t i = 0; i < src.size(); ++i) {
-          p[i] = static_cast<std::uint16_t>(src[i]);
-        }
-        break;
-      }
-      case ViWidth::kU32: {
-        auto* p = reinterpret_cast<std::uint32_t*>(dst);
-        for (usize_t i = 0; i < src.size(); ++i) {
-          p[i] = src[i];
-        }
-        break;
-      }
+  for (index_t r = 0; r < t.nrows(); ++r) {
+    store_value_index(m.diag_ind_.data(), m.width_, r, census.add(diag[r]));
+  }
+  k = 0;
+  for (const Entry& e : t.entries()) {
+    if (e.col < e.row) {
+      store_value_index(m.val_ind_.data(), m.width_, k++, census.add(e.val));
     }
-  };
-  narrow(dense_diag, m.diag_ind_.data());
-  narrow(dense_ind, m.val_ind_.data());
+  }
+  m.vals_unique_ = census.take_values();
   return m;
 }
 

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <unordered_set>
 #include <vector>
+
+#include "spc/mm/value_census.hpp"
 
 namespace spc {
 
@@ -88,16 +88,12 @@ MatrixStats compute_stats(const Triplets& t) {
     prev_col = e.col;
   }
 
-  // Unique-value census (bit-exact comparison, matching CSR-VI's hash map).
-  std::unordered_set<std::uint64_t> uniq;
-  uniq.reserve(t.nnz());
+  // Unique-value census: CSR-VI's own, so the counts agree bit for bit.
+  ValueCensus census;
   for (const Entry& e : t.entries()) {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(e.val));
-    std::memcpy(&bits, &e.val, sizeof(bits));
-    uniq.insert(bits);
+    census.add(e.val);
   }
-  s.unique_values = uniq.size();
+  s.unique_values = census.size();
   s.ttu = s.unique_values
               ? static_cast<double>(s.nnz) / static_cast<double>(s.unique_values)
               : 0.0;

@@ -63,8 +63,8 @@ struct MatrixStats {
   double u8_delta_fraction() const;
 };
 
-/// Computes all statistics in O(nnz log nnz) (value census dominates).
-/// Requires sorted, combined triplets.
+/// Computes all statistics in O(nnz). Requires sorted, combined
+/// triplets.
 MatrixStats compute_stats(const Triplets& t);
 
 }  // namespace spc

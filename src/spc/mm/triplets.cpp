@@ -21,6 +21,7 @@ void Triplets::sort_and_combine() {
     }
   }
   entries_.resize(out);
+  sorted_ = true;
 }
 
 void Triplets::sort_and_dedup_keep_first() {
@@ -38,9 +39,13 @@ void Triplets::sort_and_dedup_keep_first() {
     entries_[out++] = entries_[i];
   }
   entries_.resize(out);
+  sorted_ = true;
 }
 
 bool Triplets::is_sorted_unique() const {
+  if (sorted_) {
+    return true;
+  }
   for (std::size_t i = 1; i < entries_.size(); ++i) {
     const Entry& a = entries_[i - 1];
     const Entry& b = entries_[i];

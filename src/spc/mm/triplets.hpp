@@ -28,6 +28,11 @@ struct Entry {
 ///  * every entry lies inside [0, nrows) × [0, ncols)
 /// After `sort_and_combine()` additionally:
 ///  * entries are in row-major order and coordinates are unique.
+///
+/// The sorts record that they ran and add() clears the record, so every
+/// encoder's sortedness precondition costs no scan on triplets that were
+/// sorted when they were built (every generator and the Matrix Market
+/// reader sort their output).
 class Triplets {
  public:
   Triplets() = default;
@@ -45,6 +50,7 @@ class Triplets {
   void add(index_t row, index_t col, value_t val) {
     SPC_DCHECK(row < nrows_ && col < ncols_);
     entries_.push_back(Entry{row, col, val});
+    sorted_ = false;
   }
 
   void reserve(usize_t n) { entries_.reserve(n); }
@@ -61,8 +67,12 @@ class Triplets {
   void sort_and_dedup_keep_first();
 
   /// True if entries are sorted row-major with strictly increasing
-  /// (row, col) pairs.
+  /// (row, col) pairs. O(1) while sort_recorded(), an O(nnz) scan
+  /// otherwise.
   bool is_sorted_unique() const;
+
+  /// True when a sort ran and nothing was added since.
+  bool sort_recorded() const { return sorted_; }
 
   /// Throws InvalidArgument when any entry is out of bounds.
   void validate() const;
@@ -79,6 +89,7 @@ class Triplets {
   index_t nrows_ = 0;
   index_t ncols_ = 0;
   std::vector<Entry> entries_;
+  bool sorted_ = false;
 };
 
 }  // namespace spc

@@ -1,0 +1,83 @@
+#include "spc/mm/value_census.hpp"
+
+#include "spc/support/error.hpp"
+
+namespace spc {
+
+ViWidth vi_width_for(usize_t unique_count) {
+  if (unique_count <= (1ULL << 8)) {
+    return ViWidth::kU8;
+  }
+  if (unique_count <= (1ULL << 16)) {
+    return ViWidth::kU16;
+  }
+  SPC_CHECK_MSG(unique_count <= (1ULL << 32),
+                "more than 2^32 unique values");
+  return ViWidth::kU32;
+}
+
+ValueCensus::ValueCensus() : slots_(std::size_t{1} << (64 - kInitialShift)) {}
+
+std::size_t ValueCensus::home(std::uint64_t bits) const {
+  // Fibonacci hashing: the top bits of the product depend on every bit
+  // of the pattern, and doubles differ mostly in their high bits. It
+  // beat MurmurHash3's finalizer on pooled, integer-valued, power-of-two
+  // and all-distinct value sets alike.
+  return static_cast<std::size_t>((bits * 0x9e3779b97f4a7c15ULL) >> shift_);
+}
+
+std::uint32_t ValueCensus::find_or_insert(std::uint64_t bits, value_t v) {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = home(bits);; i = (i + 1) & mask) {
+    Slot& s = slots_[i];
+    if (!s.used) {
+      SPC_CHECK_MSG(values_.size() < (1ULL << 32),
+                    "more than 2^32 unique values");
+      const auto index = static_cast<std::uint32_t>(values_.size());
+      s = Slot{bits, index, true};
+      values_.push_back(v);
+      if (2 * values_.size() > slots_.size()) {
+        grow();
+      }
+      return index;
+    }
+    if (s.bits == bits) {
+      return s.index;
+    }
+  }
+}
+
+void ValueCensus::grow() {
+  std::vector<Slot> old(2 * slots_.size());
+  old.swap(slots_);
+  --shift_;
+  const std::size_t mask = slots_.size() - 1;
+  for (const Slot& s : old) {
+    if (!s.used) {
+      continue;
+    }
+    std::size_t i = home(s.bits);
+    while (slots_[i].used) {
+      i = (i + 1) & mask;
+    }
+    slots_[i] = s;
+  }
+}
+
+ValueIndex index_values(const Triplets& t) {
+  ValueCensus census;
+  for (const Entry& e : t.entries()) {
+    census.add(e.val);
+  }
+  ValueIndex out;
+  out.width = census.width();
+  out.ind.resize(t.nnz() * static_cast<usize_t>(out.width));
+  usize_t k = 0;
+  for (const Entry& e : t.entries()) {
+    store_value_index(out.ind.data(), out.width, k++, census.add(e.val));
+  }
+  out.uniques = census.take_values();
+  return out;
+}
+
+}  // namespace spc

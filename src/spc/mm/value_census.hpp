@@ -1,0 +1,102 @@
+// Value census — the distinct values of a value stream, the building
+// block of the paper's value compression (§V).
+//
+// A value's identity is its bit pattern, so -0.0 and +0.0 are distinct
+// and so is every NaN payload. Distinct values keep first-occurrence
+// order. The table is open-addressed and sized by the distinct count,
+// not by the stream length, so a census costs no allocation per value.
+//
+// Encoders run the stream twice: one pass of add() fixes the distinct
+// count (and with it the index width), a second pass of add() returns
+// each value's index to store in that width.
+#pragma once
+
+#include <cstdint>
+#include <cstring>
+#include <utility>
+#include <vector>
+
+#include "spc/mm/triplets.hpp"
+#include "spc/support/aligned.hpp"
+#include "spc/support/types.hpp"
+
+namespace spc {
+
+/// Storage width of one value index.
+enum class ViWidth : std::uint8_t { kU8 = 1, kU16 = 2, kU32 = 4 };
+
+/// Smallest width that can address `unique_count` values.
+ViWidth vi_width_for(usize_t unique_count);
+
+/// Stores index `i` as element k of a value-index array of width `w`.
+inline void store_value_index(std::uint8_t* dst, ViWidth w, usize_t k,
+                              std::uint32_t i) {
+  switch (w) {
+    case ViWidth::kU8:
+      dst[k] = static_cast<std::uint8_t>(i);
+      return;
+    case ViWidth::kU16: {
+      const auto v = static_cast<std::uint16_t>(i);
+      std::memcpy(dst + 2 * k, &v, sizeof(v));
+      return;
+    }
+    case ViWidth::kU32:
+      std::memcpy(dst + 4 * k, &i, sizeof(i));
+      return;
+  }
+}
+
+class ValueCensus {
+ public:
+  ValueCensus();
+
+  /// Index of `v` among the distinct values, appending it on first sight.
+  std::uint32_t add(value_t v) {
+    std::uint64_t bits = 0;
+    static_assert(sizeof(bits) == sizeof(v));
+    std::memcpy(&bits, &v, sizeof(bits));
+    // Runs of one value are common (stencils, pooled rows): skip the probe.
+    if (bits == last_bits_ && !values_.empty()) {
+      return last_index_;
+    }
+    last_bits_ = bits;
+    last_index_ = find_or_insert(bits, v);
+    return last_index_;
+  }
+
+  usize_t size() const { return values_.size(); }
+  ViWidth width() const { return vi_width_for(size()); }
+  /// The distinct values in first-occurrence order; ends the census.
+  aligned_vector<value_t> take_values() { return std::move(values_); }
+
+ private:
+  struct Slot {
+    std::uint64_t bits = 0;
+    std::uint32_t index = 0;
+    bool used = false;
+  };
+
+  static constexpr int kInitialShift = 60;  ///< 16 slots
+
+  std::size_t home(std::uint64_t bits) const;
+  std::uint32_t find_or_insert(std::uint64_t bits, value_t v);
+  void grow();
+
+  std::vector<Slot> slots_;  ///< power-of-two size, at most half full
+  int shift_ = kInitialShift;  ///< 64 - log2(slots_.size())
+  aligned_vector<value_t> values_;
+  std::uint64_t last_bits_ = 0;
+  std::uint32_t last_index_ = 0;
+};
+
+/// CSR-VI's value side of sorted triplets: the distinct values and, per
+/// non-zero in row-major order, the index of its value.
+struct ValueIndex {
+  ViWidth width = ViWidth::kU8;
+  aligned_vector<std::uint8_t> ind;  ///< nnz * width bytes
+  aligned_vector<value_t> uniques;
+};
+
+ValueIndex index_values(const Triplets& t);
+
+}  // namespace spc

@@ -180,6 +180,22 @@ const FormatCaps& caps(Format f) {
   return kFormatCaps[i];
 }
 
+// The encoded row pointer the nnz balance reads: the CSR family's own
+// (the symmetric formats' counts stored lower-triangle elements, not
+// full nnz); null for BCSR, ELL and the DU family, which have none.
+template <typename Matrix>
+const aligned_vector<index_t>* row_ptr_of(const Matrix& matrix) {
+  return std::visit(
+      [](const auto& m) -> const aligned_vector<index_t>* {
+        if constexpr (requires { m.row_ptr(); }) {
+          return &m.row_ptr();
+        } else {
+          return nullptr;
+        }
+      },
+      matrix);
+}
+
 }  // namespace
 
 std::string format_name(Format f) {
@@ -322,19 +338,12 @@ void SpmvInstance::init(const Triplets& t) {
       partition_ = opts_.balance_by_nnz
                        ? partition_rows_by_nnz(m.block_row_ptr(), nthreads)
                        : partition_rows_even(m.nblock_rows(), nthreads);
-    } else if (format_requires_symmetry(format)) {
-      // Balance by stored (lower-triangle) elements, not full nnz.
-      const aligned_vector<index_t>& rp =
-          format == Format::kSymCsr
-              ? std::get<SymCsr>(matrix_).row_ptr()
-              : std::get<SymCsrVi>(matrix_).row_ptr();
-      partition_ = opts_.balance_by_nnz
-                       ? partition_rows_by_nnz(rp, nthreads)
-                       : partition_rows_even(t.nrows(), nthreads);
+    } else if (!opts_.balance_by_nnz) {
+      partition_ = partition_rows_even(t.nrows(), nthreads);
+    } else if (const aligned_vector<index_t>* rp = row_ptr_of(matrix_)) {
+      partition_ = partition_rows_by_nnz(*rp, nthreads);
     } else {
-      partition_ = opts_.balance_by_nnz
-                       ? partition_rows_by_nnz(t, nthreads)
-                       : partition_rows_even(t.nrows(), nthreads);
+      partition_ = partition_rows_by_nnz(t, nthreads);
     }
     if (format_requires_symmetry(format)) {
       const bool vi = format == Format::kSymCsrVi;
@@ -351,17 +360,11 @@ void SpmvInstance::init(const Triplets& t) {
                                          : SymReduce::kPrivate;
       sym_active_ = true;
     }
-    // Precompute per-thread slices for the streaming formats.
+    // Per-thread slices for the streaming formats, in one ctl scan.
     if (const auto* du = std::get_if<CsrDu>(&matrix_)) {
-      for (std::size_t th = 0; th < nthreads; ++th) {
-        du_slices_.push_back(
-            du->slice(partition_.row_begin(th), partition_.row_end(th)));
-      }
+      du_slices_ = du->slices(partition_.bounds);
     } else if (const auto* duvi = std::get_if<CsrDuVi>(&matrix_)) {
-      for (std::size_t th = 0; th < nthreads; ++th) {
-        du_slices_.push_back(duvi->du().slice(partition_.row_begin(th),
-                                              partition_.row_end(th)));
-      }
+      du_slices_ = duvi->du().slices(partition_.bounds);
     }
 
     Topology topo;
@@ -463,10 +466,12 @@ void SpmvInstance::setup_schedule(const Triplets& t, const Topology& topo) {
   }
   // Row-cost profile for the planner: BCSR budgets blocks against the
   // block-row partition; everything else budgets true non-zeros per row
-  // (rebuilt from the triplets — the DU family has no row_ptr).
+  // (rebuilt from the triplets where the format has no row_ptr).
   if (format_ == Format::kBcsr) {
     chunk_plan_ = plan_chunks(std::get<Bcsr>(matrix_).block_row_ptr(),
                               partition_, target);
+  } else if (const aligned_vector<index_t>* own = row_ptr_of(matrix_)) {
+    chunk_plan_ = plan_chunks(*own, partition_, target);
   } else {
     aligned_vector<index_t> rp(nrows_ + 1, 0);
     for (const Entry& e : t.entries()) {

@@ -2,8 +2,8 @@
 
 #include <cstdio>
 #include <cstring>
-#include <unordered_map>
 
+#include "spc/mm/ops.hpp"
 #include "spc/support/error.hpp"
 
 namespace spc::tune {
@@ -109,39 +109,19 @@ TuneFeatures extract_features(const Triplets& t) {
     }
   }
 
-  if (t.nrows() == t.ncols() && t.nnz() > 0) {
-    // One map serves both symmetry checks: key = (row, col), payload =
-    // the value's bit pattern, so the mirror lookup can also decide
-    // value symmetry. Bitwise equality is a conservative proxy for
-    // SymCsr::applicable's value comparison (it differs only on ±0.0
-    // mirrors, where the tuner just declines the sym formats).
-    std::unordered_map<std::uint64_t, std::uint64_t> pattern;
-    pattern.reserve(t.nnz());
-    for (const Entry& e : t.entries()) {
-      std::uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(e.val));
-      std::memcpy(&bits, &e.val, sizeof(bits));
-      pattern.emplace((static_cast<std::uint64_t>(e.row) << 32) | e.col,
-                      bits);
-    }
-    bool sym = true;
-    bool vsym = true;
-    for (const Entry& e : t.entries()) {
-      const auto it = pattern.find(
-          (static_cast<std::uint64_t>(e.col) << 32) | e.row);
-      if (it == pattern.end()) {
-        sym = false;
-        vsym = false;
-        break;
-      }
-      std::uint64_t bits;
-      std::memcpy(&bits, &e.val, sizeof(bits));
-      if (it->second != bits) {
-        vsym = false;
-      }
-    }
-    f.structurally_symmetric = sym;
-    f.value_symmetric = vsym;
+  if (t.nnz() > 0) {
+    // Bit patterns, not SymCsr::applicable's `==`: the two differ only
+    // on ±0.0 mirrors (the tuner declines the sym formats) and on NaN
+    // mirrors (the sym encoders refuse them).
+    const MirrorCheck m = check_mirrors(t, [](value_t a, value_t b) {
+      std::uint64_t ab = 0;
+      std::uint64_t bb = 0;
+      std::memcpy(&ab, &a, sizeof(ab));
+      std::memcpy(&bb, &b, sizeof(bb));
+      return ab == bb;
+    });
+    f.structurally_symmetric = m.pattern;
+    f.value_symmetric = m.values;
   }
 
   f.fingerprint = matrix_fingerprint(t);

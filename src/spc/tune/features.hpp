@@ -49,8 +49,8 @@ struct TuneFeatures {
 /// triplets (as every encoder here does).
 std::string matrix_fingerprint(const Triplets& t);
 
-/// Computes all features in O(nnz log nnz). Requires sorted/combined
-/// triplets.
+/// Computes all features in O(nnz log max row length). Requires
+/// sorted/combined triplets.
 TuneFeatures extract_features(const Triplets& t);
 
 }  // namespace spc::tune

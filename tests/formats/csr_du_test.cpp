@@ -305,16 +305,6 @@ TEST(CsrDu, SliceOfEmptyRowRangeIsEmpty) {
   EXPECT_EQ(s.ctl, s.ctl_end);
 }
 
-TEST(CsrDu, DropValuesKeepsStructure) {
-  CsrDu m = CsrDu::from_triplets(test::paper_matrix());
-  const usize_t units = m.unit_count();
-  m.drop_values();
-  EXPECT_EQ(m.nnz(), 16u);
-  EXPECT_EQ(m.unit_count(), units);
-  EXPECT_TRUE(m.values().empty());
-  EXPECT_EQ(m.full().values, nullptr);
-}
-
 TEST(CsrDu, CursorVisitsEveryElementInOrder) {
   Rng rng(21);
   const Triplets t = test::random_triplets(300, 20000, 4000, rng);

@@ -18,8 +18,14 @@ TEST(CsrDuVi, RoundTripPaperMatrix) {
 TEST(CsrDuVi, DropsDuplicateValueArray) {
   const CsrDuVi m = CsrDuVi::from_triplets(test::paper_matrix());
   EXPECT_TRUE(m.du().values().empty());
+  EXPECT_EQ(m.du().full().values, nullptr);
   EXPECT_EQ(m.nnz(), 16u);
+  EXPECT_EQ(m.du().nnz(), 16u);
   EXPECT_EQ(m.unique_count(), 9u);
+  // The index side is the plain DU encoding's ctl stream, byte for byte.
+  const CsrDu du = CsrDu::from_triplets(test::paper_matrix());
+  EXPECT_EQ(m.du().ctl(), du.ctl());
+  EXPECT_EQ(m.du().unit_count(), du.unit_count());
 }
 
 TEST(CsrDuVi, BytesSmallerThanBothParentsOnFriendlyMatrix) {

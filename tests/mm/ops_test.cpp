@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <limits>
 
+#include "spc/formats/sym_csr.hpp"
 #include "spc/gen/generators.hpp"
 #include "spc/mm/vector.hpp"
+#include "spc/tune/features.hpp"
 #include "test_util.hpp"
 
 namespace spc {
@@ -192,6 +195,111 @@ TEST(VectorCompare, NanDifferenceIsInfinitelyFar) {
   EXPECT_EQ(max_abs_diff(Vector{kNan, 1.0}, Vector{kNan, 1.0}), kInf);
   EXPECT_EQ(rel_error(Vector{1.0, 2.0}, Vector{kNan, 2.0}), kInf);
   EXPECT_EQ(max_abs_diff(Vector{1.0, -2.0}, Vector{1.5, -2.0}), 0.5);
+}
+
+// Tridiagonal 3x3 whose (1,0)/(0,1) pair carries `lower` and `upper`.
+Triplets mirror_pair(value_t lower, value_t upper) {
+  Triplets t(3, 3);
+  for (index_t i = 0; i < 3; ++i) {
+    t.add(i, i, 2.0);
+  }
+  t.add(1, 0, lower);
+  t.add(0, 1, upper);
+  t.add(2, 1, -1.0);
+  t.add(1, 2, -1.0);
+  t.sort_and_combine();
+  return t;
+}
+
+bool numeric_eq(value_t a, value_t b) { return a == b; }
+
+bool bitwise_eq(value_t a, value_t b) {
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+TEST(MirrorCheck, SignedZeroMirrorIsNumericallyButNotBitwiseEqual) {
+  const Triplets t = mirror_pair(0.0, -0.0);
+  const MirrorCheck num = check_mirrors(t, numeric_eq);
+  EXPECT_TRUE(num.pattern);
+  EXPECT_TRUE(num.values);
+  const MirrorCheck bits = check_mirrors(t, bitwise_eq);
+  EXPECT_TRUE(bits.pattern);
+  EXPECT_FALSE(bits.values);
+  // Each caller keeps its own equality.
+  EXPECT_TRUE(SymCsr::applicable(t));
+  const tune::TuneFeatures f = tune::extract_features(t);
+  EXPECT_TRUE(f.structurally_symmetric);
+  EXPECT_FALSE(f.value_symmetric);
+}
+
+TEST(MirrorCheck, NanMirrorIsBitwiseButNeverNumericallyEqual) {
+  const value_t nan = std::numeric_limits<value_t>::quiet_NaN();
+  const Triplets t = mirror_pair(nan, nan);
+  EXPECT_FALSE(check_mirrors(t, numeric_eq).values);
+  EXPECT_TRUE(check_mirrors(t, bitwise_eq).values);
+  EXPECT_FALSE(SymCsr::applicable(t));
+  const tune::TuneFeatures f = tune::extract_features(t);
+  EXPECT_TRUE(f.structurally_symmetric);
+  EXPECT_TRUE(f.value_symmetric);
+}
+
+TEST(MirrorCheck, MissingMirrorBreaksThePattern) {
+  // A lower entry without its upper mirror...
+  Triplets lower_only(3, 3);
+  lower_only.add(0, 0, 1.0);
+  lower_only.add(2, 0, 1.0);
+  lower_only.sort_and_combine();
+  // ...and an upper entry without its lower mirror (the triangle counts
+  // differ although every lower entry finds its mirror).
+  Triplets upper_extra = mirror_pair(1.0, 1.0);
+  upper_extra.add(0, 2, 1.0);
+  upper_extra.sort_and_combine();
+  for (const Triplets* t : {&lower_only, &upper_extra}) {
+    const MirrorCheck m = check_mirrors(*t, numeric_eq);
+    EXPECT_FALSE(m.pattern);
+    EXPECT_FALSE(m.values);
+    EXPECT_FALSE(SymCsr::applicable(*t));
+    const tune::TuneFeatures f = tune::extract_features(*t);
+    EXPECT_FALSE(f.structurally_symmetric);
+    EXPECT_FALSE(f.value_symmetric);
+  }
+}
+
+TEST(MirrorCheck, RectangularIsNeverSymmetric) {
+  Triplets t(3, 4);
+  t.add(0, 0, 1.0);
+  t.add(1, 1, 1.0);
+  t.sort_and_combine();
+  const MirrorCheck m = check_mirrors(t, numeric_eq);
+  EXPECT_FALSE(m.pattern);
+  EXPECT_FALSE(m.values);
+  EXPECT_FALSE(SymCsr::applicable(t));
+  const tune::TuneFeatures f = tune::extract_features(t);
+  EXPECT_FALSE(f.structurally_symmetric);
+  EXPECT_FALSE(f.value_symmetric);
+}
+
+TEST(MirrorCheck, AgreesWithTransposeOnRandomMatrices) {
+  for (int seed = 0; seed < 8; ++seed) {
+    Rng rng(700 + seed);
+    const Triplets t = symmetrize(test::random_triplets(60, 60, 400, rng));
+    const MirrorCheck m = check_mirrors(t, numeric_eq);
+    EXPECT_TRUE(m.pattern);
+    EXPECT_TRUE(m.values);
+    // Shifting one stored value breaks value symmetry only.
+    Triplets skew(t.nrows(), t.ncols());
+    bool changed = false;
+    for (const Entry& e : t.entries()) {
+      const bool hit = !changed && e.row != e.col;
+      skew.add(e.row, e.col, hit ? e.val + 1.0 : e.val);
+      changed = changed || hit;
+    }
+    skew.sort_and_combine();
+    const MirrorCheck s = check_mirrors(skew, numeric_eq);
+    EXPECT_TRUE(s.pattern);
+    EXPECT_EQ(s.values, !changed);
+    EXPECT_EQ(s.values, equal(skew, transpose(skew)));
+  }
 }
 
 }  // namespace
