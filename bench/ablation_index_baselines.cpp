@@ -2,11 +2,12 @@
 // CSR-16 (the Williams et al. short-index trick, §III-D) vs BCSR
 // (blocking, §III-A/B) vs DCSR (fine-grained delta commands, §III-B) vs
 // CSR-DU. Reports matrix size relative to CSR and serial + multithreaded
-// SpMV time on a corpus subset. DCSR is a format class only, so it is
-// timed serially through its own spmv().
+// SpMV time on a corpus subset. BCSR and DCSR are format classes only,
+// so they are timed serially through their own spmv().
 #include <iostream>
 
 #include "spc/bench/harness.hpp"
+#include "spc/formats/bcsr.hpp"
 #include "spc/formats/dcsr.hpp"
 #include "spc/support/strutil.hpp"
 
@@ -32,8 +33,7 @@ void run() {
     SpmvInstance csr_mt(mc.mat, Format::kCsr, mt, opts);
     const double t_csr_mt = time_spmv(csr_mt, cfg.iterations, cfg.warmup);
 
-    for (const Format f : {Format::kCsr, Format::kCsr16, Format::kBcsr,
-                           Format::kCsrDu}) {
+    for (const Format f : {Format::kCsr, Format::kCsr16, Format::kCsrDu}) {
       if (f == Format::kCsr16 && mc.mat.ncols() > 65536) {
         table.add_row({mc.name, "csr16", "-", "n/a (ncols>2^16)", "-",
                        "-"});
@@ -49,13 +49,16 @@ void run() {
            fmt_fixed(t1 * 1e3, 2), fmt_fixed(tn * 1e3, 2),
            fmt_fixed(tn > 0 ? t_csr_mt / tn : 0.0, 2)});
     }
-    const Dcsr dcsr = Dcsr::from_triplets(mc.mat);
-    table.add_row(
-        {mc.name, "dcsr",
-         fmt_fixed(static_cast<double>(dcsr.bytes()) / csr_b, 2),
-         fmt_fixed(time_format_spmv(dcsr, cfg.iterations, cfg.warmup) * 1e3,
-                   2),
-         "-", "-"});
+    const auto serial_row = [&](const char* name, const auto& m) {
+      table.add_row(
+          {mc.name, name,
+           fmt_fixed(static_cast<double>(m.bytes()) / csr_b, 2),
+           fmt_fixed(time_format_spmv(m, cfg.iterations, cfg.warmup) * 1e3,
+                     2),
+           "-", "-"});
+    };
+    serial_row("bcsr", Bcsr::from_triplets(mc.mat, 2, 2));
+    serial_row("dcsr", Dcsr::from_triplets(mc.mat));
   });
   table.print(std::cout);
   std::cout << "\n";

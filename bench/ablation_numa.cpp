@@ -1,16 +1,16 @@
-// Ablation: NUMA data placement — first-touch per-thread slices and the
-// x-vector policies, across thread placements and formats.
+// Ablation: NUMA data placement — whether each worker building (and so
+// first-touching) its own slice pays, across thread placements and
+// formats.
 //
-// On a multi-socket ccNUMA machine the master-touched arrays of the
-// default layout put every matrix page on one node, so remote threads
-// stream at interconnect bandwidth (the flat-scaling failure mode of
-// Schubert/Hager/Fehske). This ablation measures what each placement
+// On a multi-socket ccNUMA machine slices built by the calling thread put
+// every matrix page on one node, so remote threads stream at
+// interconnect bandwidth (the flat-scaling failure mode of
+// Schubert/Hager/Fehske). This ablation measures what owner placement
 // buys: rows are (placement in {close, spread}) x (SPC_NUMA policy in
-// {off, local, replicate, interleaved}) x format x threads, with the
-// page-residency check (sampled via move_pages) showing whether the
-// repacked slices actually landed on their owners' nodes. On a
-// single-node machine every policy is bit-identical and the deltas
-// collapse to the repack's (off-timed-path) noise floor.
+// {off, local}) x format x threads, with the page-residency check
+// (sampled via move_pages) showing whether the slices actually landed on
+// their owners' nodes. On a single-node machine both policies are
+// bit-identical and the deltas collapse to noise.
 //
 // JSONL (under SPC_METRICS) carries "numa", "placement", and the
 // numa_pages_sampled/numa_pages_local residency fields;
@@ -39,9 +39,7 @@ void run() {
   const Format formats[] = {Format::kCsr, Format::kCsrDu, Format::kCsrVi};
   const Placement placements[] = {Placement::kCloseFirst,
                                   Placement::kSpreadCaches};
-  const NumaPolicy policies[] = {NumaPolicy::kOff, NumaPolicy::kLocal,
-                                 NumaPolicy::kReplicate,
-                                 NumaPolicy::kInterleave};
+  const NumaPolicy policies[] = {NumaPolicy::kOff, NumaPolicy::kLocal};
 
   TextTable table({"matrix", "format", "placement", "numa", "threads",
                    "MFLOPS", "vs off", "resident"});
@@ -91,7 +89,7 @@ void run() {
   table.print(std::cout);
   std::cout << "\nnote: \"numa\" is the policy in effect after "
                "resolution — auto collapses to off on single-node "
-               "machines; \"resident\" samples the repacked blocks via "
+               "machines; \"resident\" samples the slices' arrays via "
                "move_pages (\"-\" when placement is off or the query is "
                "unavailable).\n";
 }

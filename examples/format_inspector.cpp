@@ -12,11 +12,13 @@
 #include <string>
 
 #include "spc/bench/harness.hpp"
+#include "spc/formats/bcsr.hpp"
 #include "spc/formats/coo.hpp"
 #include "spc/formats/csc.hpp"
 #include "spc/formats/csr_vi.hpp"
 #include "spc/formats/dcsr.hpp"
 #include "spc/formats/dia.hpp"
+#include "spc/formats/ell.hpp"
 #include "spc/formats/jds.hpp"
 #include "spc/gen/corpus.hpp"
 #include "spc/mm/mtx.hpp"
@@ -94,15 +96,14 @@ int main(int argc, char** argv) {
       std::printf("%-11s %12s %9s\n", name.c_str(), "-", "n/a");
     }
   };
-  // Guard the padded formats (ELL, DIA) against pathological blowup;
-  // report the refusal instead of allocating gigabytes.
-  InstanceOptions opts;
-  opts.ell_max_width_factor = 24.0;
   for (const Format f : all_formats()) {
-    row(format_name(f),
-        [&] { return SpmvInstance(t, f, 1, opts).matrix_bytes(); });
+    row(format_name(f), [&] { return SpmvInstance(t, f).matrix_bytes(); });
   }
-  // The §III-A/B comparators are format classes only.
+  // The §III-A/B comparators are format classes only. The padded formats
+  // (ELL, DIA) are guarded against pathological blowup: the refusal is
+  // reported instead of allocating gigabytes.
+  row("bcsr", [&] { return Bcsr::from_triplets(t, 2, 2).bytes(); });
+  row("ell", [&] { return Ell::from_triplets(t, 24.0).bytes(); });
   row("coo", [&] { return Coo::from_triplets(t).bytes(); });
   row("csc", [&] { return Csc::from_triplets(t).bytes(); });
   row("dia", [&] { return Dia::from_triplets(t, 2048).bytes(); });

@@ -19,7 +19,9 @@
 #include <vector>
 
 #include "spc/bench/harness.hpp"
+#include "spc/formats/bcsr.hpp"
 #include "spc/formats/dcsr.hpp"
+#include "spc/formats/ell.hpp"
 #include "spc/formats/serialize.hpp"
 #include "spc/gen/corpus.hpp"
 #include "spc/mm/mtx.hpp"
@@ -115,6 +117,14 @@ int cmd_inspect(std::vector<std::string> args) {
   for (const Format f :
        {Format::kCsr, Format::kCsrDu, Format::kCsrVi, Format::kCsrDuVi}) {
     row(format_name(f), SpmvInstance(t, f).matrix_bytes());
+  }
+  // The §III-A/B comparators are format classes only; ELL keeps its
+  // width guard so a skewed matrix reports a refusal, not gigabytes.
+  row("bcsr", Bcsr::from_triplets(t, 2, 2).bytes());
+  try {
+    row("ell", Ell::from_triplets(t, 24.0).bytes());
+  } catch (const InvalidArgument&) {
+    std::printf("  %-10s %10s\n", "ell", "n/a");
   }
   row("dcsr", Dcsr::from_triplets(t).bytes());
   return 0;

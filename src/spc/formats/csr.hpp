@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 
 #include "spc/mm/triplets.hpp"
 #include "spc/support/aligned.hpp"
@@ -26,25 +27,33 @@ class BasicCsr {
 
   /// Builds from sorted/combined triplets in O(nnz).
   static BasicCsr from_triplets(const Triplets& t) {
+    return from_rows(t, 0, t.nrows());
+  }
+
+  /// Builds rows [row_begin, row_end) of sorted triplets as a standalone
+  /// (row_end - row_begin) x ncols matrix: local row i is row
+  /// row_begin + i, and row_ptr starts at 0.
+  static BasicCsr from_rows(const Triplets& t, index_t row_begin,
+                            index_t row_end) {
     SPC_CHECK_MSG(t.is_sorted_unique(),
                   "CSR construction requires sorted/combined triplets");
     SPC_CHECK_MSG(t.ncols() == 0 ||
                       t.ncols() - 1 <= std::numeric_limits<ColIndexT>::max(),
                   "column index type too narrow for this matrix");
+    const std::span<const Entry> rows = t.rows(row_begin, row_end);
     BasicCsr m;
-    m.nrows_ = t.nrows();
+    m.nrows_ = row_end - row_begin;
     m.ncols_ = t.ncols();
-    m.row_ptr_.assign(t.nrows() + 1, 0);
-    m.col_ind_.resize(t.nnz());
-    m.values_.resize(t.nnz());
-    usize_t k = 0;
-    for (const Entry& e : t.entries()) {
-      ++m.row_ptr_[e.row + 1];
+    m.row_ptr_.assign(m.nrows_ + 1, 0);
+    m.col_ind_.resize(rows.size());
+    m.values_.resize(rows.size());
+    for (usize_t k = 0; k < rows.size(); ++k) {
+      const Entry& e = rows[k];
+      ++m.row_ptr_[e.row - row_begin + 1];
       m.col_ind_[k] = static_cast<ColIndexT>(e.col);
       m.values_[k] = e.val;
-      ++k;
     }
-    for (index_t r = 0; r < t.nrows(); ++r) {
+    for (index_t r = 0; r < m.nrows_; ++r) {
       m.row_ptr_[r + 1] += m.row_ptr_[r];
     }
     return m;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
+#include <string>
 
 #include "spc/support/varint.hpp"
 
@@ -50,41 +52,94 @@ struct Segment {
 
 }  // namespace
 
-CsrDu CsrDu::from_triplets(const Triplets& t, const CsrDuOptions& opts) {
-  return encode(t, opts, true);
+Status CsrDuOptions::validate() const {
+  if (max_unit < 1 || max_unit > 255) {
+    return Status::Invalid("du.max_unit must be in [1, 255] (got " +
+                           std::to_string(max_unit) + ")");
+  }
+  if (split_threshold < 1) {
+    return Status::Invalid("du.split_threshold must be >= 1 (got " +
+                           std::to_string(split_threshold) + ")");
+  }
+  if (rle_min_run < 2) {
+    return Status::Invalid("du.rle_min_run must be >= 2 (got " +
+                           std::to_string(rle_min_run) + ")");
+  }
+  return Status::Ok();
 }
 
-CsrDu CsrDu::encode(const Triplets& t, const CsrDuOptions& opts,
-                    bool keep_values) {
+void CsrDu::UnitHistogram::add_unit(DeltaClass cls, std::uint32_t usize,
+                                    bool rle, std::uint64_t stride) {
+  const auto ci = static_cast<std::uint8_t>(
+      rle ? delta_class_for(stride) : cls);
+  ++units;
+  nnz += usize;
+  ++units_per_class[ci];
+  elems_per_class[ci] += usize;
+  if (rle) {
+    ++rle_units;
+    rle_elems += usize;
+    if (stride == 1) {
+      ++seq_units;
+      seq_elems += usize;
+    }
+  }
+}
+
+CsrDu::UnitHistogram& CsrDu::UnitHistogram::operator+=(
+    const UnitHistogram& o) {
+  units += o.units;
+  for (int c = 0; c < 4; ++c) {
+    units_per_class[c] += o.units_per_class[c];
+    elems_per_class[c] += o.elems_per_class[c];
+  }
+  rle_units += o.rle_units;
+  rle_elems += o.rle_elems;
+  seq_units += o.seq_units;
+  seq_elems += o.seq_elems;
+  nnz += o.nnz;
+  return *this;
+}
+
+CsrDu CsrDu::from_triplets(const Triplets& t, const CsrDuOptions& opts) {
+  return encode(t, 0, t.nrows(), opts, true);
+}
+
+CsrDu CsrDu::from_rows(const Triplets& t, index_t row_begin,
+                       index_t row_end, const CsrDuOptions& opts) {
+  return encode(t, row_begin, row_end, opts, true);
+}
+
+CsrDu CsrDu::encode(const Triplets& t, index_t row_begin, index_t row_end,
+                    const CsrDuOptions& opts, bool keep_values) {
   SPC_CHECK_MSG(t.is_sorted_unique(),
                 "CSR-DU construction requires sorted/combined triplets");
-  SPC_CHECK_MSG(opts.max_unit >= 1 && opts.max_unit <= 255,
-                "max_unit must be in [1, 255]");
-  SPC_CHECK_MSG(opts.split_threshold >= 1, "split_threshold must be >= 1");
-  SPC_CHECK_MSG(opts.rle_min_run >= 2, "rle_min_run must be >= 2");
+  if (const Status st = opts.validate(); !st.ok()) {
+    throw InvalidArgument("CsrDuOptions: " + st.message());
+  }
+  const std::span<const Entry> entries = t.rows(row_begin, row_end);
 
   CsrDu m;
-  m.nrows_ = t.nrows();
+  m.nrows_ = row_end - row_begin;
   m.ncols_ = t.ncols();
   m.opts_ = opts;
-  m.nnz_ = t.nnz();
+  m.nnz_ = entries.size();
   if (keep_values) {
-    m.values_.reserve(t.nnz());
+    m.values_.reserve(entries.size());
   }
   // Two bytes per element and a 5-byte varint per row bound every row of
   // at most 255 u8/u16-class deltas (the unit header spends the first
   // element's two bytes), so only rows with wider gaps can make the
   // stream grow and copy itself.
-  m.ctl_.reserve(2 * t.nnz() + 5 * static_cast<usize_t>(t.nrows()));
+  m.ctl_.reserve(2 * entries.size() + 5 * static_cast<usize_t>(m.nrows_));
 
-  const auto& entries = t.entries();
   std::vector<std::uint64_t> deltas;   // deltas of the current row
   std::vector<Segment> segments;       // segmentation of the current row
-  std::int64_t prev_row = -1;          // last row that produced units
+  std::int64_t prev_row = -1;          // last local row that produced units
 
   usize_t i = 0;
   while (i < entries.size()) {
-    // Gather one row.
+    // Gather one row (entries carry absolute rows; prev_row is local).
     const index_t row = entries[i].row;
     const usize_t row_start = i;
     deltas.clear();
@@ -156,9 +211,8 @@ CsrDu CsrDu::encode(const Triplets& t, const CsrDuOptions& opts,
     }
 
     // Emit the row's units.
-    const std::uint64_t rskip =
-        static_cast<std::uint64_t>(static_cast<std::int64_t>(row) -
-                                   prev_row - 1);
+    const std::uint64_t rskip = static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(row - row_begin) - prev_row - 1);
     bool first_of_row = true;
     for (const Segment& seg : segments) {
       std::uint8_t flags =
@@ -186,19 +240,10 @@ CsrDu CsrDu::encode(const Triplets& t, const CsrDuOptions& opts,
           append_delta(m.ctl_, deltas[seg.first + k], seg.cls);
         }
       }
-      ++m.unit_count_;
-      if (seg.rle) {
-        ++m.rle_units_;
-        // Class totals partition all units: RLE units count under their
-        // stride's class (matching unit_histogram()).
-        ++m.units_per_class_[static_cast<std::uint8_t>(
-            delta_class_for(seg.stride))];
-      } else {
-        ++m.units_per_class_[static_cast<std::uint8_t>(seg.cls)];
-      }
+      m.hist_.add_unit(seg.cls, seg.len, seg.rle, seg.stride);
       first_of_row = false;
     }
-    prev_row = row;
+    prev_row = row - row_begin;
   }
   return m;
 }
@@ -274,15 +319,7 @@ CsrDu CsrDu::from_raw(index_t nrows, index_t ncols,
     if (col >= ncols) {
       throw ParseError("csr-du: column index out of bounds");
     }
-    ++m.unit_count_;
-    if (rle) {
-      ++m.rle_units_;
-      // Class totals partition all units (see unit_histogram()).
-      ++m.units_per_class_[static_cast<std::uint8_t>(
-          delta_class_for(rle_stride))];
-    } else {
-      ++m.units_per_class_[static_cast<std::uint8_t>(cls)];
-    }
+    m.hist_.add_unit(cls, usize, rle, rle_stride);
   }
   if (!m.values_.empty() && elems != m.values_.size()) {
     throw ParseError("csr-du: ctl element count does not match values");
@@ -481,29 +518,11 @@ CsrDu::UnitHistogram CsrDu::unit_histogram() const {
       varint_decode_checked(p, end);  // rskip
     }
     varint_decode_checked(p, end);  // ujmp
-    ++h.units;
-    h.nnz += usize;
+    const auto cls = static_cast<DeltaClass>(uflags & kDuClassMask);
     if (uflags & kDuRle) {
-      const std::uint64_t stride = varint_decode_checked(p, end);
-      // RLE units carry their deltas implicitly (one stride for the
-      // whole run); classify them by the stride's width so the class
-      // totals always partition *all* units/elements — rle_*/seq_* stay
-      // annotated subsets, not a disjoint bucket.
-      const auto ci =
-          static_cast<std::uint8_t>(delta_class_for(stride));
-      ++h.units_per_class[ci];
-      h.elems_per_class[ci] += usize;
-      ++h.rle_units;
-      h.rle_elems += usize;
-      if (stride == 1) {
-        ++h.seq_units;
-        h.seq_elems += usize;
-      }
+      h.add_unit(cls, usize, true, varint_decode_checked(p, end));
     } else {
-      const auto cls = static_cast<DeltaClass>(uflags & kDuClassMask);
-      const auto ci = static_cast<std::uint8_t>(cls);
-      ++h.units_per_class[ci];
-      h.elems_per_class[ci] += usize;
+      h.add_unit(cls, usize, false, 0);
       const usize_t payload =
           static_cast<usize_t>(usize - 1) * delta_class_bytes(cls);
       SPC_CHECK_MSG(p + payload <= end, "ctl stream truncated inside ucis");

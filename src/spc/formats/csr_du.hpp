@@ -37,6 +37,7 @@
 #include "spc/mm/triplets.hpp"
 #include "spc/mm/stats.hpp"
 #include "spc/support/aligned.hpp"
+#include "spc/support/status.hpp"
 #include "spc/support/types.hpp"
 
 namespace spc {
@@ -62,6 +63,11 @@ struct CsrDuOptions {
   bool enable_rle = false;
   /// Minimum run length that becomes an RLE unit.
   std::uint32_t rle_min_run = 16;
+
+  /// Checks the knob ranges: max_unit in [1, 255], split_threshold >= 1
+  /// and rle_min_run >= 2. Returns ok() or a kInvalidArgument status
+  /// naming the bad field and value.
+  Status validate() const;
 };
 
 class CsrDu {
@@ -70,6 +76,16 @@ class CsrDu {
 
   static CsrDu from_triplets(const Triplets& t,
                              const CsrDuOptions& opts = {});
+
+  /// Encodes rows [row_begin, row_end) of sorted triplets as a standalone
+  /// (row_end - row_begin) x ncols matrix (local row i is row
+  /// row_begin + i); from_triplets() is the full range. Units never span
+  /// rows (§IV), so the stream is the whole matrix's units for those
+  /// rows, except that the first unit's rskip counts from the range's
+  /// first row: decoded from row_state = row_begin - 1 the stream yields
+  /// absolute rows.
+  static CsrDu from_rows(const Triplets& t, index_t row_begin,
+                         index_t row_end, const CsrDuOptions& opts = {});
 
   /// Reconstructs a CSR-DU matrix from a raw ctl stream and value array
   /// (the deserialization path). The stream is fully validated: unit
@@ -96,18 +112,10 @@ class CsrDu {
     return ctl_.size() + values_.size() * sizeof(value_t);
   }
 
-  // --- construction statistics (reported by Fig 7 / ablation benches) ---
-  usize_t unit_count() const { return unit_count_; }
-  usize_t unit_count_class(DeltaClass c) const {
-    return units_per_class_[static_cast<std::uint8_t>(c)];
-  }
-  usize_t rle_unit_count() const { return rle_units_; }
-
-  /// Per-unit-class structure of the ctl stream, computed by a
-  /// payload-skipping O(units) scan — valid for any construction path
-  /// (from_triplets or from_raw). The dispatch layer uses it to pick a
-  /// decode strategy per matrix (SpmvInstance::prepare()): e.g. streams
-  /// of mostly sub-vector-width units stay on the scalar decoder.
+  /// Per-unit-class structure of the ctl stream. The dispatch layer uses
+  /// it to pick a decode strategy per matrix (SpmvInstance::prepare()):
+  /// e.g. streams of mostly sub-vector-width units stay on the scalar
+  /// decoder.
   struct UnitHistogram {
     usize_t units = 0;
     usize_t units_per_class[4] = {0, 0, 0, 0};  ///< indexed by DeltaClass
@@ -118,6 +126,19 @@ class CsrDu {
     usize_t seq_elems = 0;
     usize_t nnz = 0;                ///< total elements across units
 
+    /// Counts one unit of `usize` elements. RLE units carry their deltas
+    /// implicitly (one stride for the whole run) and count under the
+    /// stride's class, so the class totals partition *all* units and
+    /// elements; rle_*/seq_* stay annotated subsets.
+    void add_unit(DeltaClass cls, std::uint32_t usize, bool rle,
+                  std::uint64_t stride);
+
+    /// Field-wise sum (the histogram of concatenated streams).
+    UnitHistogram& operator+=(const UnitHistogram& o);
+
+    friend bool operator==(const UnitHistogram&,
+                           const UnitHistogram&) = default;
+
     /// Mean elements per unit; 0 for an empty stream.
     double avg_unit_elems() const {
       return units != 0
@@ -126,8 +147,20 @@ class CsrDu {
     }
   };
 
+  /// The histogram of the units as the encoder emitted them (or as
+  /// from_raw's validation walk met them).
+  const UnitHistogram& histogram() const { return hist_; }
+
+  // --- construction statistics (reported by Fig 7 / ablation benches) ---
+  usize_t unit_count() const { return hist_.units; }
+  usize_t unit_count_class(DeltaClass c) const {
+    return hist_.units_per_class[static_cast<std::uint8_t>(c)];
+  }
+  usize_t rle_unit_count() const { return hist_.rle_units; }
+
   /// Scans the ctl stream and histograms its units (delta classes, RLE
-  /// and stride-1 runs, element counts).
+  /// and stride-1 runs, element counts) with a payload-skipping O(units)
+  /// walk: an independent check of histogram().
   UnitHistogram unit_histogram() const;
 
   /// A thread's view: a row range plus the ctl/value offsets where it
@@ -212,8 +245,8 @@ class CsrDu {
   // CSR-DU-VI encodes the ctl stream alone: it keeps values through its
   // own indirection.
   friend class CsrDuVi;
-  static CsrDu encode(const Triplets& t, const CsrDuOptions& opts,
-                      bool keep_values);
+  static CsrDu encode(const Triplets& t, index_t row_begin, index_t row_end,
+                      const CsrDuOptions& opts, bool keep_values);
 
   index_t nrows_ = 0;
   index_t ncols_ = 0;
@@ -221,9 +254,7 @@ class CsrDu {
   CsrDuOptions opts_;
   aligned_vector<std::uint8_t> ctl_;
   aligned_vector<value_t> values_;
-  usize_t unit_count_ = 0;
-  usize_t units_per_class_[4] = {0, 0, 0, 0};
-  usize_t rle_units_ = 0;
+  UnitHistogram hist_;
 };
 
 }  // namespace spc

@@ -1,21 +1,30 @@
 #include "spc/formats/csr_du_vi.hpp"
 
+#include <span>
 #include <utility>
 
 namespace spc {
 
 CsrDuVi CsrDuVi::from_triplets(const Triplets& t, const CsrDuOptions& opts) {
-  SPC_CHECK_MSG(t.is_sorted_unique(),
-                "CSR-DU-VI construction requires sorted/combined triplets");
+  return from_rows(t, 0, t.nrows(), opts, row_major_values(t));
+}
+
+CsrDuVi CsrDuVi::from_rows(const Triplets& t, index_t row_begin,
+                           index_t row_end, const CsrDuOptions& opts,
+                           const ValueTable& values) {
   CsrDuVi m;
-  m.nnz_ = t.nnz();
-  m.du_ = CsrDu::encode(t, opts, /*keep_values=*/false);
+  m.du_ = CsrDu::encode(t, row_begin, row_end, opts, /*keep_values=*/false);
+  m.nnz_ = m.du_.nnz();
   // Row-major like the ctl stream's value consumption, so val_ind[k]
   // pairs with the k-th decoded element.
-  ValueIndex vi = index_values(t);
-  m.width_ = vi.width;
-  m.val_ind_ = std::move(vi.ind);
-  m.vals_unique_ = std::move(vi.uniques);
+  const std::span<const Entry> rows = t.rows(row_begin, row_end);
+  m.width_ = values.width();
+  m.vals_unique_ = values.values();
+  m.val_ind_.resize(rows.size() * static_cast<usize_t>(m.width_));
+  for (usize_t k = 0; k < rows.size(); ++k) {
+    store_value_index(m.val_ind_.data(), m.width_, k,
+                      values.index_of(rows[k].val));
+  }
   return m;
 }
 
@@ -58,7 +67,8 @@ CsrDuVi CsrDuVi::from_raw(index_t nrows, index_t ncols,
   }
   m.width_ = width;
   m.val_ind_ = std::move(val_ind);
-  m.vals_unique_ = std::move(vals_unique);
+  m.vals_unique_ =
+      std::make_shared<const aligned_vector<value_t>>(std::move(vals_unique));
   return m;
 }
 
@@ -73,11 +83,11 @@ Triplets CsrDuVi::to_triplets() const {
   const auto value_at = [&](usize_t i) -> value_t {
     switch (width_) {
       case ViWidth::kU8:
-        return vals_unique_[val_ind_[i]];
+        return vals_unique()[val_ind_[i]];
       case ViWidth::kU16:
-        return vals_unique_[val_ind_as<std::uint16_t>()[i]];
+        return vals_unique()[val_ind_as<std::uint16_t>()[i]];
       case ViWidth::kU32:
-        return vals_unique_[val_ind_as<std::uint32_t>()[i]];
+        return vals_unique()[val_ind_as<std::uint32_t>()[i]];
     }
     return 0.0;
   };

@@ -6,6 +6,8 @@
 // by the value-compression ablation bench.
 #pragma once
 
+#include <memory>
+
 #include "spc/formats/csr_du.hpp"
 #include "spc/formats/csr_vi.hpp"
 
@@ -17,6 +19,13 @@ class CsrDuVi {
 
   static CsrDuVi from_triplets(const Triplets& t,
                                const CsrDuOptions& opts = {});
+
+  /// Rows [row_begin, row_end) as a standalone matrix: the ctl stream of
+  /// CsrDu::from_rows() and value indices into `values`, which must be
+  /// row_major_values() of the same triplets (see CsrVi::from_rows()).
+  static CsrDuVi from_rows(const Triplets& t, index_t row_begin,
+                           index_t row_end, const CsrDuOptions& opts,
+                           const ValueTable& values);
 
   /// Reconstructs from raw arrays (deserialization). The ctl stream and
   /// value indices are fully validated; throws ParseError on violations.
@@ -33,11 +42,15 @@ class CsrDuVi {
   /// Index side: the DU ctl stream (the embedded CsrDu keeps no values
   /// array; only ctl is live).
   const CsrDu& du() const { return du_; }
+  /// The ctl stream's unit histogram, as the encoder emitted it.
+  const CsrDu::UnitHistogram& histogram() const { return du_.histogram(); }
 
-  const aligned_vector<value_t>& vals_unique() const { return vals_unique_; }
+  const aligned_vector<value_t>& vals_unique() const {
+    return *vals_unique_;
+  }
   const aligned_vector<std::uint8_t>& val_ind_raw() const { return val_ind_; }
   ViWidth width() const { return width_; }
-  usize_t unique_count() const { return vals_unique_.size(); }
+  usize_t unique_count() const { return vals_unique_->size(); }
 
   template <typename T>
   const T* val_ind_as() const {
@@ -48,7 +61,7 @@ class CsrDuVi {
   /// Matrix data size: ctl + val_ind + vals_unique.
   usize_t bytes() const {
     return du_.ctl_bytes() + val_ind_.size() +
-           vals_unique_.size() * sizeof(value_t);
+           vals_unique_->size() * sizeof(value_t);
   }
 
   Triplets to_triplets() const;
@@ -58,7 +71,9 @@ class CsrDuVi {
   CsrDu du_;  ///< ctl stream + slice machinery; no values array
   ViWidth width_ = ViWidth::kU8;
   aligned_vector<std::uint8_t> val_ind_;
-  aligned_vector<value_t> vals_unique_;
+  /// Shared by every slice built from one ValueTable.
+  std::shared_ptr<const aligned_vector<value_t>> vals_unique_ =
+      std::make_shared<const aligned_vector<value_t>>();
 };
 
 }  // namespace spc

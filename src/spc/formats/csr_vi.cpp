@@ -1,29 +1,37 @@
 #include "spc/formats/csr_vi.hpp"
 
+#include <span>
 #include <utility>
 
 namespace spc {
 
 CsrVi CsrVi::from_triplets(const Triplets& t) {
+  return from_rows(t, 0, t.nrows(), row_major_values(t));
+}
+
+CsrVi CsrVi::from_rows(const Triplets& t, index_t row_begin,
+                       index_t row_end, const ValueTable& values) {
   SPC_CHECK_MSG(t.is_sorted_unique(),
                 "CSR-VI construction requires sorted/combined triplets");
+  const std::span<const Entry> rows = t.rows(row_begin, row_end);
   CsrVi m;
-  m.nrows_ = t.nrows();
+  m.nrows_ = row_end - row_begin;
   m.ncols_ = t.ncols();
-  m.row_ptr_.assign(t.nrows() + 1, 0);
-  m.col_ind_.resize(t.nnz());
-  usize_t k = 0;
-  for (const Entry& e : t.entries()) {
-    ++m.row_ptr_[e.row + 1];
-    m.col_ind_[k++] = e.col;
+  m.width_ = values.width();
+  m.vals_unique_ = values.values();
+  m.row_ptr_.assign(m.nrows_ + 1, 0);
+  m.col_ind_.resize(rows.size());
+  m.val_ind_.resize(rows.size() * static_cast<usize_t>(m.width_));
+  for (usize_t k = 0; k < rows.size(); ++k) {
+    const Entry& e = rows[k];
+    ++m.row_ptr_[e.row - row_begin + 1];
+    m.col_ind_[k] = e.col;
+    store_value_index(m.val_ind_.data(), m.width_, k,
+                      values.index_of(e.val));
   }
-  for (index_t r = 0; r < t.nrows(); ++r) {
+  for (index_t r = 0; r < m.nrows_; ++r) {
     m.row_ptr_[r + 1] += m.row_ptr_[r];
   }
-  ValueIndex vi = index_values(t);
-  m.width_ = vi.width;
-  m.val_ind_ = std::move(vi.ind);
-  m.vals_unique_ = std::move(vi.uniques);
   return m;
 }
 
@@ -80,7 +88,8 @@ CsrVi CsrVi::from_raw(index_t nrows, index_t ncols,
   m.row_ptr_ = std::move(row_ptr);
   m.col_ind_ = std::move(col_ind);
   m.val_ind_ = std::move(val_ind);
-  m.vals_unique_ = std::move(vals_unique);
+  m.vals_unique_ =
+      std::make_shared<const aligned_vector<value_t>>(std::move(vals_unique));
   return m;
 }
 
@@ -88,11 +97,11 @@ value_t CsrVi::value_at(usize_t k) const {
   SPC_CHECK(k < nnz());
   switch (width_) {
     case ViWidth::kU8:
-      return vals_unique_[val_ind_[k]];
+      return vals_unique()[val_ind_[k]];
     case ViWidth::kU16:
-      return vals_unique_[val_ind_as<std::uint16_t>()[k]];
+      return vals_unique()[val_ind_as<std::uint16_t>()[k]];
     case ViWidth::kU32:
-      return vals_unique_[val_ind_as<std::uint32_t>()[k]];
+      return vals_unique()[val_ind_as<std::uint32_t>()[k]];
   }
   return 0.0;
 }

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
 #include "spc/mm/triplets.hpp"
 #include "spc/mm/value_census.hpp"
@@ -27,9 +28,16 @@ class CsrVi {
   CsrVi() = default;
 
   /// Builds in O(nnz) through a census of value bit patterns (§V): one
-  /// pass for the CSR indices, one to count the distinct values and one
-  /// to write their indices.
+  /// pass to count the distinct values, then from_rows() over all rows.
   static CsrVi from_triplets(const Triplets& t);
+
+  /// Builds rows [row_begin, row_end) of sorted triplets as a standalone
+  /// (row_end - row_begin) x ncols matrix (local row i is row
+  /// row_begin + i), with value indices into `values`, which must be
+  /// row_major_values() of the same triplets: every slice then shares
+  /// one vals_unique array and the indices match the whole matrix's.
+  static CsrVi from_rows(const Triplets& t, index_t row_begin,
+                         index_t row_end, const ValueTable& values);
 
   /// Reconstructs from raw arrays (the deserialization path) with full
   /// validation (shape consistency, index bounds, width coverage).
@@ -47,12 +55,14 @@ class CsrVi {
 
   const aligned_vector<index_t>& row_ptr() const { return row_ptr_; }
   const aligned_vector<std::uint32_t>& col_ind() const { return col_ind_; }
-  const aligned_vector<value_t>& vals_unique() const { return vals_unique_; }
+  const aligned_vector<value_t>& vals_unique() const {
+    return *vals_unique_;
+  }
   /// Raw value-index bytes; reinterpret per `width()`.
   const aligned_vector<std::uint8_t>& val_ind_raw() const { return val_ind_; }
   ViWidth width() const { return width_; }
 
-  usize_t unique_count() const { return vals_unique_.size(); }
+  usize_t unique_count() const { return vals_unique_->size(); }
   double ttu() const {
     return unique_count() ? static_cast<double>(nnz()) /
                                 static_cast<double>(unique_count())
@@ -73,7 +83,7 @@ class CsrVi {
   usize_t bytes() const {
     return row_ptr_.size() * sizeof(index_t) +
            col_ind_.size() * sizeof(std::uint32_t) + val_ind_.size() +
-           vals_unique_.size() * sizeof(value_t);
+           vals_unique_->size() * sizeof(value_t);
   }
 
   Triplets to_triplets() const;
@@ -85,7 +95,9 @@ class CsrVi {
   aligned_vector<index_t> row_ptr_;
   aligned_vector<std::uint32_t> col_ind_;
   aligned_vector<std::uint8_t> val_ind_;   ///< nnz * width bytes
-  aligned_vector<value_t> vals_unique_;
+  /// Shared by every slice built from one ValueTable.
+  std::shared_ptr<const aligned_vector<value_t>> vals_unique_ =
+      std::make_shared<const aligned_vector<value_t>>();
 };
 
 }  // namespace spc

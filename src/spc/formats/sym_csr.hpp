@@ -24,12 +24,19 @@ class SymCsr {
   /// Builds from a symmetric matrix; throws InvalidArgument otherwise.
   static SymCsr from_triplets(const Triplets& t);
 
-  index_t nrows() const { return n_; }
-  index_t ncols() const { return n_; }
-  /// Non-zeros of the *full* matrix this storage represents.
+  /// Rows [row_begin, row_end) of the storage: their diagonal and strict
+  /// lower triangle, with local rows (local row i is row row_begin + i)
+  /// and absolute columns. The caller checks applicable() once for the
+  /// whole matrix; to_triplets() is meaningful for the full range only.
+  static SymCsr from_rows(const Triplets& t, index_t row_begin,
+                          index_t row_end);
+
+  index_t nrows() const { return nrows_; }
+  index_t ncols() const { return ncols_; }
+  /// Non-zeros of the *full* matrix rows this storage represents.
   usize_t nnz() const { return nnz_full_; }
   /// Stored elements: diagonal + strict lower triangle.
-  usize_t stored() const { return n_ + values_.size(); }
+  usize_t stored() const { return diag_.size() + values_.size(); }
 
   const aligned_vector<value_t>& diag() const { return diag_; }
   const aligned_vector<index_t>& row_ptr() const { return row_ptr_; }
@@ -46,9 +53,10 @@ class SymCsr {
   Triplets to_triplets() const;
 
  private:
-  index_t n_ = 0;
+  index_t nrows_ = 0;
+  index_t ncols_ = 0;
   usize_t nnz_full_ = 0;
-  aligned_vector<value_t> diag_;      ///< n entries (0 where absent)
+  aligned_vector<value_t> diag_;      ///< nrows entries (0 where absent)
   aligned_vector<index_t> row_ptr_;   ///< strict lower triangle, CSR
   aligned_vector<index_t> col_ind_;
   aligned_vector<value_t> values_;

@@ -1,5 +1,6 @@
 #include "spc/formats/sym_csr_vi.hpp"
 
+#include <span>
 #include <vector>
 
 #include "spc/formats/sym_csr.hpp"
@@ -15,56 +16,70 @@ SymCsrVi SymCsrVi::from_triplets(const Triplets& t) {
     throw InvalidArgument(
         "SymCsrVi requires a numerically symmetric matrix");
   }
-  SymCsrVi m;
-  m.n_ = t.nrows();
-  m.nnz_full_ = t.nnz();
-  m.row_ptr_.assign(t.nrows() + 1, 0);
+  return from_rows(t, 0, t.nrows(), value_table(t));
+}
 
-  // Materialize the dense diagonal first (0.0 where absent) so implicit
-  // diagonal zeros join the census like any other stored value.
+ValueTable SymCsrVi::value_table(const Triplets& t) {
   std::vector<value_t> diag(t.nrows(), 0.0);
-  usize_t lower = 0;
   for (const Entry& e : t.entries()) {
     if (e.row == e.col) {
       diag[e.row] = e.val;
-    } else if (e.col < e.row) {
-      ++m.row_ptr_[e.row + 1];
-      ++lower;
     }
   }
-  for (index_t r = 0; r < t.nrows(); ++r) {
-    m.row_ptr_[r + 1] += m.row_ptr_[r];
-  }
-
-  // Census of the diagonal then the strict lower triangle through one
-  // shared table, first-occurrence order.
   ValueCensus census;
   for (const value_t d : diag) {
     census.add(d);
   }
-  m.col_ind_.resize(lower);
-  usize_t k = 0;
   for (const Entry& e : t.entries()) {
     if (e.col < e.row) {
-      m.col_ind_[k++] = e.col;
       census.add(e.val);
     }
   }
+  return ValueTable(std::move(census));
+}
 
-  m.width_ = census.width();
-  m.diag_ind_.resize(static_cast<usize_t>(t.nrows()) *
-                     static_cast<usize_t>(m.width_));
-  m.val_ind_.resize(lower * static_cast<usize_t>(m.width_));
-  for (index_t r = 0; r < t.nrows(); ++r) {
-    store_value_index(m.diag_ind_.data(), m.width_, r, census.add(diag[r]));
-  }
-  k = 0;
-  for (const Entry& e : t.entries()) {
-    if (e.col < e.row) {
-      store_value_index(m.val_ind_.data(), m.width_, k++, census.add(e.val));
+SymCsrVi SymCsrVi::from_rows(const Triplets& t, index_t row_begin,
+                             index_t row_end, const ValueTable& values) {
+  SPC_CHECK_MSG(t.is_sorted_unique(),
+                "SymCsrVi construction requires sorted/combined triplets");
+  const std::span<const Entry> rows = t.rows(row_begin, row_end);
+  SymCsrVi m;
+  m.nrows_ = row_end - row_begin;
+  m.ncols_ = t.ncols();
+  m.nnz_full_ = rows.size();
+  m.width_ = values.width();
+  m.vals_unique_ = values.values();
+  m.row_ptr_.assign(m.nrows_ + 1, 0);
+
+  std::vector<value_t> diag(m.nrows_, 0.0);
+  usize_t lower = 0;
+  for (const Entry& e : rows) {
+    if (e.row == e.col) {
+      diag[e.row - row_begin] = e.val;
+    } else if (e.col < e.row) {
+      ++m.row_ptr_[e.row - row_begin + 1];
+      ++lower;
     }
   }
-  m.vals_unique_ = census.take_values();
+  for (index_t r = 0; r < m.nrows_; ++r) {
+    m.row_ptr_[r + 1] += m.row_ptr_[r];
+  }
+  m.diag_ind_.resize(static_cast<usize_t>(m.nrows_) *
+                     static_cast<usize_t>(m.width_));
+  for (index_t r = 0; r < m.nrows_; ++r) {
+    store_value_index(m.diag_ind_.data(), m.width_, r,
+                      values.index_of(diag[r]));
+  }
+  m.col_ind_.resize(lower);
+  m.val_ind_.resize(lower * static_cast<usize_t>(m.width_));
+  usize_t k = 0;
+  for (const Entry& e : rows) {
+    if (e.col < e.row) {
+      m.col_ind_[k] = e.col;
+      store_value_index(m.val_ind_.data(), m.width_, k++,
+                        values.index_of(e.val));
+    }
+  }
   return m;
 }
 
@@ -72,32 +87,32 @@ value_t SymCsrVi::value_at(usize_t k) const {
   SPC_CHECK(k < col_ind_.size());
   switch (width_) {
     case ViWidth::kU8:
-      return vals_unique_[val_ind_[k]];
+      return vals_unique()[val_ind_[k]];
     case ViWidth::kU16:
-      return vals_unique_[val_ind_as<std::uint16_t>()[k]];
+      return vals_unique()[val_ind_as<std::uint16_t>()[k]];
     case ViWidth::kU32:
-      return vals_unique_[val_ind_as<std::uint32_t>()[k]];
+      return vals_unique()[val_ind_as<std::uint32_t>()[k]];
   }
   return 0.0;
 }
 
 value_t SymCsrVi::diag_at(index_t r) const {
-  SPC_CHECK(r < n_);
+  SPC_CHECK(r < nrows_);
   switch (width_) {
     case ViWidth::kU8:
-      return vals_unique_[diag_ind_[r]];
+      return vals_unique()[diag_ind_[r]];
     case ViWidth::kU16:
-      return vals_unique_[diag_ind_as<std::uint16_t>()[r]];
+      return vals_unique()[diag_ind_as<std::uint16_t>()[r]];
     case ViWidth::kU32:
-      return vals_unique_[diag_ind_as<std::uint32_t>()[r]];
+      return vals_unique()[diag_ind_as<std::uint32_t>()[r]];
   }
   return 0.0;
 }
 
 Triplets SymCsrVi::to_triplets() const {
-  Triplets t(n_, n_);
+  Triplets t(nrows_, ncols_);
   t.reserve(nnz_full_);
-  for (index_t r = 0; r < n_; ++r) {
+  for (index_t r = 0; r < nrows_; ++r) {
     const value_t d = diag_at(r);
     if (d != 0.0) {
       t.add(r, r, d);

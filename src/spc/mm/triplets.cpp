@@ -56,6 +56,25 @@ bool Triplets::is_sorted_unique() const {
   return true;
 }
 
+usize_t Triplets::row_start(index_t r) const {
+  return static_cast<usize_t>(
+      std::partition_point(entries_.begin(), entries_.end(),
+                           [r](const Entry& e) { return e.row < r; }) -
+      entries_.begin());
+}
+
+std::span<const Entry> Triplets::rows(index_t row_begin,
+                                      index_t row_end) const {
+  if (row_begin > row_end || row_end > nrows_) {
+    std::ostringstream os;
+    os << "row range [" << row_begin << ", " << row_end << ") outside a "
+       << nrows_ << "-row matrix";
+    throw InvalidArgument(os.str());
+  }
+  const usize_t lo = row_start(row_begin);
+  return {entries_.data() + lo, row_start(row_end) - lo};
+}
+
 void Triplets::validate() const {
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     const Entry& e = entries_[i];

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "spc/support/error.hpp"
@@ -73,6 +74,16 @@ class Triplets {
 
   /// True when a sort ran and nothing was added since.
   bool sort_recorded() const { return sorted_; }
+
+  /// Index of the first entry in row `r` or a later row: the number of
+  /// entries above row r, i.e. row r's prefix nnz (row_start(nrows()) ==
+  /// nnz()). Binary search; requires sorted triplets and r <= nrows().
+  usize_t row_start(index_t r) const;
+
+  /// The entries of rows [row_begin, row_end), a contiguous span of the
+  /// row-major order. Requires sorted triplets; throws InvalidArgument
+  /// unless row_begin <= row_end <= nrows().
+  std::span<const Entry> rows(index_t row_begin, index_t row_end) const;
 
   /// Throws InvalidArgument when any entry is out of bounds.
   void validate() const;

@@ -64,20 +64,31 @@ void ValueCensus::grow() {
   }
 }
 
-ValueIndex index_values(const Triplets& t) {
+std::uint32_t ValueCensus::index_of(value_t v) const {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = home(bits);; i = (i + 1) & mask) {
+    const Slot& s = slots_[i];
+    SPC_CHECK_MSG(s.used, "value missing from the census");
+    if (s.bits == bits) {
+      return s.index;
+    }
+  }
+}
+
+ValueTable::ValueTable(ValueCensus census)
+    : census_(std::move(census)),
+      width_(census_.width()),
+      values_(std::make_shared<const aligned_vector<value_t>>(
+          census_.take_values())) {}
+
+ValueTable row_major_values(const Triplets& t) {
   ValueCensus census;
   for (const Entry& e : t.entries()) {
     census.add(e.val);
   }
-  ValueIndex out;
-  out.width = census.width();
-  out.ind.resize(t.nnz() * static_cast<usize_t>(out.width));
-  usize_t k = 0;
-  for (const Entry& e : t.entries()) {
-    store_value_index(out.ind.data(), out.width, k++, census.add(e.val));
-  }
-  out.uniques = census.take_values();
-  return out;
+  return ValueTable(std::move(census));
 }
 
 }  // namespace spc

@@ -7,12 +7,15 @@
 // not by the stream length, so a census costs no allocation per value.
 //
 // Encoders run the stream twice: one pass of add() fixes the distinct
-// count (and with it the index width), a second pass of add() returns
-// each value's index to store in that width.
+// count (and with it the index width). The finished census becomes a
+// ValueTable, whose read-only index_of() gives each value's index to
+// store in that width, so the slices of one matrix can be encoded from
+// one census at once, on several threads.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -69,6 +72,10 @@ class ValueCensus {
   /// The distinct values in first-occurrence order; ends the census.
   aligned_vector<value_t> take_values() { return std::move(values_); }
 
+  /// Index of `v`, which an earlier add() must have counted. Reads the
+  /// table only, so concurrent calls are safe.
+  std::uint32_t index_of(value_t v) const;
+
  private:
   struct Slot {
     std::uint64_t bits = 0;
@@ -89,14 +96,29 @@ class ValueCensus {
   std::uint32_t last_index_ = 0;
 };
 
-/// CSR-VI's value side of sorted triplets: the distinct values and, per
-/// non-zero in row-major order, the index of its value.
-struct ValueIndex {
-  ViWidth width = ViWidth::kU8;
-  aligned_vector<std::uint8_t> ind;  ///< nnz * width bytes
-  aligned_vector<value_t> uniques;
+/// A finished census, shared read-only by every slice of one matrix: the
+/// distinct values (one array, held by each slice's encoding), their
+/// index width, and the lookup of each value's index.
+class ValueTable {
+ public:
+  explicit ValueTable(ValueCensus census);
+
+  ViWidth width() const { return width_; }
+  /// The distinct values in first-occurrence order.
+  const std::shared_ptr<const aligned_vector<value_t>>& values() const {
+    return values_;
+  }
+  /// Index of a counted value; safe to call from several threads.
+  std::uint32_t index_of(value_t v) const { return census_.index_of(v); }
+
+ private:
+  ValueCensus census_;
+  ViWidth width_;
+  std::shared_ptr<const aligned_vector<value_t>> values_;
 };
 
-ValueIndex index_values(const Triplets& t);
+/// The census of every value of sorted triplets in row-major order: the
+/// table CSR-VI and CSR-DU-VI index into.
+ValueTable row_major_values(const Triplets& t);
 
 }  // namespace spc

@@ -47,14 +47,41 @@ RowPartition partition_rows_by_nnz(const aligned_vector<index_t>& row_ptr,
 }
 
 RowPartition partition_rows_by_nnz(const Triplets& t, std::size_t nthreads) {
-  aligned_vector<index_t> row_ptr(t.nrows() + 1, 0);
-  for (const Entry& e : t.entries()) {
-    ++row_ptr[e.row + 1];
+  return partition_rows_by_nnz(t, 0, t.nrows(), nthreads);
+}
+
+RowPartition partition_rows_by_nnz(const Triplets& t, index_t row_begin,
+                                   index_t row_end, std::size_t nthreads) {
+  SPC_CHECK_MSG(nthreads >= 1, "need at least one thread");
+  SPC_CHECK_MSG(t.is_sorted_unique(),
+                "partitioning requires sorted/combined triplets");
+  const std::span<const Entry> rows = t.rows(row_begin, row_end);
+  const usize_t lo = t.row_start(row_begin);
+  const usize_t nnz = rows.size();
+  // Row r's prefix nnz inside the range.
+  const auto prefix = [&](index_t r) { return t.row_start(r) - lo; };
+
+  RowPartition p;
+  p.bounds.resize(nthreads + 1);
+  p.bounds[0] = row_begin;
+  for (std::size_t th = 1; th < nthreads; ++th) {
+    // The first row whose prefix reaches the ideal share is the row after
+    // the one holding entry target-1 (the range's first row for a zero
+    // target). Then the row_ptr overload's rule: step back one row when
+    // that boundary is nearer the target; ties keep the upper one.
+    const usize_t target = nnz * th / nthreads;
+    index_t row = target == 0 ? row_begin : rows[target - 1].row + 1;
+    if (row > row_begin) {
+      const usize_t above = prefix(row) - target;
+      const usize_t below = target - prefix(row - 1);
+      if (below < above) {
+        --row;
+      }
+    }
+    p.bounds[th] = std::max(row, p.bounds[th - 1]);
   }
-  for (index_t r = 0; r < t.nrows(); ++r) {
-    row_ptr[r + 1] += row_ptr[r];
-  }
-  return partition_rows_by_nnz(row_ptr, nthreads);
+  p.bounds[nthreads] = row_end;
+  return p;
 }
 
 RowPartition partition_rows_even(index_t nrows, std::size_t nthreads) {

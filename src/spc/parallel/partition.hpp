@@ -45,8 +45,16 @@ struct RowPartition {
 RowPartition partition_rows_by_nnz(const aligned_vector<index_t>& row_ptr,
                                    std::size_t nthreads);
 
-/// Same, computed from sorted triplets (for formats without a row_ptr).
+/// The same split straight from sorted triplets, with no row_ptr to
+/// build: a row's prefix nnz is the index of its first entry, so each
+/// boundary is a binary search. Bounds equal the row_ptr overload's.
 RowPartition partition_rows_by_nnz(const Triplets& t, std::size_t nthreads);
+
+/// The same split of rows [row_begin, row_end) only (the steal
+/// scheduler's chunks of one worker's range). Bounds are absolute rows,
+/// from row_begin to row_end.
+RowPartition partition_rows_by_nnz(const Triplets& t, index_t row_begin,
+                                   index_t row_end, std::size_t nthreads);
 
 /// Naive equal-row-count split (ablation baseline).
 RowPartition partition_rows_even(index_t nrows, std::size_t nthreads);

@@ -64,25 +64,23 @@ usize_t chunk_nnz_from_env(usize_t fallback) {
   return static_cast<usize_t>(*v);
 }
 
-ChunkPlan plan_chunks(const aligned_vector<index_t>& row_ptr,
-                      const RowPartition& threads, usize_t target_nnz) {
-  SPC_CHECK_MSG(!row_ptr.empty(), "row_ptr must have nrows+1 entries");
+ChunkPlan plan_chunks(const Triplets& t, const RowPartition& threads,
+                      usize_t target_nnz) {
   SPC_CHECK_MSG(target_nnz >= 1, "target_nnz must be >= 1");
   const std::size_t nthreads = threads.nthreads();
   ChunkPlan plan;
   plan.bounds.push_back(threads.nthreads() ? threads.row_begin(0) : 0);
   plan.owner_begin.assign(nthreads + 1, 0);
 
-  aligned_vector<index_t> local;  // rebased row_ptr of one thread range
-  for (std::size_t t = 0; t < nthreads; ++t) {
-    const index_t rb = threads.row_begin(t);
-    const index_t re = threads.row_end(t);
+  for (std::size_t th = 0; th < nthreads; ++th) {
+    const index_t rb = threads.row_begin(th);
+    const index_t re = threads.row_end(th);
     if (rb >= re) {
       // Empty range (nthreads > nrows): zero chunks for this worker.
-      plan.owner_begin[t + 1] = plan.owner_begin[t];
+      plan.owner_begin[th + 1] = plan.owner_begin[th];
       continue;
     }
-    const usize_t nnz_t = static_cast<usize_t>(row_ptr[re]) - row_ptr[rb];
+    const usize_t nnz_t = t.row_start(re) - t.row_start(rb);
     const std::size_t want =
         static_cast<std::size_t>((nnz_t + target_nnz - 1) / target_nnz);
     const std::size_t k = std::clamp<std::size_t>(
@@ -90,13 +88,9 @@ ChunkPlan plan_chunks(const aligned_vector<index_t>& row_ptr,
     if (k == 1) {
       plan.bounds.push_back(re);
     } else {
-      local.resize(static_cast<std::size_t>(re - rb) + 1);
-      for (index_t i = rb; i <= re; ++i) {
-        local[i - rb] = row_ptr[i] - row_ptr[rb];
-      }
-      const RowPartition sub = partition_rows_by_nnz(local, k);
+      const RowPartition sub = partition_rows_by_nnz(t, rb, re, k);
       for (std::size_t c = 0; c < sub.nthreads(); ++c) {
-        const index_t end = rb + sub.row_end(c);
+        const index_t end = sub.row_end(c);
         // The sub-partitioner can emit empty sub-ranges on degenerate
         // shapes; dropping them keeps every chunk non-empty in rows
         // (empty chunks would inflate deque traffic for no work).
@@ -108,15 +102,15 @@ ChunkPlan plan_chunks(const aligned_vector<index_t>& row_ptr,
         plan.bounds.push_back(re);  // cover trailing empty rows
       }
     }
-    plan.owner_begin[t + 1] =
+    plan.owner_begin[th + 1] =
         static_cast<std::uint32_t>(plan.bounds.size() - 1);
   }
 
   plan.owner.resize(plan.nchunks());
-  for (std::size_t t = 0; t < nthreads; ++t) {
-    for (std::uint32_t c = plan.owner_begin[t];
-         c < plan.owner_begin[t + 1]; ++c) {
-      plan.owner[c] = static_cast<std::uint32_t>(t);
+  for (std::size_t th = 0; th < nthreads; ++th) {
+    for (std::uint32_t c = plan.owner_begin[th];
+         c < plan.owner_begin[th + 1]; ++c) {
+      plan.owner[c] = static_cast<std::uint32_t>(th);
     }
   }
   return plan;

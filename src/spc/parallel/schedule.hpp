@@ -63,8 +63,8 @@ usize_t chunk_nnz_from_env(usize_t fallback);
 /// The chunk decomposition of a thread partition. Chunks are global:
 /// chunk c covers rows [bounds[c], bounds[c+1]); worker t owns the
 /// contiguous id range [owner_begin[t], owner_begin[t+1]). Every thread
-/// boundary is also a chunk boundary, so a stolen chunk never crosses
-/// into another worker's (possibly NUMA-repacked) slice.
+/// boundary is also a chunk boundary, so a stolen chunk is a row
+/// sub-range of its owner's slice and never crosses into another's.
 struct ChunkPlan {
   std::vector<index_t> bounds;
   std::vector<std::uint32_t> owner_begin;
@@ -78,11 +78,12 @@ struct ChunkPlan {
 };
 
 /// Splits each range of `threads` into ~target_nnz-sized row-aligned
-/// chunks, reusing the nnz-balanced partitioner within each range so
-/// chunks inherit its long-row handling. Ranges with fewer non-zeros
-/// than the target stay whole; empty ranges own zero chunks.
-ChunkPlan plan_chunks(const aligned_vector<index_t>& row_ptr,
-                      const RowPartition& threads, usize_t target_nnz);
+/// chunks of the sorted triplets `t`, reusing the nnz-balanced
+/// partitioner within each range so chunks inherit its long-row
+/// handling. Ranges with fewer non-zeros than the target stay whole;
+/// empty ranges own zero chunks.
+ChunkPlan plan_chunks(const Triplets& t, const RowPartition& threads,
+                      usize_t target_nnz);
 
 /// Victim visit order for each worker: same-node victims first, then
 /// remote ones, each group in rotation order starting after the thief

@@ -2,25 +2,22 @@
 // chosen storage format with a chosen thread count.
 //
 // This is the main user-facing entry point of the library: it bundles the
-// encoded matrix, the nnz-balanced row partition, the per-thread format
-// slices, and the pinned thread pool, so that `run(x, y)` measures exactly
-// what the paper measures — the kernel, with all setup out of the timed
-// region.
+// nnz-balanced row partition, each worker's rows encoded as that worker's
+// own arrays (the paper's per-thread slices, §IV), and the pinned thread
+// pool, so that `run(x, y)` measures exactly what the paper measures —
+// the kernel, with all setup out of the timed region.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <variant>
 #include <vector>
 
-#include "spc/formats/bcsr.hpp"
 #include "spc/formats/csr.hpp"
 #include "spc/formats/csr_du.hpp"
 #include "spc/formats/csr_du_vi.hpp"
 #include "spc/formats/csr_vi.hpp"
-#include "spc/formats/ell.hpp"
 #include "spc/formats/sym_csr.hpp"
 #include "spc/formats/sym_csr_vi.hpp"
 #include "spc/mm/triplets.hpp"
@@ -39,13 +36,11 @@
 namespace spc {
 
 /// Storage formats selectable by name. The §III-A/B comparators (COO,
-/// CSC, DIA, JDS, DCSR) are format classes only: they run through their
-/// own serial spmv() overloads, not through SpmvInstance.
+/// CSC, BCSR, ELL, DIA, JDS, DCSR) are format classes only: they run
+/// through their own serial spmv() overloads, not through SpmvInstance.
 enum class Format {
   kCsr,       ///< baseline CSR, 32-bit indices (paper baseline)
   kCsr16,     ///< CSR with 16-bit column indices (needs ncols <= 2^16)
-  kBcsr,      ///< blocked CSR, block shape from InstanceOptions
-  kEll,       ///< ELLPACK fixed-width rows (§III-A baseline)
   kCsrDu,     ///< CSR-DU index compression (the paper's §IV)
   kCsrVi,     ///< CSR-VI value compression (the paper's §V)
   kCsrDuVi,   ///< combined index+value compression
@@ -71,18 +66,13 @@ struct InstanceOptions {
   /// Encoder knobs for the DU formats, applied as given (enable_rle
   /// turns on CSR-DU's RLE units).
   CsrDuOptions du;
-  index_t bcsr_block_rows = 2;     ///< BCSR block shape
-  index_t bcsr_block_cols = 2;
-  /// Construction guard against pathological blowup (0 = unguarded):
-  /// ELL refuses a width beyond this factor of the mean row length.
-  double ell_max_width_factor = 0.0;
   bool pin_threads = true;         ///< bind workers per the placement plan
   Placement placement = Placement::kCloseFirst;
   /// Partition rows by nnz (paper's scheme); false = equal row counts.
   bool balance_by_nnz = true;
-  /// NUMA data placement (overridable via SPC_NUMA): kAuto repacks
-  /// per-thread slices on multi-node machines and stays off on flat
-  /// ones. See support/first_touch.hpp.
+  /// NUMA data placement (overridable via SPC_NUMA): kLocal has each
+  /// pinned worker build its own slice; kAuto picks it on multi-node
+  /// machines and stays off on flat ones. See support/first_touch.hpp.
   NumaPolicy numa = NumaPolicy::kAuto;
   /// Work scheduling (overridable via SPC_SCHED): kStatic is the
   /// paper's one-range-per-worker model (zero-overhead default); kSteal
@@ -101,10 +91,10 @@ struct InstanceOptions {
   SymReduce sym_reduce = SymReduce::kAuto;
 
   /// Checks the option values themselves (not their fit to a matrix):
-  /// block shapes at least 1x1 and finite non-negative guard factors.
-  /// Returns ok() or an kInvalidArgument status naming the bad field and
-  /// value. The SpmvInstance constructor calls this and throws
-  /// InvalidArgument with the same message on failure.
+  /// the DU encoder knobs' ranges (CsrDuOptions::validate()). Returns
+  /// ok() or an kInvalidArgument status naming the bad field and value.
+  /// The SpmvInstance constructor calls this and throws InvalidArgument
+  /// with the same message on failure.
   Status validate() const;
 };
 
@@ -178,23 +168,25 @@ class SpmvInstance {
   }
 
   /// One-time per-tier setup, called by the constructor: resolves the
-  /// active ISA tier (CPUID + SPC_ISA override), scans the DU unit-class
-  /// histogram to choose the decode strategy, and binds the per-thread
-  /// kernels — everything that must stay off the timed path. Idempotent;
-  /// call again to rebind after changing SPC_ISA.
+  /// active ISA tier (CPUID + SPC_ISA override), reads the DU encoders'
+  /// unit-class histograms to choose the decode strategy, and binds the
+  /// serial, per-thread and per-chunk kernels to the slices — everything
+  /// that must stay off the timed path. Idempotent; call again to rebind
+  /// after changing SPC_ISA.
   void prepare();
 
   /// The ISA tier the bound kernels execute at (recorded into the JSONL
   /// metrics as "isa").
   IsaTier isa_tier() const { return tier_; }
 
-  /// Unit-class histogram of the ctl stream for DU-based formats;
-  /// nullptr for every other format.
+  /// Unit-class histogram of the ctl stream for DU-based formats (the
+  /// slices' encoder histograms, summed); nullptr for every other format.
   const CsrDu::UnitHistogram* du_histogram() const {
     return has_du_hist_ ? &du_hist_ : nullptr;
   }
 
-  /// The partition in use (empty bounds for serial instances).
+  /// The partition in use: slice t holds rows bounds[t]..bounds[t+1]
+  /// (one range for serial instances).
   const RowPartition& partition() const { return partition_; }
 
   /// The worker pool executing this instance — owned or borrowed
@@ -207,19 +199,18 @@ class SpmvInstance {
   bool pool_is_shared() const { return shared_pool_ != nullptr; }
 
   /// The data-placement policy actually in effect: the resolved value of
-  /// opts.numa / SPC_NUMA, or kOff when the format, unpinned workers, or
-  /// the thread count rule placement out. Recorded into the JSONL metrics
-  /// as "numa".
+  /// opts.numa / SPC_NUMA, or kOff when unpinned workers or the thread
+  /// count rule placement out. Recorded into the JSONL metrics as
+  /// "numa".
   NumaPolicy numa_policy() const { return numa_policy_; }
 
   /// NUMA node each worker's pin target lives on (empty when placement
   /// is off).
   const std::vector<int>& thread_nodes() const { return thread_node_; }
 
-  /// Best-effort page-residency summary of the repacked matrix blocks,
-  /// via the move_pages(2) query form. `available` is false (with a
-  /// reason) when placement is off or the kernel refuses the query —
-  /// never an error.
+  /// Best-effort page-residency summary of the slices' arrays, via the
+  /// move_pages(2) query form. `available` is false (with a reason) when
+  /// placement is off or the kernel refuses the query — never an error.
   struct NumaResidency {
     bool available = false;
     std::string reason;
@@ -317,10 +308,10 @@ class SpmvInstance {
   std::uint64_t run_probe(const Vector& x, Vector& y);
 
  private:
-  /// Shared constructor body: validates options, encodes, partitions,
-  /// builds or borrows the pool, resolves schedule/NUMA, binds.
-  /// Expects format_/nthreads_/opts_ (and shared_pool_, when borrowing)
-  /// already set.
+  /// Shared constructor body: validates options, partitions, builds or
+  /// borrows the pool, resolves NUMA, builds the slices, resolves the
+  /// schedule, binds. Expects format_/nthreads_/opts_ (and shared_pool_,
+  /// when borrowing) already set.
   void init(const Triplets& t);
   /// Records a requested-vs-resolved configuration fallback for
   /// decisions(). Idempotent per (aspect, resolved, reason) so the
@@ -334,19 +325,19 @@ class SpmvInstance {
   void run_locked(const Vector& x, Vector& y);
   /// Raw pool dispatch for the scheduler executors (ctx = this).
   void dispatch_raw(ThreadPool::RawJob fn);
+  /// Resolves opts.numa / SPC_NUMA against the pool's pin plan (`cpus`,
+  /// empty when unpinned) and the machine.
+  void resolve_numa(const Topology& topo, const std::vector<int>& cpus);
+  /// Encodes every worker's row range as its own slice: on the calling
+  /// thread, or under NUMA local on the worker that owns it.
+  void build_slices(const Triplets& t);
   /// Resolves opts.schedule / SPC_SCHED and, when a dynamic schedule is
   /// active, builds the chunk plan, the per-worker deques, and the
-  /// NUMA-near victim order. Called by the constructor after the pool
-  /// exists and *before* setup_numa (the DU chunk slices are computed
-  /// against the pristine ctl stream; setup_numa translates them into
-  /// each owner's arena block). `t` supplies the per-row nnz counts the
-  /// planner needs for formats without a row_ptr (the DU family, ELL).
+  /// NUMA-near victim order.
   void setup_schedule(const Triplets& t, const Topology& topo);
-  /// Resolves the NUMA policy and, when active, repacks every worker's
-  /// matrix slice into a first-touched arena block (plus the x mirrors
-  /// the replicate/interleave policies need). Called by the constructor
-  /// after the pinned pool exists and before prepare().
-  void setup_numa(const Topology& topo);
+  /// Plans the symmetric formats' conflict windows from the slices and
+  /// allocates the window (or private y) buffers.
+  void setup_sym();
 
   Format format_;
   std::size_t nthreads_;
@@ -355,11 +346,17 @@ class SpmvInstance {
   usize_t nnz_ = 0;
   InstanceOptions opts_;
 
-  std::variant<Csr, Csr16, Bcsr, Ell, CsrDu, CsrVi, CsrDuVi, SymCsr,
-               SymCsrVi>
-      matrix_;
+  /// Each worker's rows as its own encoded matrix: slice t holds rows
+  /// partition_.bounds[t]..bounds[t+1] in local row numbers, and its
+  /// kernels are bound with row pointers rebased by the slice's first
+  /// row, so they read and write absolute rows. The alternatives follow
+  /// Format's order.
+  using Slices =
+      std::variant<std::vector<Csr>, std::vector<Csr16>, std::vector<CsrDu>,
+                   std::vector<CsrVi>, std::vector<CsrDuVi>,
+                   std::vector<SymCsr>, std::vector<SymCsrVi>>;
+  Slices slices_;
   RowPartition partition_;               ///< per-thread row ranges
-  std::vector<CsrDu::Slice> du_slices_;  ///< per-thread DU slices
   std::unique_ptr<ThreadPool> pool_;    ///< owned pool (classic ctor)
   std::shared_ptr<ThreadPool> shared_pool_;  ///< borrowed pool (engine)
   /// The pool runs execute on: pool_.get(), shared_pool_.get(), or
@@ -376,41 +373,18 @@ class SpmvInstance {
   KernelBinding binding_;
   CsrDu::UnitHistogram du_hist_;
   bool has_du_hist_ = false;
-  // NUMA placement (set up once by setup_numa, off the timed path): the
-  // resolved policy, each worker's node, the arena holding the repacked
-  // per-thread slices and x mirrors, and the pointers prepare() rebinds
-  // the per-thread kernels against.
+  // NUMA placement (resolved once in init): the policy and each worker's
+  // node.
   NumaPolicy numa_policy_ = NumaPolicy::kOff;
   std::vector<int> thread_node_;
-  std::unique_ptr<FirstTouchArena> arena_;
-  /// Per-thread repacked array pointers. row_ptr/col_ind/values are
-  /// rebased or 0-based per format so the unchanged kernels index them
-  /// with the same absolute positions as the shared arrays.
-  struct NumaSlice {
-    const index_t* row_ptr = nullptr;
-    const void* col_ind = nullptr;  ///< element type is per-format
-    const value_t* values = nullptr;
-    const void* val_ind = nullptr;  ///< CSR-VI / CSR-DU-VI value indices
-    /// Symmetric formats: the rebased diagonal (value_t for sym-csr,
-    /// width-typed diag indices for sym-csr-vi).
-    const void* diag = nullptr;
-  };
-  std::vector<NumaSlice> numa_slices_;
-  std::vector<const value_t*> numa_x_ptr_;  ///< per-thread x replica
-  /// Per-thread refresh jobs run before the kernels each run() when x
-  /// mirrors exist: worker t copies its chunk of the user x into the
-  /// node-local mirror pages.
-  std::vector<std::function<void(const value_t*)>> numa_x_copy_;
   // Cached metrics-registry handles (lookup once here, lock-free in run).
   obs::Counter* runs_counter_ = nullptr;
   obs::LatencyHisto* run_histo_ = nullptr;
   // Work stealing (set up once by setup_schedule, off the timed path):
-  // the resolved schedule, the row-aligned chunk plan, per-chunk DU
-  // slices (DU formats only), one deque of owned chunks per worker, and
-  // each worker's NUMA-near-first victim order.
+  // the resolved schedule, the row-aligned chunk plan, one deque of owned
+  // chunks per worker, and each worker's NUMA-near-first victim order.
   Schedule sched_ = Schedule::kStatic;
   ChunkPlan chunk_plan_;
-  std::vector<CsrDu::Slice> du_chunk_slices_;  ///< one per chunk
   std::vector<ChunkDeque> deques_;             ///< one per worker
   std::vector<std::vector<std::uint32_t>> steal_victims_;
   /// Per-worker chunk counters, cache-line padded; written only by the
@@ -429,15 +403,13 @@ class SpmvInstance {
   };
   RunArgs run_args_;
   // Symmetric conflict-window execution (kSymCsr / kSymCsrVi, pooled
-  // runs): the resolved reduction strategy, the per-thread window
-  // plan, the window buffers (arena-backed under NUMA, heap otherwise),
-  // the private-mode full-length y copies and their even reduce split,
-  // and the reduction-phase timer.
+  // runs): the resolved reduction strategy, the per-thread window plan,
+  // the window buffers, the private-mode full-length y copies and their
+  // even reduce split, and the reduction-phase timer.
   bool sym_active_ = false;
   SymReduce sym_reduce_ = SymReduce::kWindow;
   SymWindowPlan sym_plan_;
-  std::vector<Vector> sym_win_store_;
-  std::vector<value_t*> sym_win_ptr_;  ///< one per worker
+  std::vector<Vector> sym_win_;        ///< one per worker (kWindow)
   std::vector<Vector> sym_private_y_;  ///< one per worker (kPrivate)
   RowPartition sym_reduce_rows_;       ///< kPrivate reduce-phase split
   std::uint64_t sym_reduce_ns_ = 0;
@@ -448,17 +420,11 @@ class SpmvInstance {
   /// call per worker — no std::function allocation on the timed path.
   static void static_job(void* ctx, std::size_t tid);
   static void steal_job(void* ctx, std::size_t tid);
-  static void xcopy_job(void* ctx, std::size_t tid);
   /// Symmetric-path executors: the compute job zeroes the worker's
   /// window (or private y copy) then runs its rows; the reduce job folds
   /// the overlapping windows (or sums the private copies) into y.
   static void sym_compute_job(void* ctx, std::size_t tid);
   static void sym_reduce_job(void* ctx, std::size_t tid);
-  /// The x pointer worker `th` should read (its NUMA replica when the
-  /// replicate policy is active, the caller's x otherwise).
-  const value_t* worker_x(std::size_t th) const {
-    return numa_x_ptr_.empty() ? run_args_.x : numa_x_ptr_[th];
-  }
 };
 
 /// One-shot convenience: y = A*x via CSR on the calling thread.

@@ -101,9 +101,8 @@ void spmv(const Csc& m, const value_t* x, value_t* y);
 /// Raw-array BCSR kernel over block rows [block_row_begin,
 /// block_row_end), the common core of the serial and per-thread paths.
 /// Handles ragged edge blocks. `block_row_ptr` is indexed with absolute
-/// block rows (a repacked per-thread copy passes a rebased pointer, see
-/// support/first_touch.hpp); `block_col` and `values` are indexed by the
-/// values `block_row_ptr` yields.
+/// block rows; `block_col` and `values` are indexed by the values
+/// `block_row_ptr` yields.
 void spmv_bcsr_raw(index_t block_rows, index_t block_cols, index_t nrows,
                    index_t ncols, const index_t* block_row_ptr,
                    const index_t* block_col, const value_t* values,
@@ -116,8 +115,7 @@ void spmv(const Bcsr& m, const value_t* x, value_t* y);
 
 /// Raw-array ELLPACK row-range kernel: fixed-width rows, branch-free
 /// inner loop (padding contributes 0 * x[pad]). `col_ind` / `values` are
-/// indexed with absolute positions r*width+k (repacked per-thread copies
-/// pass rebased pointers).
+/// indexed with absolute positions r*width+k.
 void spmv_ell_raw(index_t width, const index_t* col_ind,
                   const value_t* values, const value_t* x, value_t* y,
                   index_t row_begin, index_t row_end);

@@ -1,8 +1,10 @@
 #include "spc/spmv/sym_spmv.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "spc/support/env.hpp"
+#include "spc/support/error.hpp"
 
 namespace spc {
 
@@ -47,24 +49,17 @@ SymReduce sym_reduce_from_env(SymReduce requested) {
   return requested;
 }
 
-SymWindowPlan plan_sym_windows(const index_t* row_ptr,
-                               const index_t* col_ind,
-                               const RowPartition& partition,
-                               std::size_t nthreads, index_t nrows,
+SymWindowPlan plan_sym_windows(std::vector<index_t> win_begin,
+                               const RowPartition& partition, index_t nrows,
                                SymReduce requested) {
+  const std::size_t nthreads = partition.nthreads();
+  SPC_CHECK_MSG(win_begin.size() == nthreads,
+                "one window start per thread");
   SymWindowPlan plan;
-  plan.win_begin.resize(nthreads);
+  plan.win_begin = std::move(win_begin);
   for (std::size_t t = 0; t < nthreads; ++t) {
-    const index_t b = partition.row_begin(t);
-    const index_t e = partition.row_end(t);
-    index_t wb = b;
-    for (index_t r = b; r < e; ++r) {
-      if (row_ptr[r] < row_ptr[r + 1]) {
-        wb = std::min(wb, col_ind[row_ptr[r]]);
-      }
-    }
-    plan.win_begin[t] = wb;
-    plan.total_rows += static_cast<usize_t>(b - wb);
+    plan.total_rows +=
+        static_cast<usize_t>(partition.row_begin(t) - plan.win_begin[t]);
   }
   switch (requested) {
     case SymReduce::kWindow:

@@ -49,18 +49,15 @@ struct SymWindowPlan {
   bool use_window = true;          ///< resolved mode after degeneracy check
 };
 
-/// Computes window extents from the lower-triangle CSR arrays: because
-/// columns ascend within a row, a row's first entry is its minimum
-/// scatter target, so thread t's window start is the minimum first
-/// column over its rows (clamped to its row_begin). `requested` must
-/// already be env-resolved; kAuto picks the window path unless the total
-/// window span exceeds nthreads*nrows/2 — the point where the windows'
-/// zero+write+read traffic stops undercutting the private-y sweep's by a
-/// safe margin.
-SymWindowPlan plan_sym_windows(const index_t* row_ptr,
-                               const index_t* col_ind,
-                               const RowPartition& partition,
-                               std::size_t nthreads, index_t nrows,
+/// Completes the plan from each thread's window start — the minimum
+/// first column over its rows (columns ascend within a row, so a row's
+/// first entry is its lowest scatter target), clamped to its row_begin.
+/// `requested` must already be env-resolved; kAuto picks the window path
+/// unless the total window span exceeds nthreads*nrows/2 — the point
+/// where the windows' zero+write+read traffic stops undercutting the
+/// private-y sweep's by a safe margin.
+SymWindowPlan plan_sym_windows(std::vector<index_t> win_begin,
+                               const RowPartition& partition, index_t nrows,
                                SymReduce requested);
 
 }  // namespace spc

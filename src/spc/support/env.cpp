@@ -97,10 +97,9 @@ const std::vector<EnvVarInfo>& env_registry() {
        "dispatch tier (clamp-down)",
        "Caps the runtime kernel-dispatch tier; scalar pins the "
        "bit-reproducible reference kernels."},
-      {"SPC_NUMA", "enum", "auto|off|local|replicate|interleaved",
-       "InstanceOptions::numa",
-       "NUMA data-placement policy for per-thread matrix slices and x "
-       "mirrors."},
+      {"SPC_NUMA", "enum", "auto|off|local", "InstanceOptions::numa",
+       "NUMA data placement: local has each pinned worker build its own "
+       "matrix slice."},
       {"SPC_SCHED", "enum", "static|steal",
        "InstanceOptions::schedule",
        "Work schedule: one-range-per-worker or work stealing."},

@@ -3,18 +3,14 @@
 #include <unistd.h>
 
 #ifdef __linux__
-#include <sys/mman.h>
 #include <sys/syscall.h>
 #endif
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "spc/support/env.hpp"
-#include "spc/support/error.hpp"
 #include "spc/support/strutil.hpp"
 
 namespace spc {
@@ -24,10 +20,6 @@ namespace {
 std::size_t page_size() {
   const long ps = sysconf(_SC_PAGESIZE);
   return ps > 0 ? static_cast<std::size_t>(ps) : 4096;
-}
-
-std::size_t round_up(std::size_t v, std::size_t align) {
-  return (v + align - 1) / align * align;
 }
 
 }  // namespace
@@ -40,10 +32,6 @@ std::string numa_policy_name(NumaPolicy p) {
       return "off";
     case NumaPolicy::kLocal:
       return "local";
-    case NumaPolicy::kReplicate:
-      return "replicate";
-    case NumaPolicy::kInterleave:
-      return "interleaved";
   }
   return "?";
 }
@@ -56,10 +44,6 @@ bool parse_numa_policy(const std::string& name, NumaPolicy* out) {
     *out = NumaPolicy::kOff;
   } else if (n == "local" || n == "firsttouch" || n == "first-touch") {
     *out = NumaPolicy::kLocal;
-  } else if (n == "replicate" || n == "replicate-per-node") {
-    *out = NumaPolicy::kReplicate;
-  } else if (n == "interleaved" || n == "interleave") {
-    *out = NumaPolicy::kInterleave;
   } else {
     return false;
   }
@@ -73,8 +57,7 @@ NumaPolicy numa_policy_from_env(NumaPolicy fallback) {
   }
   NumaPolicy p = fallback;
   if (!parse_numa_policy(*env, &p)) {
-    env_warn_once("SPC_NUMA", *env,
-                  "auto|off|local|replicate|interleaved");
+    env_warn_once("SPC_NUMA", *env, "auto|off|local");
   }
   return p;
 }
@@ -84,114 +67,6 @@ NumaPolicy resolve_numa_policy(NumaPolicy requested, std::size_t nnodes) {
     return nnodes > 1 ? NumaPolicy::kLocal : NumaPolicy::kOff;
   }
   return requested;
-}
-
-FirstTouchArena::FirstTouchArena(std::size_t nblocks) : blocks_(nblocks) {}
-
-FirstTouchArena::~FirstTouchArena() {
-  for (Block& b : blocks_) {
-    if (b.base == nullptr) {
-      continue;
-    }
-#ifdef __linux__
-    if (b.from_mmap) {
-      ::munmap(b.base, b.mapped);
-      continue;
-    }
-#endif
-    std::free(b.base);
-  }
-}
-
-FirstTouchArena::Handle FirstTouchArena::reserve_bytes(std::size_t block,
-                                                       std::size_t bytes) {
-  SPC_CHECK_MSG(!allocated_, "FirstTouchArena: reserve after allocate");
-  SPC_CHECK_MSG(block < blocks_.size(), "FirstTouchArena: bad block");
-  Block& b = blocks_[block];
-  b.reserved = round_up(b.reserved, kCacheLineBytes);
-  Handle h{block, b.reserved};
-  b.reserved += bytes;
-  return h;
-}
-
-void FirstTouchArena::allocate() {
-  if (allocated_) {
-    return;
-  }
-  const std::size_t ps = page_size();
-  for (Block& b : blocks_) {
-    if (b.reserved == 0) {
-      continue;
-    }
-    b.mapped = round_up(b.reserved, ps);
-#ifdef __linux__
-    void* p = ::mmap(nullptr, b.mapped, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (p != MAP_FAILED) {
-      b.base = p;
-      b.from_mmap = true;
-      continue;
-    }
-#endif
-    // Fallback: heap memory loses the untouched-pages guarantee for
-    // recycled chunks but keeps the arena functional.
-    b.base = std::aligned_alloc(ps, b.mapped);
-    b.from_mmap = false;
-    SPC_CHECK_MSG(b.base != nullptr, "FirstTouchArena: allocation failed");
-  }
-  allocated_ = true;
-}
-
-void FirstTouchArena::first_touch(std::size_t block) {
-  SPC_CHECK_MSG(allocated_, "FirstTouchArena: touch before allocate");
-  SPC_CHECK_MSG(block < blocks_.size(), "FirstTouchArena: bad block");
-  Block& b = blocks_[block];
-  if (b.base != nullptr) {
-    std::memset(b.base, 0, b.mapped);
-  }
-}
-
-void FirstTouchArena::first_touch_interleaved(std::size_t block,
-                                              std::size_t part,
-                                              std::size_t nparts) {
-  SPC_CHECK_MSG(allocated_, "FirstTouchArena: touch before allocate");
-  SPC_CHECK_MSG(block < blocks_.size(), "FirstTouchArena: bad block");
-  SPC_CHECK_MSG(nparts >= 1 && part < nparts,
-                "FirstTouchArena: bad interleave part");
-  Block& b = blocks_[block];
-  if (b.base == nullptr) {
-    return;
-  }
-  const std::size_t ps = page_size();
-  auto* bytes = static_cast<std::uint8_t*>(b.base);
-  for (std::size_t off = part * ps; off < b.mapped; off += nparts * ps) {
-    std::memset(bytes + off, 0, std::min(ps, b.mapped - off));
-  }
-}
-
-std::size_t FirstTouchArena::block_bytes(std::size_t block) const {
-  SPC_CHECK_MSG(block < blocks_.size(), "FirstTouchArena: bad block");
-  return blocks_[block].mapped;
-}
-
-const void* FirstTouchArena::block_base(std::size_t block) const {
-  SPC_CHECK_MSG(block < blocks_.size(), "FirstTouchArena: bad block");
-  return blocks_[block].base;
-}
-
-std::size_t FirstTouchArena::total_bytes() const {
-  std::size_t sum = 0;
-  for (const Block& b : blocks_) {
-    sum += b.mapped;
-  }
-  return sum;
-}
-
-void* FirstTouchArena::base(std::size_t block) const {
-  SPC_CHECK_MSG(allocated_, "FirstTouchArena: data before allocate");
-  SPC_CHECK_MSG(block < blocks_.size() && blocks_[block].base != nullptr,
-                "FirstTouchArena: bad block");
-  return blocks_[block].base;
 }
 
 bool query_page_nodes(const void* p, std::size_t bytes,

@@ -1,15 +1,15 @@
-// First-touch NUMA placement primitives.
+// First-touch NUMA placement.
 //
 // Linux places an anonymous page on the NUMA node of the thread that
-// first writes it. The encoder builds every matrix array on the master
-// thread, so by default all matrix pages land on one node and threads on
-// the other socket stream them at remote-memory bandwidth — exactly the
-// flat-scaling failure mode Schubert/Hager/Fehske describe for ccNUMA
-// SpMV. The FirstTouchArena below breaks that: page-aligned per-owner
-// blocks are mapped untouched, each owning worker zero-touches its own
-// block from inside ThreadPool::run (pinning the pages to its node), and
-// only then is the data copied in. All of it happens at prepare() time,
-// off the timed path.
+// first writes it. SpmvInstance encodes each worker's rows as that
+// worker's own arrays, so placement is a choice of which thread runs the
+// encoder: under the `local` policy worker t builds slice t on the pinned
+// pool, and every page of a slice lands on its owner's node — the
+// standard placement for ccNUMA SpMV (Schubert/Hager/Fehske). Under `off`
+// the calling thread builds every slice. Either way it happens at set-up,
+// off the timed path, and the encoded bytes are the same. This header
+// holds the policy knob, the rebased-pointer helper that lets kernels
+// index a slice with absolute rows, and the page-residency query.
 #pragma once
 
 #include <cstddef>
@@ -23,19 +23,16 @@ namespace spc {
 
 /// Data-placement policy for a prepared SpMV instance (the SPC_NUMA knob).
 enum class NumaPolicy {
-  kAuto,        ///< local on multi-node machines, off on flat ones
-  kOff,         ///< master-touched arrays, shared x (pre-NUMA behavior)
-  kLocal,       ///< per-thread matrix slices first-touched by their owner
-  kReplicate,   ///< kLocal + one x replica per NUMA node
-  kInterleave,  ///< kLocal + x pages interleaved across nodes
+  kAuto,   ///< local on multi-node machines, off on flat ones
+  kOff,    ///< the calling thread builds every slice
+  kLocal,  ///< worker t builds (and so first-touches) slice t
 };
 
-/// Canonical lower-case name ("auto", "off", "local", "replicate",
-/// "interleaved").
+/// Canonical lower-case name ("auto", "off", "local").
 std::string numa_policy_name(NumaPolicy p);
 
-/// Parses a policy name (also accepts "interleave"); returns false on
-/// unknown names, leaving *out untouched.
+/// Parses a policy name; returns false on unknown names, leaving *out
+/// untouched.
 bool parse_numa_policy(const std::string& name, NumaPolicy* out);
 
 /// `fallback` overridden by a parseable SPC_NUMA environment value; an
@@ -43,13 +40,13 @@ bool parse_numa_policy(const std::string& name, NumaPolicy* out);
 NumaPolicy numa_policy_from_env(NumaPolicy fallback);
 
 /// Resolves kAuto against the machine: local when `nnodes` > 1, off
-/// otherwise. Non-auto policies pass through (an explicit replicate on a
-/// flat machine still exercises the repack path, which is what the
-/// single-node CI legs rely on).
+/// otherwise. Non-auto policies pass through (an explicit local on a
+/// flat machine still has the workers build their slices, which is what
+/// the single-node CI leg relies on).
 NumaPolicy resolve_numa_policy(NumaPolicy requested, std::size_t nnodes);
 
 /// Builds a pointer that, indexed with an *absolute* position, lands in a
-/// repacked slice that only stores positions >= `first`. The arithmetic
+/// slice array that only stores positions >= `first`. The arithmetic
 /// goes through uintptr_t so no pointer to outside the allocation is ever
 /// formed as a typed pointer; the result must only be indexed with
 /// positions inside [first, first + slice length).
@@ -59,82 +56,6 @@ inline T* rebase_ptr(T* slice, std::ptrdiff_t first) {
       reinterpret_cast<std::uintptr_t>(slice) -
       static_cast<std::uintptr_t>(first) * sizeof(T));
 }
-
-/// Page-aligned per-owner allocation with deferred first touch.
-///
-/// Usage (master thread unless noted):
-///   FirstTouchArena arena(nthreads);
-///   auto h = arena.reserve<index_t>(tid, n);   // plan, any number of times
-///   arena.allocate();                          // map blocks, pages untouched
-///   pool.run([&](tid) { arena.first_touch(tid); });  // owner touches
-///   std::copy(src, src + n, arena.data<index_t>(h)); // contents, any thread
-///
-/// Blocks are backed by fresh anonymous mmap (falling back to
-/// aligned_alloc off Linux or when mmap fails), so no page can have been
-/// touched by a previous owner. Reservations are cache-line aligned.
-class FirstTouchArena {
- public:
-  /// A planned reservation; resolve with data<T>() after allocate().
-  struct Handle {
-    std::size_t block = 0;
-    std::size_t offset = 0;
-  };
-
-  explicit FirstTouchArena(std::size_t nblocks);
-  ~FirstTouchArena();
-
-  FirstTouchArena(const FirstTouchArena&) = delete;
-  FirstTouchArena& operator=(const FirstTouchArena&) = delete;
-
-  std::size_t nblocks() const { return blocks_.size(); }
-
-  /// Plans `n` elements of T inside block `block`. Only valid before
-  /// allocate().
-  template <typename T>
-  Handle reserve(std::size_t block, std::size_t n) {
-    return reserve_bytes(block, n * sizeof(T));
-  }
-
-  /// Maps every non-empty block (no touch). Idempotent.
-  void allocate();
-
-  /// Zero-fills block `block`, making the calling thread the first
-  /// toucher of all its pages. Call from the owning (pinned) worker.
-  void first_touch(std::size_t block);
-
-  /// Zero-fills only the pages of `block` whose page index satisfies
-  /// page % nparts == part — the interleaved-x pattern, where one
-  /// representative worker per node touches every nparts-th page.
-  void first_touch_interleaved(std::size_t block, std::size_t part,
-                               std::size_t nparts);
-
-  /// Resolves a reservation. Only valid after allocate().
-  template <typename T>
-  T* data(const Handle& h) const {
-    return reinterpret_cast<T*>(static_cast<std::uint8_t*>(base(h.block)) +
-                                h.offset);
-  }
-
-  std::size_t block_bytes(std::size_t block) const;
-  const void* block_base(std::size_t block) const;
-  /// Sum of all block sizes (page-rounded).
-  std::size_t total_bytes() const;
-  bool allocated() const { return allocated_; }
-
- private:
-  struct Block {
-    std::size_t reserved = 0;  ///< bytes planned
-    std::size_t mapped = 0;    ///< bytes actually mapped (page-rounded)
-    void* base = nullptr;
-    bool from_mmap = false;
-  };
-
-  Handle reserve_bytes(std::size_t block, std::size_t bytes);
-  void* base(std::size_t block) const;
-
-  std::vector<Block> blocks_;
-  bool allocated_ = false;
-};
 
 /// NUMA node of each sampled page of [p, p+bytes), via the move_pages(2)
 /// query form. At most `max_pages` pages are sampled, evenly spaced.

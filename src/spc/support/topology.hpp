@@ -9,8 +9,8 @@
 // On ccNUMA machines thread placement is only half the story: Linux
 // first-touch page placement decides which node's memory controller
 // serves each matrix page, so the NUMA layer (node → cpu map, per-node
-// memory) is discovered here too and consumed by the first-touch arena
-// (support/first_touch.hpp) and SpmvInstance's placement engine.
+// memory) is discovered here too and consumed by SpmvInstance's NUMA
+// placement (support/first_touch.hpp) and the steal victim order.
 #pragma once
 
 #include <cstddef>

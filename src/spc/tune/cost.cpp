@@ -122,14 +122,6 @@ CandidatePrediction predict_format(const TuneFeatures& f, Format fmt) {
       }
       break;
     }
-    default:
-      // Outside the tuner's pool (BCSR, ELL): these trade bytes for
-      // different access patterns the stream model cannot rank, so the
-      // tuner never auto-selects them.
-      p.applicable = false;
-      p.why = "outside the tuning pool";
-      p.matrix_bytes_per_nnz = kIdx + kVal + c.rp;
-      break;
   }
   p.streamed_bytes_per_nnz = p.matrix_bytes_per_nnz + c.vec;
   return p;

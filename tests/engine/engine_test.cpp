@@ -89,7 +89,7 @@ TEST(EngineOptionsValidate, RejectsBadFieldsWithDiagnostics) {
 
   // Nested instance options are validated through the same call.
   o = EngineOptions{};
-  o.instance.bcsr_block_rows = 0;
+  o.instance.du.max_unit = 0;
   EXPECT_EQ(o.validate().code(), StatusCode::kInvalidArgument);
 
   EXPECT_THROW(Engine bad(o), InvalidArgument);
@@ -161,8 +161,9 @@ TEST(EngineSubmit, ServedResultIsBitIdenticalToDirectRunAtScalar) {
   Rng rng(7);
   const Vector x = random_vector(t.ncols(), rng);
 
-  for (const Format f :
-       {Format::kCsr, Format::kCsrDu, Format::kCsrVi, Format::kCsrDuVi}) {
+  // Every format, the symmetric ones included: the direct instance has
+  // the engine pool's two workers, so even their reduction matches.
+  for (const Format f : all_formats()) {
     InstanceOptions iopts;
     iopts.pin_threads = false;
     SpmvInstance direct(t, f, 2, iopts);

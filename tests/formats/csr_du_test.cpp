@@ -195,6 +195,28 @@ TEST(CsrDu, RleMixedStridesWithinRow) {
   test::expect_triplets_eq(t, m.to_triplets());
 }
 
+TEST(CsrDu, RleUnitsCountUnderTheirStrideClass) {
+  // An RLE unit's header carries the u8 class bits, but the histogram
+  // counts it under its stride's class, so the class totals partition
+  // every unit and element: this stride-300 run lands in u16.
+  Triplets t(1, 20000);
+  for (index_t k = 0; k < 40; ++k) {
+    t.add(0, 5 + 300 * k, 1.0);
+  }
+  t.sort_and_combine();
+  CsrDuOptions opts;
+  opts.enable_rle = true;
+  opts.rle_min_run = 8;
+  const CsrDu m = CsrDu::from_triplets(t, opts);
+  const CsrDu::UnitHistogram& h = m.histogram();
+  ASSERT_EQ(h.units, 1u);
+  EXPECT_EQ(h.rle_units, 1u);
+  const auto u16 = static_cast<std::size_t>(DeltaClass::kU16);
+  EXPECT_EQ(h.units_per_class[u16], 1u);
+  EXPECT_EQ(h.elems_per_class[u16], 40u);
+  EXPECT_EQ(h, m.unit_histogram());
+}
+
 TEST(CsrDu, SingleElementMatrix) {
   Triplets t(1, 1);
   t.add(0, 0, 42.0);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "spc/formats/csr.hpp"
 #include "spc/gen/generators.hpp"
@@ -111,6 +112,52 @@ TEST(Partition, TripletsOverloadMatchesRowPtrOverload) {
     const RowPartition b = partition_rows_by_nnz(t, n);
     EXPECT_EQ(a.bounds, b.bounds);
   }
+}
+
+// The triplets overload finds each boundary by binary search over the
+// entries; on any sorted input its bounds must be the row_ptr
+// overload's, including on the shapes where boundary rules bite.
+TEST(Partition, BinarySearchMatchesRowPtrOnEdgeShapes) {
+  const auto check = [](const Triplets& t, const std::string& what) {
+    const auto rp = row_ptr_of(t);
+    for (const std::size_t n : {1u, 2u, 3u, 4u, 7u, 16u}) {
+      EXPECT_EQ(partition_rows_by_nnz(t, n).bounds,
+                partition_rows_by_nnz(rp, n).bounds)
+          << what << " n=" << n;
+    }
+  };
+  for (int seed = 0; seed < 20; ++seed) {
+    Rng rng(300 + seed);
+    const index_t nrows = 1 + static_cast<index_t>(rng.next_below(60));
+    check(test::random_triplets(nrows, 40, rng.next_below(400), rng),
+          "random seed " + std::to_string(seed));
+  }
+  // Leading and trailing empty rows around a dense middle.
+  Triplets edges(30, 8);
+  for (index_t r = 10; r < 20; ++r) {
+    for (index_t c = 0; c < 8; ++c) {
+      edges.add(r, c, 1.0);
+    }
+  }
+  edges.sort_and_combine();
+  check(edges, "empty edges");
+  // One long row straddling every target.
+  Triplets long_row(5, 100);
+  long_row.add(0, 0, 1.0);
+  for (index_t c = 0; c < 100; ++c) {
+    long_row.add(2, c, 1.0);
+  }
+  long_row.add(4, 3, 1.0);
+  long_row.sort_and_combine();
+  check(long_row, "long row");
+  // More threads than rows, and no non-zeros at all.
+  check(test::paper_matrix(), "nthreads > nrows");
+  Triplets empty(12, 12);
+  empty.sort_and_combine();
+  check(empty, "nnz == 0");
+  Triplets no_rows(0, 3);
+  no_rows.sort_and_combine();
+  check(no_rows, "0 rows");
 }
 
 TEST(Partition, EvenSplitsRowCounts) {

@@ -70,7 +70,7 @@ TEST(PlanChunks, TilesEveryThreadRangeExactly) {
   const Triplets t = test::random_triplets(2000, 500, 30000, rng);
   const auto rp = row_ptr_of(t);
   const RowPartition threads = partition_rows_by_nnz(rp, 4);
-  const ChunkPlan plan = plan_chunks(rp, threads, 1024);
+  const ChunkPlan plan = plan_chunks(t, threads, 1024);
 
   ASSERT_GT(plan.nchunks(), 4u);  // 30k nnz / 1k target → many chunks
   // Chunk bounds are strictly increasing and tile [0, nrows).
@@ -106,7 +106,7 @@ TEST(PlanChunks, ChunkNnzStaysNearTarget) {
   const auto rp = row_ptr_of(t);
   const RowPartition threads = partition_rows_by_nnz(rp, 4);
   const usize_t target = 500;
-  const ChunkPlan plan = plan_chunks(rp, threads, target);
+  const ChunkPlan plan = plan_chunks(t, threads, target);
   for (std::size_t c = 0; c < plan.nchunks(); ++c) {
     const usize_t nnz = rp[plan.row_end(c)] - rp[plan.row_begin(c)];
     EXPECT_LE(nnz, target + 10);
@@ -120,7 +120,7 @@ TEST(PlanChunks, SmallRangesStayWhole) {
   const auto rp = row_ptr_of(t);
   const RowPartition threads = partition_rows_by_nnz(rp, 4);
   // Target far above any range's nnz: one chunk per non-empty range.
-  const ChunkPlan plan = plan_chunks(rp, threads, 1u << 20);
+  const ChunkPlan plan = plan_chunks(t, threads, 1u << 20);
   EXPECT_EQ(plan.nchunks(), 4u);
   for (std::size_t th = 0; th < 4; ++th) {
     EXPECT_EQ(plan.owner_begin[th + 1] - plan.owner_begin[th], 1u);
@@ -137,7 +137,7 @@ TEST(PlanChunks, EmptyRangesOwnZeroChunks) {
   t.sort_and_combine();
   const auto rp = row_ptr_of(t);
   const RowPartition threads = partition_rows_by_nnz(rp, 8);
-  const ChunkPlan plan = plan_chunks(rp, threads, 1024);
+  const ChunkPlan plan = plan_chunks(t, threads, 1024);
   EXPECT_EQ(plan.bounds.back(), 3u);
   std::size_t total = 0;
   for (std::size_t th = 0; th < 8; ++th) {
@@ -164,7 +164,7 @@ TEST(PlanChunks, TrailingEmptyRowsAreCovered) {
   t.sort_and_combine();
   const auto rp = row_ptr_of(t);
   const RowPartition threads = partition_rows_by_nnz(rp, 2);
-  const ChunkPlan plan = plan_chunks(rp, threads, 32);
+  const ChunkPlan plan = plan_chunks(t, threads, 32);
   EXPECT_EQ(plan.bounds.front(), 0u);
   EXPECT_EQ(plan.bounds.back(), 500u);
   for (std::size_t c = 1; c < plan.bounds.size(); ++c) {

@@ -316,8 +316,8 @@ TEST(Solvers, AllFormatsGiveSameCgSolution) {
   SpmvInstance ref(shifted, Format::kCsr);
   cg(op_of(ref), b, x_ref);
 
-  for (const Format f : {Format::kCsrDu, Format::kCsrVi, Format::kCsrDuVi,
-                         Format::kBcsr}) {
+  for (const Format f : {Format::kCsr16, Format::kCsrDu, Format::kCsrVi,
+                         Format::kCsrDuVi}) {
     SpmvInstance A(shifted, f);
     Vector x(shifted.nrows(), 0.0);
     cg(op_of(A), b, x);

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <memory>
 
 #include "spc/gen/generators.hpp"
@@ -143,6 +144,41 @@ TEST(RleRow, SwarmFormsStrideOneAndStridedRuns) {
   EXPECT_GT(strided_units, 0u);
 }
 
+// The DU encoder counts its units as it emits them, and prepare() reads
+// that count instead of scanning the stream. It must equal the
+// payload-skipping scan field by field, for whole matrices and for the
+// row-range slices an instance builds, with RLE off and on (on, the
+// swarm forms stride-1 and strided runs).
+TEST(EncoderHistogram, EqualsTheScanOnTheSwarmAndItsSlices) {
+  usize_t seq_units = 0;
+  usize_t strided_units = 0;
+  for (int seed = 0; seed < 21; ++seed) {
+    const Triplets t = fuzz_matrix(seed);
+    for (const bool rle : {false, true}) {
+      const CsrDuOptions du = with_row({}, {Format::kCsrDu, rle}).du;
+      const std::string what =
+          "seed " + std::to_string(seed) + (rle ? " rle" : "");
+      const CsrDu whole = CsrDu::from_triplets(t, du);
+      EXPECT_EQ(whole.histogram(), whole.unit_histogram()) << what;
+      const RowPartition p = partition_rows_by_nnz(t, 3);
+      CsrDu::UnitHistogram sum;
+      for (std::size_t th = 0; th < 3; ++th) {
+        const CsrDu s =
+            CsrDu::from_rows(t, p.row_begin(th), p.row_end(th), du);
+        EXPECT_EQ(s.histogram(), s.unit_histogram()) << what << " t" << th;
+        sum += s.histogram();
+      }
+      // Units never span rows, so slicing moves no unit.
+      EXPECT_EQ(sum, whole.histogram()) << what;
+      seq_units += whole.histogram().seq_units;
+      strided_units +=
+          whole.histogram().rle_units - whole.histogram().seq_units;
+    }
+  }
+  EXPECT_GT(seq_units, 0u);
+  EXPECT_GT(strided_units, 0u);
+}
+
 class DispatchFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(DispatchFuzz, EveryFormatEveryTierMatchesScalarCsrOracle) {
@@ -186,60 +222,6 @@ TEST_P(DispatchFuzz, EveryFormatEveryTierMatchesScalarCsrOracle) {
 
 INSTANTIATE_TEST_SUITE_P(Swarm, DispatchFuzz, ::testing::Range(0, 21));
 
-// Every repackable format under every SPC_NUMA policy must produce the
-// byte-for-byte result of the policy-off run: the first-touch repack
-// copies slices verbatim and the kernels run in the same order, so at
-// the scalar tier even the floating-point accumulation is identical.
-const std::vector<FuzzRow>& numa_rows() {
-  static const std::vector<FuzzRow> kRows = {
-      {Format::kCsr},   {Format::kCsr16},       {Format::kCsrVi},
-      {Format::kCsrDu}, {Format::kCsrDu, true}, {Format::kCsrDuVi},
-      {Format::kBcsr},  {Format::kEll},
-  };
-  return kRows;
-}
-
-class NumaFuzz : public ::testing::TestWithParam<int> {};
-
-TEST_P(NumaFuzz, RepackedSlicesAreBitIdenticalAcrossPolicies) {
-  const Triplets t = fuzz_matrix(GetParam());
-  if (t.nnz() == 0) {
-    GTEST_SKIP() << "degenerate draw";
-  }
-  Rng xr(9100 + GetParam());
-  const Vector x = random_vector(t.ncols(), xr);
-
-  test::ScopedEnv isa("SPC_ISA", "scalar");
-  InstanceOptions base;
-  base.pin_threads = true;  // placement needs pinned workers
-  constexpr std::size_t kThreads = 4;
-  for (const FuzzRow& row : numa_rows()) {
-    if (row.format == Format::kCsr16 && !csr16_applicable(t)) {
-      continue;
-    }
-    const InstanceOptions opts = with_row(base, row);
-    Vector y_off(t.nrows(), 0.0);
-    {
-      test::ScopedEnv numa("SPC_NUMA", "off");
-      SpmvInstance inst(t, row.format, kThreads, opts);
-      EXPECT_EQ(inst.numa_policy(), NumaPolicy::kOff);
-      inst.run(x, y_off);
-    }
-    for (const char* policy : {"local", "replicate", "interleaved"}) {
-      test::ScopedEnv numa("SPC_NUMA", policy);
-      SpmvInstance inst(t, row.format, kThreads, opts);
-      EXPECT_NE(inst.numa_policy(), NumaPolicy::kOff)
-          << row_name(row) << " " << policy;
-      Vector y(t.nrows(), std::numeric_limits<double>::quiet_NaN());
-      inst.run(x, y);
-      EXPECT_EQ(max_abs_diff(y_off, y), 0.0)
-          << row_name(row) << " " << policy << " seed " << GetParam();
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Swarm, NumaFuzz, ::testing::Range(0, 21));
-
 // Scheduler determinism: chunk boundaries are row-aligned, so whatever
 // worker executes a chunk, every row's dot product keeps its serial
 // accumulation order — SPC_SCHED must not change results at all at the
@@ -263,7 +245,7 @@ TEST_P(SchedFuzz, StealMatchesStaticAcrossFormatsAndTiers) {
   base.chunk_nnz = 64;
   for (const IsaTier tier : available_isa_tiers()) {
     test::ScopedEnv isa("SPC_ISA", isa_tier_name(tier).c_str());
-    for (const FuzzRow& row : numa_rows()) {
+    for (const FuzzRow& row : dispatch_rows()) {
       if (row.format == Format::kCsr16 && !csr16_applicable(t)) {
         continue;
       }
@@ -276,8 +258,6 @@ TEST_P(SchedFuzz, StealMatchesStaticAcrossFormatsAndTiers) {
         inst.run(x, y_static);
       }
       // Static must itself be correct before it can anchor steal.
-      // (Tolerance, not bit-identity: BCSR pads blocks with explicit
-      // zeros and so accumulates in a different order than the oracle.)
       ASSERT_LT(rel_error(y_ref, y_static), kVectorTol) << row_name(row);
       test::ScopedEnv sched("SPC_SCHED", "steal");
       SpmvInstance inst(t, row.format, 4, opts);
@@ -306,7 +286,9 @@ INSTANTIATE_TEST_SUITE_P(Swarm, SchedFuzz, ::testing::Range(0, 21));
 // would skip the scatter/reduce phases and reassociate the sums. Swept
 // over every format (plus the RLE row) x SPC_NUMA x SPC_SCHED at the
 // scalar tier and the active one; the symmetric rows run on a
-// symmetrized square copy of the seed's draw.
+// symmetrized square copy of the seed's draw. At the scalar tier the
+// pooled y must also be the same bytes whether the calling thread built
+// the slices (off) or each worker built its own (local).
 class CallerFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(CallerFuzz, RunOnCallerMatchesPooledRunBitForBit) {
@@ -362,7 +344,10 @@ TEST_P(CallerFuzz, RunOnCallerMatchesPooledRunBitForBit) {
                 0)
           << format_name(f) << " 1 thread" << at;
     }
-    for (const char* numa : {"off", "replicate"}) {
+    // Pooled y under SPC_NUMA=off, per (schedule, row), for the local
+    // pass to match.
+    std::map<std::string, Vector> y_off;
+    for (const char* numa : {"off", "local"}) {
       test::ScopedEnv numa_env("SPC_NUMA", numa);
       for (const char* sched : {"static", "steal"}) {
         test::ScopedEnv sched_env("SPC_SCHED", sched);
@@ -380,6 +365,15 @@ TEST_P(CallerFuzz, RunOnCallerMatchesPooledRunBitForBit) {
           inst.run(xv, y_pool);
           EXPECT_LT(rel_error(sym ? ys_ref : y_ref, y_pool), kVectorTol)
               << what;
+          const std::string cell = std::string(sched) + " " + row_name(row);
+          if (std::string(numa) == "off") {
+            y_off[cell] = y_pool;
+          } else if (tier == IsaTier::kScalar) {
+            EXPECT_EQ(std::memcmp(y_off.at(cell).data(), y_pool.data(),
+                                  y_pool.size() * sizeof(value_t)),
+                      0)
+                << what << " vs numa=off";
+          }
 
           EXPECT_EQ(inst.can_run_on_caller(), !sym) << what;
           Vector y_caller(m.nrows(), kUnwritten);

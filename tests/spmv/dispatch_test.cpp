@@ -124,7 +124,7 @@ TEST(InstanceDispatch, DuHistogramOnlyForDuFormats) {
     EXPECT_GT(h->units, 0u);
     EXPECT_GT(h->avg_unit_elems(), 0.0);
   }
-  for (const Format f : {Format::kCsr, Format::kCsrVi, Format::kEll}) {
+  for (const Format f : {Format::kCsr, Format::kCsr16, Format::kCsrVi}) {
     const SpmvInstance inst(t, f);
     EXPECT_EQ(inst.du_histogram(), nullptr) << format_name(f);
   }

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "spc/gen/generators.hpp"
+#include "spc/mm/ops.hpp"
 #include "spc/support/topology.hpp"
 #include "test_util.hpp"
 
@@ -36,11 +37,11 @@ TEST(FormatNames, InstanceFormatsKeepTheirNamesAndOrder) {
     names.push_back(format_name(f));
   }
   EXPECT_EQ(names,
-            (std::vector<std::string>{"csr", "csr16", "bcsr", "ell", "csr-du",
-                                      "csr-vi", "csr-du-vi", "sym-csr",
+            (std::vector<std::string>{"csr", "csr16", "csr-du", "csr-vi",
+                                      "csr-du-vi", "sym-csr",
                                       "sym-csr-vi"}));
   for (const char* retired :
-       {"coo", "csc", "dia", "jds", "dcsr", "csr-du-rle"}) {
+       {"coo", "csc", "bcsr", "ell", "dia", "jds", "dcsr", "csr-du-rle"}) {
     EXPECT_THROW(parse_format(retired), InvalidArgument) << retired;
   }
 }
@@ -167,18 +168,24 @@ TEST(SpmvInstance, Csr16RequiresNarrowMatrix) {
   EXPECT_THROW(SpmvInstance(t, Format::kCsr16), Error);
 }
 
-TEST(SpmvInstance, BcsrBlockShapeFromOptions) {
-  Rng rng(55);
-  const Triplets t = gen_fem_blocks(30, 4, 3, rng, ValueModel::random());
+TEST(SpmvInstance, SlicesAddOnlyTheirRowPointerOrigins) {
+  // Each extra slice stores one more row-pointer entry; the value
+  // formats' slices share one unique-value table, and a DU slice's
+  // first rskip can only shrink.
+  Rng rng(58);
+  const Triplets t =
+      symmetrize(gen_ragged(300, 300, 9, 0.2, rng, ValueModel::pooled(20)));
   InstanceOptions opts;
-  opts.bcsr_block_rows = 4;
-  opts.bcsr_block_cols = 4;
-  SpmvInstance inst(t, Format::kBcsr, 1, opts);
-  Rng xr(56);
-  const Vector x = random_vector(t.ncols(), xr);
-  Vector y(t.nrows(), 0.0);
-  inst.run(x, y);
-  EXPECT_LT(rel_error(test::reference_spmv(t, x), y), kTol);
+  opts.pin_threads = false;
+  for (const Format f : all_formats()) {
+    const usize_t one = SpmvInstance(t, f, 1, opts).matrix_bytes();
+    const usize_t four = SpmvInstance(t, f, 4, opts).matrix_bytes();
+    if (f == Format::kCsrDu || f == Format::kCsrDuVi) {
+      EXPECT_LE(four, one) << format_name(f);
+    } else {
+      EXPECT_EQ(four, one + 3 * sizeof(index_t)) << format_name(f);
+    }
+  }
 }
 
 TEST(SpmvInstance, EvenPartitionOptionWorks) {
@@ -196,25 +203,8 @@ TEST(SpmvInstance, EvenPartitionOptionWorks) {
   EXPECT_EQ(inst.partition().bounds[1], 100u);
 }
 
-TEST(SpmvInstance, EllGuardRejectsSkewedMatrix) {
-  // One huge row among tiny ones trips the ELL width guard.
-  Triplets t(100, 2000);
-  for (index_t c = 0; c < 2000; ++c) {
-    t.add(0, c, 1.0);
-  }
-  for (index_t r = 1; r < 100; ++r) {
-    t.add(r, r, 1.0);
-  }
-  t.sort_and_combine();
-  InstanceOptions opts;
-  opts.ell_max_width_factor = 4.0;
-  EXPECT_THROW(SpmvInstance(t, Format::kEll, 1, opts), InvalidArgument);
-  opts.ell_max_width_factor = 0.0;  // unguarded
-  EXPECT_NO_THROW(SpmvInstance(t, Format::kEll, 1, opts));
-}
-
 TEST(SpmvInstanceNuma, PolicyOffForSerialInstances) {
-  test::ScopedEnv numa("SPC_NUMA", "replicate");
+  test::ScopedEnv numa("SPC_NUMA", "local");
   const Triplets t = test::paper_matrix();
   SpmvInstance inst(t, Format::kCsr, 1);
   EXPECT_EQ(inst.numa_policy(), NumaPolicy::kOff);
@@ -244,8 +234,8 @@ TEST(SpmvInstanceNuma, AutoResolvesAgainstTheMachine) {
   }
 }
 
-TEST(SpmvInstanceNuma, ReplicatePlacementRunsAndReportsResidency) {
-  test::ScopedEnv numa("SPC_NUMA", "replicate");
+TEST(SpmvInstanceNuma, LocalPlacementRunsAndReportsResidency) {
+  test::ScopedEnv numa("SPC_NUMA", "local");
   Rng rng(56);
   const Triplets t =
       gen_ragged(400, 400, 12, 0.1, rng, ValueModel::pooled(30));
@@ -253,7 +243,7 @@ TEST(SpmvInstanceNuma, ReplicatePlacementRunsAndReportsResidency) {
   const Vector x = random_vector(t.ncols(), xr);
   const Vector ref = test::reference_spmv(t, x);
   SpmvInstance inst(t, Format::kCsrDuVi, 4);
-  EXPECT_EQ(inst.numa_policy(), NumaPolicy::kReplicate);
+  EXPECT_EQ(inst.numa_policy(), NumaPolicy::kLocal);
   ASSERT_EQ(inst.thread_nodes().size(), 4u);
   Vector y(t.nrows(), 0.0);
   inst.run(x, y);
@@ -281,10 +271,10 @@ TEST(SpmvInstanceNuma, OptionsPolicyUsedWhenEnvUnset) {
   // InstanceOptions carries the policy; SPC_NUMA (when set) overrides.
   test::ScopedEnv numa("SPC_NUMA", "");
   InstanceOptions opts;
-  opts.numa = NumaPolicy::kInterleave;
+  opts.numa = NumaPolicy::kLocal;
   const Triplets t = test::paper_matrix();
   SpmvInstance inst(t, Format::kCsr, 2, opts);
-  EXPECT_EQ(inst.numa_policy(), NumaPolicy::kInterleave);
+  EXPECT_EQ(inst.numa_policy(), NumaPolicy::kLocal);
 }
 
 TEST(SpmvSimple, OneShotHelper) {

@@ -1,16 +1,15 @@
-// NumaPolicy parsing/resolution and the FirstTouchArena lifecycle.
+// NumaPolicy parsing/resolution, absolute indexing through rebased
+// slice pointers, and the page-residency query.
 //
 // Placement itself (which node a page lands on) is hardware-dependent and
-// checked best-effort by query_page_nodes; what must hold everywhere is
-// the reserve → allocate → first_touch → copy protocol: alignment,
-// page rounding, zero-fill, and graceful residency degradation.
+// checked best-effort by query_page_nodes, which must degrade gracefully.
 #include "spc/support/first_touch.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <string>
+#include <vector>
 
-#include "spc/support/error.hpp"
 #include "test_util.hpp"
 
 namespace spc {
@@ -18,8 +17,7 @@ namespace {
 
 TEST(NumaPolicy, NamesRoundTrip) {
   for (const NumaPolicy p :
-       {NumaPolicy::kAuto, NumaPolicy::kOff, NumaPolicy::kLocal,
-        NumaPolicy::kReplicate, NumaPolicy::kInterleave}) {
+       {NumaPolicy::kAuto, NumaPolicy::kOff, NumaPolicy::kLocal}) {
     NumaPolicy parsed = NumaPolicy::kAuto;
     ASSERT_TRUE(parse_numa_policy(numa_policy_name(p), &parsed))
         << numa_policy_name(p);
@@ -29,20 +27,21 @@ TEST(NumaPolicy, NamesRoundTrip) {
 
 TEST(NumaPolicy, ParseAcceptsAliases) {
   NumaPolicy p = NumaPolicy::kAuto;
-  EXPECT_TRUE(parse_numa_policy("interleave", &p));
-  EXPECT_EQ(p, NumaPolicy::kInterleave);
   EXPECT_TRUE(parse_numa_policy("first-touch", &p));
   EXPECT_EQ(p, NumaPolicy::kLocal);
   EXPECT_TRUE(parse_numa_policy("none", &p));
   EXPECT_EQ(p, NumaPolicy::kOff);
-  EXPECT_TRUE(parse_numa_policy("REPLICATE", &p));
-  EXPECT_EQ(p, NumaPolicy::kReplicate);
+  EXPECT_TRUE(parse_numa_policy("LOCAL", &p));
+  EXPECT_EQ(p, NumaPolicy::kLocal);
 }
 
 TEST(NumaPolicy, ParseRejectsUnknownLeavingOutputUntouched) {
-  NumaPolicy p = NumaPolicy::kReplicate;
-  EXPECT_FALSE(parse_numa_policy("sideways", &p));
-  EXPECT_EQ(p, NumaPolicy::kReplicate);
+  NumaPolicy p = NumaPolicy::kLocal;
+  // The retired x-mirror policies parse like any other unknown name.
+  for (const char* name : {"sideways", "replicate", "interleaved"}) {
+    EXPECT_FALSE(parse_numa_policy(name, &p)) << name;
+    EXPECT_EQ(p, NumaPolicy::kLocal) << name;
+  }
 }
 
 TEST(NumaPolicy, EnvOverridesFallback) {
@@ -52,17 +51,16 @@ TEST(NumaPolicy, EnvOverridesFallback) {
 
 TEST(NumaPolicy, BadEnvValueKeepsFallback) {
   test::ScopedEnv env("SPC_NUMA", "definitely-not-a-policy");
-  EXPECT_EQ(numa_policy_from_env(NumaPolicy::kReplicate),
-            NumaPolicy::kReplicate);
+  EXPECT_EQ(numa_policy_from_env(NumaPolicy::kLocal), NumaPolicy::kLocal);
 }
 
 TEST(NumaPolicy, AutoResolvesByNodeCount) {
   EXPECT_EQ(resolve_numa_policy(NumaPolicy::kAuto, 1), NumaPolicy::kOff);
   EXPECT_EQ(resolve_numa_policy(NumaPolicy::kAuto, 2), NumaPolicy::kLocal);
   // Explicit policies pass through even on flat machines — the
-  // single-node CI legs rely on replicate still exercising the repack.
-  EXPECT_EQ(resolve_numa_policy(NumaPolicy::kReplicate, 1),
-            NumaPolicy::kReplicate);
+  // single-node CI leg relies on local still having workers build their
+  // slices.
+  EXPECT_EQ(resolve_numa_policy(NumaPolicy::kLocal, 1), NumaPolicy::kLocal);
   EXPECT_EQ(resolve_numa_policy(NumaPolicy::kOff, 4), NumaPolicy::kOff);
 }
 
@@ -73,70 +71,6 @@ TEST(RebasePtr, AbsoluteIndexingLandsInSlice) {
   EXPECT_EQ(rebased[100], 10.0);
   EXPECT_EQ(rebased[103], 13.0);
   EXPECT_EQ(&rebased[100], &local[0]);
-}
-
-TEST(FirstTouchArena, ReservationsAreCacheLineAligned) {
-  FirstTouchArena arena(1);
-  const auto a = arena.reserve<char>(0, 3);
-  const auto b = arena.reserve<double>(0, 5);
-  EXPECT_EQ(a.offset % kCacheLineBytes, 0u);
-  EXPECT_EQ(b.offset % kCacheLineBytes, 0u);
-  EXPECT_GE(b.offset, 3u);
-}
-
-TEST(FirstTouchArena, ProtocolProducesWritableZeroedBlocks) {
-  FirstTouchArena arena(2);
-  const auto h0 = arena.reserve<int>(0, 100);
-  const auto h1 = arena.reserve<double>(1, 50);
-  EXPECT_FALSE(arena.allocated());
-  arena.allocate();
-  EXPECT_TRUE(arena.allocated());
-  arena.allocate();  // idempotent
-
-  arena.first_touch(0);
-  arena.first_touch(1);
-  int* p0 = arena.data<int>(h0);
-  double* p1 = arena.data<double>(h1);
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_EQ(p0[i], 0) << i;
-  }
-  p0[7] = 42;
-  p1[3] = 2.5;
-  EXPECT_EQ(arena.data<int>(h0)[7], 42);
-  EXPECT_EQ(arena.data<double>(h1)[3], 2.5);
-}
-
-TEST(FirstTouchArena, BlockSizesArePageRounded) {
-  FirstTouchArena arena(2);
-  arena.reserve<char>(0, 1);
-  // Block 1 left empty on purpose.
-  arena.allocate();
-  EXPECT_GE(arena.block_bytes(0), 4096u);
-  EXPECT_EQ(arena.block_bytes(0) % 4096u, 0u);
-  EXPECT_EQ(arena.block_bytes(1), 0u);
-  EXPECT_EQ(arena.block_base(1), nullptr);
-  EXPECT_EQ(arena.total_bytes(), arena.block_bytes(0));
-}
-
-TEST(FirstTouchArena, InterleavedTouchZeroesEveryPart) {
-  FirstTouchArena arena(1);
-  const auto h = arena.reserve<char>(0, 3 * 4096 + 17);
-  arena.allocate();
-  // All parts together must cover the whole block.
-  arena.first_touch_interleaved(0, 0, 2);
-  arena.first_touch_interleaved(0, 1, 2);
-  const char* p = arena.data<char>(h);
-  for (std::size_t i = 0; i < 3 * 4096 + 17; ++i) {
-    ASSERT_EQ(p[i], 0) << i;
-  }
-}
-
-TEST(FirstTouchArena, ReserveAfterAllocateThrows) {
-  FirstTouchArena arena(1);
-  arena.reserve<int>(0, 1);
-  arena.allocate();
-  EXPECT_THROW(arena.reserve<int>(0, 1), Error);
-  EXPECT_THROW(arena.first_touch(9), Error);
 }
 
 TEST(QueryPageNodes, TouchedBufferReportsNodesOrReason) {

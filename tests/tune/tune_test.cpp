@@ -221,11 +221,6 @@ TEST(CostModel, ApplicabilityCriteria) {
   f = synthetic_features();
   f.stats.ncols = 70000;  // past the u16 column range
   EXPECT_FALSE(tune::predict_format(f, Format::kCsr16).applicable);
-
-  // Formats outside the tuning pool are never auto-selected.
-  f = synthetic_features();
-  EXPECT_FALSE(tune::predict_format(f, Format::kBcsr).applicable);
-  EXPECT_FALSE(tune::predict_format(f, Format::kEll).applicable);
 }
 
 TEST(CostModel, PredictionsAreOrderedSanely) {
