@@ -1,7 +1,8 @@
 // Inspects a sparse matrix: structural statistics, the §II-B working-set
 // model, compressibility predictors (delta classes, ttu) and the actual
 // encoded size of every format, with the paper's applicability rules
-// annotated.
+// annotated. The DU formats show both layouts: the instance's offset
+// units (execution) and the paper's ctl stream (storage).
 //
 // Usage:
 //   format_inspector <file.mtx>        inspect a Matrix Market file
@@ -15,6 +16,7 @@
 #include "spc/formats/bcsr.hpp"
 #include "spc/formats/coo.hpp"
 #include "spc/formats/csc.hpp"
+#include "spc/formats/csr_du_vi.hpp"
 #include "spc/formats/csr_vi.hpp"
 #include "spc/formats/dcsr.hpp"
 #include "spc/formats/dia.hpp"
@@ -83,22 +85,26 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(s.unique_values), s.ttu,
               s.ttu > kViTtuThreshold ? "APPLICABLE" : "not applicable");
 
-  std::printf("%-11s %12s %9s\n", "format", "bytes", "vs csr");
+  std::printf("%-14s %12s %9s\n", "format", "bytes", "vs csr");
   SpmvInstance csr(t, Format::kCsr);
   const double csr_b = static_cast<double>(csr.matrix_bytes());
   const auto row = [&](const std::string& name, const auto& bytes_of) {
     try {
       const usize_t b = bytes_of();
-      std::printf("%-11s %12llu %9.3f\n", name.c_str(),
+      std::printf("%-14s %12llu %9.3f\n", name.c_str(),
                   static_cast<unsigned long long>(b),
                   static_cast<double>(b) / csr_b);
     } catch (const Error&) {
-      std::printf("%-11s %12s %9s\n", name.c_str(), "-", "n/a");
+      std::printf("%-14s %12s %9s\n", name.c_str(), "-", "n/a");
     }
   };
   for (const Format f : all_formats()) {
     row(format_name(f), [&] { return SpmvInstance(t, f).matrix_bytes(); });
   }
+  // The DU instances above run offset units; the paper's ctl stream is
+  // the DU storage format (.spcm files, the paper's byte counts).
+  row("csr-du ctl", [&] { return CsrDu::from_triplets(t).bytes(); });
+  row("csr-du-vi ctl", [&] { return CsrDuVi::from_triplets(t).bytes(); });
   // The §III-A/B comparators are format classes only. The padded formats
   // (ELL, DIA) are guarded against pathological blowup: the refusal is
   // reported instead of allocating gigabytes.

@@ -20,6 +20,7 @@
 
 #include "spc/bench/harness.hpp"
 #include "spc/formats/bcsr.hpp"
+#include "spc/formats/csr_du_vi.hpp"
 #include "spc/formats/dcsr.hpp"
 #include "spc/formats/ell.hpp"
 #include "spc/formats/serialize.hpp"
@@ -109,7 +110,7 @@ int cmd_inspect(std::vector<std::string> args) {
               100.0 * s.u8_delta_fraction());
   SpmvInstance csr(t, Format::kCsr);
   const auto row = [&](const std::string& name, usize_t bytes) {
-    std::printf("  %-10s %10s (%.3f of csr)\n", name.c_str(),
+    std::printf("  %-13s %10s (%.3f of csr)\n", name.c_str(),
                 human_bytes(bytes).c_str(),
                 static_cast<double>(bytes) /
                     static_cast<double>(csr.matrix_bytes()));
@@ -118,13 +119,17 @@ int cmd_inspect(std::vector<std::string> args) {
        {Format::kCsr, Format::kCsrDu, Format::kCsrVi, Format::kCsrDuVi}) {
     row(format_name(f), SpmvInstance(t, f).matrix_bytes());
   }
+  // The DU instances above run offset units; the paper's ctl stream is
+  // the DU storage format (what `convert` writes).
+  row("csr-du ctl", CsrDu::from_triplets(t).bytes());
+  row("csr-du-vi ctl", CsrDuVi::from_triplets(t).bytes());
   // The §III-A/B comparators are format classes only; ELL keeps its
   // width guard so a skewed matrix reports a refusal, not gigabytes.
   row("bcsr", Bcsr::from_triplets(t, 2, 2).bytes());
   try {
     row("ell", Ell::from_triplets(t, 24.0).bytes());
   } catch (const InvalidArgument&) {
-    std::printf("  %-10s %10s\n", "ell", "n/a");
+    std::printf("  %-13s %10s\n", "ell", "n/a");
   }
   row("dcsr", Dcsr::from_triplets(t).bytes());
   return 0;

@@ -5,6 +5,7 @@
 #include <span>
 #include <string>
 
+#include "spc/formats/du_units.hpp"
 #include "spc/support/varint.hpp"
 
 namespace spc {
@@ -39,16 +40,18 @@ void append_varint(aligned_vector<std::uint8_t>& out, std::uint64_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
 }
 
-// One segment of a row chosen by the encoder: elems [first, first+len) of
-// the row's non-zeros, stored with class `cls` (RLE runs carry a single
-// stride instead of ucis).
-struct Segment {
-  usize_t first = 0;
-  std::uint32_t len = 0;
-  DeltaClass cls = DeltaClass::kU8;
-  bool rle = false;
-  std::uint64_t stride = 0;
-};
+// Skips a ctl unit's body: the ujmp varint, then the RLE stride varint
+// or the usize-1 deltas.
+void skip_ctl_body(std::uint8_t uflags, std::uint32_t usize,
+                   const std::uint8_t*& p) {
+  varint_decode(p);  // ujmp
+  if (uflags & kDuRle) {
+    varint_decode(p);  // stride
+  } else {
+    const auto cls = static_cast<DeltaClass>(uflags & kDuClassMask);
+    p += static_cast<std::size_t>(usize - 1) * delta_class_bytes(cls);
+  }
+}
 
 }  // namespace
 
@@ -133,88 +136,43 @@ CsrDu CsrDu::encode(const Triplets& t, index_t row_begin, index_t row_end,
   // stream grow and copy itself.
   m.ctl_.reserve(2 * entries.size() + 5 * static_cast<usize_t>(m.nrows_));
 
-  std::vector<std::uint64_t> deltas;   // deltas of the current row
-  std::vector<Segment> segments;       // segmentation of the current row
-  std::int64_t prev_row = -1;          // last local row that produced units
+  std::vector<detail::DuSegment> segments;  // segmentation of one row
+  std::int64_t prev_row = -1;  // last local row that produced units
 
   usize_t i = 0;
   while (i < entries.size()) {
     // Gather one row (entries carry absolute rows; prev_row is local).
     const index_t row = entries[i].row;
-    const usize_t row_start = i;
-    deltas.clear();
-    index_t prev_col = 0;
-    while (i < entries.size() && entries[i].row == row) {
-      // First element's "delta" is its absolute column (the NR ujmp).
-      deltas.push_back(i == row_start
-                           ? static_cast<std::uint64_t>(entries[i].col)
-                           : static_cast<std::uint64_t>(entries[i].col -
-                                                        prev_col));
-      prev_col = entries[i].col;
-      if (keep_values) {
-        m.values_.push_back(entries[i].val);
-      }
-      ++i;
+    usize_t row_end_i = i + 1;
+    while (row_end_i < entries.size() && entries[row_end_i].row == row) {
+      ++row_end_i;
     }
-    const usize_t row_len = deltas.size();
-
-    // Segment the row greedily. A segment's class covers deltas[first+1..]
-    // — the first delta becomes the unit's varint ujmp and has no class.
-    segments.clear();
-    {
-      usize_t s = 0;
-      while (s < row_len) {
-        // Constant-stride run detection (applies from the *second*
-        // element of a candidate unit: the first is the ujmp).
-        if (opts.enable_rle && s + 1 < row_len) {
-          const std::uint64_t stride = deltas[s + 1];
-          usize_t run = s + 1;
-          while (run < row_len && deltas[run] == stride &&
-                 run - s < opts.max_unit) {
-            ++run;
-          }
-          if (run - s >= opts.rle_min_run) {
-            segments.push_back(Segment{s,
-                                       static_cast<std::uint32_t>(run - s),
-                                       DeltaClass::kU8, true, stride});
-            s = run;
-            continue;
-          }
-        }
-        // Plain unit: grow while the class stays economical.
-        usize_t e = s + 1;
-        DeltaClass cls = DeltaClass::kU8;
-        while (e < row_len && e - s < opts.max_unit) {
-          const DeltaClass c = delta_class_for(deltas[e]);
-          if (c > cls && e - s >= opts.split_threshold) {
-            break;  // widening would tax the existing elements; split
-          }
-          cls = std::max(cls, c);
-          // Leave a long enough constant-delta run to the RLE detector.
-          if (opts.enable_rle) {
-            usize_t run = e;
-            while (run < row_len && deltas[run] == deltas[e] &&
-                   run - e < opts.max_unit) {
-              ++run;
-            }
-            if (run - e >= opts.rle_min_run) {
-              ++e;  // current delta joins this unit as its last element
-              break;
-            }
-          }
-          ++e;
-        }
-        segments.push_back(Segment{s, static_cast<std::uint32_t>(e - s),
-                                   cls, false});
-        s = e;
+    const std::span<const Entry> r = entries.subspan(i, row_end_i - i);
+    if (keep_values) {
+      for (const Entry& e : r) {
+        m.values_.push_back(e.val);
       }
     }
+    i = row_end_i;
+    // A unit's class covers its deltas after the first element, which
+    // becomes the varint ujmp and has no class.
+    detail::segment_row(
+        r, opts,
+        [&r](usize_t, usize_t e) {
+          return delta_class_for(r[e].col - r[e - 1].col);
+        },
+        segments);
+    // The first element's "delta" is its absolute column (the NR ujmp).
+    const auto delta = [&r](usize_t k) {
+      return static_cast<std::uint64_t>(k == 0 ? r[0].col
+                                               : r[k].col - r[k - 1].col);
+    };
 
     // Emit the row's units.
     const std::uint64_t rskip = static_cast<std::uint64_t>(
         static_cast<std::int64_t>(row - row_begin) - prev_row - 1);
     bool first_of_row = true;
-    for (const Segment& seg : segments) {
+    for (const detail::DuSegment& seg : segments) {
       std::uint8_t flags =
           static_cast<std::uint8_t>(static_cast<std::uint8_t>(seg.cls) &
                                     kDuClassMask);
@@ -232,12 +190,12 @@ CsrDu CsrDu::encode(const Triplets& t, index_t row_begin, index_t row_end,
       if (first_of_row && rskip > 0) {
         append_varint(m.ctl_, rskip);
       }
-      append_varint(m.ctl_, deltas[seg.first]);
+      append_varint(m.ctl_, delta(seg.first));
       if (seg.rle) {
         append_varint(m.ctl_, seg.stride);
       } else {
         for (std::uint32_t k = 1; k < seg.len; ++k) {
-          append_delta(m.ctl_, deltas[seg.first + k], seg.cls);
+          append_delta(m.ctl_, delta(seg.first + k), seg.cls);
         }
       }
       m.hist_.add_unit(seg.cls, seg.len, seg.rle, seg.stride);
@@ -344,167 +302,14 @@ CsrDu::Slice CsrDu::full() const {
 CsrDu::Slice CsrDu::slice(index_t row_begin, index_t row_end) const {
   SPC_CHECK_MSG(row_begin <= row_end && row_end <= nrows_,
                 "slice row range out of bounds");
-  Slice s;
-  s.row_begin = row_begin;
-  s.row_end = row_end;
-
-  const std::uint8_t* p = ctl_.data();
-  const std::uint8_t* const end = ctl_.data() + ctl_.size();
-  std::int64_t row = -1;
-  usize_t val_off = 0;
-
-  const std::uint8_t* slice_ctl = end;
-  const std::uint8_t* slice_ctl_end = end;
-  usize_t slice_val_off = val_off;
-  std::int64_t slice_row_state = row;
-  usize_t slice_nnz = 0;
-  bool in_slice = false;
-
-  while (p < end) {
-    const std::uint8_t* const unit_start = p;
-    const std::int64_t row_before = row;
-    const std::uint8_t flags = *p++;
-    const std::uint32_t usize = *p++;
-    if (flags & kDuNewRow) {
-      std::uint64_t rskip = 0;
-      if (flags & kDuRJmp) {
-        rskip = varint_decode(p);
-      }
-      row += 1 + static_cast<std::int64_t>(rskip);
-    }
-    varint_decode(p);  // ujmp
-    if (flags & kDuRle) {
-      varint_decode(p);  // stride
-    } else {
-      const auto cls = static_cast<DeltaClass>(flags & kDuClassMask);
-      p += static_cast<std::size_t>(usize - 1) * delta_class_bytes(cls);
-    }
-
-    if (!in_slice && row >= static_cast<std::int64_t>(row_begin)) {
-      if (row >= static_cast<std::int64_t>(row_end)) {
-        // No unit falls inside the range (all its rows are empty): the
-        // slice is the zero-length span at this boundary, so consecutive
-        // slices still tile the ctl stream.
-        slice_ctl = unit_start;
-        slice_ctl_end = unit_start;
-        slice_val_off = val_off;
-        slice_row_state = row_before;
-        break;
-      }
-      in_slice = true;
-      slice_ctl = unit_start;
-      slice_val_off = val_off;
-      slice_row_state = row_before;
-    }
-    if (in_slice) {
-      if (row >= static_cast<std::int64_t>(row_end)) {
-        slice_ctl_end = unit_start;
-        in_slice = false;
-        slice_nnz = val_off - slice_val_off;
-        break;
-      }
-    }
-    val_off += usize;
-  }
-  if (in_slice) {
-    slice_ctl_end = p;
-    slice_nnz = val_off - slice_val_off;
-  }
-
-  s.ctl = slice_ctl;
-  s.ctl_end = slice_ctl_end;
-  s.values = values_.empty() ? nullptr : values_.data() + slice_val_off;
-  s.val_offset = slice_val_off;
-  s.row_state = slice_row_state;
-  s.nnz = slice_nnz;
-  return s;
+  return slices({row_begin, row_end}).front();
 }
 
 std::vector<CsrDu::Slice> CsrDu::slices(
     const std::vector<index_t>& bounds) const {
-  const std::size_t k = bounds.empty() ? 0 : bounds.size() - 1;
-  std::vector<Slice> out(k);
-  const std::uint8_t* const end = ctl_.data() + ctl_.size();
-  for (std::size_t i = 0; i < k; ++i) {
-    SPC_CHECK_MSG(bounds[i] <= bounds[i + 1] && bounds[i + 1] <= nrows_,
-                  "slices bounds must be non-decreasing and in range");
-    Slice& s = out[i];
-    s.row_begin = bounds[i];
-    s.row_end = bounds[i + 1];
-    // Defaults for ranges past the last unit — what slice() leaves when
-    // its scan ends without anchoring.
-    s.ctl = end;
-    s.ctl_end = end;
-    s.val_offset = 0;
-    s.row_state = -1;
-  }
-
-  // One pass over the units, anchoring each range exactly where the
-  // per-range slice() scan would. Ranges are consecutive and units
-  // arrive in row order, so at most one range is open at a time.
-  const std::uint8_t* p = ctl_.data();
-  std::int64_t row = -1;
-  usize_t val_off = 0;
-  std::size_t next = 0;  ///< first range whose start is not yet anchored
-  std::size_t open = k;  ///< index of the open range (k = none)
-
-  while (p < end && (open < k || next < k)) {
-    const std::uint8_t* const unit_start = p;
-    const std::int64_t row_before = row;
-    const std::uint8_t flags = *p++;
-    const std::uint32_t usize = *p++;
-    if (flags & kDuNewRow) {
-      std::uint64_t rskip = 0;
-      if (flags & kDuRJmp) {
-        rskip = varint_decode(p);
-      }
-      row += 1 + static_cast<std::int64_t>(rskip);
-    }
-    varint_decode(p);  // ujmp
-    if (flags & kDuRle) {
-      varint_decode(p);  // stride
-    } else {
-      const auto cls = static_cast<DeltaClass>(flags & kDuClassMask);
-      p += static_cast<std::size_t>(usize - 1) * delta_class_bytes(cls);
-    }
-
-    if (open < k &&
-        row >= static_cast<std::int64_t>(bounds[open + 1])) {
-      out[open].ctl_end = unit_start;
-      out[open].nnz = val_off - out[open].val_offset;
-      open = k;
-    }
-    while (next < k && row >= static_cast<std::int64_t>(bounds[next])) {
-      Slice& s = out[next];
-      if (row >= static_cast<std::int64_t>(bounds[next + 1])) {
-        // No unit falls inside this range (all its rows are empty): the
-        // zero-length span at this boundary, so consecutive slices
-        // still tile the ctl stream.
-        s.ctl = unit_start;
-        s.ctl_end = unit_start;
-        s.val_offset = val_off;
-        s.row_state = row_before;
-        ++next;
-        continue;
-      }
-      s.ctl = unit_start;
-      s.val_offset = val_off;
-      s.row_state = row_before;
-      open = next;
-      ++next;
-      break;
-    }
-    val_off += usize;
-  }
-  if (open < k) {
-    out[open].ctl_end = p;
-    out[open].nnz = val_off - out[open].val_offset;
-  }
-
-  for (Slice& s : out) {
-    s.values = values_.empty() ? nullptr : values_.data() + s.val_offset;
-  }
-  return out;
+  return detail::unit_slices(ctl_.data(), ctl_.data() + ctl_.size(),
+                             values_.empty() ? nullptr : values_.data(),
+                             nrows_, bounds, skip_ctl_body);
 }
 
 CsrDu::UnitHistogram CsrDu::unit_histogram() const {

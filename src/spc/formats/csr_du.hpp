@@ -29,6 +29,11 @@
 //
 // Construction is a single O(nnz) scan (§IV: "no overhead in terms of time
 // complexity compared to CSR").
+//
+// This stream is the storage format (.spcm files, the paper's byte
+// counts) and the class-level spmv() runs it as the paper's Fig 3 kernel.
+// SpmvInstance executes the same units as offset units instead
+// (offset_units.hpp), whose columns do not depend on the element before.
 #pragma once
 
 #include <cstdint>
@@ -112,10 +117,9 @@ class CsrDu {
     return ctl_.size() + values_.size() * sizeof(value_t);
   }
 
-  /// Per-unit-class structure of the ctl stream. The dispatch layer uses
-  /// it to pick a decode strategy per matrix (SpmvInstance::prepare()):
-  /// e.g. streams of mostly sub-vector-width units stay on the scalar
-  /// decoder.
+  /// Per-unit-class structure of a unit stream: the ctl stream's here,
+  /// the offset units' in OffsetUnits (whose sum SpmvInstance reports as
+  /// du_histogram()).
   struct UnitHistogram {
     usize_t units = 0;
     usize_t units_per_class[4] = {0, 0, 0, 0};  ///< indexed by DeltaClass
@@ -165,6 +169,7 @@ class CsrDu {
 
   /// A thread's view: a row range plus the ctl/value offsets where it
   /// starts — exactly the per-thread state the paper describes (§IV).
+  /// OffsetUnits reuses it, with ctl/ctl_end delimiting offset units.
   struct Slice {
     const std::uint8_t* ctl = nullptr;
     const std::uint8_t* ctl_end = nullptr;

@@ -8,19 +8,6 @@
 
 namespace spc {
 
-DeltaClass delta_class_for(std::uint64_t delta) {
-  if (delta <= 0xFFULL) {
-    return DeltaClass::kU8;
-  }
-  if (delta <= 0xFFFFULL) {
-    return DeltaClass::kU16;
-  }
-  if (delta <= 0xFFFFFFFFULL) {
-    return DeltaClass::kU32;
-  }
-  return DeltaClass::kU64;
-}
-
 usize_t MatrixStats::working_set_bytes(std::uint32_t idx_bytes,
                                        std::uint32_t val_bytes) const {
   return csr_bytes(idx_bytes, val_bytes) +

@@ -20,7 +20,18 @@ namespace spc {
 enum class DeltaClass : std::uint8_t { kU8 = 0, kU16 = 1, kU32 = 2, kU64 = 3 };
 
 /// Smallest class whose width can hold `delta`.
-DeltaClass delta_class_for(std::uint64_t delta);
+inline DeltaClass delta_class_for(std::uint64_t delta) {
+  if (delta <= 0xFFULL) {
+    return DeltaClass::kU8;
+  }
+  if (delta <= 0xFFFFULL) {
+    return DeltaClass::kU16;
+  }
+  if (delta <= 0xFFFFFFFFULL) {
+    return DeltaClass::kU32;
+  }
+  return DeltaClass::kU64;
+}
 
 /// Number of bytes a DeltaClass occupies.
 inline std::uint32_t delta_class_bytes(DeltaClass c) {

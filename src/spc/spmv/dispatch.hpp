@@ -13,17 +13,15 @@
 //            (SPC_ISA=scalar) reproduces pre-dispatch results bit-for-bit
 //            because the arithmetic order is untouched.
 //   sse42  — 128-bit (2-wide) mul/add kernels for CSR / CSR-16 / CSR-VI.
-//            The DU entries fall through to scalar (SSE has no gather;
-//            the scalar DU loop's 4-deep index-chain unroll is already
-//            near its port limit).
 //   avx2   — 256-bit (4-wide) FMA kernels with vgatherdpd x-gathers for
-//            CSR / CSR-16 / CSR-VI, and specialized CSR-DU / CSR-DU-VI
-//            decoders: stride-1 RLE units become contiguous vector
-//            loads, strided RLE units 64-bit gathers, delta units
-//            resolve four indices ahead and gather; the varint header
-//            path stays scalar. Vector accumulation reassociates the
+//            CSR / CSR-16 / CSR-VI. Vector accumulation reassociates the
 //            per-row sum (one vector lane partial each), so results can
 //            differ from scalar by normal FP reassociation error.
+//
+// The vector tiers have no DU decoder: SpmvInstance runs CSR-DU and
+// CSR-DU-VI as offset units (formats/offset_units.hpp), whose one scalar
+// kernel (spmv_offset_units) is bound at every tier and stays
+// bit-identical to scalar CSR.
 //
 // Selection: active_isa_tier() = min(detected tier, SPC_ISA override).
 // The override can only lower the tier — requesting a wider ISA than the
@@ -34,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "spc/formats/csr_du.hpp"
 #include "spc/support/types.hpp"
 
 namespace spc {
@@ -92,17 +89,6 @@ using CsrViKernelFn = void (*)(const index_t* row_ptr,
                                value_t* y, index_t row_begin,
                                index_t row_end);
 
-/// CSR-DU slice decode.
-using DuKernelFn = void (*)(const CsrDu::Slice& s, const value_t* x,
-                            value_t* y);
-
-/// CSR-DU-VI slice decode, one per value-index width. The slice's
-/// val_offset selects the start position in val_ind.
-template <typename IndT>
-using DuViKernelFn = void (*)(const CsrDu::Slice& s, const IndT* val_ind,
-                              const value_t* vals_unique, const value_t* x,
-                              value_t* y);
-
 /// Symmetric (SSS) row-range kernel with the conflict-window scatter
 /// split (spmv/kernels.hpp): columns >= direct_begin update the shared
 /// y, the rest land in win[c - win_begin]. direct_begin == 0 with a
@@ -132,10 +118,6 @@ struct KernelTable {
   CsrViKernelFn<std::uint8_t> csr_vi_u8 = nullptr;
   CsrViKernelFn<std::uint16_t> csr_vi_u16 = nullptr;
   CsrViKernelFn<std::uint32_t> csr_vi_u32 = nullptr;
-  DuKernelFn du = nullptr;
-  DuViKernelFn<std::uint8_t> du_vi_u8 = nullptr;
-  DuViKernelFn<std::uint16_t> du_vi_u16 = nullptr;
-  DuViKernelFn<std::uint32_t> du_vi_u32 = nullptr;
   // Symmetric formats. The vector tiers vectorize the dot-product side
   // (the lower-triangle row gather); the scatter side stays scalar —
   // it is bounded by the window/store dependences, not by arithmetic.

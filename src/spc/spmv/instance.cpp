@@ -195,10 +195,10 @@ auto slice_builder(Tag<Csr16>, const Triplets& t, const InstanceOptions&) {
   return [&t](index_t b, index_t e) { return Csr16::from_rows(t, b, e); };
 }
 
-auto slice_builder(Tag<CsrDu>, const Triplets& t,
+auto slice_builder(Tag<OffsetUnits>, const Triplets& t,
                    const InstanceOptions& o) {
   return [&t, du = o.du](index_t b, index_t e) {
-    return CsrDu::from_rows(t, b, e, du);
+    return OffsetUnits::from_rows(t, b, e, du);
   };
 }
 
@@ -208,11 +208,11 @@ auto slice_builder(Tag<CsrVi>, const Triplets& t, const InstanceOptions&) {
   };
 }
 
-auto slice_builder(Tag<CsrDuVi>, const Triplets& t,
+auto slice_builder(Tag<OffsetUnitsVi>, const Triplets& t,
                    const InstanceOptions& o) {
   return [&t, du = o.du, table = row_major_values(t)](index_t b,
                                                       index_t e) {
-    return CsrDuVi::from_rows(t, b, e, du, table);
+    return OffsetUnitsVi::from_rows(t, b, e, du, table);
   };
 }
 
@@ -230,7 +230,6 @@ auto slice_builder(Tag<SymCsrVi>, const Triplets& t,
 // What one slice's closures are bound for.
 struct SliceBind {
   const KernelTable& kt;  ///< the active tier's kernels
-  const KernelTable& du;  ///< DU decoders (scalar unless vectors pay)
   index_t b = 0;          ///< the slice's rows [b, e)
   index_t e = 0;
   /// Steal-chunk bounds inside [b, e] (empty under static): chunk i
@@ -272,10 +271,10 @@ SliceKernels row_kernels(const SliceBind& p, Fn fn, const A*... a) {
   return k;
 }
 
-// DU stream kernels: the slice decodes from row_state = b - 1, and its
-// chunks are row sub-ranges found by one scan of its ctl stream.
+// Offset-unit kernels: the slice decodes from row_state = b - 1, and its
+// chunks are row sub-ranges found by one scan of its offset stream.
 template <typename Fn, typename... A>
-SliceKernels du_kernels(const CsrDu& du, const SliceBind& p, Fn fn,
+SliceKernels du_kernels(const OffsetUnits& du, const SliceBind& p, Fn fn,
                         const A*... a) {
   const auto absolute = [b = p.b](CsrDu::Slice s) {
     s.row_begin += b;
@@ -334,8 +333,10 @@ SliceKernels bind(const Csr16& s, const SliceBind& p) {
                      s.col_ind().data(), s.values().data());
 }
 
-SliceKernels bind(const CsrDu& s, const SliceBind& p) {
-  return du_kernels(s, p, p.du.du);
+// The DU formats bind one scalar kernel at every tier: offset units sum
+// each row in element order, so they match scalar CSR bit for bit.
+SliceKernels bind(const OffsetUnits& s, const SliceBind& p) {
+  return du_kernels(s, p, &spmv_offset_units);
 }
 
 SliceKernels bind(const CsrVi& s, const SliceBind& p) {
@@ -356,16 +357,17 @@ SliceKernels bind(const CsrVi& s, const SliceBind& p) {
   return {};
 }
 
-SliceKernels bind(const CsrDuVi& s, const SliceBind& p) {
+SliceKernels bind(const OffsetUnitsVi& s, const SliceBind& p) {
   const value_t* uq = s.vals_unique().data();
   switch (s.width()) {
     case ViWidth::kU8:
-      return du_kernels(s.du(), p, p.du.du_vi_u8, s.val_ind_raw().data(), uq);
+      return du_kernels(s.du(), p, &spmv_offset_units_vi<std::uint8_t>,
+                        s.val_ind_raw().data(), uq);
     case ViWidth::kU16:
-      return du_kernels(s.du(), p, p.du.du_vi_u16,
+      return du_kernels(s.du(), p, &spmv_offset_units_vi<std::uint16_t>,
                         s.val_ind_as<std::uint16_t>(), uq);
     case ViWidth::kU32:
-      return du_kernels(s.du(), p, p.du.du_vi_u32,
+      return du_kernels(s.du(), p, &spmv_offset_units_vi<std::uint32_t>,
                         s.val_ind_as<std::uint32_t>(), uq);
   }
   return {};
@@ -770,11 +772,11 @@ SpmvInstance::NumaResidency SpmvInstance::matrix_residency() const {
           if constexpr (requires { s.values(); }) {
             sample(th, s.values());
           }
-          if constexpr (requires { s.ctl(); }) {
-            sample(th, s.ctl());
+          if constexpr (requires { s.units(); }) {
+            sample(th, s.units());
           }
           if constexpr (requires { s.du(); }) {
-            sample(th, s.du().ctl());
+            sample(th, s.du().units());
           }
           if constexpr (requires { s.val_ind_raw(); }) {
             sample(th, s.val_ind_raw());
@@ -792,39 +794,6 @@ SpmvInstance::NumaResidency SpmvInstance::matrix_residency() const {
   }
   return r;
 }
-
-namespace {
-
-// DU streams with short units (avg elements/unit below this) stay on the
-// scalar decoder even at vector tiers. The vector decode pays per 4-block
-// for serial delta resolution plus a gather; the scalar decoder's 4-deep
-// unrolled index chain beats it until units run well past vector width
-// (measured crossover ~12 on the small corpus: 9-elem stencil units lose
-// up to 25%, 18+-elem FEM-block units win 10–25%).
-constexpr double kDuVectorMinAvgUnitElems = 12.0;
-
-// The vector decoder's engagement gate. RLE units vectorize without any
-// serial delta resolution (contiguous loads / strided gathers), so a
-// stream whose elements are mostly RLE engages regardless of unit
-// length; otherwise the explicit-delta remainder must clear the
-// avg-elems crossover on its own — a pooled average would let a few
-// long RLE runs drag short delta units onto the losing vector path.
-bool du_vector_profitable(const CsrDu::UnitHistogram& h) {
-  if (h.nnz == 0) {
-    return false;
-  }
-  if (static_cast<double>(h.rle_elems) >=
-      0.5 * static_cast<double>(h.nnz)) {
-    return true;
-  }
-  const usize_t rest_units = h.units - h.rle_units;
-  const usize_t rest_elems = h.nnz - h.rle_elems;
-  return rest_units != 0 && static_cast<double>(rest_elems) >=
-                                kDuVectorMinAvgUnitElems *
-                                    static_cast<double>(rest_units);
-}
-
-}  // namespace
 
 void SpmvInstance::prepare() {
   obs::TraceSpan prepare_span("bind:" + format_name(format_));
@@ -844,8 +813,7 @@ void SpmvInstance::prepare() {
   tier_ = kt.tier;  // reflect host/build clamping
   binding_.clear();
 
-  // The DU encoders' unit histograms, summed over the slices, choose the
-  // decode strategy.
+  // The DU encoders' unit histograms, summed over the slices.
   du_hist_ = {};
   has_du_hist_ = false;
   std::visit(
@@ -858,9 +826,8 @@ void SpmvInstance::prepare() {
         }
       },
       slices_);
-  const bool du_vector = has_du_hist_ && du_vector_profitable(du_hist_);
 
-  SliceBind p{kt, du_vector ? kt : kernel_table(IsaTier::kScalar)};
+  SliceBind p{kt};
   const bool want_chunks =
       sched_ != Schedule::kStatic && chunk_plan_.nchunks() > 0;
   std::vector<BoundKernel> serial;

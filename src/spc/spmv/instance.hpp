@@ -18,6 +18,7 @@
 #include "spc/formats/csr_du.hpp"
 #include "spc/formats/csr_du_vi.hpp"
 #include "spc/formats/csr_vi.hpp"
+#include "spc/formats/offset_units.hpp"
 #include "spc/formats/sym_csr.hpp"
 #include "spc/formats/sym_csr_vi.hpp"
 #include "spc/mm/triplets.hpp"
@@ -168,19 +169,19 @@ class SpmvInstance {
   }
 
   /// One-time per-tier setup, called by the constructor: resolves the
-  /// active ISA tier (CPUID + SPC_ISA override), reads the DU encoders'
-  /// unit-class histograms to choose the decode strategy, and binds the
-  /// serial, per-thread and per-chunk kernels to the slices — everything
-  /// that must stay off the timed path. Idempotent; call again to rebind
-  /// after changing SPC_ISA.
+  /// active ISA tier (CPUID + SPC_ISA override), sums the DU slices' unit
+  /// histograms, and binds the serial, per-thread and per-chunk kernels
+  /// to the slices — everything that must stay off the timed path.
+  /// Idempotent; call again to rebind after changing SPC_ISA.
   void prepare();
 
   /// The ISA tier the bound kernels execute at (recorded into the JSONL
   /// metrics as "isa").
   IsaTier isa_tier() const { return tier_; }
 
-  /// Unit-class histogram of the ctl stream for DU-based formats (the
-  /// slices' encoder histograms, summed); nullptr for every other format.
+  /// Unit-class histogram of the DU formats' offset units, by offset
+  /// class (the slices' encoder histograms, summed); nullptr for every
+  /// other format.
   const CsrDu::UnitHistogram* du_histogram() const {
     return has_du_hist_ ? &du_hist_ : nullptr;
   }
@@ -351,10 +352,11 @@ class SpmvInstance {
   /// kernels are bound with row pointers rebased by the slice's first
   /// row, so they read and write absolute rows. The alternatives follow
   /// Format's order.
-  using Slices =
-      std::variant<std::vector<Csr>, std::vector<Csr16>, std::vector<CsrDu>,
-                   std::vector<CsrVi>, std::vector<CsrDuVi>,
-                   std::vector<SymCsr>, std::vector<SymCsrVi>>;
+  /// The DU formats run as offset units (formats/offset_units.hpp).
+  using Slices = std::variant<std::vector<Csr>, std::vector<Csr16>,
+                              std::vector<OffsetUnits>, std::vector<CsrVi>,
+                              std::vector<OffsetUnitsVi>,
+                              std::vector<SymCsr>, std::vector<SymCsrVi>>;
   Slices slices_;
   RowPartition partition_;               ///< per-thread row ranges
   std::unique_ptr<ThreadPool> pool_;    ///< owned pool (classic ctor)

@@ -456,6 +456,125 @@ void spmv(const CsrDuVi& m, const CsrDu::Slice& s, const value_t* x,
   }
 }
 
+namespace {
+
+// Where the k-th element of a unit gets its coefficient: from the
+// slice's value stream (CSR-DU) or through the value-index table
+// (CSR-DU-VI).
+struct StreamedValues {
+  const value_t* __restrict v;
+  value_t operator[](usize_t k) const { return v[k]; }
+  void advance(usize_t n) { v += n; }
+};
+
+template <typename IndT>
+struct IndexedValues {
+  const IndT* __restrict ind;
+  const value_t* __restrict uniq;
+  value_t operator[](usize_t k) const { return uniq[ind[k]]; }
+  void advance(usize_t n) { ind += n; }
+};
+
+// The offset-unit decode loop. Each element's x index is the unit's base
+// plus its own offset, so the loads of a unit are independent; the sum
+// keeps one `acc +=` per element in element order.
+template <typename Values>
+void offset_units_impl(const CsrDu::Slice& s, Values v, const value_t* x,
+                       value_t* y) {
+  const std::uint8_t* p = s.ctl;
+  const std::uint8_t* const end = s.ctl_end;
+  std::int64_t row = s.row_state;
+  const std::int64_t row_begin = s.row_begin;
+  value_t acc = 0.0;
+  bool active = false;
+
+  while (p < end) {
+    const std::uint8_t uflags = p[0];
+    const std::uint32_t usize = p[1];
+    p += 2;
+    if (uflags & kDuNewRow) {
+      if (active) {
+        y[row] = acc;
+      }
+      if (uflags & kDuRJmp) {
+        // Rows skipped over are empty; zero the ones this slice owns.
+        const auto extra = static_cast<std::int64_t>(varint_decode(p));
+        for (std::int64_t r = std::max(row + 1, row_begin);
+             r < row + 1 + extra; ++r) {
+          y[r] = 0.0;
+        }
+        row += extra;
+      }
+      ++row;
+      acc = 0.0;
+      active = true;
+    }
+    const value_t* const xb = x + load_u32(p);
+    p += 4;
+    acc += v[0] * xb[0];
+    // RLE units carry no class bits, so one switch covers every body.
+    switch (uflags & (kDuRle | kDuClassMask)) {
+      case static_cast<std::uint8_t>(DeltaClass::kU8):
+        for (std::uint32_t k = 1; k < usize; ++k) {
+          acc += v[k] * xb[p[k - 1]];
+        }
+        p += usize - 1;
+        break;
+      case static_cast<std::uint8_t>(DeltaClass::kU16):
+        for (std::uint32_t k = 1; k < usize; ++k) {
+          acc += v[k] * xb[load_u16(p + 2 * (k - 1))];
+        }
+        p += 2 * (usize - 1);
+        break;
+      case static_cast<std::uint8_t>(DeltaClass::kU32):
+        for (std::uint32_t k = 1; k < usize; ++k) {
+          acc += v[k] * xb[load_u32(p + 4 * (k - 1))];
+        }
+        p += 4 * (usize - 1);
+        break;
+      default: {  // kDuRle: col_k = base + k * stride
+        const std::uint64_t stride = load_u32(p);
+        p += 4;
+        for (std::uint32_t k = 1; k < usize; ++k) {
+          acc += v[k] * xb[k * stride];
+        }
+        break;
+      }
+    }
+    v.advance(usize);
+  }
+  if (active) {
+    y[row] = acc;
+  }
+  // Trailing empty rows owned by this slice.
+  for (std::int64_t r = std::max(row + 1, row_begin);
+       r < static_cast<std::int64_t>(s.row_end); ++r) {
+    y[r] = 0.0;
+  }
+}
+
+}  // namespace
+
+void spmv_offset_units(const CsrDu::Slice& s, const value_t* x,
+                       value_t* y) {
+  offset_units_impl(s, StreamedValues{s.values}, x, y);
+}
+
+template <typename IndT>
+void spmv_offset_units_vi(const CsrDu::Slice& s, const IndT* val_ind,
+                          const value_t* vals_unique, const value_t* x,
+                          value_t* y) {
+  offset_units_impl(
+      s, IndexedValues<IndT>{val_ind + s.val_offset, vals_unique}, x, y);
+}
+
+template void spmv_offset_units_vi(const CsrDu::Slice&, const std::uint8_t*,
+                                   const value_t*, const value_t*, value_t*);
+template void spmv_offset_units_vi(const CsrDu::Slice&, const std::uint16_t*,
+                                   const value_t*, const value_t*, value_t*);
+template void spmv_offset_units_vi(const CsrDu::Slice&, const std::uint32_t*,
+                                   const value_t*, const value_t*, value_t*);
+
 void spmv(const Dcsr::Slice& s, const value_t* x, value_t* y) {
   const std::uint8_t* p = s.cmds;
   const std::uint8_t* const end = s.cmds_end;

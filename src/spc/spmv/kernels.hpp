@@ -23,6 +23,7 @@
 #include "spc/formats/dia.hpp"
 #include "spc/formats/ell.hpp"
 #include "spc/formats/jds.hpp"
+#include "spc/formats/offset_units.hpp"
 #include "spc/formats/sym_csr.hpp"
 #include "spc/formats/sym_csr_vi.hpp"
 #include "spc/support/types.hpp"
@@ -178,9 +179,9 @@ inline void spmv(const CsrVi& m, const value_t* x, value_t* y) {
 
 // ---------------------------------------------------------- CSR-DU-VI ---
 
-/// DU slice decode with value indirection over raw arrays (the
-/// scalar-dispatch entries); `s.val_offset` selects the starting position
-/// in the val_ind stream.
+/// DU slice decode with value indirection over raw arrays (the ctl
+/// stream's reference kernel); `s.val_offset` selects the starting
+/// position in the val_ind stream.
 void spmv_du_vi_slice(const CsrDu::Slice& s,
                       const std::uint8_t* val_ind,
                       const value_t* vals_unique, const value_t* x,
@@ -202,6 +203,23 @@ void spmv(const CsrDuVi& m, const CsrDu::Slice& s, const value_t* x,
 inline void spmv(const CsrDuVi& m, const value_t* x, value_t* y) {
   spmv(m, m.du().full(), x, y);
 }
+
+// ------------------------------------------------------- offset units ---
+
+/// The execution kernel of CSR-DU (offset_units.hpp): decodes one slice
+/// of offset units, each element's column its unit's base plus its own
+/// offset, and sums each row in element order — CSR's order, so y is
+/// bit-identical to the scalar CSR kernel. Bound at every ISA tier.
+/// Writes y only for rows in the slice.
+void spmv_offset_units(const CsrDu::Slice& s, const value_t* x,
+                       value_t* y);
+
+/// The CSR-DU-VI form, instantiated for the u8/u16/u32 value-index
+/// widths; `s.val_offset` selects the starting position in val_ind.
+template <typename IndT>
+void spmv_offset_units_vi(const CsrDu::Slice& s, const IndT* val_ind,
+                          const value_t* vals_unique, const value_t* x,
+                          value_t* y);
 
 // ------------------------------------------------------------ SYM-CSR ---
 

@@ -10,12 +10,12 @@
 //    prefetch of the col_ind/values streams.
 //  * CSR-VI: the same loop with a second vgatherdpd through the
 //    value-index table (val_ind widened u8/u16→i32 with pmovzx).
-//  * CSR-DU / CSR-DU-VI: specialized unit-class decode loops. The varint
-//    header path stays scalar; payloads vectorize per unit class —
-//    stride-1 RLE units (dense/sequential runs) become contiguous vector
-//    loads of x, strided RLE units 64-bit gathers, and u8..u64 delta
-//    units resolve four indices ahead of the loads (breaking the serial
-//    delta chain) and gather.
+//  * The symmetric formats' dot side (see below).
+//
+// There is no DU decoder here: CSR-DU and CSR-DU-VI run as offset units
+// through one scalar kernel at every tier (formats/offset_units.hpp).
+// 2-wide FMA pairs and 4-wide gathers over offset units were measured
+// against it and did not win.
 //
 // All kernels keep one vector accumulator plus a scalar accumulator per
 // row and combine them at row end, so the per-row sum reassociates
@@ -30,7 +30,6 @@
 
 #include "spc/spmv/dispatch_tables.hpp"
 #include "spc/spmv/kernels.hpp"
-#include "spc/support/varint.hpp"
 
 namespace spc::detail {
 
@@ -45,24 +44,6 @@ inline double hsum256(__m256d v) {
 
 inline double hsum128(__m128d v) {
   return _mm_cvtsd_f64(_mm_add_sd(v, _mm_unpackhi_pd(v, v)));
-}
-
-inline std::uint32_t load_u16(const std::uint8_t* p) {
-  std::uint16_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-inline std::uint32_t load_u32(const std::uint8_t* p) {
-  std::uint32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-inline std::uint64_t load_u64(const std::uint8_t* p) {
-  std::uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
 }
 
 // Four consecutive indices widened to one i32x4 gather-index vector.
@@ -188,199 +169,6 @@ void csr_vi_avx2(const index_t* __restrict row_ptr,
     }
     y[i] = acc;
   }
-}
-
-// ---------------------------------------------------- CSR-DU(-VI) decode --
-
-// Value sources abstract where the k-th non-zero's coefficient comes
-// from: directly from the slice's value stream (CSR-DU) or through the
-// value-index table (CSR-DU-VI, vgatherdpd).
-struct DirectValues {
-  const value_t* __restrict v;
-  __m256d load4(usize_t k) const { return _mm256_loadu_pd(v + k); }
-  value_t load1(usize_t k) const { return v[k]; }
-};
-
-template <typename IndT>
-struct IndirectValues {
-  const IndT* __restrict ind;
-  const value_t* __restrict uniq;
-  __m256d load4(usize_t k) const {
-    return _mm256_i32gather_pd(uniq, load_idx4(ind + k), 8);
-  }
-  value_t load1(usize_t k) const { return uniq[ind[k]]; }
-};
-
-// The unit-class decode loop. `k` indexes the value source and starts at
-// 0 for DirectValues (whose pointer is pre-offset) or s.val_offset for
-// IndirectValues. Mirrors the scalar decoder's row bookkeeping exactly;
-// only the per-unit payload loops differ.
-template <typename ValueSource>
-void du_decode_avx2(const CsrDu::Slice& s, const ValueSource& vs, usize_t k,
-                    const value_t* x, value_t* y) {
-  const std::uint8_t* p = s.ctl;
-  const std::uint8_t* const end = s.ctl_end;
-  std::int64_t row = s.row_state;
-  const std::int64_t row_begin = s.row_begin;
-  std::uint64_t x_idx = 0;
-  value_t acc = 0.0;
-  __m256d vacc = _mm256_setzero_pd();
-  bool active = false;
-
-  while (p < end) {
-    const std::uint8_t uflags = *p++;
-    std::uint32_t usize = *p++;
-    if (uflags & kDuNewRow) {
-      if (active) {
-        y[row] = acc + hsum256(vacc);
-      }
-      std::uint64_t extra = 0;
-      if (uflags & kDuRJmp) {
-        extra = varint_decode(p);
-      }
-      for (std::int64_t r = std::max(row + 1, row_begin);
-           r < row + 1 + static_cast<std::int64_t>(extra); ++r) {
-        y[r] = 0.0;
-      }
-      row += 1 + static_cast<std::int64_t>(extra);
-      x_idx = 0;
-      acc = 0.0;
-      vacc = _mm256_setzero_pd();
-      active = true;
-    }
-    x_idx += varint_decode(p);
-
-    if (uflags & kDuRle) {
-      const std::uint64_t stride = varint_decode(p);
-      const std::uint64_t idx = x_idx;
-      std::uint32_t t = 0;
-      if (stride == 1) {
-        // Dense/sequential run: x is contiguous — plain vector loads.
-        for (; t + 4 <= usize; t += 4) {
-          vacc = _mm256_fmadd_pd(vs.load4(k + t),
-                                 _mm256_loadu_pd(x + idx + t), vacc);
-        }
-      } else {
-        // Constant-stride run: 64-bit strided gather.
-        for (; t + 4 <= usize; t += 4) {
-          const std::uint64_t i0 = idx + static_cast<std::uint64_t>(t) * stride;
-          const __m256i iv = _mm256_set_epi64x(
-              static_cast<long long>(i0 + 3 * stride),
-              static_cast<long long>(i0 + 2 * stride),
-              static_cast<long long>(i0 + stride),
-              static_cast<long long>(i0));
-          vacc = _mm256_fmadd_pd(vs.load4(k + t),
-                                 _mm256_i64gather_pd(x, iv, 8), vacc);
-        }
-      }
-      for (; t < usize; ++t) {
-        acc += vs.load1(k + t) * x[idx + static_cast<std::uint64_t>(t) * stride];
-      }
-      k += usize;
-      x_idx = idx + static_cast<std::uint64_t>(usize - 1) * stride;
-      continue;
-    }
-
-    // Delta-class unit: first element sits at x_idx, the remaining
-    // usize-1 deltas follow in the class width. Resolving four indices
-    // before the loads breaks the serial delta chain per block.
-    acc += vs.load1(k++) * x[x_idx];
-    std::uint32_t rem = usize - 1;
-    switch (static_cast<DeltaClass>(uflags & kDuClassMask)) {
-      case DeltaClass::kU8:
-        while (rem >= 4) {
-          const std::uint64_t i0 = x_idx + p[0];
-          const std::uint64_t i1 = i0 + p[1];
-          const std::uint64_t i2 = i1 + p[2];
-          const std::uint64_t i3 = i2 + p[3];
-          const __m256i iv = _mm256_set_epi64x(
-              static_cast<long long>(i3), static_cast<long long>(i2),
-              static_cast<long long>(i1), static_cast<long long>(i0));
-          vacc = _mm256_fmadd_pd(vs.load4(k),
-                                 _mm256_i64gather_pd(x, iv, 8), vacc);
-          x_idx = i3;
-          p += 4;
-          k += 4;
-          rem -= 4;
-        }
-        while (rem-- != 0) {
-          x_idx += *p++;
-          acc += vs.load1(k++) * x[x_idx];
-        }
-        break;
-      case DeltaClass::kU16:
-        while (rem >= 4) {
-          const std::uint64_t i0 = x_idx + load_u16(p);
-          const std::uint64_t i1 = i0 + load_u16(p + 2);
-          const std::uint64_t i2 = i1 + load_u16(p + 4);
-          const std::uint64_t i3 = i2 + load_u16(p + 6);
-          const __m256i iv = _mm256_set_epi64x(
-              static_cast<long long>(i3), static_cast<long long>(i2),
-              static_cast<long long>(i1), static_cast<long long>(i0));
-          vacc = _mm256_fmadd_pd(vs.load4(k),
-                                 _mm256_i64gather_pd(x, iv, 8), vacc);
-          x_idx = i3;
-          p += 8;
-          k += 4;
-          rem -= 4;
-        }
-        while (rem-- != 0) {
-          x_idx += load_u16(p);
-          p += 2;
-          acc += vs.load1(k++) * x[x_idx];
-        }
-        break;
-      case DeltaClass::kU32:
-        while (rem >= 4) {
-          const std::uint64_t i0 = x_idx + load_u32(p);
-          const std::uint64_t i1 = i0 + load_u32(p + 4);
-          const std::uint64_t i2 = i1 + load_u32(p + 8);
-          const std::uint64_t i3 = i2 + load_u32(p + 12);
-          const __m256i iv = _mm256_set_epi64x(
-              static_cast<long long>(i3), static_cast<long long>(i2),
-              static_cast<long long>(i1), static_cast<long long>(i0));
-          vacc = _mm256_fmadd_pd(vs.load4(k),
-                                 _mm256_i64gather_pd(x, iv, 8), vacc);
-          x_idx = i3;
-          p += 16;
-          k += 4;
-          rem -= 4;
-        }
-        while (rem-- != 0) {
-          x_idx += load_u32(p);
-          p += 4;
-          acc += vs.load1(k++) * x[x_idx];
-        }
-        break;
-      case DeltaClass::kU64:
-        // u64 deltas are vanishingly rare (one unit per >4G column jump);
-        // not worth a gather block.
-        while (rem-- != 0) {
-          x_idx += load_u64(p);
-          p += 8;
-          acc += vs.load1(k++) * x[x_idx];
-        }
-        break;
-    }
-  }
-  if (active) {
-    y[row] = acc + hsum256(vacc);
-  }
-  for (std::int64_t r = std::max(row + 1, row_begin);
-       r < static_cast<std::int64_t>(s.row_end); ++r) {
-    y[r] = 0.0;
-  }
-}
-
-void du_avx2(const CsrDu::Slice& s, const value_t* x, value_t* y) {
-  du_decode_avx2(s, DirectValues{s.values}, 0, x, y);
-}
-
-template <typename IndT>
-void du_vi_avx2(const CsrDu::Slice& s, const IndT* val_ind,
-                const value_t* vals_unique, const value_t* x, value_t* y) {
-  du_decode_avx2(s, IndirectValues<IndT>{val_ind, vals_unique},
-                 s.val_offset, x, y);
 }
 
 // ------------------------------------------------- symmetric (SSS) ------
@@ -539,10 +327,6 @@ const KernelTable& avx2_table() {
     t.csr_vi_u8 = &csr_vi_avx2<std::uint8_t>;
     t.csr_vi_u16 = &csr_vi_avx2<std::uint16_t>;
     t.csr_vi_u32 = &csr_vi_avx2<std::uint32_t>;
-    t.du = &du_avx2;
-    t.du_vi_u8 = &du_vi_avx2<std::uint8_t>;
-    t.du_vi_u16 = &du_vi_avx2<std::uint16_t>;
-    t.du_vi_u32 = &du_vi_avx2<std::uint32_t>;
     t.sym_csr = &sym_csr_avx2;
     t.sym_csr_vi_u8 = &sym_csr_vi_avx2<std::uint8_t>;
     t.sym_csr_vi_u16 = &sym_csr_vi_avx2<std::uint16_t>;

@@ -2,25 +2,13 @@
 // with the project's base flags. This table is the floor every other tier
 // falls back to, and the oracle for the dispatch fuzz test — its entries
 // keep the exact arithmetic order of the pre-dispatch code, so forcing
-// SPC_ISA=scalar reproduces those results bit-for-bit.
+// SPC_ISA=scalar reproduces those results bit-for-bit. No table carries a
+// DU kernel: the DU formats run as offset units through one scalar kernel
+// (spmv_offset_units) that SpmvInstance binds at every tier.
 #include "spc/spmv/dispatch_tables.hpp"
 #include "spc/spmv/kernels.hpp"
 
 namespace spc::detail {
-
-namespace {
-
-void du_scalar(const CsrDu::Slice& s, const value_t* x, value_t* y) {
-  spmv(s, x, y);
-}
-
-template <typename IndT>
-void du_vi_scalar(const CsrDu::Slice& s, const IndT* val_ind,
-                  const value_t* vals_unique, const value_t* x, value_t* y) {
-  spmv_du_vi_slice(s, val_ind, vals_unique, x, y);
-}
-
-}  // namespace
 
 const KernelTable& scalar_table() {
   static const KernelTable table = [] {
@@ -31,10 +19,6 @@ const KernelTable& scalar_table() {
     t.csr_vi_u8 = &spmv_csr_vi_range<std::uint8_t>;
     t.csr_vi_u16 = &spmv_csr_vi_range<std::uint16_t>;
     t.csr_vi_u32 = &spmv_csr_vi_range<std::uint32_t>;
-    t.du = &du_scalar;
-    t.du_vi_u8 = &du_vi_scalar<std::uint8_t>;
-    t.du_vi_u16 = &du_vi_scalar<std::uint16_t>;
-    t.du_vi_u32 = &du_vi_scalar<std::uint32_t>;
     t.sym_csr = &spmv_sym_csr_win;
     t.sym_csr_vi_u8 = &spmv_sym_csr_vi_win<std::uint8_t>;
     t.sym_csr_vi_u16 = &spmv_sym_csr_vi_win<std::uint16_t>;

@@ -4,10 +4,9 @@
 // runtime detection confirms the CPU supports it. SSE has no gather, so
 // the x loads are assembled with _mm_set_pd from scalar-resolved column
 // indices; the win over scalar comes from pairing the value loads and
-// multiplies and from the two independent accumulator chains. The DU
-// entries fall through to scalar: the DU inner loop is dominated by the
-// serial delta chain and the scalar kernel's 4-deep unroll already
-// saturates it without vector registers.
+// multiplies and from the two independent accumulator chains. There is
+// no DU decoder here: CSR-DU and CSR-DU-VI run as offset units through
+// one scalar kernel at every tier (formats/offset_units.hpp).
 //
 // Accumulation order: lane partials reassociate the per-row sum, so
 // results may differ from the scalar tier by normal FP reassociation
@@ -209,8 +208,7 @@ void sym_csr_vi_sse42(const index_t* __restrict row_ptr,
 
 const KernelTable& sse42_table() {
   static const KernelTable table = [] {
-    // DU entries fall through to the scalar tier (see file comment).
-    KernelTable t = scalar_table();
+    KernelTable t;
     t.tier = IsaTier::kSse42;
     t.csr = &csr_sse42<std::uint32_t>;
     t.csr16 = &csr_sse42<std::uint16_t>;

@@ -28,6 +28,17 @@ inline int varint_encode(std::uint64_t v, std::vector<std::uint8_t>& out) {
   return n + 1;
 }
 
+/// Writes the LEB128 encoding of `v` at `p`, which must have room for
+/// varint_size(v) bytes; returns one past the last byte written.
+inline std::uint8_t* varint_write(std::uint64_t v, std::uint8_t* p) {
+  while (v >= 0x80) {
+    *p++ = static_cast<std::uint8_t>(v | 0x80);
+    v >>= 7;
+  }
+  *p++ = static_cast<std::uint8_t>(v);
+  return p;
+}
+
 /// Decodes a LEB128 value starting at `p`, advancing `p` past it.
 /// The caller guarantees the buffer holds a complete encoding (the CSR-DU
 /// decoder owns its ctl stream, so this is a structural invariant there).

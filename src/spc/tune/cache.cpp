@@ -20,7 +20,9 @@ std::string json_str(const obs::Json& j, const char* key) {
 }
 
 bool parse_entry(const obs::Json& j, TuneCacheEntry* out) {
-  if (!j.is_object() || json_str(j, "tune") != "v1") {
+  // v1 lines keyed matrices by the byte-wise FNV-1a fingerprint; none
+  // of their keys can match a v2 fingerprint, so they read as bad lines.
+  if (!j.is_object() || json_str(j, "tune") != "v2") {
     return false;
   }
   TuneCacheEntry e;
@@ -50,7 +52,7 @@ bool parse_entry(const obs::Json& j, TuneCacheEntry* out) {
 
 obs::Json entry_json(const TuneCacheEntry& e) {
   obs::Json j = obs::Json::object();
-  j.set("tune", "v1");
+  j.set("tune", "v2");
   j.set("matrix_fp", e.key.matrix_fp);
   j.set("machine_id", e.key.machine_id);
   j.set("threads", static_cast<std::uint64_t>(e.key.threads));

@@ -14,15 +14,15 @@ constexpr double kIdx = 4.0;
 constexpr double kIdx16 = 2.0;
 constexpr double kVal = 8.0;
 
-// CSR-DU unit header: uflags + usize plus the ujmp varint (~1 byte for
-// the small jumps that dominate once a unit exists at all).
-constexpr double kDuUnitHeaderBytes = 3.0;
+// Head of an offset unit, the DU formats' execution layout: uflags,
+// usize and the u32 base column (formats/offset_units.hpp).
+constexpr double kDuUnitHeadBytes = 6.0;
 
 struct Common {
   double nnz = 0.0;
   double rp = 0.0;       // row-pointer bytes per nnz
   double vec = 0.0;      // amortized x + y vector bytes per nnz
-  double du_ctl = 0.0;   // CSR-DU ctl stream bytes per nnz
+  double du_idx = 0.0;   // offset-unit bytes per nnz
   double vi_w = 0.0;     // CSR-VI value-index width
   double vi_table = 0.0; // amortized unique-value table bytes per nnz
 };
@@ -37,15 +37,19 @@ Common common_terms(const TuneFeatures& f) {
   c.rp = kIdx * (static_cast<double>(s.nrows) + 1.0) / c.nnz;
   c.vec = kVal * (static_cast<double>(s.nrows) + s.ncols) / c.nnz;
 
-  double payload = 0.0;  // delta bytes per element, by class share
-  for (int i = 0; i < 4; ++i) {
-    payload += f.delta_share[i] * static_cast<double>(1u << i);
-  }
-  // Units cannot span rows, so the mean row length caps the elements a
-  // unit header amortizes over (and the encoder caps units at 255).
+  // Units cannot span rows, so the mean length of a non-empty row caps
+  // the elements a unit head amortizes over (and the encoder caps units
+  // at 255). Every other element is an offset from its unit's base, in
+  // the width of its row's column span.
+  const double rows = static_cast<double>(s.nrows - s.empty_rows);
   const double elems_per_unit =
-      std::clamp(s.row_len_mean, 1.0, 255.0);
-  c.du_ctl = payload + kDuUnitHeaderBytes / elems_per_unit;
+      std::clamp(rows > 0.0 ? c.nnz / rows : 1.0, 1.0, 255.0);
+  double offset_bytes = 0.0;
+  for (int i = 0; i < 4; ++i) {
+    offset_bytes += f.span_share[i] * static_cast<double>(1u << i);
+  }
+  c.du_idx = kDuUnitHeadBytes / elems_per_unit +
+             offset_bytes * (1.0 - 1.0 / elems_per_unit);
 
   c.vi_w = static_cast<double>(vi_width_for(s.unique_values));
   c.vi_table = kVal * static_cast<double>(s.unique_values) / c.nnz;
@@ -76,7 +80,7 @@ CandidatePrediction predict_format(const TuneFeatures& f, Format fmt) {
       p.matrix_bytes_per_nnz = kIdx16 + kVal + c.rp;
       break;
     case Format::kCsrDu:
-      p.matrix_bytes_per_nnz = kVal + c.du_ctl;
+      p.matrix_bytes_per_nnz = kVal + c.du_idx;
       break;
     case Format::kCsrVi:
       if (s.ttu <= 5.0) {
@@ -90,7 +94,7 @@ CandidatePrediction predict_format(const TuneFeatures& f, Format fmt) {
         p.applicable = false;
         p.why = "ttu <= 5 (the §VI-E criterion)";
       }
-      p.matrix_bytes_per_nnz = c.du_ctl + c.vi_w + c.vi_table;
+      p.matrix_bytes_per_nnz = c.du_idx + c.vi_w + c.vi_table;
       break;
     case Format::kSymCsr:
     case Format::kSymCsrVi: {

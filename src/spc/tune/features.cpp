@@ -10,23 +10,14 @@ namespace spc::tune {
 
 namespace {
 
-class Fnv1a {
+// Hashes a sequence of 64-bit words, one multiply-xorshift step per
+// word. Words are values, not bytes in memory, so the hash does not
+// depend on host byte order, integer widths or struct padding.
+class WordHash {
  public:
-  void add_bytes(const void* p, std::size_t n) {
-    const unsigned char* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h_ ^= b[i];
-      h_ *= 0x100000001b3ull;
-    }
-  }
   void add_u64(std::uint64_t v) {
-    // Fixed-width little-endian feed: the hash must not depend on host
-    // integer widths or struct padding.
-    unsigned char b[8];
-    for (int i = 0; i < 8; ++i) {
-      b[i] = static_cast<unsigned char>(v >> (8 * i));
-    }
-    add_bytes(b, sizeof(b));
+    h_ = (h_ ^ v) * 0x9e3779b97f4a7c15ull;
+    h_ ^= h_ >> 29;
   }
   std::string hex() const {
     char buf[17];
@@ -39,15 +30,17 @@ class Fnv1a {
   std::uint64_t h_ = 0xcbf29ce484222325ull;
 };
 
-// nnz-weighted mean column span of the rows of `t` (0 when empty):
-// sum_r nnz_r * (max_col_r - min_col_r + 1) / nnz. O(nnz) over the
-// sorted triplets.
-double mean_row_span_cols(const Triplets& t) {
+// One O(nnz) walk over the rows of sorted triplets: the nnz-weighted
+// mean column span, sum_r nnz_r * (max_col_r - min_col_r + 1) / nnz, and
+// the share of non-zeros in rows whose offset from the row's first
+// column, max_col_r - min_col_r, needs each DeltaClass.
+void row_span_features(const Triplets& t, TuneFeatures& f) {
   const std::vector<Entry>& es = t.entries();
   if (es.empty()) {
-    return 0.0;
+    return;
   }
   double weighted = 0.0;
+  usize_t per_class[4] = {0, 0, 0, 0};
   usize_t k = 0;
   const usize_t n = es.size();
   while (k < n) {
@@ -58,11 +51,17 @@ double mean_row_span_cols(const Triplets& t) {
       ++e;
     }
     const usize_t row_nnz = e - k + 1;
-    weighted += static_cast<double>(row_nnz) *
-                static_cast<double>(es[e].col - first + 1);
+    const index_t span = es[e].col - first;
+    weighted +=
+        static_cast<double>(row_nnz) * (static_cast<double>(span) + 1.0);
+    per_class[static_cast<std::uint8_t>(delta_class_for(span))] += row_nnz;
     k = e + 1;
   }
-  return weighted / static_cast<double>(n);
+  f.mean_row_span = weighted / static_cast<double>(n);
+  for (int c = 0; c < 4; ++c) {
+    f.span_share[c] =
+        static_cast<double>(per_class[c]) / static_cast<double>(n);
+  }
 }
 
 }  // namespace
@@ -70,7 +69,7 @@ double mean_row_span_cols(const Triplets& t) {
 std::string matrix_fingerprint(const Triplets& t) {
   SPC_CHECK_MSG(t.is_sorted_unique(),
                 "matrix_fingerprint requires sorted/combined triplets");
-  Fnv1a h;
+  WordHash h;
   h.add_u64(t.nrows());
   h.add_u64(t.ncols());
   h.add_u64(t.nnz());
@@ -98,7 +97,7 @@ TuneFeatures extract_features(const Triplets& t) {
                          static_cast<double>(total);
     }
   }
-  f.mean_row_span = mean_row_span_cols(t);
+  row_span_features(t, f);
   f.row_cv = f.stats.row_len_mean > 0.0
                  ? f.stats.row_len_stddev / f.stats.row_len_mean
                  : 0.0;

@@ -25,6 +25,10 @@ struct TuneFeatures {
   double delta_share[4] = {0.0, 0.0, 0.0, 0.0};
   /// nnz-weighted mean column span of a row (bandedness).
   double mean_row_span = 0.0;
+  /// Share of non-zeros in rows whose column span (last column minus
+  /// first) needs each DeltaClass: the offset width of that row's units
+  /// in the instance's offset-unit layout (formats/offset_units.hpp).
+  double span_share[4] = {0.0, 0.0, 0.0, 0.0};
   /// Coefficient of variation of row lengths (stddev / mean): high
   /// values mean ragged rows, where per-row overheads dominate.
   double row_cv = 0.0;
@@ -40,8 +44,9 @@ struct TuneFeatures {
   std::string fingerprint;
 };
 
-/// 16-hex FNV-1a over the canonical entry stream: dimensions, nnz, then
-/// every entry's (row, col, value-bits) in sorted order. Because
+/// 16-hex hash over the canonical word stream: dimensions, nnz, then
+/// every entry's (row, col, value-bits) in sorted order, one
+/// multiply-xorshift step per 64-bit word. Because
 /// Triplets::sort_and_combine canonicalizes the entry order, two
 /// matrices assembled from the same coordinates in any insertion order
 /// hash identically; any change to a dimension, a coordinate, or a

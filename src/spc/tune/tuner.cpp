@@ -144,8 +144,9 @@ std::unique_ptr<SpmvInstance> pick(const Triplets& t, std::size_t nthreads,
   for (std::size_t r = 0; r < rounds; ++r) {
     for (std::size_t i = 0; i < insts.size(); ++i) {
       for (std::size_t k = 0; k < iters; ++k) {
-        samples[i].push_back(
-            static_cast<double>(insts[i]->run_probe(x, y)));
+        samples[i].push_back(static_cast<double>(
+            topts.probe_timer ? topts.probe_timer(*insts[i], x, y)
+                              : insts[i]->run_probe(x, y)));
       }
     }
   }

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -45,6 +46,11 @@ struct TuneOptions {
   /// Empty = TuneCache::default_path() (SPC_TUNE_CACHE or
   /// results/tune_cache.jsonl).
   std::string cache_path;
+  /// Times one probe run of a candidate, in nanoseconds. Empty (the
+  /// default) means SpmvInstance::run_probe. Tests substitute scripted
+  /// timings so their verdicts do not depend on how loaded the host is.
+  std::function<std::uint64_t(SpmvInstance&, const Vector&, Vector&)>
+      probe_timer;
 };
 
 struct TuneReport {

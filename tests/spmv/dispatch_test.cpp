@@ -75,10 +75,10 @@ TEST(KernelTables, EveryEntryNonNullAtEveryTier) {
     EXPECT_NE(kt.csr_vi_u8, nullptr);
     EXPECT_NE(kt.csr_vi_u16, nullptr);
     EXPECT_NE(kt.csr_vi_u32, nullptr);
-    EXPECT_NE(kt.du, nullptr);
-    EXPECT_NE(kt.du_vi_u8, nullptr);
-    EXPECT_NE(kt.du_vi_u16, nullptr);
-    EXPECT_NE(kt.du_vi_u32, nullptr);
+    EXPECT_NE(kt.sym_csr, nullptr);
+    EXPECT_NE(kt.sym_csr_vi_u8, nullptr);
+    EXPECT_NE(kt.sym_csr_vi_u16, nullptr);
+    EXPECT_NE(kt.sym_csr_vi_u32, nullptr);
   }
 }
 

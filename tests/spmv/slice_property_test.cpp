@@ -11,6 +11,7 @@
 
 #include "spc/formats/csr_du.hpp"
 #include "spc/formats/dcsr.hpp"
+#include "spc/formats/offset_units.hpp"
 #include "spc/gen/generators.hpp"
 #include "spc/mm/ops.hpp"
 #include "spc/parallel/partition.hpp"
@@ -57,6 +58,7 @@ TEST_P(SliceProperty, DuSlicesComposeUnderRandomPartitions) {
   opts.split_threshold =
       1 + static_cast<std::uint32_t>(rng.next_below(16));
   const CsrDu m = CsrDu::from_triplets(t, opts);
+  const OffsetUnits offsets = OffsetUnits::from_rows(t, 0, t.nrows(), opts);
 
   Rng xr(5000 + GetParam());
   const Vector x = random_vector(t.ncols(), xr);
@@ -69,6 +71,16 @@ TEST_P(SliceProperty, DuSlicesComposeUnderRandomPartitions) {
       spmv(m.slice(p.row_begin(th), p.row_end(th)), x.data(), y.data());
     }
     ASSERT_LT(rel_error(ref, y), kTol)
+        << "nparts " << nparts << " seed " << GetParam();
+    // The offset units' slices (the steal chunks' scan) compose to the
+    // same bytes.
+    Vector y_off(t.nrows(), std::numeric_limits<double>::quiet_NaN());
+    for (const CsrDu::Slice& s : offsets.slices(p.bounds)) {
+      spmv_offset_units(s, x.data(), y_off.data());
+    }
+    ASSERT_EQ(std::memcmp(y.data(), y_off.data(),
+                          t.nrows() * sizeof(value_t)),
+              0)
         << "nparts " << nparts << " seed " << GetParam();
   }
 }
@@ -148,6 +160,17 @@ void run_slice(const CsrDuVi& s, index_t b, index_t, const Vector& x,
                      x.data(), y.data());
   });
 }
+void run_slice(const OffsetUnits& s, index_t b, index_t, const Vector& x,
+               Vector& y) {
+  spmv_offset_units(at_row(s.full(), b), x.data(), y.data());
+}
+void run_slice(const OffsetUnitsVi& s, index_t b, index_t, const Vector& x,
+               Vector& y) {
+  with_width(s.width(), s.val_ind_raw().data(), [&](const auto* vi) {
+    spmv_offset_units_vi(at_row(s.du().full(), b), vi,
+                         s.vals_unique().data(), x.data(), y.data());
+  });
+}
 void run_slice(const SymCsr& s, index_t b, index_t e, const Vector& x,
                Vector& y) {
   spmv_sym_csr_win(rebase_ptr(s.row_ptr().data(), b), s.col_ind().data(),
@@ -197,14 +220,15 @@ std::vector<std::vector<std::uint8_t>> element_streams(const M& m) {
   return out;
 }
 
-// The DU units of a stream decoded from `row_state`, with each unit's
-// absolute row in place of its rskip (a slice's first unit skips from
-// its own first row, so its rskip differs from the whole stream's).
-std::vector<CsrDu::DecodedUnit> units_at(const CsrDu& m,
-                                         std::int64_t row_state) {
-  std::vector<CsrDu::DecodedUnit> units = m.decode_units();
-  for (CsrDu::DecodedUnit& u : units) {
-    if (u.new_row) {
+// The DU units of a stream (ctl or offset units) decoded from
+// `row_state`, with each unit's absolute row in place of its rskip (a
+// slice's first unit skips from its own first row, so its rskip differs
+// from the whole stream's).
+template <typename Du>
+auto units_at(const Du& m, std::int64_t row_state) {
+  auto units = m.decode_units();
+  for (auto& u : units) {
+    if (u.uflags & kDuNewRow) {
       row_state += 1 + static_cast<std::int64_t>(u.rskip);
     }
     u.rskip = static_cast<std::uint64_t>(row_state);
@@ -215,6 +239,8 @@ std::vector<CsrDu::DecodedUnit> units_at(const CsrDu& m,
 
 const CsrDu* du_of(const CsrDu& m) { return &m; }
 const CsrDu* du_of(const CsrDuVi& m) { return &m.du(); }
+const OffsetUnits* du_of(const OffsetUnits& m) { return &m; }
+const OffsetUnits* du_of(const OffsetUnitsVi& m) { return &m.du(); }
 template <typename M>
 const CsrDu* du_of(const M&) {
   return nullptr;
@@ -224,6 +250,14 @@ bool same_units(const CsrDu::DecodedUnit& a, const CsrDu::DecodedUnit& b) {
   return a.uflags == b.uflags && a.usize == b.usize && a.rskip == b.rskip &&
          a.ujmp == b.ujmp && a.stride == b.stride && a.ucis == b.ucis;
 }
+
+bool same_units(const OffsetUnits::Unit& a, const OffsetUnits::Unit& b) {
+  return a.uflags == b.uflags && a.usize == b.usize && a.rskip == b.rskip &&
+         a.base == b.base && a.stride == b.stride && a.offsets == b.offsets;
+}
+
+usize_t stream_bytes(const CsrDu& m) { return m.ctl_bytes(); }
+usize_t stream_bytes(const OffsetUnits& m) { return m.units().size(); }
 
 // Builds `whole` and one slice per range of `p` with `build(b, e)`, then
 // checks both halves of the property: concatenated arrays, and slice
@@ -238,8 +272,9 @@ void check_row_ranges(const std::string& name, const M& whole,
   run_slice(whole, 0, nrows, x, y_whole);
   Vector y(nrows, std::numeric_limits<double>::quiet_NaN());
   std::vector<std::vector<std::uint8_t>> streams(5);
-  std::vector<CsrDu::DecodedUnit> units;
-  usize_t ctl_bytes = 0;
+  using Units = decltype(units_at(*du_of(whole), -1));
+  Units units;
+  usize_t unit_bytes = 0;
   for (std::size_t th = 0; th < p.nthreads(); ++th) {
     const index_t b = p.row_begin(th);
     const index_t e = p.row_end(th);
@@ -260,22 +295,22 @@ void check_row_ranges(const std::string& name, const M& whole,
     for (std::size_t i = 0; i < streams.size(); ++i) {
       streams[i].insert(streams[i].end(), part[i].begin(), part[i].end());
     }
-    if (const CsrDu* du = du_of(s)) {
+    if (const auto* du = du_of(s)) {
       const auto u = units_at(*du, static_cast<std::int64_t>(b) - 1);
       units.insert(units.end(), u.begin(), u.end());
-      ctl_bytes += du->ctl_bytes();
+      unit_bytes += stream_bytes(*du);
     }
     run_slice(s, b, e, x, y);
   }
   EXPECT_EQ(streams, element_streams(whole)) << what;
-  if (const CsrDu* du = du_of(whole)) {
+  if (const auto* du = du_of(whole)) {
     const auto u = units_at(*du, -1);
     ASSERT_EQ(units.size(), u.size()) << what;
     for (std::size_t i = 0; i < u.size(); ++i) {
       ASSERT_TRUE(same_units(units[i], u[i])) << what << " unit " << i;
     }
     // Only a slice's first rskip can change, and only by shrinking.
-    EXPECT_LE(ctl_bytes, du->ctl_bytes()) << what;
+    EXPECT_LE(unit_bytes, stream_bytes(*du)) << what;
   }
   EXPECT_EQ(std::memcmp(y.data(), y_whole.data(), nrows * sizeof(value_t)),
             0)
@@ -324,6 +359,18 @@ TEST_P(SliceProperty, RowRangeBuildersConcatenateAndCompose) {
     check_row_ranges("csr-du-vi", CsrDuVi::from_triplets(t, du),
                      [&](index_t b, index_t e) {
                        return CsrDuVi::from_rows(t, b, e, du, vt);
+                     },
+                     p, x);
+    check_row_ranges("offset units",
+                     OffsetUnits::from_rows(t, 0, n, du),
+                     [&](index_t b, index_t e) {
+                       return OffsetUnits::from_rows(t, b, e, du);
+                     },
+                     p, x);
+    check_row_ranges("offset units vi",
+                     OffsetUnitsVi::from_rows(t, 0, n, du, vt),
+                     [&](index_t b, index_t e) {
+                       return OffsetUnitsVi::from_rows(t, b, e, du, vt);
                      },
                      p, x);
     check_row_ranges("sym-csr", SymCsr::from_triplets(ts),

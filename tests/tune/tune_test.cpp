@@ -203,6 +203,7 @@ tune::TuneFeatures synthetic_features() {
   f.stats.unique_values = 100;
   f.stats.ttu = 200.0;
   f.delta_share[0] = 1.0;
+  f.span_share[0] = 1.0;
   return f;
 }
 
@@ -291,6 +292,30 @@ TEST(CostModel, PruningKeepsCsrAndRespectsCap) {
   EXPECT_EQ(c[0], Format::kCsr);
 }
 
+// The DU formats are priced as the instance streams them — offset units
+// of one 6-byte head per row plus offsets in the width of the row's
+// column span — so on the Laplacians (no empty rows, rows far shorter
+// than a unit) the prediction lands within 5% of the instance's bytes.
+TEST(CostModel, DuPredictionsTrackTheInstancesOffsetUnits) {
+  const std::pair<const char*, Triplets> fixtures[] = {
+      {"lap2d", gen_laplacian_2d(200, 200)},
+      {"lap3d", gen_laplacian_3d(30, 30, 30)},
+  };
+  for (const auto& [name, t] : fixtures) {
+    const tune::TuneFeatures f = tune::extract_features(t);
+    for (const Format fmt : {Format::kCsrDu, Format::kCsrDuVi}) {
+      const double predicted =
+          tune::predict_format(f, fmt).matrix_bytes_per_nnz;
+      const SpmvInstance inst(t, fmt);
+      const double actual = static_cast<double>(inst.matrix_bytes()) /
+                            static_cast<double>(t.nnz());
+      EXPECT_NEAR(predicted / actual, 1.0, 0.05)
+          << name << " " << format_name(fmt) << ": predicted " << predicted
+          << " B/nnz, instance " << actual;
+    }
+  }
+}
+
 // ------------------------------------------------------------------- tuner
 
 tune::TuneOptions fast_topts(const std::string& tag) {
@@ -373,6 +398,38 @@ TEST(Tuner, RetiredFormatNamesInTheCacheReprobe) {
   }
 }
 
+TEST(Tuner, VersionOneCacheLinesAreBadLinesAndReprobe) {
+  // v1 lines keyed matrices by the byte-wise FNV-1a fingerprint. A v1
+  // line for this very cell must count as a bad line, not throw, and
+  // leave the tuner to probe again.
+  Rng rng(42);
+  const Triplets t = test::random_triplets(200, 200, 3000, rng, 8);
+  InstanceOptions opts;
+  opts.pin_threads = false;
+  const tune::TuneOptions topts = fast_topts("tune_v1_line");
+
+  tune::TuneReport cold;
+  tune::auto_instance(t, 1, opts, topts, &cold);
+  ASSERT_EQ(cold.source, "probe");
+  std::string line;
+  {
+    std::ifstream f(topts.cache_path);
+    ASSERT_TRUE(std::getline(f, line));
+  }
+  obs::Json j = obs::Json::parse(line);
+  j.set("tune", "v1");
+  {
+    std::ofstream f(topts.cache_path, std::ios::trunc);
+    f << j.dump() << '\n';
+  }
+  EXPECT_EQ(tune::TuneCache(topts.cache_path).bad_lines(), 1u);
+  EXPECT_EQ(tune::TuneCache(topts.cache_path).size(), 0u);
+  tune::TuneReport again;
+  tune::auto_instance(t, 1, opts, topts, &again);
+  EXPECT_EQ(again.source, "probe");
+  EXPECT_FALSE(again.cache_hit);
+}
+
 TEST(Tuner, CacheLinesWithATilingFieldStillHit) {
   // Cache lines written while the key carried a column-tiling setting
   // hold "tiling":"auto". The field is no longer part of the key, so
@@ -424,13 +481,12 @@ Triplets symmetrized(const Triplets& a) {
   return s;
 }
 
-TEST(Tuner, SymmetricMatrixSelectsSymFormatAndCachesIt) {
-  // A wide symmetric band, sized past L2: rows are long enough that the
-  // halved matrix stream dominates the scatter read-modify-write
-  // overhead, so the probe should crown a sym format even serially.
-  // Pinned to the scalar tier so the outcome is machine-stable (wide
-  // SIMD can hide CSR's extra stream on a lone core; SPC_ISA is part of
-  // the cache key, so this cell never leaks into native-tier runs).
+TEST(Tuner, SymmetricMatrixProbesSymFormatsAndCrownsTheScriptedWinner) {
+  // The probe's timer is scripted, so the verdict tests the tuner, not
+  // which format this host happens to run fastest (bench/
+  // ablation_symmetric measures that). Every candidate but the CSR
+  // baseline is scripted to win in turn, so a tuner that ignored the
+  // timings would crown the wrong format at least once.
   test::ScopedEnv isa("SPC_ISA", "scalar");
   Rng rng(88);
   const Triplets t = symmetrized(
@@ -443,33 +499,70 @@ TEST(Tuner, SymmetricMatrixSelectsSymFormatAndCachesIt) {
 
   InstanceOptions opts;
   opts.pin_threads = false;
-  tune::TuneOptions topts = fast_topts("tune_sym");
-  topts.rounds = 2;
-  topts.iters_per_round = 3;
+  const tune::TuneOptions base = fast_topts("tune_sym");
+  const std::vector<Format> candidates =
+      tune::prune_candidates(f, base.max_candidates);
+  std::vector<Format> winners;
+  for (const Format c : candidates) {
+    if (c != Format::kCsr) {
+      winners.push_back(c);
+    }
+  }
+  ASSERT_TRUE(std::any_of(winners.begin(), winners.end(),
+                          format_requires_symmetry));
+  ASSERT_GE(winners.size(), 2u);
 
-  tune::TuneReport cold;
-  SpmvInstance inst = tune::auto_instance(t, 1, opts, topts, &cold);
-  const bool sym_probed =
-      std::any_of(cold.candidates.begin(), cold.candidates.end(),
-                  format_requires_symmetry);
-  EXPECT_TRUE(sym_probed);
-  EXPECT_TRUE(format_requires_symmetry(cold.chosen))
-      << "probe chose " << format_name(cold.chosen);
+  for (const Format winner : winners) {
+    const std::string name = format_name(winner);
+    tune::TuneOptions topts = fast_topts("tune_sym_" + name);
+    topts.rounds = 2;
+    topts.iters_per_round = 3;
+    std::vector<Format> probed;
+    topts.probe_timer = [&](SpmvInstance& inst, const Vector& x,
+                            Vector& y) -> std::uint64_t {
+      probed.push_back(inst.format());
+      inst.run(x, y);
+      return inst.format() == winner ? 1000 : 2000;
+    };
 
-  // Warm rerun: the verdict comes from the cache without re-probing.
-  tune::TuneReport warm;
-  SpmvInstance again = tune::auto_instance(t, 1, opts, topts, &warm);
-  EXPECT_TRUE(warm.cache_hit);
-  EXPECT_EQ(warm.probe_ns, 0u);
-  EXPECT_EQ(warm.chosen, cold.chosen);
-  EXPECT_EQ(again.format(), inst.format());
+    tune::TuneReport cold;
+    SpmvInstance inst = tune::auto_instance(t, 1, opts, topts, &cold);
+    EXPECT_EQ(cold.candidates, candidates) << name;
+    for (const Format c : candidates) {
+      EXPECT_NE(std::find(probed.begin(), probed.end(), c), probed.end())
+          << format_name(c) << " was not probed";
+    }
+    EXPECT_EQ(cold.source, "probe") << name;
+    EXPECT_EQ(cold.chosen, winner)
+        << "probe chose " << format_name(cold.chosen) << ", scripted " << name;
+    EXPECT_EQ(inst.format(), winner);
 
-  // And the auto instance computes what the hand instance computes.
-  Rng xr(77);
-  const Vector x = random_vector(t.ncols(), xr);
-  Vector y(t.nrows(), 0.0);
-  inst.run(x, y);
-  EXPECT_LT(rel_error(test::reference_spmv(t, x), y), 1e-12);
+    // The verdict is cached: the one cache line names the winner.
+    EXPECT_EQ(tune::TuneCache(topts.cache_path).size(), 1u) << name;
+    {
+      std::ifstream file(topts.cache_path);
+      std::string line;
+      ASSERT_TRUE(std::getline(file, line));
+      EXPECT_EQ(obs::Json::parse(line).find("format")->as_string(), name);
+    }
+
+    // Warm rerun: the verdict comes from the cache without probing.
+    probed.clear();
+    tune::TuneReport warm;
+    SpmvInstance again = tune::auto_instance(t, 1, opts, topts, &warm);
+    EXPECT_TRUE(probed.empty()) << name;
+    EXPECT_TRUE(warm.cache_hit) << name;
+    EXPECT_EQ(warm.probe_ns, 0u);
+    EXPECT_EQ(warm.chosen, winner);
+    EXPECT_EQ(again.format(), winner);
+
+    // And the auto instance computes what the hand instance computes.
+    Rng xr(77);
+    const Vector x = random_vector(t.ncols(), xr);
+    Vector y(t.nrows(), 0.0);
+    inst.run(x, y);
+    EXPECT_LT(rel_error(test::reference_spmv(t, x), y), 1e-12);
+  }
 }
 
 // 21-seed swarm: whatever format auto picks, the instance it returns
