@@ -1,16 +1,13 @@
-// Ablation: NUMA data placement — whether each worker building (and so
-// first-touching) its own slice pays, across thread placements and
-// formats.
+// Ablation: NUMA placement across thread placements and formats.
 //
-// On a multi-socket ccNUMA machine slices built by the calling thread put
-// every matrix page on one node, so remote threads stream at
-// interconnect bandwidth (the flat-scaling failure mode of
-// Schubert/Hager/Fehske). This ablation measures what owner placement
-// buys: rows are (placement in {close, spread}) x (SPC_NUMA policy in
-// {off, local}) x format x threads, with the page-residency check
-// (sampled via move_pages) showing whether the slices actually landed on
-// their owners' nodes. On a single-node machine both policies are
-// bit-identical and the deltas collapse to noise.
+// Every pooled instance has each worker build (and so first-touch) its
+// own slice under every SPC_NUMA policy, so the off/local axis measures
+// the bookkeeping only (node records, residency queries) and its deltas
+// should collapse to noise on any machine. The placement axis still
+// moves where the workers, and with them the slices' pages, sit. Rows
+// are (placement in {close, spread}) x (SPC_NUMA policy in {off, local})
+// x format x threads; under local the page-residency check (sampled via
+// move_pages) shows whether the slices landed on their owners' nodes.
 //
 // JSONL (under SPC_METRICS) carries "numa", "placement", and the
 // numa_pages_sampled/numa_pages_local residency fields;
@@ -90,7 +87,7 @@ void run() {
   std::cout << "\nnote: \"numa\" is the policy in effect after "
                "resolution — auto collapses to off on single-node "
                "machines; \"resident\" samples the slices' arrays via "
-               "move_pages (\"-\" when placement is off or the query is "
+               "move_pages (\"-\" when the policy is off or the query is "
                "unavailable).\n";
 }
 

@@ -52,10 +52,14 @@ class Engine {
   // ---- Registry -------------------------------------------------------
 
   /// Encodes `t` (autotuned when ropts.auto_format) and prepares it
-  /// against the shared pool under id `id`. kAlreadyExists when the id
-  /// is taken, kInvalidArgument when encoding refuses the matrix,
-  /// kUnavailable after shutdown. Registration is synchronous; when it
-  /// returns ok() the matrix is resident and servable.
+  /// against the shared pool under id `id`. The pool's workers build the
+  /// slices: registration waits for the pool like a request and holds it
+  /// while the build runs, so requests arriving meanwhile queue or take
+  /// the serial fallback. kAlreadyExists when the id is taken,
+  /// kInvalidArgument when encoding refuses the matrix or the call comes
+  /// from one of the pool's own workers, kUnavailable after shutdown.
+  /// Registration is synchronous; when it returns ok() the matrix is
+  /// resident and servable.
   Status register_matrix(const std::string& id, const Triplets& t,
                          const RegisterOptions& ropts = {});
 

@@ -1,6 +1,7 @@
 #include "spc/formats/bcsr.hpp"
 
-#include <map>
+#include <algorithm>
+#include <vector>
 
 namespace spc {
 
@@ -19,48 +20,57 @@ Bcsr Bcsr::from_triplets(const Triplets& t, index_t block_rows,
   m.bc_ = block_cols;
   m.nblock_rows_ = (t.nrows() + block_rows - 1) / block_rows;
 
-  // Pass 1: count distinct blocks per block-row. Triplets are row-major,
-  // which is not block-row-major, so collect block coordinates in a map
-  // keyed by (block_row, block_col). Construction is O(nnz log nblocks);
-  // format construction is not on the timed path.
-  std::map<std::pair<index_t, index_t>, usize_t> block_of;
-  for (const Entry& e : t.entries()) {
-    block_of.emplace(std::make_pair(e.row / block_rows, e.col / block_cols),
-                     0);
+  // The triplets are row-major, so each block row's entries are one
+  // contiguous run: first[br] is the entry where block row br starts.
+  const std::vector<Entry>& es = t.entries();
+  std::vector<usize_t> first(m.nblock_rows_ + 1, 0);
+  for (const Entry& e : es) {
+    ++first[e.row / block_rows + 1];
+  }
+  for (index_t br = 0; br < m.nblock_rows_; ++br) {
+    first[br + 1] += first[br];
   }
 
+  // Pass 1: a block row's blocks are its distinct block columns, in
+  // ascending order.
   m.block_row_ptr_.assign(m.nblock_rows_ + 1, 0);
-  for (const auto& [coord, _] : block_of) {
-    ++m.block_row_ptr_[coord.first + 1];
-  }
-  for (index_t r = 0; r < m.nblock_rows_; ++r) {
-    m.block_row_ptr_[r + 1] += m.block_row_ptr_[r];
-  }
-
-  // Assign slots; std::map iterates blocks in (brow, bcol) order, which is
-  // exactly the storage order we want.
-  m.block_col_.resize(block_of.size());
-  {
-    usize_t slot = 0;
-    for (auto& [coord, idx] : block_of) {
-      idx = slot;
-      m.block_col_[slot] = coord.second * block_cols;
-      ++slot;
+  std::vector<index_t> cols;
+  for (index_t br = 0; br < m.nblock_rows_; ++br) {
+    cols.clear();
+    for (usize_t k = first[br]; k < first[br + 1]; ++k) {
+      const index_t bc = es[k].col / block_cols;
+      if (cols.empty() || cols.back() != bc) {
+        cols.push_back(bc);
+      }
     }
+    std::sort(cols.begin(), cols.end());
+    cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+    for (const index_t bc : cols) {
+      m.block_col_.push_back(bc * block_cols);
+    }
+    m.block_row_ptr_[br + 1] = static_cast<index_t>(m.block_col_.size());
   }
 
-  // Pass 2: scatter values into zero-filled blocks.
+  // Pass 2: scatter values into zero-filled blocks, finding each entry's
+  // slot through its block column (valid for the current block row).
   const usize_t block_elems =
       static_cast<usize_t>(block_rows) * block_cols;
-  m.values_.assign(block_of.size() * block_elems, 0.0);
-  for (const Entry& e : t.entries()) {
-    const auto coord =
-        std::make_pair(e.row / block_rows, e.col / block_cols);
-    const usize_t slot = block_of[coord];
-    const index_t lr = e.row % block_rows;
-    const index_t lc = e.col % block_cols;
-    m.values_[slot * block_elems + static_cast<usize_t>(lr) * block_cols +
-              lc] = e.val;
+  m.values_.assign(m.block_col_.size() * block_elems, 0.0);
+  std::vector<index_t> slot_of(
+      (static_cast<usize_t>(t.ncols()) + block_cols - 1) / block_cols);
+  for (index_t br = 0; br < m.nblock_rows_; ++br) {
+    for (index_t b = m.block_row_ptr_[br]; b < m.block_row_ptr_[br + 1];
+         ++b) {
+      slot_of[m.block_col_[b] / block_cols] = b;
+    }
+    for (usize_t k = first[br]; k < first[br + 1]; ++k) {
+      const Entry& e = es[k];
+      const usize_t slot = slot_of[e.col / block_cols];
+      const index_t lr = e.row % block_rows;
+      const index_t lc = e.col % block_cols;
+      m.values_[slot * block_elems + static_cast<usize_t>(lr) * block_cols +
+                lc] = e.val;
+    }
   }
   return m;
 }

@@ -83,12 +83,35 @@ ValueTable::ValueTable(ValueCensus census)
       values_(std::make_shared<const aligned_vector<value_t>>(
           census_.take_values())) {}
 
-ValueTable row_major_values(const Triplets& t) {
-  ValueCensus census;
-  for (const Entry& e : t.entries()) {
-    census.add(e.val);
+ValueTable row_major_values(const Triplets& t,
+                            std::span<const index_t> bounds,
+                            const RangeRunner& run) {
+  SPC_CHECK_MSG(bounds.size() >= 2, "a census needs at least one row range");
+  std::vector<ValueCensus> parts(bounds.size() - 1);
+  run(parts.size(), [&](std::size_t i) {
+    for (const Entry& e : t.rows(bounds[i], bounds[i + 1])) {
+      parts[i].add(e.val);
+    }
+  });
+  // Each later range's values, in their first-occurrence order, extend
+  // the census of the ranges before it.
+  ValueCensus census = std::move(parts.front());
+  for (std::size_t i = 1; i < parts.size(); ++i) {
+    for (const value_t v : parts[i].take_values()) {
+      census.add(v);
+    }
   }
   return ValueTable(std::move(census));
+}
+
+ValueTable row_major_values(const Triplets& t) {
+  const index_t whole[] = {0, t.nrows()};
+  return row_major_values(
+      t, whole, [](std::size_t n, const std::function<void(std::size_t)>& job) {
+        for (std::size_t i = 0; i < n; ++i) {
+          job(i);
+        }
+      });
 }
 
 }  // namespace spc

@@ -10,12 +10,16 @@
 // count (and with it the index width). The finished census becomes a
 // ValueTable, whose read-only index_of() gives each value's index to
 // store in that width, so the slices of one matrix can be encoded from
-// one census at once, on several threads.
+// one census at once, on several threads. The first pass splits by row
+// range too: each range is counted on its own thread and the range
+// censuses merge in range order (row_major_values()).
 #pragma once
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -117,8 +121,23 @@ class ValueTable {
   std::shared_ptr<const aligned_vector<value_t>> values_;
 };
 
+/// Calls job(i) once for every i in [0, n), possibly concurrently, and
+/// returns when every call has finished.
+using RangeRunner = std::function<void(
+    std::size_t n, const std::function<void(std::size_t)>& job)>;
+
 /// The census of every value of sorted triplets in row-major order: the
-/// table CSR-VI and CSR-DU-VI index into.
+/// table CSR-VI and CSR-DU-VI index into. Rows [bounds[i], bounds[i+1])
+/// are counted as range i, through `run`, and the range censuses merge
+/// in range order. A value first seen in range i comes after every value
+/// first seen in an earlier range, and keeps its place among range i's
+/// own, so the table is byte-identical to one census of the whole
+/// stream; with a single range it is that census.
+ValueTable row_major_values(const Triplets& t,
+                            std::span<const index_t> bounds,
+                            const RangeRunner& run);
+
+/// One range on the calling thread.
 ValueTable row_major_values(const Triplets& t);
 
 }  // namespace spc

@@ -9,6 +9,13 @@
 
 namespace spc {
 
+namespace {
+
+// The pool whose worker the current thread is (nullptr elsewhere).
+thread_local const ThreadPool* t_worker_of = nullptr;
+
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t nthreads,
                        const std::vector<int>& cpu_plan)
     : slots_(nthreads) {
@@ -48,6 +55,7 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::worker_main(std::size_t tid, int cpu) {
+  t_worker_of = this;
   const bool pinned = cpu < 0 || pin_thread_to_cpu(cpu);
   // Attach the hardware-counter group to this thread (the fds measure
   // the thread they were opened on; control happens from the outside).
@@ -112,13 +120,23 @@ void ThreadPool::run(const std::function<void(std::size_t)>& fn) {
       const_cast<void*>(static_cast<const void*>(&fn)));
 }
 
+void ThreadPool::check_not_own_worker() const {
+  if (t_worker_of == this) {
+    throw Error(
+        "ThreadPool::run called from one of the pool's own workers: the "
+        "dispatch would wait for the calling worker forever");
+  }
+}
+
 void ThreadPool::run(RawJob fn, void* ctx) {
+  check_not_own_worker();
   std::unique_lock<std::mutex> lk(mu_);
   cv_idle_.wait(lk, [&] { return !dispatching_; });
   dispatch_locked(lk, fn, ctx);
 }
 
 bool ThreadPool::try_run(RawJob fn, void* ctx) {
+  check_not_own_worker();
   std::unique_lock<std::mutex> lk(mu_);
   if (dispatching_) {
     return false;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <functional>
+#include <span>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -178,50 +180,66 @@ Variant variant_at(std::size_t i, std::index_sequence<I...>) {
 // ---- Per-format code: one slice_builder and one bind per format. ----
 //
 // slice_builder() does what a format needs from the whole matrix (a
-// check, the shared value census) once, on the calling thread, and
-// returns the builder of one row range. The builder only reads shared
-// state, so under NUMA local every worker runs it for its own slice at
-// once.
+// check, the shared value census) once, and returns the builder of one
+// row range. The builder only reads shared state, so every worker runs
+// it for its own slice at once.
 
 template <typename M>
 using Tag = const M*;
 
-auto slice_builder(Tag<Csr>, const Triplets& t, const InstanceOptions&) {
+// The slices' row bounds (slice th holds rows bounds[th]..bounds[th+1])
+// and the runner of per-slice work, which calls job(th) on slice th's
+// own worker.
+struct PerSlice {
+  std::span<const index_t> bounds;
+  RangeRunner run;
+};
+
+auto slice_builder(Tag<Csr>, const Triplets& t, const InstanceOptions&,
+                   const PerSlice&) {
   return [&t](index_t b, index_t e) { return Csr::from_rows(t, b, e); };
 }
 
-auto slice_builder(Tag<Csr16>, const Triplets& t, const InstanceOptions&) {
+auto slice_builder(Tag<Csr16>, const Triplets& t, const InstanceOptions&,
+                   const PerSlice&) {
   SPC_CHECK_MSG(csr16_applicable(t), "csr16 requires ncols <= 65536");
   return [&t](index_t b, index_t e) { return Csr16::from_rows(t, b, e); };
 }
 
 auto slice_builder(Tag<OffsetUnits>, const Triplets& t,
-                   const InstanceOptions& o) {
+                   const InstanceOptions& o, const PerSlice&) {
   return [&t, du = o.du](index_t b, index_t e) {
     return OffsetUnits::from_rows(t, b, e, du);
   };
 }
 
-auto slice_builder(Tag<CsrVi>, const Triplets& t, const InstanceOptions&) {
-  return [&t, table = row_major_values(t)](index_t b, index_t e) {
+// The value formats count each slice's values on its worker and merge
+// the counts in slice order, which gives the whole-matrix census.
+auto slice_builder(Tag<CsrVi>, const Triplets& t, const InstanceOptions&,
+                   const PerSlice& ps) {
+  return [&t, table = row_major_values(t, ps.bounds, ps.run)](index_t b,
+                                                              index_t e) {
     return CsrVi::from_rows(t, b, e, table);
   };
 }
 
 auto slice_builder(Tag<OffsetUnitsVi>, const Triplets& t,
-                   const InstanceOptions& o) {
-  return [&t, du = o.du, table = row_major_values(t)](index_t b,
-                                                      index_t e) {
+                   const InstanceOptions& o, const PerSlice& ps) {
+  return [&t, du = o.du, table = row_major_values(t, ps.bounds, ps.run)](
+             index_t b, index_t e) {
     return OffsetUnitsVi::from_rows(t, b, e, du, table);
   };
 }
 
-auto slice_builder(Tag<SymCsr>, const Triplets& t, const InstanceOptions&) {
+auto slice_builder(Tag<SymCsr>, const Triplets& t, const InstanceOptions&,
+                   const PerSlice&) {
   return [&t](index_t b, index_t e) { return SymCsr::from_rows(t, b, e); };
 }
 
-auto slice_builder(Tag<SymCsrVi>, const Triplets& t,
-                   const InstanceOptions&) {
+// SymCsrVi's census puts the dense diagonal first, so it stays one pass
+// on the calling thread.
+auto slice_builder(Tag<SymCsrVi>, const Triplets& t, const InstanceOptions&,
+                   const PerSlice&) {
   return [&t, table = SymCsrVi::value_table(t)](index_t b, index_t e) {
     return SymCsrVi::from_rows(t, b, e, table);
   };
@@ -586,24 +604,31 @@ void SpmvInstance::build_slices(const Triplets& t) {
   slices_ = variant_at<Slices>(
       static_cast<std::size_t>(format_),
       std::make_index_sequence<std::variant_size_v<Slices>>{});
+  // Worker th builds slice th, so the slices encode in parallel and each
+  // slice's pages are first touched by the worker that runs them (on its
+  // node when the pool is pinned). A shared pool is queued for like a
+  // request and held while the build runs. Serial instances build on
+  // the calling thread.
+  const PerSlice per_slice{
+      partition_.bounds,
+      [this](std::size_t n, const std::function<void(std::size_t)>& job) {
+        SPC_CHECK_MSG(n == nthreads_, "one job per slice");
+        if (xpool_ == nullptr) {
+          job(0);
+        } else {
+          xpool_->run(job);
+        }
+      }};
+  obs::TraceSpan build_span("build:slices");
   std::visit(
       [&](auto& slices) {
         using M = typename std::decay_t<decltype(slices)>::value_type;
-        const auto build = slice_builder(Tag<M>{}, t, opts_);
+        const auto build = slice_builder(Tag<M>{}, t, opts_, per_slice);
         slices.resize(nthreads_);
-        const auto build_one = [&](std::size_t th) {
+        per_slice.run(nthreads_, [&](std::size_t th) {
           slices[th] =
               build(partition_.row_begin(th), partition_.row_end(th));
-        };
-        if (numa_policy_ == NumaPolicy::kLocal) {
-          // First touch puts each slice's pages on its owner's node.
-          obs::TraceSpan numa_span("numa:local");
-          xpool_->run(build_one);
-        } else {
-          for (std::size_t th = 0; th < nthreads_; ++th) {
-            build_one(th);
-          }
-        }
+        });
       },
       slices_);
 }

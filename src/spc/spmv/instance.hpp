@@ -2,10 +2,10 @@
 // chosen storage format with a chosen thread count.
 //
 // This is the main user-facing entry point of the library: it bundles the
-// nnz-balanced row partition, each worker's rows encoded as that worker's
-// own arrays (the paper's per-thread slices, §IV), and the pinned thread
-// pool, so that `run(x, y)` measures exactly what the paper measures —
-// the kernel, with all setup out of the timed region.
+// nnz-balanced row partition, each worker's rows encoded by that worker
+// as its own arrays (the paper's per-thread slices, §IV), and the pinned
+// thread pool, so that `run(x, y)` measures exactly what the paper
+// measures — the kernel, with all setup out of the timed region.
 #pragma once
 
 #include <memory>
@@ -71,9 +71,12 @@ struct InstanceOptions {
   Placement placement = Placement::kCloseFirst;
   /// Partition rows by nnz (paper's scheme); false = equal row counts.
   bool balance_by_nnz = true;
-  /// NUMA data placement (overridable via SPC_NUMA): kLocal has each
-  /// pinned worker build its own slice; kAuto picks it on multi-node
-  /// machines and stays off on flat ones. See support/first_touch.hpp.
+  /// NUMA bookkeeping (overridable via SPC_NUMA). Every pooled instance
+  /// has worker t build slice t whatever the policy, so pinned workers
+  /// first-touch their own slices; kLocal also records each worker's
+  /// node (thread_nodes(), matrix_residency(), the spc.numa.* metrics).
+  /// kAuto picks it on multi-node machines and stays off on flat ones.
+  /// See support/first_touch.hpp.
   NumaPolicy numa = NumaPolicy::kAuto;
   /// Work scheduling (overridable via SPC_SCHED): kStatic is the
   /// paper's one-range-per-worker model (zero-overhead default); kSteal
@@ -123,7 +126,10 @@ class SpmvInstance {
   /// model). The instance serializes its own runs internally, so several
   /// threads may call run() on instances sharing one pool concurrently;
   /// opts.pin_threads/placement are ignored (the pool is already built).
-  /// NUMA placement engages only when the pool's workers are pinned. The
+  /// NUMA bookkeeping engages only when the pool's workers are pinned.
+  /// A pool of two or more workers builds the slices: the constructor
+  /// queues for it like a run and holds it while the build runs, so it
+  /// throws Error when called from one of the pool's own workers. The
   /// pool must outlive the instance — the shared_ptr enforces that.
   SpmvInstance(const Triplets& t, Format format,
                std::shared_ptr<ThreadPool> pool,
@@ -199,9 +205,9 @@ class SpmvInstance {
   /// constructor) rather than built by this instance.
   bool pool_is_shared() const { return shared_pool_ != nullptr; }
 
-  /// The data-placement policy actually in effect: the resolved value of
-  /// opts.numa / SPC_NUMA, or kOff when unpinned workers or the thread
-  /// count rule placement out. Recorded into the JSONL metrics as
+  /// The NUMA bookkeeping policy actually in effect: the resolved value
+  /// of opts.numa / SPC_NUMA, or kOff when unpinned workers or the
+  /// thread count rule it out. Recorded into the JSONL metrics as
   /// "numa".
   NumaPolicy numa_policy() const { return numa_policy_; }
 
@@ -329,8 +335,9 @@ class SpmvInstance {
   /// Resolves opts.numa / SPC_NUMA against the pool's pin plan (`cpus`,
   /// empty when unpinned) and the machine.
   void resolve_numa(const Topology& topo, const std::vector<int>& cpus);
-  /// Encodes every worker's row range as its own slice: on the calling
-  /// thread, or under NUMA local on the worker that owns it.
+  /// Encodes every worker's row range as its own slice on the worker
+  /// that owns it (serial instances: on the calling thread). The value
+  /// formats' census runs per slice on those workers too.
   void build_slices(const Triplets& t);
   /// Resolves opts.schedule / SPC_SCHED and, when a dynamic schedule is
   /// active, builds the chunk plan, the per-worker deques, and the
@@ -375,8 +382,8 @@ class SpmvInstance {
   KernelBinding binding_;
   CsrDu::UnitHistogram du_hist_;
   bool has_du_hist_ = false;
-  // NUMA placement (resolved once in init): the policy and each worker's
-  // node.
+  // NUMA bookkeeping (resolved once in init): the policy and each
+  // worker's node.
   NumaPolicy numa_policy_ = NumaPolicy::kOff;
   std::vector<int> thread_node_;
   // Cached metrics-registry handles (lookup once here, lock-free in run).

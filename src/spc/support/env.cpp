@@ -98,8 +98,9 @@ const std::vector<EnvVarInfo>& env_registry() {
        "Caps the runtime kernel-dispatch tier; scalar pins the "
        "bit-reproducible reference kernels."},
       {"SPC_NUMA", "enum", "auto|off|local", "InstanceOptions::numa",
-       "NUMA data placement: local has each pinned worker build its own "
-       "matrix slice."},
+       "NUMA bookkeeping: local records each pinned worker's node and "
+       "answers residency queries (workers build their own slices under "
+       "every policy)."},
       {"SPC_SCHED", "enum", "static|steal",
        "InstanceOptions::schedule",
        "Work schedule: one-range-per-worker or work stealing."},

@@ -2,14 +2,16 @@
 //
 // Linux places an anonymous page on the NUMA node of the thread that
 // first writes it. SpmvInstance encodes each worker's rows as that
-// worker's own arrays, so placement is a choice of which thread runs the
-// encoder: under the `local` policy worker t builds slice t on the pinned
-// pool, and every page of a slice lands on its owner's node — the
-// standard placement for ccNUMA SpMV (Schubert/Hager/Fehske). Under `off`
-// the calling thread builds every slice. Either way it happens at set-up,
-// off the timed path, and the encoded bytes are the same. This header
-// holds the policy knob, the rebased-pointer helper that lets kernels
-// index a slice with absolute rows, and the page-residency query.
+// worker's own arrays, and worker t of every pooled instance builds
+// slice t, so on a pinned pool every page of a slice lands on its
+// owner's node — the standard placement for ccNUMA SpMV
+// (Schubert/Hager/Fehske) — under every policy. The policy only decides
+// the bookkeeping: under `local` the instance records each worker's node
+// and answers residency queries; under `off` it does neither. The build
+// happens at set-up, off the timed path, and the encoded bytes never
+// depend on the policy. This header holds the policy knob, the
+// rebased-pointer helper that lets kernels index a slice with absolute
+// rows, and the page-residency query.
 #pragma once
 
 #include <cstddef>
@@ -21,11 +23,12 @@
 
 namespace spc {
 
-/// Data-placement policy for a prepared SpMV instance (the SPC_NUMA knob).
+/// NUMA bookkeeping policy for a prepared SpMV instance (the SPC_NUMA
+/// knob). Worker t builds (and so first-touches) slice t under each.
 enum class NumaPolicy {
   kAuto,   ///< local on multi-node machines, off on flat ones
-  kOff,    ///< the calling thread builds every slice
-  kLocal,  ///< worker t builds (and so first-touches) slice t
+  kOff,    ///< no per-worker node records
+  kLocal,  ///< records each worker's node; residency queries answer
 };
 
 /// Canonical lower-case name ("auto", "off", "local").
@@ -41,8 +44,8 @@ NumaPolicy numa_policy_from_env(NumaPolicy fallback);
 
 /// Resolves kAuto against the machine: local when `nnodes` > 1, off
 /// otherwise. Non-auto policies pass through (an explicit local on a
-/// flat machine still has the workers build their slices, which is what
-/// the single-node CI leg relies on).
+/// flat machine still records the workers' nodes, which is what the
+/// single-node CI leg relies on).
 NumaPolicy resolve_numa_policy(NumaPolicy requested, std::size_t nnodes);
 
 /// Builds a pointer that, indexed with an *absolute* position, lands in a

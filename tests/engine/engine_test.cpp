@@ -141,6 +141,89 @@ TEST(EngineRegistry, AutoFormatStampsTuneProvenance) {
   EXPECT_FALSE(info.tune_source.empty());
 }
 
+// Registration builds the slices on the engine's pool, so a registration
+// from one of that pool's workers would wait for itself: it returns a
+// Status instead, and the engine keeps serving.
+TEST(EngineRegistry, RegisterFromAPoolWorkerReturnsAStatus) {
+  Engine eng(small_engine(3));
+  const Triplets t = test::paper_matrix();
+  Status st = Status::Ok();
+  eng.pool().run([&](std::size_t tid) {
+    if (tid == 0) {
+      st = eng.register_matrix("inside", t);
+    }
+  });
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("own workers"), std::string::npos)
+      << st.message();
+  EXPECT_FALSE(eng.has_matrix("inside"));
+  ASSERT_TRUE(eng.register_matrix("outside", t).ok());
+  Vector y;
+  ASSERT_TRUE(eng.run_sync("outside", const_vector(6, 1.0), &y).ok());
+  EXPECT_LT(rel_error(test::reference_spmv(t, const_vector(6, 1.0)), y),
+            1e-12);
+}
+
+// Registrations take the pool for their build while requests to another
+// matrix are in flight: both finish, and every response stays exact.
+TEST(EngineRegistry, RegistersWhileServingAnotherMatrix) {
+  test::ScopedEnv isa("SPC_ISA", "scalar");
+  EngineOptions o = small_engine(4);
+  o.dispatchers = 2;
+  o.serial_fallback = true;
+  Engine eng(o);
+  const Triplets a = gen_laplacian_2d(40, 40);
+  Rng rng(5);
+  const Vector xa = random_vector(a.ncols(), rng);
+  InstanceOptions iopts;
+  iopts.pin_threads = false;
+  SpmvInstance direct(a, Format::kCsr, 4, iopts);
+  Vector ya(a.nrows(), 0.0);
+  direct.run(xa, ya);
+  ASSERT_TRUE(eng.register_matrix("a", a).ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> served{0};
+  std::atomic<int> wrong{0};
+  std::thread client([&] {
+    while (!stop.load()) {
+      std::vector<Future> inflight;
+      for (int i = 0; i < 8; ++i) {
+        inflight.push_back(eng.submit("a", xa));
+      }
+      for (Future& f : inflight) {
+        if (!f.status().ok() ||
+            std::memcmp(f.value().data(), ya.data(),
+                        ya.size() * sizeof(value_t)) != 0) {
+          wrong.fetch_add(1);
+        }
+        served.fetch_add(1);
+      }
+    }
+  });
+  while (served.load() == 0) {
+    std::this_thread::yield();
+  }
+  for (const Format f : {Format::kCsr, Format::kCsrVi, Format::kCsrDuVi}) {
+    Rng br(11);
+    const Triplets b =
+        gen_ragged(300, 300, 9, 0.2, br, ValueModel::pooled(20));
+    RegisterOptions ropts;
+    ropts.format = f;
+    const std::string id = "b-" + format_name(f);
+    ASSERT_TRUE(eng.register_matrix(id, b, ropts).ok()) << id;
+    Rng xr(12);
+    const Vector xb = random_vector(b.ncols(), xr);
+    Vector yb;
+    ASSERT_TRUE(eng.run_sync(id, xb, &yb).ok()) << id;
+    EXPECT_LT(rel_error(test::reference_spmv(b, xb), yb), 1e-12) << id;
+  }
+  stop.store(true);
+  client.join();
+  EXPECT_GT(served.load(), 0);
+  EXPECT_EQ(wrong.load(), 0);
+}
+
 TEST(EngineSubmit, ErrorsCompleteTheFutureInsteadOfThrowing) {
   Engine eng(small_engine());
   ASSERT_TRUE(eng.register_matrix("fig1", test::paper_matrix()).ok());

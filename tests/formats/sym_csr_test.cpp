@@ -121,9 +121,9 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 2, 3, 4, 8)));
 
 TEST(SymInstance, NumaLocalIsBitIdenticalToOff) {
-  // Worker-built slices (rows, diagonal) hold the same bytes as the
-  // calling thread's and every phase runs in the same order, so
-  // placement must not change a single bit — in either reduction mode.
+  // The slices (rows, diagonal) hold the same bytes under every policy
+  // and every phase runs in the same order, so the NUMA bookkeeping
+  // must not change a single bit — in either reduction mode.
   test::ScopedEnv isa("SPC_ISA", "scalar");
   test::ScopedEnv red("SPC_SYM_REDUCE", "");  // opts decide, not the env
   test::ScopedEnv sch("SPC_SCHED", "");

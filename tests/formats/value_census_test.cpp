@@ -2,7 +2,8 @@
 // SymCsrVi and compute_stats: against a plain std::map census, every
 // encoder must produce the same distinct values in the same
 // first-occurrence order (by bit pattern), the same index width and the
-// same index bytes.
+// same index bytes. The census taken per row range on several threads
+// and merged in range order must equal the one-pass census.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +12,7 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "spc/formats/csr_du_vi.hpp"
@@ -214,6 +216,57 @@ TEST_P(CensusProperty, SymCsrViMatchesAMapCensus) {
   expect_same_bytes(ref.bytes(0, t.nrows()), m.diag_ind_raw());
   expect_same_bytes(ref.bytes(t.nrows(), ref.stream.size() - t.nrows()),
                     m.val_ind_raw());
+}
+
+// Row bounds cutting `nrows` into `k` ranges: an even split, or one
+// whose first range (and, for k > 2, a middle one) holds no rows.
+std::vector<index_t> range_bounds(index_t nrows, std::size_t k,
+                                  bool empties) {
+  std::vector<index_t> b(k + 1);
+  for (std::size_t i = 0; i <= k; ++i) {
+    b[i] = static_cast<index_t>(nrows * i / k);
+  }
+  if (empties) {
+    b[1] = 0;
+    if (k > 2) {
+      b[k / 2 + 1] = b[k / 2];
+    }
+  }
+  return b;
+}
+
+TEST_P(CensusProperty, RangeCensusesMergeToTheOnePassCensus) {
+  const Triplets t = general_matrix(GetParam());
+  const ValueTable whole = row_major_values(t);
+  // Every range on its own thread, as the instance's workers count them.
+  const RangeRunner on_threads =
+      [](std::size_t n, const std::function<void(std::size_t)>& job) {
+        std::vector<std::thread> threads;
+        for (std::size_t i = 0; i < n; ++i) {
+          threads.emplace_back(job, i);
+        }
+        for (std::thread& th : threads) {
+          th.join();
+        }
+      };
+  for (const std::size_t k : {2u, 3u, 4u, 7u}) {
+    for (const bool empties : {false, true}) {
+      const std::vector<index_t> bounds =
+          range_bounds(t.nrows(), k, empties);
+      const ValueTable merged = row_major_values(t, bounds, on_threads);
+      const std::string what = std::to_string(k) + " ranges" +
+                               (empties ? " with empty ones" : "");
+      EXPECT_EQ(merged.width(), whole.width()) << what;
+      const aligned_vector<value_t>& want = *whole.values();
+      const aligned_vector<value_t>& got = *merged.values();
+      ASSERT_EQ(got.size(), want.size()) << what;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(bits_of(got[i]), bits_of(want[i])) << what << " unique " << i;
+        ASSERT_EQ(merged.index_of(want[i]), static_cast<std::uint32_t>(i))
+            << what << " unique " << i;
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -346,5 +346,43 @@ TEST(ThreadPool, TryRunReportsSaturationAndRunsWhenIdle) {
   EXPECT_FALSE(pool.busy());
 }
 
+// A worker that runs its own pool would wait for itself: run() and
+// try_run() throw instead, the error reaches the outer run() like any
+// worker exception, and the pool stays usable.
+TEST(ThreadPool, RunFromOwnWorkerThrowsInsteadOfHanging) {
+  ThreadPool pool(3);
+  auto noop = [](void*, std::size_t) {};
+  std::atomic<int> refused{0};
+  EXPECT_THROW(pool.run([&](std::size_t tid) {
+    if (tid == 1) {
+      pool.run([](std::size_t) {});
+    }
+  }),
+               Error);
+  pool.run([&](std::size_t) {
+    try {
+      pool.try_run(noop, nullptr);
+    } catch (const Error&) {
+      refused.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(refused.load(), 3);
+  std::atomic<int> hits{0};
+  pool.run([&](std::size_t) { hits.fetch_add(1); });
+  EXPECT_EQ(hits.load(), 3);
+}
+
+TEST(ThreadPool, WorkerMayRunAnotherPool) {
+  ThreadPool outer(2);
+  ThreadPool inner(2);
+  std::atomic<int> hits{0};
+  outer.run([&](std::size_t tid) {
+    if (tid == 0) {
+      inner.run([&](std::size_t) { hits.fetch_add(1); });
+    }
+  });
+  EXPECT_EQ(hits.load(), 2);
+}
+
 }  // namespace
 }  // namespace spc

@@ -35,68 +35,6 @@ namespace {
 // still catching any indexing bug (which produces O(1) errors).
 constexpr double kVectorTol = 1e-12;
 
-// ~20 deterministic draws spanning the structures the kernels
-// specialize on: dense-ish rows (contiguous AVX loads), banded
-// (RLE-friendly strides), ragged (unit-length tails), rmat (irregular
-// gathers), pooled values (small VI tables), plus degenerate shapes.
-Triplets fuzz_matrix(int seed) {
-  Rng rng(7000 + seed);
-  switch (seed % 7) {
-    case 0:
-      return test::random_triplets(
-          1 + static_cast<index_t>(rng.next_below(300)),
-          1 + static_cast<index_t>(rng.next_below(300)),
-          rng.next_below(5000), rng,
-          static_cast<std::uint32_t>(rng.next_below(200)));
-    case 1:
-      return gen_ragged(1 + static_cast<index_t>(rng.next_below(250)),
-                        1 + static_cast<index_t>(rng.next_below(250)),
-                        1 + static_cast<index_t>(rng.next_below(30)),
-                        0.4 * rng.next_double(), rng,
-                        ValueModel::pooled(12));
-    case 2:
-      return gen_banded(32 + static_cast<index_t>(rng.next_below(300)),
-                        1 + static_cast<index_t>(rng.next_below(50)),
-                        1 + static_cast<index_t>(rng.next_below(10)), rng,
-                        ValueModel::random());
-    case 3:
-      return gen_rmat(6 + static_cast<std::uint32_t>(rng.next_below(4)),
-                      400 + rng.next_below(3000), rng,
-                      ValueModel::pooled(6));
-    case 4:
-      return gen_fem_blocks(
-          4 + static_cast<index_t>(rng.next_below(30)),
-          1 + static_cast<index_t>(rng.next_below(4)),
-          1 + static_cast<index_t>(rng.next_below(5)), rng,
-          ValueModel::random());
-    case 5: {
-      // Long dense rows: exercises the vector kernels' main loops for
-      // many iterations and the stride-1 RLE decode.
-      const index_t n = 4 + static_cast<index_t>(rng.next_below(8));
-      Triplets t(n, 512);
-      for (index_t r = 0; r < n; ++r) {
-        for (index_t c = 0; c < 512; ++c) {
-          t.add(r, c, rng.next_double(-2.0, 2.0));
-        }
-      }
-      t.sort_and_combine();
-      return t;
-    }
-    default: {
-      // Tiny/degenerate shapes: single row, single column, 1x1 — all
-      // tail-path, no main-loop iterations.
-      switch (seed % 3) {
-        case 0:
-          return test::random_triplets(1, 97, 60, rng);
-        case 1:
-          return test::random_triplets(97, 1, 60, rng);
-        default:
-          return test::random_triplets(1, 1, 1, rng);
-      }
-    }
-  }
-}
-
 // One fuzzed instance configuration: a format, plus (for CSR-DU) RLE
 // units switched on with a run length short enough that the fuzz rows
 // actually form them — the only instance-level path into the RLE
@@ -139,7 +77,7 @@ TEST(RleRow, SwarmFormsStrideOneAndStridedRuns) {
   usize_t seq_units = 0;
   usize_t strided_units = 0;
   for (int seed = 0; seed < 21; ++seed) {
-    const Triplets t = fuzz_matrix(seed);
+    const Triplets t = test::swarm_matrix(seed);
     if (t.nnz() == 0) {
       continue;
     }
@@ -174,7 +112,7 @@ TEST(EncoderHistogram, EqualsTheScanOnTheSwarmAndItsSlices) {
   usize_t seq_units = 0;
   usize_t strided_units = 0;
   for (int seed = 0; seed < 21; ++seed) {
-    const Triplets t = fuzz_matrix(seed);
+    const Triplets t = test::swarm_matrix(seed);
     for (const bool rle : {false, true}) {
       const CsrDuOptions du = with_row({}, {Format::kCsrDu, rle}).du;
       const std::string what =
@@ -294,7 +232,7 @@ std::vector<std::pair<index_t, index_t>> offset_coordinates(
 TEST(OffsetUnits, DecodeToTheTripletsAndMatchTheCtlKernelBitForBit) {
   std::vector<Triplets> shapes = offset_edge_shapes();
   for (int seed = 0; seed < 21; ++seed) {
-    shapes.push_back(fuzz_matrix(seed));
+    shapes.push_back(test::swarm_matrix(seed));
   }
   std::vector<CsrDuOptions> option_sets(3);
   option_sets[1].split_threshold = 1;
@@ -376,7 +314,7 @@ TEST(OffsetUnits, DecodeToTheTripletsAndMatchTheCtlKernelBitForBit) {
 class DispatchFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(DispatchFuzz, EveryFormatEveryTierMatchesScalarCsrOracle) {
-  const Triplets t = fuzz_matrix(GetParam());
+  const Triplets t = test::swarm_matrix(GetParam());
   if (t.nnz() == 0) {
     GTEST_SKIP() << "degenerate draw";
   }
@@ -424,7 +362,7 @@ INSTANTIATE_TEST_SUITE_P(Swarm, DispatchFuzz, ::testing::Range(0, 21));
 class SchedFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(SchedFuzz, StealMatchesStaticAcrossFormatsAndTiers) {
-  const Triplets t = fuzz_matrix(GetParam());
+  const Triplets t = test::swarm_matrix(GetParam());
   if (t.nnz() == 0) {
     GTEST_SKIP() << "degenerate draw";
   }
@@ -484,22 +422,17 @@ INSTANTIATE_TEST_SUITE_P(Swarm, SchedFuzz, ::testing::Range(0, 21));
 // over every format (plus the RLE row) x SPC_NUMA x SPC_SCHED at the
 // scalar tier and the active one; the symmetric rows run on a
 // symmetrized square copy of the seed's draw. At the scalar tier the
-// pooled y must also be the same bytes whether the calling thread built
-// the slices (off) or each worker built its own (local).
+// pooled y must also be the same bytes with the NUMA bookkeeping off
+// and local.
 class CallerFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(CallerFuzz, RunOnCallerMatchesPooledRunBitForBit) {
-  const Triplets t = fuzz_matrix(GetParam());
+  const Triplets t = test::swarm_matrix(GetParam());
   if (t.nnz() == 0) {
     GTEST_SKIP() << "degenerate draw";
   }
-  const index_t n = std::max(t.nrows(), t.ncols());
-  Triplets square(n, n);
-  for (const Entry& e : t.entries()) {
-    square.add(e.row, e.col, e.val);
-  }
-  square.sort_and_combine();
-  const Triplets ts = symmetrize(square);
+  const Triplets ts = test::symmetric_square(t);
+  const index_t n = ts.nrows();
   ASSERT_TRUE(SymCsr::applicable(ts));
   Rng xr(9300 + GetParam());
   const Vector x = random_vector(t.ncols(), xr);

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <limits>
+#include <memory>
+#include <string>
 
 #include "spc/gen/generators.hpp"
 #include "spc/mm/ops.hpp"
@@ -275,6 +279,124 @@ TEST(SpmvInstanceNuma, OptionsPolicyUsedWhenEnvUnset) {
   const Triplets t = test::paper_matrix();
   SpmvInstance inst(t, Format::kCsr, 2, opts);
   EXPECT_EQ(inst.numa_policy(), NumaPolicy::kLocal);
+}
+
+// ---- Pool-built instances ------------------------------------------------
+//
+// Worker t builds slice t, and the value census runs per slice, whether
+// the instance owns its pool or borrows one. At the scalar tier the
+// row-partitioned formats must reproduce the one-thread instance's bits
+// at every thread count; the symmetric formats' pooled runs reassociate
+// sums by design and are held to kTol. An owned and a shared pool of one
+// size must give the same y, matrix_bytes() and du_histogram().
+
+constexpr std::size_t kPoolSizes[] = {2, 3, 4, 7};
+
+void check_pool_builds(const Triplets& t, const std::string& what) {
+  test::ScopedEnv isa("SPC_ISA", "scalar");
+  const Triplets ts = test::symmetric_square(t);
+  Rng xr(61);
+  const Vector x = random_vector(t.ncols(), xr);
+  const Vector xs = random_vector(ts.ncols(), xr);
+  const Topology topo = discover_topology();
+  std::vector<std::shared_ptr<ThreadPool>> pools;
+  for (const std::size_t nt : kPoolSizes) {
+    pools.push_back(std::make_shared<ThreadPool>(
+        nt, plan_placement(topo, nt, Placement::kCloseFirst)));
+  }
+  for (const Format f : all_formats()) {
+    const bool sym = format_requires_symmetry(f);
+    const Triplets& m = sym ? ts : t;
+    const Vector& xv = sym ? xs : x;
+    if (f == Format::kCsr16 && !csr16_applicable(m)) {
+      continue;
+    }
+    const Vector ref = test::reference_spmv(m, xv);
+    SpmvInstance one(m, f, 1);
+    Vector y1(m.nrows(), std::numeric_limits<double>::quiet_NaN());
+    one.run(xv, y1);
+    for (const std::shared_ptr<ThreadPool>& pool : pools) {
+      const std::size_t nt = pool->size();
+      const std::string cell =
+          what + " " + format_name(f) + " x" + std::to_string(nt);
+      SpmvInstance owned(m, f, nt);
+      SpmvInstance shared(m, f, pool);
+      Vector yo(m.nrows(), std::numeric_limits<double>::quiet_NaN());
+      Vector ys(m.nrows(), std::numeric_limits<double>::quiet_NaN());
+      owned.run(xv, yo);
+      shared.run(xv, ys);
+      if (sym) {
+        EXPECT_LT(rel_error(ref, yo), kTol) << cell;
+      } else {
+        EXPECT_EQ(std::memcmp(yo.data(), y1.data(),
+                              y1.size() * sizeof(value_t)),
+                  0)
+            << cell << " vs 1 thread";
+      }
+      EXPECT_EQ(std::memcmp(yo.data(), ys.data(),
+                            ys.size() * sizeof(value_t)),
+                0)
+          << cell << " owned vs shared";
+      EXPECT_EQ(owned.matrix_bytes(), shared.matrix_bytes()) << cell;
+      ASSERT_EQ(owned.du_histogram() == nullptr,
+                shared.du_histogram() == nullptr)
+          << cell;
+      if (owned.du_histogram() != nullptr) {
+        EXPECT_EQ(*owned.du_histogram(), *shared.du_histogram()) << cell;
+        EXPECT_EQ(*owned.du_histogram(), *one.du_histogram()) << cell;
+      }
+    }
+  }
+}
+
+class PoolBuild : public ::testing::TestWithParam<int> {};
+
+TEST_P(PoolBuild, EveryFormatMatchesOneThreadOnOwnedAndSharedPools) {
+  check_pool_builds(test::swarm_matrix(GetParam()),
+                    "seed " + std::to_string(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Swarm, PoolBuild, ::testing::Range(0, 21));
+
+TEST(PoolBuildEdges, MoreThreadsThanRowsEmptySlicesAndNoNonZeros) {
+  Triplets tiny(3, 3);  // nthreads > nrows: some slices hold no rows
+  tiny.add(0, 0, 1.5);
+  tiny.add(1, 2, -2.0);
+  tiny.add(2, 1, 0.25);
+  tiny.sort_and_combine();
+  check_pool_builds(tiny, "3x3");
+
+  Triplets ends(40, 40);  // the nnz split leaves the middle slices empty
+  for (index_t c = 0; c < 40; ++c) {
+    ends.add(0, c, 1.0 + c);
+    ends.add(39, c, 2.0 - c);
+  }
+  ends.sort_and_combine();
+  check_pool_builds(ends, "first and last rows");
+
+  check_pool_builds(Triplets(12, 9), "nnz 0");
+}
+
+// A build on a shared pool runs on the pool's workers, so building from
+// one of them would wait for itself: the constructor throws instead, the
+// error reaches the outer run(), and the pool stays usable.
+TEST(SpmvInstance, SharedPoolBuildFromItsOwnWorkerThrows) {
+  const auto pool = std::make_shared<ThreadPool>(3);
+  const Triplets t = test::paper_matrix();
+  for (const Format f : {Format::kCsr, Format::kCsrVi}) {
+    EXPECT_THROW(pool->run([&](std::size_t tid) {
+      if (tid == 0) {
+        SpmvInstance inst(t, f, pool);
+      }
+    }),
+                 Error)
+        << format_name(f);
+    SpmvInstance inst(t, f, pool);
+    const Vector x(6, 1.0);
+    Vector y(6, 0.0);
+    inst.run(x, y);
+    EXPECT_LT(rel_error(test::reference_spmv(t, x), y), kTol);
+  }
 }
 
 TEST(SpmvSimple, OneShotHelper) {

@@ -181,8 +181,8 @@ TEST(SchedInstance, EveryFormatMatchesStaticBitForBitAtScalar) {
 
 TEST(SchedInstance, StealComposesWithNumaPolicies) {
   // Chunk closures bind to their owner's slice: bit-identical results
-  // whether the calling thread or the owning worker built it (an
-  // explicit local resolves as asked on a single-node machine too).
+  // with and without the NUMA bookkeeping (an explicit local resolves
+  // as asked on a single-node machine too).
   const Triplets t = skewed_matrix();
   Rng xr(13);
   const Vector x = random_vector(t.ncols(), xr);

@@ -3,10 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "spc/gen/generators.hpp"
+#include "spc/mm/ops.hpp"
 #include "spc/mm/triplets.hpp"
 #include "spc/mm/vector.hpp"
 #include "spc/support/rng.hpp"
@@ -94,6 +97,82 @@ inline Triplets random_triplets(index_t nrows, index_t ncols,
   }
   t.sort_and_combine();
   return t;
+}
+
+/// The fuzz suites' swarm (seeds 0..20): deterministic draws spanning
+/// the structures the kernels and encoders specialize on: dense-ish rows
+/// (contiguous AVX loads), banded (RLE-friendly strides), ragged
+/// (unit-length tails), rmat (irregular gathers), pooled values (small
+/// VI tables), long dense rows, plus degenerate shapes.
+inline Triplets swarm_matrix(int seed) {
+  Rng rng(7000 + seed);
+  switch (seed % 7) {
+    case 0:
+      return random_triplets(
+          1 + static_cast<index_t>(rng.next_below(300)),
+          1 + static_cast<index_t>(rng.next_below(300)),
+          rng.next_below(5000), rng,
+          static_cast<std::uint32_t>(rng.next_below(200)));
+    case 1:
+      return gen_ragged(1 + static_cast<index_t>(rng.next_below(250)),
+                        1 + static_cast<index_t>(rng.next_below(250)),
+                        1 + static_cast<index_t>(rng.next_below(30)),
+                        0.4 * rng.next_double(), rng,
+                        ValueModel::pooled(12));
+    case 2:
+      return gen_banded(32 + static_cast<index_t>(rng.next_below(300)),
+                        1 + static_cast<index_t>(rng.next_below(50)),
+                        1 + static_cast<index_t>(rng.next_below(10)), rng,
+                        ValueModel::random());
+    case 3:
+      return gen_rmat(6 + static_cast<std::uint32_t>(rng.next_below(4)),
+                      400 + rng.next_below(3000), rng,
+                      ValueModel::pooled(6));
+    case 4:
+      return gen_fem_blocks(
+          4 + static_cast<index_t>(rng.next_below(30)),
+          1 + static_cast<index_t>(rng.next_below(4)),
+          1 + static_cast<index_t>(rng.next_below(5)), rng,
+          ValueModel::random());
+    case 5: {
+      // Long dense rows: exercises the vector kernels' main loops for
+      // many iterations and the stride-1 RLE decode.
+      const index_t n = 4 + static_cast<index_t>(rng.next_below(8));
+      Triplets t(n, 512);
+      for (index_t r = 0; r < n; ++r) {
+        for (index_t c = 0; c < 512; ++c) {
+          t.add(r, c, rng.next_double(-2.0, 2.0));
+        }
+      }
+      t.sort_and_combine();
+      return t;
+    }
+    default: {
+      // Tiny/degenerate shapes: single row, single column, 1x1 — all
+      // tail-path, no main-loop iterations.
+      switch (seed % 3) {
+        case 0:
+          return random_triplets(1, 97, 60, rng);
+        case 1:
+          return random_triplets(97, 1, 60, rng);
+        default:
+          return random_triplets(1, 1, 1, rng);
+      }
+    }
+  }
+}
+
+/// A numerically symmetric square matrix built from `t`: its entries in
+/// a max(nrows, ncols) square, symmetrized — the symmetric formats' input
+/// in suites that draw general matrices.
+inline Triplets symmetric_square(const Triplets& t) {
+  const index_t n = std::max(t.nrows(), t.ncols());
+  Triplets square(n, n);
+  for (const Entry& e : t.entries()) {
+    square.add(e.row, e.col, e.val);
+  }
+  square.sort_and_combine();
+  return symmetrize(square);
 }
 
 /// Asserts both triplet sets represent the same matrix.
