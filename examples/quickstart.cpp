@@ -53,8 +53,8 @@ int main() {
   const CsrVi vi = CsrVi::from_triplets(t);
   std::printf("CSR-VI: %llu unique values (ttu %.2f), index width %u "
               "byte(s)\n\n",
-              static_cast<unsigned long long>(vi.unique_count()), vi.ttu(),
-              static_cast<unsigned>(vi.width()));
+              static_cast<unsigned long long>(vi.value_index().table().size()),
+              vi.ttu(), static_cast<unsigned>(vi.value_index().width()));
 
   // --- Direct execution: SpmvInstance in every format ---
   Vector x = {1, 2, 3, 4, 5, 6};

@@ -1,12 +1,10 @@
 // CSR-DU-VI — the composition of both compression schemes.
 //
 // Index data are the CSR-DU ctl stream; value data are the CSR-VI
-// indirection (vals_unique + val_ind). The CF'08 companion paper evaluates
-// this combination; here it is the "extension" deliverable and is covered
-// by the value-compression ablation bench.
+// indirection (a ValueIndex: vals_unique + val_ind). The CF'08 companion
+// paper evaluates this combination; here it is the "extension"
+// deliverable and is covered by the value-compression ablation bench.
 #pragma once
-
-#include <memory>
 
 #include "spc/formats/csr_du.hpp"
 #include "spc/formats/csr_vi.hpp"
@@ -28,52 +26,35 @@ class CsrDuVi {
                            const ValueTable& values);
 
   /// Reconstructs from raw arrays (deserialization). The ctl stream and
-  /// value indices are fully validated; throws ParseError on violations.
+  /// value indices are fully validated, the width as stored; throws
+  /// ParseError on violations.
   static CsrDuVi from_raw(index_t nrows, index_t ncols,
                           const CsrDuOptions& opts,
-                          aligned_vector<std::uint8_t> ctl, ViWidth width,
+                          aligned_vector<std::uint8_t> ctl,
+                          std::uint32_t width,
                           aligned_vector<std::uint8_t> val_ind,
                           aligned_vector<value_t> vals_unique);
 
   index_t nrows() const { return du_.nrows(); }
   index_t ncols() const { return du_.ncols(); }
-  usize_t nnz() const { return nnz_; }
+  usize_t nnz() const { return du_.nnz(); }
 
   /// Index side: the DU ctl stream (the embedded CsrDu keeps no values
   /// array; only ctl is live).
   const CsrDu& du() const { return du_; }
   /// The ctl stream's unit histogram, as the encoder emitted it.
   const CsrDu::UnitHistogram& histogram() const { return du_.histogram(); }
-
-  const aligned_vector<value_t>& vals_unique() const {
-    return *vals_unique_;
-  }
-  const aligned_vector<std::uint8_t>& val_ind_raw() const { return val_ind_; }
-  ViWidth width() const { return width_; }
-  usize_t unique_count() const { return vals_unique_->size(); }
-
-  template <typename T>
-  const T* val_ind_as() const {
-    SPC_CHECK(sizeof(T) == static_cast<std::size_t>(width_));
-    return reinterpret_cast<const T*>(val_ind_.data());
-  }
+  /// Value side: val_ind and vals_unique, in decode order.
+  const ValueIndex& value_index() const { return values_; }
 
   /// Matrix data size: ctl + val_ind + vals_unique.
-  usize_t bytes() const {
-    return du_.ctl_bytes() + val_ind_.size() +
-           vals_unique_->size() * sizeof(value_t);
-  }
+  usize_t bytes() const { return du_.ctl_bytes() + values_.bytes(); }
 
   Triplets to_triplets() const;
 
  private:
-  usize_t nnz_ = 0;
   CsrDu du_;  ///< ctl stream + slice machinery; no values array
-  ViWidth width_ = ViWidth::kU8;
-  aligned_vector<std::uint8_t> val_ind_;
-  /// Shared by every slice built from one ValueTable.
-  std::shared_ptr<const aligned_vector<value_t>> vals_unique_ =
-      std::make_shared<const aligned_vector<value_t>>();
+  ValueIndex values_;
 };
 
 }  // namespace spc

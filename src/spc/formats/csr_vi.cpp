@@ -17,18 +17,16 @@ CsrVi CsrVi::from_rows(const Triplets& t, index_t row_begin,
   CsrVi m;
   m.nrows_ = row_end - row_begin;
   m.ncols_ = t.ncols();
-  m.width_ = values.width();
-  m.vals_unique_ = values.values();
   m.row_ptr_.assign(m.nrows_ + 1, 0);
   m.col_ind_.resize(rows.size());
-  m.val_ind_.resize(rows.size() * static_cast<usize_t>(m.width_));
-  for (usize_t k = 0; k < rows.size(); ++k) {
-    const Entry& e = rows[k];
-    ++m.row_ptr_[e.row - row_begin + 1];
-    m.col_ind_[k] = e.col;
-    store_value_index(m.val_ind_.data(), m.width_, k,
-                      values.index_of(e.val));
-  }
+  m.values_ = ValueIndex(values, rows.size(), [&](auto put) {
+    for (usize_t k = 0; k < rows.size(); ++k) {
+      const Entry& e = rows[k];
+      ++m.row_ptr_[e.row - row_begin + 1];
+      m.col_ind_[k] = e.col;
+      put(k, e.val);
+    }
+  });
   for (index_t r = 0; r < m.nrows_; ++r) {
     m.row_ptr_[r + 1] += m.row_ptr_[r];
   }
@@ -37,13 +35,13 @@ CsrVi CsrVi::from_rows(const Triplets& t, index_t row_begin,
 
 CsrVi CsrVi::from_raw(index_t nrows, index_t ncols,
                       aligned_vector<index_t> row_ptr,
-                      aligned_vector<std::uint32_t> col_ind, ViWidth width,
+                      aligned_vector<std::uint32_t> col_ind,
+                      std::uint32_t width,
                       aligned_vector<std::uint8_t> val_ind,
                       aligned_vector<value_t> vals_unique) {
   const usize_t nnz = col_ind.size();
   if (row_ptr.size() != static_cast<std::size_t>(nrows) + 1 ||
-      row_ptr.front() != 0 || row_ptr.back() != nnz ||
-      val_ind.size() != nnz * static_cast<usize_t>(width)) {
+      row_ptr.front() != 0 || row_ptr.back() != nnz) {
     throw ParseError("csr-vi: inconsistent array shapes");
   }
   for (index_t r = 0; r < nrows; ++r) {
@@ -56,54 +54,14 @@ CsrVi CsrVi::from_raw(index_t nrows, index_t ncols,
       throw ParseError("csr-vi: column index out of bounds");
     }
   }
-  const usize_t uniq = vals_unique.size();
-  const auto check_ind = [&](auto ind) {
-    if (static_cast<usize_t>(ind) >= uniq) {
-      throw ParseError("csr-vi: value index out of bounds");
-    }
-  };
-  switch (width) {
-    case ViWidth::kU8:
-      for (usize_t k = 0; k < nnz; ++k) {
-        check_ind(val_ind[k]);
-      }
-      break;
-    case ViWidth::kU16:
-      for (usize_t k = 0; k < nnz; ++k) {
-        check_ind(
-            reinterpret_cast<const std::uint16_t*>(val_ind.data())[k]);
-      }
-      break;
-    case ViWidth::kU32:
-      for (usize_t k = 0; k < nnz; ++k) {
-        check_ind(
-            reinterpret_cast<const std::uint32_t*>(val_ind.data())[k]);
-      }
-      break;
-  }
   CsrVi m;
+  m.values_ = ValueIndex::from_raw("csr-vi", nnz, width, std::move(val_ind),
+                                   std::move(vals_unique));
   m.nrows_ = nrows;
   m.ncols_ = ncols;
-  m.width_ = width;
   m.row_ptr_ = std::move(row_ptr);
   m.col_ind_ = std::move(col_ind);
-  m.val_ind_ = std::move(val_ind);
-  m.vals_unique_ =
-      std::make_shared<const aligned_vector<value_t>>(std::move(vals_unique));
   return m;
-}
-
-value_t CsrVi::value_at(usize_t k) const {
-  SPC_CHECK(k < nnz());
-  switch (width_) {
-    case ViWidth::kU8:
-      return vals_unique()[val_ind_[k]];
-    case ViWidth::kU16:
-      return vals_unique()[val_ind_as<std::uint16_t>()[k]];
-    case ViWidth::kU32:
-      return vals_unique()[val_ind_as<std::uint32_t>()[k]];
-  }
-  return 0.0;
 }
 
 Triplets CsrVi::to_triplets() const {
@@ -111,7 +69,7 @@ Triplets CsrVi::to_triplets() const {
   t.reserve(nnz());
   for (index_t r = 0; r < nrows_; ++r) {
     for (index_t j = row_ptr_[r]; j < row_ptr_[r + 1]; ++j) {
-      t.add(r, col_ind_[j], value_at(j));
+      t.add(r, col_ind_[j], values_.value_at(j));
     }
   }
   return t;

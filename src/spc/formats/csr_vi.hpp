@@ -1,17 +1,16 @@
 // CSR-VI ("CSR Value Index") — the paper's value-compression format (§V).
 //
-// The CSR `values` array is replaced by `vals_unique` (each distinct value
-// once, in first-occurrence order) and `val_ind` (per non-zero, the index
-// of its value in vals_unique). The index width is the smallest of
-// u8/u16/u32 that addresses the unique count. Indexing data (row_ptr,
-// col_ind) are plain CSR.
+// The CSR `values` array is replaced by a ValueIndex (mm/value_census.hpp):
+// `vals_unique` (each distinct value once, in first-occurrence order) and
+// `val_ind` (per non-zero, the index of its value in vals_unique), at the
+// smallest of u8/u16/u32 that addresses the unique count. Indexing data
+// (row_ptr, col_ind) are plain CSR.
 //
 // Worthwhile only when the total-to-unique ratio is high; the paper's
 // empirical applicability criterion is ttu > 5 (§VI-E).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "spc/mm/triplets.hpp"
 #include "spc/mm/value_census.hpp"
@@ -40,12 +39,12 @@ class CsrVi {
                          index_t row_end, const ValueTable& values);
 
   /// Reconstructs from raw arrays (the deserialization path) with full
-  /// validation (shape consistency, index bounds, width coverage).
+  /// validation (shape consistency, index bounds, the width as stored).
   /// Throws ParseError on any violation.
   static CsrVi from_raw(index_t nrows, index_t ncols,
                         aligned_vector<index_t> row_ptr,
                         aligned_vector<std::uint32_t> col_ind,
-                        ViWidth width,
+                        std::uint32_t width,
                         aligned_vector<std::uint8_t> val_ind,
                         aligned_vector<value_t> vals_unique);
 
@@ -55,35 +54,20 @@ class CsrVi {
 
   const aligned_vector<index_t>& row_ptr() const { return row_ptr_; }
   const aligned_vector<std::uint32_t>& col_ind() const { return col_ind_; }
-  const aligned_vector<value_t>& vals_unique() const {
-    return *vals_unique_;
-  }
-  /// Raw value-index bytes; reinterpret per `width()`.
-  const aligned_vector<std::uint8_t>& val_ind_raw() const { return val_ind_; }
-  ViWidth width() const { return width_; }
+  /// Value side: val_ind and vals_unique.
+  const ValueIndex& value_index() const { return values_; }
 
-  usize_t unique_count() const { return vals_unique_->size(); }
+  /// Total-to-unique ratio, the paper's applicability measure.
   double ttu() const {
-    return unique_count() ? static_cast<double>(nnz()) /
-                                static_cast<double>(unique_count())
-                          : 0.0;
+    const usize_t unique = values_.table().size();
+    return unique ? static_cast<double>(nnz()) / static_cast<double>(unique)
+                  : 0.0;
   }
-
-  /// Typed view of val_ind; T must match width().
-  template <typename T>
-  const T* val_ind_as() const {
-    SPC_CHECK(sizeof(T) == static_cast<std::size_t>(width_));
-    return reinterpret_cast<const T*>(val_ind_.data());
-  }
-
-  /// Value of the k-th non-zero (test/inspection path).
-  value_t value_at(usize_t k) const;
 
   /// Matrix data size: row_ptr + col_ind + val_ind + vals_unique.
   usize_t bytes() const {
     return row_ptr_.size() * sizeof(index_t) +
-           col_ind_.size() * sizeof(std::uint32_t) + val_ind_.size() +
-           vals_unique_->size() * sizeof(value_t);
+           col_ind_.size() * sizeof(std::uint32_t) + values_.bytes();
   }
 
   Triplets to_triplets() const;
@@ -91,13 +75,9 @@ class CsrVi {
  private:
   index_t nrows_ = 0;
   index_t ncols_ = 0;
-  ViWidth width_ = ViWidth::kU8;
   aligned_vector<index_t> row_ptr_;
   aligned_vector<std::uint32_t> col_ind_;
-  aligned_vector<std::uint8_t> val_ind_;   ///< nnz * width bytes
-  /// Shared by every slice built from one ValueTable.
-  std::shared_ptr<const aligned_vector<value_t>> vals_unique_ =
-      std::make_shared<const aligned_vector<value_t>>();
+  ValueIndex values_;
 };
 
 }  // namespace spc

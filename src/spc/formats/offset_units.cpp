@@ -214,13 +214,11 @@ OffsetUnitsVi OffsetUnitsVi::from_rows(const Triplets& t, index_t row_begin,
   // Row-major like the units' element order, so val_ind[k] pairs with
   // the k-th decoded element.
   const std::span<const Entry> rows = t.rows(row_begin, row_end);
-  m.width_ = values.width();
-  m.vals_unique_ = values.values();
-  m.val_ind_.resize(rows.size() * static_cast<usize_t>(m.width_));
-  for (usize_t k = 0; k < rows.size(); ++k) {
-    store_value_index(m.val_ind_.data(), m.width_, k,
-                      values.index_of(rows[k].val));
-  }
+  m.values_ = ValueIndex(values, rows.size(), [&](auto put) {
+    for (usize_t k = 0; k < rows.size(); ++k) {
+      put(k, rows[k].val);
+    }
+  });
   return m;
 }
 

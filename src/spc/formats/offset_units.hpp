@@ -25,11 +25,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "spc/formats/csr_du.hpp"
-#include "spc/formats/csr_vi.hpp"
 #include "spc/mm/triplets.hpp"
 #include "spc/mm/value_census.hpp"
 #include "spc/support/aligned.hpp"
@@ -95,8 +93,8 @@ class OffsetUnits {
   CsrDu::UnitHistogram hist_;
 };
 
-/// CSR-DU-VI's execution layout: offset units plus CSR-VI's value
-/// indices (the same val_ind/vals_unique pair CsrDuVi stores).
+/// CSR-DU-VI's execution layout: offset units plus the value index
+/// CsrDuVi stores (val_ind/vals_unique).
 class OffsetUnitsVi {
  public:
   OffsetUnitsVi() = default;
@@ -114,32 +112,15 @@ class OffsetUnitsVi {
   /// Index side: the offset units (no values array).
   const OffsetUnits& du() const { return du_; }
   const CsrDu::UnitHistogram& histogram() const { return du_.histogram(); }
-
-  const aligned_vector<value_t>& vals_unique() const {
-    return *vals_unique_;
-  }
-  const aligned_vector<std::uint8_t>& val_ind_raw() const { return val_ind_; }
-  ViWidth width() const { return width_; }
-
-  template <typename T>
-  const T* val_ind_as() const {
-    SPC_CHECK(sizeof(T) == static_cast<std::size_t>(width_));
-    return reinterpret_cast<const T*>(val_ind_.data());
-  }
+  /// Value side: val_ind and vals_unique, in decode order.
+  const ValueIndex& value_index() const { return values_; }
 
   /// Matrix data size: offset units + val_ind + vals_unique.
-  usize_t bytes() const {
-    return du_.bytes() + val_ind_.size() +
-           vals_unique_->size() * sizeof(value_t);
-  }
+  usize_t bytes() const { return du_.bytes() + values_.bytes(); }
 
  private:
   OffsetUnits du_;
-  ViWidth width_ = ViWidth::kU8;
-  aligned_vector<std::uint8_t> val_ind_;
-  /// Shared by every slice built from one ValueTable.
-  std::shared_ptr<const aligned_vector<value_t>> vals_unique_ =
-      std::make_shared<const aligned_vector<value_t>>();
+  ValueIndex values_;
 };
 
 }  // namespace spc

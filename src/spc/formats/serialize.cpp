@@ -130,11 +130,12 @@ void save(const CsrDu& m, std::ostream& out) {
 
 void save(const CsrVi& m, std::ostream& out) {
   write_header(out, SpcmTag::kCsrVi, m.nrows(), m.ncols());
-  write_u32(out, static_cast<std::uint32_t>(m.width()));
+  const ValueIndex& vi = m.value_index();
+  write_u32(out, static_cast<std::uint32_t>(vi.width()));
   write_array(out, m.row_ptr());
   write_array(out, m.col_ind());
-  write_array(out, m.val_ind_raw());
-  write_array(out, m.vals_unique());
+  write_array(out, vi.raw());
+  write_array(out, vi.table());
 }
 
 void save(const CsrDuVi& m, std::ostream& out) {
@@ -144,10 +145,11 @@ void save(const CsrDuVi& m, std::ostream& out) {
   write_u32(out, o.split_threshold);
   write_u32(out, o.enable_rle ? 1 : 0);
   write_u32(out, o.rle_min_run);
-  write_u32(out, static_cast<std::uint32_t>(m.width()));
+  const ValueIndex& vi = m.value_index();
+  write_u32(out, static_cast<std::uint32_t>(vi.width()));
   write_array(out, m.du().ctl());
-  write_array(out, m.val_ind_raw());
-  write_array(out, m.vals_unique());
+  write_array(out, vi.raw());
+  write_array(out, vi.table());
 }
 
 Csr load_csr(std::istream& in) {
@@ -177,17 +179,14 @@ CsrDu load_csr_du(std::istream& in) {
 CsrVi load_csr_vi(std::istream& in) {
   index_t nrows = 0, ncols = 0;
   expect_header(in, SpcmTag::kCsrVi, &nrows, &ncols);
-  const std::uint32_t w = read_u32(in);
-  if (w != 1 && w != 2 && w != 4) {
-    throw ParseError("spcm: invalid value-index width");
-  }
+  const std::uint32_t width = read_u32(in);
   auto row_ptr = read_array<index_t>(in);
   auto col_ind = read_array<std::uint32_t>(in);
   auto val_ind = read_array<std::uint8_t>(in);
   auto vals_unique = read_array<value_t>(in);
   return CsrVi::from_raw(nrows, ncols, std::move(row_ptr),
-                         std::move(col_ind), static_cast<ViWidth>(w),
-                         std::move(val_ind), std::move(vals_unique));
+                         std::move(col_ind), width, std::move(val_ind),
+                         std::move(vals_unique));
 }
 
 CsrDuVi load_csr_du_vi(std::istream& in) {
@@ -198,16 +197,12 @@ CsrDuVi load_csr_du_vi(std::istream& in) {
   o.split_threshold = read_u32(in);
   o.enable_rle = read_u32(in) != 0;
   o.rle_min_run = read_u32(in);
-  const std::uint32_t w = read_u32(in);
-  if (w != 1 && w != 2 && w != 4) {
-    throw ParseError("spcm: invalid value-index width");
-  }
+  const std::uint32_t width = read_u32(in);
   auto ctl = read_array<std::uint8_t>(in);
   auto val_ind = read_array<std::uint8_t>(in);
   auto vals_unique = read_array<value_t>(in);
-  return CsrDuVi::from_raw(nrows, ncols, o, std::move(ctl),
-                           static_cast<ViWidth>(w), std::move(val_ind),
-                           std::move(vals_unique));
+  return CsrDuVi::from_raw(nrows, ncols, o, std::move(ctl), width,
+                           std::move(val_ind), std::move(vals_unique));
 }
 
 namespace {

@@ -47,8 +47,6 @@ SymCsrVi SymCsrVi::from_rows(const Triplets& t, index_t row_begin,
   m.nrows_ = row_end - row_begin;
   m.ncols_ = t.ncols();
   m.nnz_full_ = rows.size();
-  m.width_ = values.width();
-  m.vals_unique_ = values.values();
   m.row_ptr_.assign(m.nrows_ + 1, 0);
 
   std::vector<value_t> diag(m.nrows_, 0.0);
@@ -64,61 +62,34 @@ SymCsrVi SymCsrVi::from_rows(const Triplets& t, index_t row_begin,
   for (index_t r = 0; r < m.nrows_; ++r) {
     m.row_ptr_[r + 1] += m.row_ptr_[r];
   }
-  m.diag_ind_.resize(static_cast<usize_t>(m.nrows_) *
-                     static_cast<usize_t>(m.width_));
-  for (index_t r = 0; r < m.nrows_; ++r) {
-    store_value_index(m.diag_ind_.data(), m.width_, r,
-                      values.index_of(diag[r]));
-  }
-  m.col_ind_.resize(lower);
-  m.val_ind_.resize(lower * static_cast<usize_t>(m.width_));
-  usize_t k = 0;
-  for (const Entry& e : rows) {
-    if (e.col < e.row) {
-      m.col_ind_[k] = e.col;
-      store_value_index(m.val_ind_.data(), m.width_, k++,
-                        values.index_of(e.val));
+  m.diag_ = ValueIndex(values, diag.size(), [&](auto put) {
+    for (usize_t r = 0; r < diag.size(); ++r) {
+      put(r, diag[r]);
     }
-  }
+  });
+  m.col_ind_.resize(lower);
+  m.lower_ = ValueIndex(values, lower, [&](auto put) {
+    usize_t k = 0;
+    for (const Entry& e : rows) {
+      if (e.col < e.row) {
+        m.col_ind_[k] = e.col;
+        put(k++, e.val);
+      }
+    }
+  });
   return m;
-}
-
-value_t SymCsrVi::value_at(usize_t k) const {
-  SPC_CHECK(k < col_ind_.size());
-  switch (width_) {
-    case ViWidth::kU8:
-      return vals_unique()[val_ind_[k]];
-    case ViWidth::kU16:
-      return vals_unique()[val_ind_as<std::uint16_t>()[k]];
-    case ViWidth::kU32:
-      return vals_unique()[val_ind_as<std::uint32_t>()[k]];
-  }
-  return 0.0;
-}
-
-value_t SymCsrVi::diag_at(index_t r) const {
-  SPC_CHECK(r < nrows_);
-  switch (width_) {
-    case ViWidth::kU8:
-      return vals_unique()[diag_ind_[r]];
-    case ViWidth::kU16:
-      return vals_unique()[diag_ind_as<std::uint16_t>()[r]];
-    case ViWidth::kU32:
-      return vals_unique()[diag_ind_as<std::uint32_t>()[r]];
-  }
-  return 0.0;
 }
 
 Triplets SymCsrVi::to_triplets() const {
   Triplets t(nrows_, ncols_);
   t.reserve(nnz_full_);
   for (index_t r = 0; r < nrows_; ++r) {
-    const value_t d = diag_at(r);
+    const value_t d = diag_.value_at(r);
     if (d != 0.0) {
       t.add(r, r, d);
     }
     for (index_t j = row_ptr_[r]; j < row_ptr_[r + 1]; ++j) {
-      const value_t v = value_at(j);
+      const value_t v = lower_.value_at(j);
       t.add(r, col_ind_[j], v);
       t.add(col_ind_[j], r, v);
     }

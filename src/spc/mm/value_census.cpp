@@ -1,6 +1,6 @@
 #include "spc/mm/value_census.hpp"
 
-#include "spc/support/error.hpp"
+#include <string>
 
 namespace spc {
 
@@ -83,15 +83,53 @@ ValueTable::ValueTable(ValueCensus census)
       values_(std::make_shared<const aligned_vector<value_t>>(
           census_.take_values())) {}
 
+ValueIndex ValueIndex::from_raw(const char* format, usize_t n,
+                                std::uint32_t width,
+                                aligned_vector<std::uint8_t> bytes,
+                                aligned_vector<value_t> table) {
+  const auto fail = [format](const char* what) {
+    throw ParseError(std::string(format) + ": " + what);
+  };
+  if (width != 1 && width != 2 && width != 4) {
+    fail("invalid value-index width");
+  }
+  if (bytes.size() != n * width) {
+    fail("val_ind size does not match element count");
+  }
+  ValueIndex m;
+  m.width_ = static_cast<ViWidth>(width);
+  m.bytes_ = std::move(bytes);
+  m.table_ =
+      std::make_shared<const aligned_vector<value_t>>(std::move(table));
+  m.visit([&](const auto* ind) {
+    for (usize_t k = 0; k < n; ++k) {
+      if (ind[k] >= m.table_->size()) {
+        fail("value index out of bounds");
+      }
+    }
+  });
+  return m;
+}
+
+value_t ValueIndex::value_at(usize_t k) const {
+  SPC_CHECK(k < size());
+  return visit([&](const auto* ind) { return (*table_)[ind[k]]; });
+}
+
 ValueTable row_major_values(const Triplets& t,
                             std::span<const index_t> bounds,
                             const RangeRunner& run) {
   SPC_CHECK_MSG(bounds.size() >= 2, "a census needs at least one row range");
   std::vector<ValueCensus> parts(bounds.size() - 1);
   run(parts.size(), [&](std::size_t i) {
+    // Counted in a census of the job's own, not in place: neighbouring
+    // parts share cache lines, and add() writes its last-value memo on
+    // nearly every value.
+    ValueCensus census;
     for (const Entry& e : t.rows(bounds[i], bounds[i + 1])) {
-      parts[i].add(e.val);
+      census.add(e.val);
     }
+    parts[i] = std::move(census);
   });
   // Each later range's values, in their first-occurrence order, extend
   // the census of the ranges before it.

@@ -1,5 +1,6 @@
-// Value census — the distinct values of a value stream, the building
-// block of the paper's value compression (§V).
+// Value census and value index — the paper's value compression (§V):
+// the distinct values of a value stream, and per element the index of
+// its value among them.
 //
 // A value's identity is its bit pattern, so -0.0 and +0.0 are distinct
 // and so is every NaN payload. Distinct values keep first-occurrence
@@ -13,6 +14,12 @@
 // one census at once, on several threads. The first pass splits by row
 // range too: each range is counted on its own thread and the range
 // censuses merge in range order (row_major_values()).
+//
+// ValueIndex is the value side of every value-compressed format: CSR-VI,
+// CSR-DU-VI, their offset-unit layout and symmetric CSR-VI each hold one
+// (two for the symmetric diagonal and lower triangle) beside their index
+// side. It is the only code that knows the index width: visit() hands
+// the index array to a template at its real type.
 #pragma once
 
 #include <cstdint>
@@ -20,11 +27,13 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "spc/mm/triplets.hpp"
 #include "spc/support/aligned.hpp"
+#include "spc/support/error.hpp"
 #include "spc/support/types.hpp"
 
 namespace spc {
@@ -34,24 +43,6 @@ enum class ViWidth : std::uint8_t { kU8 = 1, kU16 = 2, kU32 = 4 };
 
 /// Smallest width that can address `unique_count` values.
 ViWidth vi_width_for(usize_t unique_count);
-
-/// Stores index `i` as element k of a value-index array of width `w`.
-inline void store_value_index(std::uint8_t* dst, ViWidth w, usize_t k,
-                              std::uint32_t i) {
-  switch (w) {
-    case ViWidth::kU8:
-      dst[k] = static_cast<std::uint8_t>(i);
-      return;
-    case ViWidth::kU16: {
-      const auto v = static_cast<std::uint16_t>(i);
-      std::memcpy(dst + 2 * k, &v, sizeof(v));
-      return;
-    }
-    case ViWidth::kU32:
-      std::memcpy(dst + 4 * k, &i, sizeof(i));
-      return;
-  }
-}
 
 class ValueCensus {
  public:
@@ -119,6 +110,91 @@ class ValueTable {
   ValueCensus census_;
   ViWidth width_;
   std::shared_ptr<const aligned_vector<value_t>> values_;
+};
+
+/// Per element, the index of its value in a table of distinct values,
+/// stored at the table's width (vi_width_for()). Components built from
+/// one ValueTable share its table, so the slices of one matrix hold one
+/// copy of it.
+class ValueIndex {
+ public:
+  ValueIndex() = default;
+
+  /// Indexes n values into `table`, which must hold each of them:
+  /// fill(put) calls put(k, v) once for every k in [0, n), with v the
+  /// k-th value in element order. put stores at the table's width, so
+  /// fill's loop is compiled once per width and tests no width per
+  /// element; an encoder can fill in the loop that writes its index side.
+  template <typename Fill>
+  ValueIndex(const ValueTable& table, usize_t n, Fill&& fill)
+      : width_(table.width()),
+        bytes_(n * static_cast<usize_t>(table.width())),
+        table_(table.values()) {
+    visit([&](const auto* ind) {
+      using T = std::remove_cv_t<std::remove_pointer_t<decltype(ind)>>;
+      fill([out = bytes_.data(), &table](usize_t k, value_t v) {
+        const auto i = static_cast<T>(table.index_of(v));
+        std::memcpy(out + k * sizeof(T), &i, sizeof(T));
+      });
+    });
+  }
+
+  /// Reconstructs n indices from raw parts (the deserialization path):
+  /// `width` as stored, so any value but 1, 2 or 4 is rejected rather
+  /// than narrowed, `bytes` exactly n indices long, every index inside
+  /// `table`. Throws ParseError naming `format` otherwise.
+  static ValueIndex from_raw(const char* format, usize_t n,
+                             std::uint32_t width,
+                             aligned_vector<std::uint8_t> bytes,
+                             aligned_vector<value_t> table);
+
+  ViWidth width() const { return width_; }
+  /// Number of indices.
+  usize_t size() const {
+    return bytes_.size() / static_cast<usize_t>(width_);
+  }
+  /// The index bytes, size() * width() of them (containers, residency
+  /// queries, tests).
+  const aligned_vector<std::uint8_t>& raw() const { return bytes_; }
+  /// The distinct values the indices point into.
+  const aligned_vector<value_t>& table() const { return *table_; }
+  /// Value of element k (inspection path).
+  value_t value_at(usize_t k) const;
+  /// Index bytes plus table bytes.
+  usize_t bytes() const {
+    return bytes_.size() + table_->size() * sizeof(value_t);
+  }
+
+  /// Calls f with the index array at its real type — const std::uint8_t*,
+  /// const std::uint16_t* or const std::uint32_t* — followed by the
+  /// arrays of `more` at the same type, and returns what f returns.
+  /// Components visited together must share one width (symmetric
+  /// CSR-VI's diagonal and lower triangle index one table).
+  template <typename F, typename... More>
+  decltype(auto) visit(F&& f, const More&... more) const {
+    static_assert((std::is_same_v<More, ValueIndex> && ...));
+    SPC_CHECK(((more.width_ == width_) && ...));
+    switch (width_) {
+      case ViWidth::kU8:
+        return f(as<std::uint8_t>(), more.template as<std::uint8_t>()...);
+      case ViWidth::kU16:
+        return f(as<std::uint16_t>(), more.template as<std::uint16_t>()...);
+      case ViWidth::kU32:
+        return f(as<std::uint32_t>(), more.template as<std::uint32_t>()...);
+    }
+    throw Error("invalid value-index width");
+  }
+
+ private:
+  template <typename T>
+  const T* as() const {
+    return reinterpret_cast<const T*>(bytes_.data());
+  }
+
+  ViWidth width_ = ViWidth::kU8;
+  aligned_vector<std::uint8_t> bytes_;
+  std::shared_ptr<const aligned_vector<value_t>> table_ =
+      std::make_shared<const aligned_vector<value_t>>();
 };
 
 /// Calls job(i) once for every i in [0, n), possibly concurrently, and

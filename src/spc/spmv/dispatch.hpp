@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "spc/support/types.hpp"
@@ -111,20 +112,38 @@ using SymViKernelFn = void (*)(const index_t* row_ptr,
                                index_t direct_begin, index_t row_begin,
                                index_t row_end);
 
+/// One kernel per value-index width, listed u8, u16, u32. get<T>() is
+/// the kernel for index type T, so a ValueIndex::visit() lambda picks
+/// its kernel by the type it is handed.
+template <template <typename> class Fn>
+struct PerIndexWidth {
+  Fn<std::uint8_t> u8 = nullptr;
+  Fn<std::uint16_t> u16 = nullptr;
+  Fn<std::uint32_t> u32 = nullptr;
+
+  template <typename T>
+  Fn<T> get() const {
+    if constexpr (std::is_same_v<T, std::uint8_t>) {
+      return u8;
+    } else if constexpr (std::is_same_v<T, std::uint16_t>) {
+      return u16;
+    } else {
+      static_assert(std::is_same_v<T, std::uint32_t>);
+      return u32;
+    }
+  }
+};
+
 struct KernelTable {
   IsaTier tier = IsaTier::kScalar;
   CsrKernelFn csr = nullptr;
   Csr16KernelFn csr16 = nullptr;
-  CsrViKernelFn<std::uint8_t> csr_vi_u8 = nullptr;
-  CsrViKernelFn<std::uint16_t> csr_vi_u16 = nullptr;
-  CsrViKernelFn<std::uint32_t> csr_vi_u32 = nullptr;
+  PerIndexWidth<CsrViKernelFn> csr_vi;
   // Symmetric formats. The vector tiers vectorize the dot-product side
   // (the lower-triangle row gather); the scatter side stays scalar —
   // it is bounded by the window/store dependences, not by arithmetic.
   SymKernelFn sym_csr = nullptr;
-  SymViKernelFn<std::uint8_t> sym_csr_vi_u8 = nullptr;
-  SymViKernelFn<std::uint16_t> sym_csr_vi_u16 = nullptr;
-  SymViKernelFn<std::uint32_t> sym_csr_vi_u32 = nullptr;
+  PerIndexWidth<SymViKernelFn> sym_csr_vi;
 };
 
 /// The kernel table for a tier, clamped to what this binary compiled and

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <concepts>
 #include <cstdio>
 #include <functional>
 #include <span>
@@ -167,6 +168,16 @@ const FormatCaps& caps(Format f) {
   SPC_CHECK_MSG(i < std::size(kFormatCaps), "unknown Format value");
   return kFormatCaps[i];
 }
+
+// The value formats' slices: each holds a ValueIndex, and the slices of
+// one instance share its table. Asserted for every value format, so the
+// byte and residency accounting below cannot lose them to a rename.
+template <typename M>
+constexpr bool kIndexesValues = requires(const M& m) {
+  { m.value_index() } -> std::same_as<const ValueIndex&>;
+};
+static_assert(kIndexesValues<CsrVi> && kIndexesValues<OffsetUnitsVi> &&
+              kIndexesValues<SymCsrVi>);
 
 // The slice vector of format `f`: alternative i of the variant is Format
 // value i.
@@ -357,38 +368,23 @@ SliceKernels bind(const OffsetUnits& s, const SliceBind& p) {
   return du_kernels(s, p, &spmv_offset_units);
 }
 
+// The value formats pick each kernel by the index type visit() hands
+// them.
 SliceKernels bind(const CsrVi& s, const SliceBind& p) {
-  const index_t* rp = rebase_ptr(s.row_ptr().data(), p.b);
-  const std::uint32_t* ci = s.col_ind().data();
-  const value_t* uq = s.vals_unique().data();
-  switch (s.width()) {
-    case ViWidth::kU8:
-      return row_kernels(p, p.kt.csr_vi_u8, rp, ci, s.val_ind_raw().data(),
-                         uq);
-    case ViWidth::kU16:
-      return row_kernels(p, p.kt.csr_vi_u16, rp, ci,
-                         s.val_ind_as<std::uint16_t>(), uq);
-    case ViWidth::kU32:
-      return row_kernels(p, p.kt.csr_vi_u32, rp, ci,
-                         s.val_ind_as<std::uint32_t>(), uq);
-  }
-  return {};
+  const ValueIndex& vi = s.value_index();
+  return vi.visit([&]<typename T>(const T* ind) {
+    return row_kernels(p, p.kt.csr_vi.get<T>(),
+                       rebase_ptr(s.row_ptr().data(), p.b),
+                       s.col_ind().data(), ind, vi.table().data());
+  });
 }
 
 SliceKernels bind(const OffsetUnitsVi& s, const SliceBind& p) {
-  const value_t* uq = s.vals_unique().data();
-  switch (s.width()) {
-    case ViWidth::kU8:
-      return du_kernels(s.du(), p, &spmv_offset_units_vi<std::uint8_t>,
-                        s.val_ind_raw().data(), uq);
-    case ViWidth::kU16:
-      return du_kernels(s.du(), p, &spmv_offset_units_vi<std::uint16_t>,
-                        s.val_ind_as<std::uint16_t>(), uq);
-    case ViWidth::kU32:
-      return du_kernels(s.du(), p, &spmv_offset_units_vi<std::uint32_t>,
-                        s.val_ind_as<std::uint32_t>(), uq);
-  }
-  return {};
+  const ValueIndex& vi = s.value_index();
+  return vi.visit([&]<typename T>(const T* ind) {
+    return du_kernels(s.du(), p, &spmv_offset_units_vi<T>, ind,
+                      vi.table().data());
+  });
 }
 
 SliceKernels bind(const SymCsr& s, const SliceBind& p) {
@@ -398,26 +394,15 @@ SliceKernels bind(const SymCsr& s, const SliceBind& p) {
 }
 
 SliceKernels bind(const SymCsrVi& s, const SliceBind& p) {
-  const index_t* rp = rebase_ptr(s.row_ptr().data(), p.b);
-  const index_t* ci = s.col_ind().data();
-  const value_t* uq = s.vals_unique().data();
-  switch (s.width()) {
-    case ViWidth::kU8:
-      return sym_kernels(p, p.kt.sym_csr_vi_u8, rp, ci,
-                         s.val_ind_raw().data(),
-                         rebase_ptr(s.diag_ind_raw().data(), p.b), uq);
-    case ViWidth::kU16:
-      return sym_kernels(p, p.kt.sym_csr_vi_u16, rp, ci,
-                         s.val_ind_as<std::uint16_t>(),
-                         rebase_ptr(s.diag_ind_as<std::uint16_t>(), p.b),
-                         uq);
-    case ViWidth::kU32:
-      return sym_kernels(p, p.kt.sym_csr_vi_u32, rp, ci,
-                         s.val_ind_as<std::uint32_t>(),
-                         rebase_ptr(s.diag_ind_as<std::uint32_t>(), p.b),
-                         uq);
-  }
-  return {};
+  const ValueIndex& vi = s.value_index();
+  return vi.visit(
+      [&]<typename T>(const T* ind, const T* diag_ind) {
+        return sym_kernels(p, p.kt.sym_csr_vi.get<T>(),
+                           rebase_ptr(s.row_ptr().data(), p.b),
+                           s.col_ind().data(), ind,
+                           rebase_ptr(diag_ind, p.b), vi.table().data());
+      },
+      s.diag_index());
 }
 
 // Row pointer of the strict lower triangle: the symmetric formats
@@ -803,8 +788,8 @@ SpmvInstance::NumaResidency SpmvInstance::matrix_residency() const {
           if constexpr (requires { s.du(); }) {
             sample(th, s.du().units());
           }
-          if constexpr (requires { s.val_ind_raw(); }) {
-            sample(th, s.val_ind_raw());
+          if constexpr (kIndexesValues<std::decay_t<decltype(s)>>) {
+            sample(th, s.value_index().raw());
           }
         }
       },
@@ -919,9 +904,11 @@ usize_t SpmvInstance::matrix_bytes() const {
           bytes += s.bytes();
         }
         // The value formats' slices share one unique-value table.
-        if constexpr (requires { slices.front().vals_unique(); }) {
+        using M = typename std::decay_t<decltype(slices)>::value_type;
+        if constexpr (kIndexesValues<M>) {
           bytes -= (slices.size() - 1) *
-                   slices.front().vals_unique().size() * sizeof(value_t);
+                   slices.front().value_index().table().size() *
+                   sizeof(value_t);
         }
         return bytes;
       },

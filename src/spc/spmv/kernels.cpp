@@ -274,23 +274,11 @@ void spmv(const CsrDu::Slice& s, const value_t* x, value_t* y) {
 
 void spmv_csr_vi_range(const CsrVi& m, const value_t* x, value_t* y,
                        index_t row_begin, index_t row_end) {
-  switch (m.width()) {
-    case ViWidth::kU8:
-      spmv_csr_vi_range(m.row_ptr().data(), m.col_ind().data(),
-                        m.val_ind_raw().data(), m.vals_unique().data(), x, y,
-                        row_begin, row_end);
-      break;
-    case ViWidth::kU16:
-      spmv_csr_vi_range(m.row_ptr().data(), m.col_ind().data(),
-                        m.val_ind_as<std::uint16_t>(),
-                        m.vals_unique().data(), x, y, row_begin, row_end);
-      break;
-    case ViWidth::kU32:
-      spmv_csr_vi_range(m.row_ptr().data(), m.col_ind().data(),
-                        m.val_ind_as<std::uint32_t>(),
-                        m.vals_unique().data(), x, y, row_begin, row_end);
-      break;
-  }
+  const ValueIndex& vi = m.value_index();
+  vi.visit([&](const auto* ind) {
+    spmv_csr_vi_range(m.row_ptr().data(), m.col_ind().data(), ind,
+                      vi.table().data(), x, y, row_begin, row_end);
+  });
 }
 
 void spmv(const SymCsr& m, const value_t* x, value_t* y) {
@@ -301,38 +289,21 @@ void spmv(const SymCsr& m, const value_t* x, value_t* y) {
 }
 
 void spmv(const SymCsrVi& m, const value_t* x, value_t* y) {
-  switch (m.width()) {
-    case ViWidth::kU8:
-      spmv_sym_csr_vi_win(m.row_ptr().data(), m.col_ind().data(),
-                          m.val_ind_raw().data(), m.diag_ind_raw().data(),
-                          m.vals_unique().data(), x, y, /*win=*/nullptr,
-                          /*win_begin=*/0, /*direct_begin=*/0, 0, m.nrows());
-      break;
-    case ViWidth::kU16:
-      spmv_sym_csr_vi_win(m.row_ptr().data(), m.col_ind().data(),
-                          m.val_ind_as<std::uint16_t>(),
-                          m.diag_ind_as<std::uint16_t>(),
-                          m.vals_unique().data(), x, y, /*win=*/nullptr,
-                          /*win_begin=*/0, /*direct_begin=*/0, 0, m.nrows());
-      break;
-    case ViWidth::kU32:
-      spmv_sym_csr_vi_win(m.row_ptr().data(), m.col_ind().data(),
-                          m.val_ind_as<std::uint32_t>(),
-                          m.diag_ind_as<std::uint32_t>(),
-                          m.vals_unique().data(), x, y, /*win=*/nullptr,
-                          /*win_begin=*/0, /*direct_begin=*/0, 0, m.nrows());
-      break;
-  }
+  m.value_index().visit(
+      [&](const auto* val_ind, const auto* diag_ind) {
+        spmv_sym_csr_vi_win(m.row_ptr().data(), m.col_ind().data(), val_ind,
+                            diag_ind, m.value_index().table().data(), x, y,
+                            /*win=*/nullptr, /*win_begin=*/0,
+                            /*direct_begin=*/0, 0, m.nrows());
+      },
+      m.diag_index());
 }
 
-namespace {
-
-// Shared DU-VI slice decode, templated on the value-index width.
 template <typename IndT>
-void spmv_du_vi_impl(const CsrDu::Slice& s,
-                     const IndT* __restrict val_ind,
-                     const value_t* __restrict uniq, const value_t* x,
-                     value_t* y) {
+void spmv_du_vi_slice(const CsrDu::Slice& s,
+                      const IndT* __restrict val_ind,
+                      const value_t* __restrict uniq, const value_t* x,
+                      value_t* y) {
   const std::uint8_t* p = s.ctl;
   const std::uint8_t* const end = s.ctl_end;
   usize_t k = s.val_offset;
@@ -418,42 +389,19 @@ void spmv_du_vi_impl(const CsrDu::Slice& s,
   }
 }
 
-}  // namespace
-
-void spmv_du_vi_slice(const CsrDu::Slice& s, const std::uint8_t* val_ind,
-                      const value_t* vals_unique, const value_t* x,
-                      value_t* y) {
-  spmv_du_vi_impl(s, val_ind, vals_unique, x, y);
-}
-
-void spmv_du_vi_slice(const CsrDu::Slice& s, const std::uint16_t* val_ind,
-                      const value_t* vals_unique, const value_t* x,
-                      value_t* y) {
-  spmv_du_vi_impl(s, val_ind, vals_unique, x, y);
-}
-
-void spmv_du_vi_slice(const CsrDu::Slice& s, const std::uint32_t* val_ind,
-                      const value_t* vals_unique, const value_t* x,
-                      value_t* y) {
-  spmv_du_vi_impl(s, val_ind, vals_unique, x, y);
-}
+template void spmv_du_vi_slice(const CsrDu::Slice&, const std::uint8_t*,
+                               const value_t*, const value_t*, value_t*);
+template void spmv_du_vi_slice(const CsrDu::Slice&, const std::uint16_t*,
+                               const value_t*, const value_t*, value_t*);
+template void spmv_du_vi_slice(const CsrDu::Slice&, const std::uint32_t*,
+                               const value_t*, const value_t*, value_t*);
 
 void spmv(const CsrDuVi& m, const CsrDu::Slice& s, const value_t* x,
           value_t* y) {
-  switch (m.width()) {
-    case ViWidth::kU8:
-      spmv_du_vi_slice(s, m.val_ind_raw().data(), m.vals_unique().data(),
-                       x, y);
-      break;
-    case ViWidth::kU16:
-      spmv_du_vi_slice(s, m.val_ind_as<std::uint16_t>(),
-                       m.vals_unique().data(), x, y);
-      break;
-    case ViWidth::kU32:
-      spmv_du_vi_slice(s, m.val_ind_as<std::uint32_t>(),
-                       m.vals_unique().data(), x, y);
-      break;
-  }
+  const ValueIndex& vi = m.value_index();
+  vi.visit([&](const auto* ind) {
+    spmv_du_vi_slice(s, ind, vi.table().data(), x, y);
+  });
 }
 
 namespace {

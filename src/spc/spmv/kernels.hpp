@@ -180,18 +180,11 @@ inline void spmv(const CsrVi& m, const value_t* x, value_t* y) {
 // ---------------------------------------------------------- CSR-DU-VI ---
 
 /// DU slice decode with value indirection over raw arrays (the ctl
-/// stream's reference kernel); `s.val_offset` selects the starting
-/// position in the val_ind stream.
-void spmv_du_vi_slice(const CsrDu::Slice& s,
-                      const std::uint8_t* val_ind,
-                      const value_t* vals_unique, const value_t* x,
-                      value_t* y);
-void spmv_du_vi_slice(const CsrDu::Slice& s,
-                      const std::uint16_t* val_ind,
-                      const value_t* vals_unique, const value_t* x,
-                      value_t* y);
-void spmv_du_vi_slice(const CsrDu::Slice& s,
-                      const std::uint32_t* val_ind,
+/// stream's reference kernel), instantiated for the u8/u16/u32
+/// value-index widths; `s.val_offset` selects the starting position in
+/// the val_ind stream.
+template <typename IndT>
+void spmv_du_vi_slice(const CsrDu::Slice& s, const IndT* val_ind,
                       const value_t* vals_unique, const value_t* x,
                       value_t* y);
 

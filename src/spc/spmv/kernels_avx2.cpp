@@ -324,13 +324,13 @@ const KernelTable& avx2_table() {
     t.tier = IsaTier::kAvx2;
     t.csr = &csr_avx2<std::uint32_t>;
     t.csr16 = &csr_avx2<std::uint16_t>;
-    t.csr_vi_u8 = &csr_vi_avx2<std::uint8_t>;
-    t.csr_vi_u16 = &csr_vi_avx2<std::uint16_t>;
-    t.csr_vi_u32 = &csr_vi_avx2<std::uint32_t>;
+    t.csr_vi = {&csr_vi_avx2<std::uint8_t>,
+                &csr_vi_avx2<std::uint16_t>,
+                &csr_vi_avx2<std::uint32_t>};
     t.sym_csr = &sym_csr_avx2;
-    t.sym_csr_vi_u8 = &sym_csr_vi_avx2<std::uint8_t>;
-    t.sym_csr_vi_u16 = &sym_csr_vi_avx2<std::uint16_t>;
-    t.sym_csr_vi_u32 = &sym_csr_vi_avx2<std::uint32_t>;
+    t.sym_csr_vi = {&sym_csr_vi_avx2<std::uint8_t>,
+                    &sym_csr_vi_avx2<std::uint16_t>,
+                    &sym_csr_vi_avx2<std::uint32_t>};
     return t;
   }();
   return table;

@@ -16,13 +16,13 @@ const KernelTable& scalar_table() {
     t.tier = IsaTier::kScalar;
     t.csr = &spmv_csr_raw<std::uint32_t>;
     t.csr16 = &spmv_csr_raw<std::uint16_t>;
-    t.csr_vi_u8 = &spmv_csr_vi_range<std::uint8_t>;
-    t.csr_vi_u16 = &spmv_csr_vi_range<std::uint16_t>;
-    t.csr_vi_u32 = &spmv_csr_vi_range<std::uint32_t>;
+    t.csr_vi = {&spmv_csr_vi_range<std::uint8_t>,
+                &spmv_csr_vi_range<std::uint16_t>,
+                &spmv_csr_vi_range<std::uint32_t>};
     t.sym_csr = &spmv_sym_csr_win;
-    t.sym_csr_vi_u8 = &spmv_sym_csr_vi_win<std::uint8_t>;
-    t.sym_csr_vi_u16 = &spmv_sym_csr_vi_win<std::uint16_t>;
-    t.sym_csr_vi_u32 = &spmv_sym_csr_vi_win<std::uint32_t>;
+    t.sym_csr_vi = {&spmv_sym_csr_vi_win<std::uint8_t>,
+                    &spmv_sym_csr_vi_win<std::uint16_t>,
+                    &spmv_sym_csr_vi_win<std::uint32_t>};
     return t;
   }();
   return table;

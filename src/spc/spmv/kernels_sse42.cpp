@@ -212,13 +212,13 @@ const KernelTable& sse42_table() {
     t.tier = IsaTier::kSse42;
     t.csr = &csr_sse42<std::uint32_t>;
     t.csr16 = &csr_sse42<std::uint16_t>;
-    t.csr_vi_u8 = &csr_vi_sse42<std::uint8_t>;
-    t.csr_vi_u16 = &csr_vi_sse42<std::uint16_t>;
-    t.csr_vi_u32 = &csr_vi_sse42<std::uint32_t>;
+    t.csr_vi = {&csr_vi_sse42<std::uint8_t>,
+                &csr_vi_sse42<std::uint16_t>,
+                &csr_vi_sse42<std::uint32_t>};
     t.sym_csr = &sym_csr_sse42;
-    t.sym_csr_vi_u8 = &sym_csr_vi_sse42<std::uint8_t>;
-    t.sym_csr_vi_u16 = &sym_csr_vi_sse42<std::uint16_t>;
-    t.sym_csr_vi_u32 = &sym_csr_vi_sse42<std::uint32_t>;
+    t.sym_csr_vi = {&sym_csr_vi_sse42<std::uint8_t>,
+                    &sym_csr_vi_sse42<std::uint16_t>,
+                    &sym_csr_vi_sse42<std::uint32_t>};
     return t;
   }();
   return table;

@@ -104,30 +104,12 @@ void spmm_csr_range(const Csr& m, const value_t* X, value_t* Y, index_t k,
 
 void spmm_csr_vi_range(const CsrVi& m, const value_t* X, value_t* Y,
                        index_t k, index_t row_begin, index_t row_end) {
-  const value_t* const uniq = m.vals_unique().data();
-  switch (m.width()) {
-    case ViWidth::kU8: {
-      const std::uint8_t* const ind = m.val_ind_raw().data();
-      spmm_dispatch(m.row_ptr(), m.col_ind(),
-                    [uniq, ind](index_t j) { return uniq[ind[j]]; }, X, Y,
-                    k, row_begin, row_end);
-      break;
-    }
-    case ViWidth::kU16: {
-      const std::uint16_t* const ind = m.val_ind_as<std::uint16_t>();
-      spmm_dispatch(m.row_ptr(), m.col_ind(),
-                    [uniq, ind](index_t j) { return uniq[ind[j]]; }, X, Y,
-                    k, row_begin, row_end);
-      break;
-    }
-    case ViWidth::kU32: {
-      const std::uint32_t* const ind = m.val_ind_as<std::uint32_t>();
-      spmm_dispatch(m.row_ptr(), m.col_ind(),
-                    [uniq, ind](index_t j) { return uniq[ind[j]]; }, X, Y,
-                    k, row_begin, row_end);
-      break;
-    }
-  }
+  const value_t* const uniq = m.value_index().table().data();
+  m.value_index().visit([&](const auto* ind) {
+    spmm_dispatch(m.row_ptr(), m.col_ind(),
+                  [uniq, ind](index_t j) { return uniq[ind[j]]; }, X, Y, k,
+                  row_begin, row_end);
+  });
 }
 
 struct SpmmRunner::Impl {

@@ -21,7 +21,7 @@ TEST(CsrDuVi, DropsDuplicateValueArray) {
   EXPECT_EQ(m.du().full().values, nullptr);
   EXPECT_EQ(m.nnz(), 16u);
   EXPECT_EQ(m.du().nnz(), 16u);
-  EXPECT_EQ(m.unique_count(), 9u);
+  EXPECT_EQ(m.value_index().table().size(), 9u);
   // The index side is the plain DU encoding's ctl stream, byte for byte.
   const CsrDu du = CsrDu::from_triplets(test::paper_matrix());
   EXPECT_EQ(m.du().ctl(), du.ctl());
@@ -51,7 +51,7 @@ TEST(CsrDuVi, WidthFollowsUniqueCount) {
   }
   t.sort_and_combine();
   const CsrDuVi m = CsrDuVi::from_triplets(t);
-  EXPECT_EQ(m.width(), ViWidth::kU16);
+  EXPECT_EQ(m.value_index().width(), ViWidth::kU16);
   test::expect_triplets_eq(t, m.to_triplets());
 }
 

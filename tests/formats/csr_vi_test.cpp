@@ -14,16 +14,16 @@ TEST(CsrVi, PaperFig4GoldenLayout) {
   const CsrVi m = CsrVi::from_triplets(test::paper_matrix());
   const std::vector<value_t> uniq = {5.4, 1.1, 6.3, 7.7, 8.8,
                                      2.9, 3.7, 9.0, 4.5};
-  ASSERT_EQ(m.unique_count(), uniq.size());
+  ASSERT_EQ(m.value_index().table().size(), uniq.size());
   for (std::size_t i = 0; i < uniq.size(); ++i) {
-    EXPECT_DOUBLE_EQ(m.vals_unique()[i], uniq[i]) << i;
+    EXPECT_DOUBLE_EQ(m.value_index().table()[i], uniq[i]) << i;
   }
   // values: 5.4 1.1 6.3 7.7 8.8 1.1 2.9 3.7 2.9 9.0 1.1 4.5 1.1 2.9 3.7 1.1
   const std::vector<std::uint8_t> ind = {0, 1, 2, 3, 4, 1, 5, 6,
                                          5, 7, 1, 8, 1, 5, 6, 1};
-  ASSERT_EQ(m.width(), ViWidth::kU8);
+  ASSERT_EQ(m.value_index().width(), ViWidth::kU8);
   for (std::size_t i = 0; i < ind.size(); ++i) {
-    EXPECT_EQ(m.val_ind_raw()[i], ind[i]) << i;
+    EXPECT_EQ(m.value_index().raw()[i], ind[i]) << i;
   }
 }
 
@@ -36,7 +36,7 @@ TEST(CsrVi, SharesCsrIndexStructure) {
   }
   for (usize_t i = 0; i < csr.nnz(); ++i) {
     EXPECT_EQ(vi.col_ind()[i], csr.col_ind()[i]);
-    EXPECT_DOUBLE_EQ(vi.value_at(i), csr.values()[i]);
+    EXPECT_DOUBLE_EQ(vi.value_index().value_at(i), csr.values()[i]);
   }
 }
 
@@ -64,8 +64,8 @@ TEST(CsrVi, U16WidthRoundTrip) {
   }
   t.sort_and_combine();
   const CsrVi m = CsrVi::from_triplets(t);
-  EXPECT_EQ(m.width(), ViWidth::kU16);
-  EXPECT_EQ(m.unique_count(), 1600u);
+  EXPECT_EQ(m.value_index().width(), ViWidth::kU16);
+  EXPECT_EQ(m.value_index().table().size(), 1600u);
   test::expect_triplets_eq(t, m.to_triplets());
 }
 
@@ -74,7 +74,7 @@ TEST(CsrVi, TtuComputation) {
   const Triplets t =
       gen_random_uniform(400, 400, 10, rng, ValueModel::pooled(8));
   const CsrVi m = CsrVi::from_triplets(t);
-  EXPECT_LE(m.unique_count(), 8u);
+  EXPECT_LE(m.value_index().table().size(), 8u);
   EXPECT_GT(m.ttu(), kViTtuThreshold);
 }
 
@@ -86,7 +86,7 @@ TEST(CsrVi, CompressesPooledValues) {
   const Csr csr = Csr::from_triplets(t);
   // val_ind is u8 here: value side shrinks from 8B to ~1B per nnz.
   EXPECT_LT(vi.bytes(), csr.bytes());
-  EXPECT_EQ(vi.width(), ViWidth::kU8);
+  EXPECT_EQ(vi.value_index().width(), ViWidth::kU8);
 }
 
 TEST(CsrVi, RandomValuesGiveNoCompression) {
@@ -105,14 +105,14 @@ TEST(CsrVi, BitPatternIdentityDistinguishesSignedZero) {
   t.add(0, 1, -0.0);
   t.sort_and_combine();
   const CsrVi m = CsrVi::from_triplets(t);
-  EXPECT_EQ(m.unique_count(), 2u);  // +0.0 and -0.0 differ bitwise
+  EXPECT_EQ(m.value_index().table().size(), 2u);  // +0.0, -0.0 differ
 }
 
 TEST(CsrVi, EmptyMatrix) {
   Triplets t(3, 3);
   const CsrVi m = CsrVi::from_triplets(t);
   EXPECT_EQ(m.nnz(), 0u);
-  EXPECT_EQ(m.unique_count(), 0u);
+  EXPECT_EQ(m.value_index().table().size(), 0u);
   EXPECT_EQ(m.ttu(), 0.0);
 }
 

@@ -59,15 +59,15 @@ TEST(SymCsrVi, SharedTableCoversDiagonalAndLower) {
   // Every distinct stored value appears exactly once in the table.
   std::set<value_t> distinct;
   for (index_t r = 0; r < m.nrows(); ++r) {
-    distinct.insert(m.diag_at(r));
+    distinct.insert(m.diag_index().value_at(r));
   }
   for (usize_t k = 0; k < m.col_ind().size(); ++k) {
-    distinct.insert(m.value_at(k));
+    distinct.insert(m.value_index().value_at(k));
   }
-  EXPECT_EQ(m.unique_count(), distinct.size());
+  EXPECT_EQ(m.value_index().table().size(), distinct.size());
   EXPECT_GT(m.ttu(), 5.0);  // pooled values: strongly VI-friendly
   // Narrow pool fits a byte-wide index.
-  EXPECT_EQ(m.width(), ViWidth::kU8);
+  EXPECT_EQ(m.value_index().width(), ViWidth::kU8);
 }
 
 TEST(SymCsrVi, WidthWidensWithUniqueCount) {
@@ -81,8 +81,8 @@ TEST(SymCsrVi, WidthWidensWithUniqueCount) {
   }
   s.sort_and_combine();
   const SymCsrVi m = SymCsrVi::from_triplets(s);
-  if (m.unique_count() > 256) {
-    EXPECT_EQ(m.width(), ViWidth::kU16);
+  if (m.value_index().table().size() > 256) {
+    EXPECT_EQ(m.value_index().width(), ViWidth::kU16);
   }
 }
 
@@ -135,8 +135,8 @@ TEST(SymCsrVi, ImplicitZeroDiagonalResolves) {
   t.add(3, 3, 2.0);
   t.sort_and_combine();
   const SymCsrVi m = SymCsrVi::from_triplets(t);
-  EXPECT_DOUBLE_EQ(m.diag_at(1), 0.0);
-  EXPECT_DOUBLE_EQ(m.diag_at(2), 0.0);
+  EXPECT_DOUBLE_EQ(m.diag_index().value_at(1), 0.0);
+  EXPECT_DOUBLE_EQ(m.diag_index().value_at(2), 0.0);
   const Vector x = {1.0, 1.0, 1.0, 1.0};
   Vector y(4, -1.0);
   spmv(m, x.data(), y.data());

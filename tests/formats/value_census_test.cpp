@@ -179,14 +179,15 @@ TEST_P(CensusProperty, CsrViCsrDuViAndStatsMatchAMapCensus) {
   const std::vector<std::uint8_t> want = ref.bytes(0, t.nnz());
 
   const CsrVi vi = CsrVi::from_triplets(t);
-  EXPECT_EQ(static_cast<std::size_t>(vi.width()), ref.width());
-  expect_same_values(ref, vi.vals_unique());
-  expect_same_bytes(want, vi.val_ind_raw());
+  EXPECT_EQ(static_cast<std::size_t>(vi.value_index().width()), ref.width());
+  expect_same_values(ref, vi.value_index().table());
+  expect_same_bytes(want, vi.value_index().raw());
 
   const CsrDuVi duvi = CsrDuVi::from_triplets(t);
-  EXPECT_EQ(static_cast<std::size_t>(duvi.width()), ref.width());
-  expect_same_values(ref, duvi.vals_unique());
-  expect_same_bytes(want, duvi.val_ind_raw());
+  EXPECT_EQ(static_cast<std::size_t>(duvi.value_index().width()),
+            ref.width());
+  expect_same_values(ref, duvi.value_index().table());
+  expect_same_bytes(want, duvi.value_index().raw());
 
   EXPECT_EQ(compute_stats(t).unique_values, ref.values.size());
 }
@@ -211,11 +212,12 @@ TEST_P(CensusProperty, SymCsrViMatchesAMapCensus) {
     }
   }
   const SymCsrVi m = SymCsrVi::from_triplets(t);
-  EXPECT_EQ(static_cast<std::size_t>(m.width()), ref.width());
-  expect_same_values(ref, m.vals_unique());
-  expect_same_bytes(ref.bytes(0, t.nrows()), m.diag_ind_raw());
+  EXPECT_EQ(static_cast<std::size_t>(m.value_index().width()), ref.width());
+  EXPECT_EQ(m.diag_index().width(), m.value_index().width());
+  expect_same_values(ref, m.value_index().table());
+  expect_same_bytes(ref.bytes(0, t.nrows()), m.diag_index().raw());
   expect_same_bytes(ref.bytes(t.nrows(), ref.stream.size() - t.nrows()),
-                    m.val_ind_raw());
+                    m.value_index().raw());
 }
 
 // Row bounds cutting `nrows` into `k` ranges: an even split, or one
@@ -295,6 +297,32 @@ TEST(ValueCensus, EmptyCensusIsNarrowest) {
   EXPECT_EQ(c.size(), 1u);
   EXPECT_EQ(c.add(-0.0), 1u);
   EXPECT_EQ(c.add(0.0), 0u);
+}
+
+TEST(ValueIndex, VisitHandsTheIndexArrayAtItsWidth) {
+  for (const std::size_t distinct : {3u, 300u, 70000u}) {
+    std::vector<value_t> stream;
+    ValueCensus census;
+    for (std::size_t k = 0; k < 2 * distinct; ++k) {
+      stream.push_back(static_cast<value_t>((k * 7919) % distinct) * 0.5);
+      census.add(stream.back());
+    }
+    const ValueTable table(std::move(census));
+    const ValueIndex vi(table, stream.size(), [&](auto put) {
+      for (std::size_t k = 0; k < stream.size(); ++k) {
+        put(k, stream[k]);
+      }
+    });
+    const auto width = static_cast<std::size_t>(vi.width());
+    EXPECT_EQ(width, distinct <= 256 ? 1u : distinct <= 65536 ? 2u : 4u);
+    EXPECT_EQ(vi.size(), stream.size());
+    EXPECT_EQ(vi.raw().size(), stream.size() * width);
+    EXPECT_EQ(&vi.table(), table.values().get());
+    EXPECT_EQ(vi.visit([](const auto* ind) { return sizeof(*ind); }), width);
+    for (std::size_t k = 0; k < stream.size(); ++k) {
+      ASSERT_EQ(bits_of(vi.value_at(k)), bits_of(stream[k])) << k;
+    }
+  }
 }
 
 }  // namespace

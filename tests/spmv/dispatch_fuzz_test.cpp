@@ -287,21 +287,11 @@ TEST(OffsetUnits, DecodeToTheTripletsAndMatchTheCtlKernelBitForBit) {
       Vector y_ctl_vi(t.nrows(), std::numeric_limits<double>::quiet_NaN());
       Vector y_vi(t.nrows(), std::numeric_limits<double>::quiet_NaN());
       spmv(ctl_vi, x.data(), y_ctl_vi.data());
-      const auto run_vi = [&](const auto* ind) {
-        spmv_offset_units_vi(vi.du().full(), ind, vi.vals_unique().data(),
-                             x.data(), y_vi.data());
-      };
-      switch (vi.width()) {
-        case ViWidth::kU8:
-          run_vi(vi.val_ind_raw().data());
-          break;
-        case ViWidth::kU16:
-          run_vi(vi.val_ind_as<std::uint16_t>());
-          break;
-        case ViWidth::kU32:
-          run_vi(vi.val_ind_as<std::uint32_t>());
-          break;
-      }
+      vi.value_index().visit([&](const auto* ind) {
+        spmv_offset_units_vi(vi.du().full(), ind,
+                             vi.value_index().table().data(), x.data(),
+                             y_vi.data());
+      });
       EXPECT_EQ(std::memcmp(y_ctl_vi.data(), y_vi.data(),
                             t.nrows() * sizeof(value_t)),
                 0)

@@ -72,13 +72,13 @@ TEST(KernelTables, EveryEntryNonNullAtEveryTier) {
     EXPECT_LE(kt.tier, t);  // clamped to host/build support
     EXPECT_NE(kt.csr, nullptr);
     EXPECT_NE(kt.csr16, nullptr);
-    EXPECT_NE(kt.csr_vi_u8, nullptr);
-    EXPECT_NE(kt.csr_vi_u16, nullptr);
-    EXPECT_NE(kt.csr_vi_u32, nullptr);
+    EXPECT_NE(kt.csr_vi.get<std::uint8_t>(), nullptr);
+    EXPECT_NE(kt.csr_vi.get<std::uint16_t>(), nullptr);
+    EXPECT_NE(kt.csr_vi.get<std::uint32_t>(), nullptr);
     EXPECT_NE(kt.sym_csr, nullptr);
-    EXPECT_NE(kt.sym_csr_vi_u8, nullptr);
-    EXPECT_NE(kt.sym_csr_vi_u16, nullptr);
-    EXPECT_NE(kt.sym_csr_vi_u32, nullptr);
+    EXPECT_NE(kt.sym_csr_vi.get<std::uint8_t>(), nullptr);
+    EXPECT_NE(kt.sym_csr_vi.get<std::uint16_t>(), nullptr);
+    EXPECT_NE(kt.sym_csr_vi.get<std::uint32_t>(), nullptr);
   }
 }
 

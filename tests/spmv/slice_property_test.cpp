@@ -121,21 +121,6 @@ CsrDu::Slice at_row(CsrDu::Slice s, index_t b) {
   return s;
 }
 
-template <typename F>
-void with_width(ViWidth w, const std::uint8_t* raw, F&& f) {
-  switch (w) {
-    case ViWidth::kU8:
-      f(raw);
-      return;
-    case ViWidth::kU16:
-      f(reinterpret_cast<const std::uint16_t*>(raw));
-      return;
-    case ViWidth::kU32:
-      f(reinterpret_cast<const std::uint32_t*>(raw));
-      return;
-  }
-}
-
 template <typename C>
 void run_slice(const BasicCsr<C>& s, index_t b, index_t e, const Vector& x,
                Vector& y) {
@@ -144,9 +129,10 @@ void run_slice(const BasicCsr<C>& s, index_t b, index_t e, const Vector& x,
 }
 void run_slice(const CsrVi& s, index_t b, index_t e, const Vector& x,
                Vector& y) {
-  with_width(s.width(), s.val_ind_raw().data(), [&](const auto* vi) {
+  s.value_index().visit([&](const auto* vi) {
     spmv_csr_vi_range(rebase_ptr(s.row_ptr().data(), b), s.col_ind().data(),
-                      vi, s.vals_unique().data(), x.data(), y.data(), b, e);
+                      vi, s.value_index().table().data(), x.data(), y.data(),
+                      b, e);
   });
 }
 void run_slice(const CsrDu& s, index_t b, index_t, const Vector& x,
@@ -155,9 +141,9 @@ void run_slice(const CsrDu& s, index_t b, index_t, const Vector& x,
 }
 void run_slice(const CsrDuVi& s, index_t b, index_t, const Vector& x,
                Vector& y) {
-  with_width(s.width(), s.val_ind_raw().data(), [&](const auto* vi) {
-    spmv_du_vi_slice(at_row(s.du().full(), b), vi, s.vals_unique().data(),
-                     x.data(), y.data());
+  s.value_index().visit([&](const auto* vi) {
+    spmv_du_vi_slice(at_row(s.du().full(), b), vi,
+                     s.value_index().table().data(), x.data(), y.data());
   });
 }
 void run_slice(const OffsetUnits& s, index_t b, index_t, const Vector& x,
@@ -166,9 +152,9 @@ void run_slice(const OffsetUnits& s, index_t b, index_t, const Vector& x,
 }
 void run_slice(const OffsetUnitsVi& s, index_t b, index_t, const Vector& x,
                Vector& y) {
-  with_width(s.width(), s.val_ind_raw().data(), [&](const auto* vi) {
+  s.value_index().visit([&](const auto* vi) {
     spmv_offset_units_vi(at_row(s.du().full(), b), vi,
-                         s.vals_unique().data(), x.data(), y.data());
+                         s.value_index().table().data(), x.data(), y.data());
   });
 }
 void run_slice(const SymCsr& s, index_t b, index_t e, const Vector& x,
@@ -179,13 +165,14 @@ void run_slice(const SymCsr& s, index_t b, index_t e, const Vector& x,
 }
 void run_slice(const SymCsrVi& s, index_t b, index_t e, const Vector& x,
                Vector& y) {
-  with_width(s.width(), s.val_ind_raw().data(), [&](const auto* vi) {
-    using T = std::remove_cv_t<std::remove_pointer_t<decltype(vi)>>;
-    spmv_sym_csr_vi_win(rebase_ptr(s.row_ptr().data(), b), s.col_ind().data(),
-                        vi, rebase_ptr(s.diag_ind_as<T>(), b),
-                        s.vals_unique().data(), x.data(), y.data(), nullptr,
-                        0, 0, b, e);
-  });
+  s.value_index().visit(
+      [&](const auto* vi, const auto* di) {
+        spmv_sym_csr_vi_win(rebase_ptr(s.row_ptr().data(), b),
+                            s.col_ind().data(), vi, rebase_ptr(di, b),
+                            s.value_index().table().data(), x.data(),
+                            y.data(), nullptr, 0, 0, b, e);
+      },
+      s.diag_index());
 }
 
 // Appends the bytes of `a` to `out`.
@@ -194,6 +181,13 @@ void append(std::vector<std::uint8_t>& out, const aligned_vector<T>& a) {
   const auto* p = reinterpret_cast<const std::uint8_t*>(a.data());
   out.insert(out.end(), p, p + a.size() * sizeof(T));
 }
+
+// The value formats, named rather than probed: each must expose its
+// value index, or this file does not compile.
+template <typename M>
+constexpr bool kValueFormat =
+    std::is_same_v<M, CsrVi> || std::is_same_v<M, CsrDuVi> ||
+    std::is_same_v<M, OffsetUnitsVi> || std::is_same_v<M, SymCsrVi>;
 
 // Every array a slice stores per row or per element, as byte streams in a
 // fixed order, so a partition's slices concatenate stream by stream.
@@ -208,14 +202,24 @@ std::vector<std::vector<std::uint8_t>> element_streams(const M& m) {
   if constexpr (requires { m.values(); }) {
     append(out[1], m.values());
   }
-  if constexpr (requires { m.val_ind_raw(); }) {
-    append(out[2], m.val_ind_raw());
+  if constexpr (kValueFormat<M>) {
+    append(out[2], m.value_index().raw());
+    // One index per stored non-diagonal element, at the table's width.
+    std::size_t elements = m.nnz();
+    if constexpr (std::is_same_v<M, SymCsrVi>) {
+      elements = m.col_ind().size();
+    }
+    EXPECT_EQ(out[2].size(),
+              elements * static_cast<std::size_t>(m.value_index().width()));
   }
   if constexpr (requires { m.diag(); }) {
     append(out[3], m.diag());
   }
-  if constexpr (requires { m.diag_ind_raw(); }) {
-    append(out[4], m.diag_ind_raw());
+  if constexpr (std::is_same_v<M, SymCsrVi>) {
+    append(out[4], m.diag_index().raw());
+    EXPECT_EQ(out[4].size(),
+              static_cast<std::size_t>(m.nrows()) *
+                  static_cast<std::size_t>(m.diag_index().width()));
   }
   return out;
 }
@@ -288,8 +292,9 @@ void check_row_ranges(const std::string& name, const M& whole,
             << what << " row " << b + i;
       }
     }
-    if constexpr (requires { s.vals_unique(); }) {
-      EXPECT_EQ(s.vals_unique(), whole.vals_unique()) << what;
+    if constexpr (kValueFormat<M>) {
+      EXPECT_EQ(s.value_index().table(), whole.value_index().table())
+          << what;
     }
     const auto part = element_streams(s);
     for (std::size_t i = 0; i < streams.size(); ++i) {
