@@ -1,8 +1,7 @@
-// Ablation of the CSR-DU encoder knobs (DESIGN.md §6, items 1-2):
+// Ablation of the CSR-DU encoder knobs (DESIGN.md §6, item 1):
 //  * split_threshold — finalize vs widen a unit when a wider delta class
 //    appears (§IV's unit formation policy),
-//  * max_unit — unit length cap,
-//  * RLE1 dense-run units (the CF'08-style extension).
+//  * max_unit — unit length cap.
 // Reports the ctl size relative to CSR col_ind and the serial SpMV time
 // on a DU-sensitive subset of the corpus.
 #include <iostream>
@@ -48,11 +47,6 @@ void run() {
     CsrDuOptions o;
     o.max_unit = 16;
     variants.push_back({"max_unit=16", o});
-  }
-  {
-    CsrDuOptions o;
-    o.enable_rle = true;
-    variants.push_back({"rle on", o});
   }
 
   TextTable table({"matrix", "variant", "ctl/col_ind", "units",

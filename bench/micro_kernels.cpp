@@ -69,15 +69,6 @@ void BM_CsrDu_Banded(benchmark::State& state) {
 }
 BENCHMARK(BM_CsrDu_Banded);
 
-void BM_CsrDuRle_Banded(benchmark::State& state) {
-  Fixture& f = banded_fixture();
-  CsrDuOptions o;
-  o.enable_rle = true;
-  const CsrDu m = CsrDu::from_triplets(f.t, o);
-  run_spmv_loop(state, m, f);
-}
-BENCHMARK(BM_CsrDuRle_Banded);
-
 void BM_CsrVi_Banded(benchmark::State& state) {
   Fixture& f = banded_fixture();
   const CsrVi m = CsrVi::from_triplets(f.t);

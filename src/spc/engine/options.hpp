@@ -49,9 +49,9 @@ struct EngineOptions {
   /// (bit-identical for the row-partitioned formats) instead of queueing
   /// behind the pool.
   bool serial_fallback = true;
-  /// Instance knobs applied to every registered matrix (NUMA, schedule,
-  /// sym-reduce, ...). pin_threads/placement inside are ignored — the
-  /// engine's shared pool is already built.
+  /// Instance knobs applied to every registered matrix (schedule,
+  /// sym-reduce, DU encoder, ...). pin_threads/placement inside are
+  /// ignored — the engine's shared pool is already built.
   InstanceOptions instance;
 
   /// Checks the option values: at least one dispatcher, a nonzero queue

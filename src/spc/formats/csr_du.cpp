@@ -40,17 +40,12 @@ void append_varint(aligned_vector<std::uint8_t>& out, std::uint64_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
 }
 
-// Skips a ctl unit's body: the ujmp varint, then the RLE stride varint
-// or the usize-1 deltas.
+// Skips a ctl unit's body: the ujmp varint, then the usize-1 deltas.
 void skip_ctl_body(std::uint8_t uflags, std::uint32_t usize,
                    const std::uint8_t*& p) {
   varint_decode(p);  // ujmp
-  if (uflags & kDuRle) {
-    varint_decode(p);  // stride
-  } else {
-    const auto cls = static_cast<DeltaClass>(uflags & kDuClassMask);
-    p += static_cast<std::size_t>(usize - 1) * delta_class_bytes(cls);
-  }
+  const auto cls = static_cast<DeltaClass>(uflags & kDuClassMask);
+  p += static_cast<std::size_t>(usize - 1) * delta_class_bytes(cls);
 }
 
 }  // namespace
@@ -64,29 +59,15 @@ Status CsrDuOptions::validate() const {
     return Status::Invalid("du.split_threshold must be >= 1 (got " +
                            std::to_string(split_threshold) + ")");
   }
-  if (rle_min_run < 2) {
-    return Status::Invalid("du.rle_min_run must be >= 2 (got " +
-                           std::to_string(rle_min_run) + ")");
-  }
   return Status::Ok();
 }
 
-void CsrDu::UnitHistogram::add_unit(DeltaClass cls, std::uint32_t usize,
-                                    bool rle, std::uint64_t stride) {
-  const auto ci = static_cast<std::uint8_t>(
-      rle ? delta_class_for(stride) : cls);
+void CsrDu::UnitHistogram::add_unit(DeltaClass cls, std::uint32_t usize) {
+  const auto ci = static_cast<std::uint8_t>(cls);
   ++units;
   nnz += usize;
   ++units_per_class[ci];
   elems_per_class[ci] += usize;
-  if (rle) {
-    ++rle_units;
-    rle_elems += usize;
-    if (stride == 1) {
-      ++seq_units;
-      seq_elems += usize;
-    }
-  }
 }
 
 CsrDu::UnitHistogram& CsrDu::UnitHistogram::operator+=(
@@ -96,10 +77,6 @@ CsrDu::UnitHistogram& CsrDu::UnitHistogram::operator+=(
     units_per_class[c] += o.units_per_class[c];
     elems_per_class[c] += o.elems_per_class[c];
   }
-  rle_units += o.rle_units;
-  rle_elems += o.rle_elems;
-  seq_units += o.seq_units;
-  seq_elems += o.seq_elems;
   nnz += o.nnz;
   return *this;
 }
@@ -173,12 +150,7 @@ CsrDu CsrDu::encode(const Triplets& t, index_t row_begin, index_t row_end,
         static_cast<std::int64_t>(row - row_begin) - prev_row - 1);
     bool first_of_row = true;
     for (const detail::DuSegment& seg : segments) {
-      std::uint8_t flags =
-          static_cast<std::uint8_t>(static_cast<std::uint8_t>(seg.cls) &
-                                    kDuClassMask);
-      if (seg.rle) {
-        flags |= kDuRle;
-      }
+      auto flags = static_cast<std::uint8_t>(seg.cls);
       if (first_of_row) {
         flags |= kDuNewRow;
         if (rskip > 0) {
@@ -191,14 +163,10 @@ CsrDu CsrDu::encode(const Triplets& t, index_t row_begin, index_t row_end,
         append_varint(m.ctl_, rskip);
       }
       append_varint(m.ctl_, delta(seg.first));
-      if (seg.rle) {
-        append_varint(m.ctl_, seg.stride);
-      } else {
-        for (std::uint32_t k = 1; k < seg.len; ++k) {
-          append_delta(m.ctl_, delta(seg.first + k), seg.cls);
-        }
+      for (std::uint32_t k = 1; k < seg.len; ++k) {
+        append_delta(m.ctl_, delta(seg.first + k), seg.cls);
       }
-      m.hist_.add_unit(seg.cls, seg.len, seg.rle, seg.stride);
+      m.hist_.add_unit(seg.cls, seg.len);
       first_of_row = false;
     }
     prev_row = row - row_begin;
@@ -217,11 +185,19 @@ CsrDu CsrDu::from_raw(index_t nrows, index_t ncols,
   m.ctl_ = std::move(ctl);
   m.values_ = std::move(values);
 
-  // Full validation walk: bounds, counts and per-class statistics.
+  // Full validation walk: bounds, counts and per-class statistics. Every
+  // row skip and every column step is compared, unsigned, with what is
+  // left of the matrix before it is added, so no sum can wrap.
   const std::uint8_t* p = m.ctl_.data();
   const std::uint8_t* const end = m.ctl_.data() + m.ctl_.size();
   std::int64_t row = -1;
   std::uint64_t col = 0;
+  const auto step = [&](std::uint64_t d) {
+    if (d >= ncols - col) {
+      throw ParseError("csr-du: column index out of bounds");
+    }
+    col += d;
+  };
   usize_t elems = 0;
   while (p < end) {
     if (end - p < 2) {
@@ -229,55 +205,40 @@ CsrDu CsrDu::from_raw(index_t nrows, index_t ncols,
     }
     const std::uint8_t flags = *p++;
     const std::uint32_t usize = *p++;
+    if ((flags & ~(kDuClassMask | kDuRJmp | kDuNewRow)) != 0) {
+      throw ParseError("csr-du: unit sets a reserved uflags bit");
+    }
     if (usize == 0) {
       throw ParseError("csr-du: zero-length unit");
     }
-    const bool rle = (flags & kDuRle) != 0;
     const auto cls = static_cast<DeltaClass>(flags & kDuClassMask);
     if (flags & kDuNewRow) {
       std::uint64_t rskip = 0;
       if (flags & kDuRJmp) {
         rskip = varint_decode_checked(p, end);
       }
-      row += 1 + static_cast<std::int64_t>(rskip);
-      col = 0;
-      if (row >= static_cast<std::int64_t>(nrows)) {
+      // Rows after the current one: the new row is row + 1 + rskip.
+      if (rskip >= nrows - static_cast<std::uint64_t>(row + 1)) {
         throw ParseError("csr-du: row index out of bounds");
       }
+      row += 1 + static_cast<std::int64_t>(rskip);
+      col = 0;
     } else if (row < 0) {
       throw ParseError("csr-du: stream does not start with a new row");
     }
-    const std::uint64_t ujmp = varint_decode_checked(p, end);
-    // Non-NR continuation units sit after a previous element: their jump
-    // lands on a strictly later column only if ujmp >= 1; NR units may
-    // start at column 0.
-    col += ujmp;
-    ++elems;
-    std::uint64_t rle_stride = 0;
-    if (rle) {
-      const std::uint64_t stride = varint_decode_checked(p, end);
-      rle_stride = stride;
-      col += stride * (usize - 1);
-      elems += usize - 1;
-    } else {
-      const std::size_t width = delta_class_bytes(cls);
-      if (static_cast<std::size_t>(end - p) <
-          width * static_cast<std::size_t>(usize - 1)) {
-        throw ParseError("csr-du: truncated ucis array");
-      }
-      for (std::uint32_t k = 1; k < usize; ++k) {
-        std::uint64_t d = 0;
-        for (std::size_t b = 0; b < width; ++b) {
-          d |= static_cast<std::uint64_t>(*p++) << (8 * b);
-        }
-        col += d;
-        ++elems;
-      }
+    // An NR unit's ujmp is its first column; a continuation unit's jumps
+    // from the previous element.
+    step(varint_decode_checked(p, end));
+    const std::size_t width = delta_class_bytes(cls);
+    if (static_cast<std::size_t>(end - p) <
+        width * static_cast<std::size_t>(usize - 1)) {
+      throw ParseError("csr-du: truncated ucis array");
     }
-    if (col >= ncols) {
-      throw ParseError("csr-du: column index out of bounds");
+    for (std::uint32_t k = 1; k < usize; ++k) {
+      step(read_delta(p, cls));
     }
-    m.hist_.add_unit(cls, usize, rle, rle_stride);
+    elems += usize;
+    m.hist_.add_unit(cls, usize);
   }
   if (!m.values_.empty() && elems != m.values_.size()) {
     throw ParseError("csr-du: ctl element count does not match values");
@@ -324,15 +285,11 @@ CsrDu::UnitHistogram CsrDu::unit_histogram() const {
     }
     varint_decode_checked(p, end);  // ujmp
     const auto cls = static_cast<DeltaClass>(uflags & kDuClassMask);
-    if (uflags & kDuRle) {
-      h.add_unit(cls, usize, true, varint_decode_checked(p, end));
-    } else {
-      h.add_unit(cls, usize, false, 0);
-      const usize_t payload =
-          static_cast<usize_t>(usize - 1) * delta_class_bytes(cls);
-      SPC_CHECK_MSG(p + payload <= end, "ctl stream truncated inside ucis");
-      p += payload;
-    }
+    h.add_unit(cls, usize);
+    const usize_t payload =
+        static_cast<usize_t>(usize - 1) * delta_class_bytes(cls);
+    SPC_CHECK_MSG(p + payload <= end, "ctl stream truncated inside ucis");
+    p += payload;
   }
   return h;
 }
@@ -346,21 +303,15 @@ std::vector<CsrDu::DecodedUnit> CsrDu::decode_units() const {
     u.uflags = *p++;
     u.usize = *p++;
     u.new_row = (u.uflags & kDuNewRow) != 0;
-    u.rle = (u.uflags & kDuRle) != 0;
     u.cls = static_cast<DeltaClass>(u.uflags & kDuClassMask);
     if (u.new_row && (u.uflags & kDuRJmp)) {
       u.rskip = varint_decode_checked(p, end);
     }
     u.ujmp = varint_decode_checked(p, end);
-    if (u.rle) {
-      u.stride = varint_decode_checked(p, end);
-      u.ucis.assign(u.usize - 1, u.stride);
-    } else {
-      for (std::uint32_t k = 1; k < u.usize; ++k) {
-        SPC_CHECK_MSG(p + delta_class_bytes(u.cls) <= end,
-                      "ctl stream truncated inside ucis");
-        u.ucis.push_back(read_delta(p, u.cls));
-      }
+    for (std::uint32_t k = 1; k < u.usize; ++k) {
+      SPC_CHECK_MSG(p + delta_class_bytes(u.cls) <= end,
+                    "ctl stream truncated inside ucis");
+      u.ucis.push_back(read_delta(p, u.cls));
     }
     units.push_back(std::move(u));
   }
@@ -389,21 +340,9 @@ bool CsrDu::Cursor::next(index_t* row, index_t* col) {
     } else {
       col_ += varint_decode(p_);
     }
-    if (uflags_ & kDuRle) {
-      stride_ = varint_decode(p_);
-    }
   } else {
     // Continuation element within the open unit.
-    if (uflags_ & kDuRle) {
-      col_ += stride_;
-    } else {
-      const auto cls = static_cast<DeltaClass>(uflags_ & kDuClassMask);
-      std::uint64_t d = 0;
-      for (std::uint32_t b = 0; b < delta_class_bytes(cls); ++b) {
-        d |= static_cast<std::uint64_t>(*p_++) << (8 * b);
-      }
-      col_ += d;
-    }
+    col_ += read_delta(p_, static_cast<DeltaClass>(uflags_ & kDuClassMask));
   }
   --remaining_;
   ++val_index_;

@@ -12,14 +12,8 @@
 //                               the paper's matrices have no empty rows)
 //                 bit 6 NR    — unit starts a new row (y_idx advances,
 //                               x_idx resets to 0)
-//                 bit 7 RLE   — constant-stride run: all usize-1 deltas
-//                               equal one value, stored as a varint after
-//                               ujmp; ucis omitted. stride==1 is the
-//                               CF'08-style dense run; larger strides
-//                               capture DIA-like fixed-offset structure
-//                               (the CSX direction of the authors' later
-//                               work). Off by default; exercised by the
-//                               ablation benches.
+//                 bits 2-4, 7 — reserved: zero in every stream, and
+//                               rejected by from_raw()
 //
 // `ujmp` is the column distance of the unit's first element from the
 // previous position (absolute column for NR units). `ucis` holds the
@@ -51,7 +45,6 @@ namespace spc {
 inline constexpr std::uint8_t kDuClassMask = 0x03;
 inline constexpr std::uint8_t kDuRJmp = 0x20;
 inline constexpr std::uint8_t kDuNewRow = 0x40;
-inline constexpr std::uint8_t kDuRle = 0x80;
 
 /// Encoder tuning knobs (defaults reproduce the paper's configuration;
 /// non-defaults are exercised by the ablation benches).
@@ -63,15 +56,10 @@ struct CsrDuOptions {
   /// the whole unit is widened. Small values favour homogeneous (smaller)
   /// units; large values favour fewer (longer) units.
   std::uint32_t split_threshold = 8;
-  /// Detect constant-stride delta runs and emit RLE units without ucis
-  /// bytes (stride 1 = dense run).
-  bool enable_rle = false;
-  /// Minimum run length that becomes an RLE unit.
-  std::uint32_t rle_min_run = 16;
 
-  /// Checks the knob ranges: max_unit in [1, 255], split_threshold >= 1
-  /// and rle_min_run >= 2. Returns ok() or a kInvalidArgument status
-  /// naming the bad field and value.
+  /// Checks the knob ranges: max_unit in [1, 255] and split_threshold
+  /// >= 1. Returns ok() or a kInvalidArgument status naming the bad field
+  /// and value.
   Status validate() const;
 };
 
@@ -95,9 +83,10 @@ class CsrDu {
   /// Reconstructs a CSR-DU matrix from a raw ctl stream and value array
   /// (the deserialization path). The stream is fully validated: unit
   /// headers must parse, varints must terminate inside the buffer,
-  /// decoded coordinates must stay inside nrows × ncols, and the element
-  /// count must match `values`. Throws ParseError on any violation, so
-  /// untrusted inputs cannot produce out-of-bounds kernel accesses.
+  /// no unit may set a reserved uflags bit, every decoded coordinate
+  /// must stay inside nrows × ncols, and the element count must match
+  /// `values`. Throws ParseError on any violation, so untrusted inputs
+  /// cannot produce out-of-bounds kernel accesses.
   static CsrDu from_raw(index_t nrows, index_t ncols,
                         const CsrDuOptions& opts,
                         aligned_vector<std::uint8_t> ctl,
@@ -124,18 +113,10 @@ class CsrDu {
     usize_t units = 0;
     usize_t units_per_class[4] = {0, 0, 0, 0};  ///< indexed by DeltaClass
     usize_t elems_per_class[4] = {0, 0, 0, 0};
-    usize_t rle_units = 0;          ///< all constant-stride units
-    usize_t rle_elems = 0;
-    usize_t seq_units = 0;          ///< the stride-1 (dense run) subset
-    usize_t seq_elems = 0;
     usize_t nnz = 0;                ///< total elements across units
 
-    /// Counts one unit of `usize` elements. RLE units carry their deltas
-    /// implicitly (one stride for the whole run) and count under the
-    /// stride's class, so the class totals partition *all* units and
-    /// elements; rle_*/seq_* stay annotated subsets.
-    void add_unit(DeltaClass cls, std::uint32_t usize, bool rle,
-                  std::uint64_t stride);
+    /// Counts one unit of `usize` elements in class `cls`.
+    void add_unit(DeltaClass cls, std::uint32_t usize);
 
     /// Field-wise sum (the histogram of concatenated streams).
     UnitHistogram& operator+=(const UnitHistogram& o);
@@ -160,11 +141,10 @@ class CsrDu {
   usize_t unit_count_class(DeltaClass c) const {
     return hist_.units_per_class[static_cast<std::uint8_t>(c)];
   }
-  usize_t rle_unit_count() const { return hist_.rle_units; }
 
-  /// Scans the ctl stream and histograms its units (delta classes, RLE
-  /// and stride-1 runs, element counts) with a payload-skipping O(units)
-  /// walk: an independent check of histogram().
+  /// Scans the ctl stream and histograms its units (delta classes,
+  /// element counts) with a payload-skipping O(units) walk: an
+  /// independent check of histogram().
   UnitHistogram unit_histogram() const;
 
   /// A thread's view: a row range plus the ctl/value offsets where it
@@ -206,12 +186,10 @@ class CsrDu {
     std::uint8_t uflags = 0;
     std::uint32_t usize = 0;
     bool new_row = false;
-    bool rle = false;
     DeltaClass cls = DeltaClass::kU8;
     std::uint64_t rskip = 0;
     std::uint64_t ujmp = 0;
-    std::uint64_t stride = 0;         ///< RLE units: the constant delta
-    std::vector<std::uint64_t> ucis;  ///< usize-1 deltas (implicit for RLE)
+    std::vector<std::uint64_t> ucis;  ///< usize-1 deltas
   };
 
   /// Decodes the full ctl stream into unit descriptions (Table I view).
@@ -240,7 +218,6 @@ class CsrDu {
     std::uint64_t col_ = 0;
     std::uint32_t remaining_ = 0;   ///< elements left in the open unit
     std::uint8_t uflags_ = 0;
-    std::uint64_t stride_ = 0;      ///< RLE stride of the open unit
   };
 
   /// Exact inverse conversion.

@@ -18,44 +18,25 @@
 namespace spc::detail {
 
 // One unit chosen by segment_row(): elements [first, first + len) of a
-// row, stored with class `cls`; RLE units carry one `stride` instead.
+// row, stored with class `cls`.
 struct DuSegment {
   usize_t first = 0;
   std::uint32_t len = 0;
   DeltaClass cls = DeltaClass::kU8;
-  bool rle = false;
-  std::uint64_t stride = 0;
 };
 
-// Splits one row's sorted elements into units (§IV), greedily. With RLE
-// on, a constant-stride run of at least rle_min_run elements becomes one
-// RLE unit. Otherwise a unit grows while the class element e needs in a
-// unit that starts at s, class_of(s, e), fits the unit's class; an
-// element needing a wider class closes the unit once it holds
-// split_threshold elements, and otherwise widens it.
+// Splits one row's sorted elements into units (§IV), greedily: a unit
+// grows while the class element e needs in a unit that starts at s,
+// class_of(s, e), fits the unit's class; an element needing a wider class
+// closes the unit once it holds split_threshold elements, and otherwise
+// widens it.
 template <typename ClassOf>
 void segment_row(std::span<const Entry> row, const CsrDuOptions& opts,
                  const ClassOf& class_of, std::vector<DuSegment>& out) {
   out.clear();
   const usize_t n = row.size();
-  const auto gap = [&](usize_t k) {
-    return static_cast<std::uint64_t>(row[k].col - row[k - 1].col);
-  };
   usize_t s = 0;
   while (s < n) {
-    if (opts.enable_rle && s + 1 < n) {
-      const std::uint64_t stride = gap(s + 1);
-      usize_t run = s + 1;
-      while (run < n && gap(run) == stride && run - s < opts.max_unit) {
-        ++run;
-      }
-      if (run - s >= opts.rle_min_run) {
-        out.push_back(DuSegment{s, static_cast<std::uint32_t>(run - s),
-                                DeltaClass::kU8, true, stride});
-        s = run;
-        continue;
-      }
-    }
     usize_t e = s + 1;
     DeltaClass cls = DeltaClass::kU8;
     while (e < n && e - s < opts.max_unit) {
@@ -64,21 +45,9 @@ void segment_row(std::span<const Entry> row, const CsrDuOptions& opts,
         break;  // widening would tax the existing elements; split
       }
       cls = std::max(cls, c);
-      // Leave a long enough constant-gap run to the RLE detector.
-      if (opts.enable_rle) {
-        usize_t run = e;
-        while (run < n && gap(run) == gap(e) && run - e < opts.max_unit) {
-          ++run;
-        }
-        if (run - e >= opts.rle_min_run) {
-          ++e;  // current element joins this unit as its last
-          break;
-        }
-      }
       ++e;
     }
-    out.push_back(
-        DuSegment{s, static_cast<std::uint32_t>(e - s), cls, false, 0});
+    out.push_back(DuSegment{s, static_cast<std::uint32_t>(e - s), cls});
     s = e;
   }
 }

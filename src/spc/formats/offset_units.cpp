@@ -25,11 +25,8 @@ T load(const std::uint8_t* p) {
 }
 
 // Bytes of an offset unit after its header and optional rskip: the u32
-// base, then the stride or the usize-1 offsets.
+// base, then the usize-1 offsets.
 usize_t body_bytes(std::uint8_t uflags, std::uint32_t usize) {
-  if (uflags & kDuRle) {
-    return 8;
-  }
   return 4 + static_cast<usize_t>(usize - 1) *
                  delta_class_bytes(
                      static_cast<DeltaClass>(uflags & kDuClassMask));
@@ -85,9 +82,7 @@ OffsetUnits OffsetUnits::from_rows(const Triplets& t, index_t row_begin,
         static_cast<std::int64_t>(row - row_begin) - prev_row - 1);
     usize_t bytes = rskip > 0 ? static_cast<usize_t>(varint_size(rskip)) : 0;
     for (const detail::DuSegment& seg : segments) {
-      bytes += 2 + body_bytes(seg.rle ? kDuRle
-                                      : static_cast<std::uint8_t>(seg.cls),
-                              seg.len);
+      bytes += 2 + body_bytes(static_cast<std::uint8_t>(seg.cls), seg.len);
     }
     const usize_t at = m.units_.size();
     m.units_.resize(at + bytes);
@@ -96,9 +91,6 @@ OffsetUnits OffsetUnits::from_rows(const Triplets& t, index_t row_begin,
     bool first_of_row = true;
     for (const detail::DuSegment& seg : segments) {
       auto flags = static_cast<std::uint8_t>(seg.cls);
-      if (seg.rle) {
-        flags |= kDuRle;
-      }
       if (first_of_row) {
         flags |= kDuNewRow;
         if (rskip > 0) {
@@ -113,28 +105,24 @@ OffsetUnits OffsetUnits::from_rows(const Triplets& t, index_t row_begin,
       const Entry* const u = r.data() + seg.first;
       const index_t base = u[0].col;
       p = store(p, base);
-      if (seg.rle) {
-        p = store(p, static_cast<std::uint32_t>(seg.stride));
-      } else {
-        switch (seg.cls) {
-          case DeltaClass::kU8:
-            for (std::uint32_t k = 1; k < seg.len; ++k) {
-              *p++ = static_cast<std::uint8_t>(u[k].col - base);
-            }
-            break;
-          case DeltaClass::kU16:
-            for (std::uint32_t k = 1; k < seg.len; ++k) {
-              p = store(p, static_cast<std::uint16_t>(u[k].col - base));
-            }
-            break;
-          default:  // offsets of 32-bit columns never need kU64
-            for (std::uint32_t k = 1; k < seg.len; ++k) {
-              p = store(p, static_cast<std::uint32_t>(u[k].col - base));
-            }
-            break;
-        }
+      switch (seg.cls) {
+        case DeltaClass::kU8:
+          for (std::uint32_t k = 1; k < seg.len; ++k) {
+            *p++ = static_cast<std::uint8_t>(u[k].col - base);
+          }
+          break;
+        case DeltaClass::kU16:
+          for (std::uint32_t k = 1; k < seg.len; ++k) {
+            p = store(p, static_cast<std::uint16_t>(u[k].col - base));
+          }
+          break;
+        default:  // offsets of 32-bit columns never need kU64
+          for (std::uint32_t k = 1; k < seg.len; ++k) {
+            p = store(p, static_cast<std::uint32_t>(u[k].col - base));
+          }
+          break;
       }
-      m.hist_.add_unit(seg.cls, seg.len, seg.rle, seg.stride);
+      m.hist_.add_unit(seg.cls, seg.len);
       first_of_row = false;
     }
     prev_row = row - row_begin;
@@ -176,28 +164,20 @@ std::vector<OffsetUnits::Unit> OffsetUnits::decode_units() const {
     }
     u.base = load<std::uint32_t>(p);
     p += 4;
-    if (u.uflags & kDuRle) {
-      u.stride = load<std::uint32_t>(p);
-      p += 4;
-      for (std::uint32_t k = 1; k < u.usize; ++k) {
-        u.offsets.push_back(k * u.stride);
+    const auto cls = static_cast<DeltaClass>(u.uflags & kDuClassMask);
+    for (std::uint32_t k = 1; k < u.usize; ++k) {
+      switch (cls) {
+        case DeltaClass::kU8:
+          u.offsets.push_back(*p);
+          break;
+        case DeltaClass::kU16:
+          u.offsets.push_back(load<std::uint16_t>(p));
+          break;
+        default:
+          u.offsets.push_back(load<std::uint32_t>(p));
+          break;
       }
-    } else {
-      const auto cls = static_cast<DeltaClass>(u.uflags & kDuClassMask);
-      for (std::uint32_t k = 1; k < u.usize; ++k) {
-        switch (cls) {
-          case DeltaClass::kU8:
-            u.offsets.push_back(*p);
-            break;
-          case DeltaClass::kU16:
-            u.offsets.push_back(load<std::uint16_t>(p));
-            break;
-          default:
-            u.offsets.push_back(load<std::uint32_t>(p));
-            break;
-        }
-        p += delta_class_bytes(cls);
-      }
+      p += delta_class_bytes(cls);
     }
     units.push_back(std::move(u));
   }

@@ -8,11 +8,10 @@
 // the NR/RJMP row bookkeeping — but store every column relative to one
 // fixed base, the unit's first column (frame of reference):
 //
-//   unit := uflags(1B) usize(1B) [rskip:varint] base:u32 body
-//   body := off[usize-1] in the class width (u8/u16/u32), off = col - base
-//         | stride:u32                       (RLE: col_k = base + k*stride)
+//   unit := uflags(1B) usize(1B) [rskip:varint] base:u32
+//           off[usize-1] in the class width (u8/u16/u32), off = col - base
 //
-// The uflags bits are the ctl stream's (class, RJMP, NR, RLE). A unit's
+// The uflags bits are the ctl stream's (class, RJMP, NR). A unit's
 // class is the class of its largest offset; the row segmentation is the
 // ctl encoder's (du_units.hpp), with each element classed by its offset
 // from the unit's first element instead of by its delta. No element
@@ -61,8 +60,7 @@ class OffsetUnits {
     return units_.size() + values_.size() * sizeof(value_t);
   }
 
-  /// Units per offset class (RLE units under their stride's class, as
-  /// in the ctl histogram), counted as the encoder emitted them.
+  /// Units per offset class, counted as the encoder emitted them.
   const CsrDu::UnitHistogram& histogram() const { return hist_; }
 
   /// The whole stream as one slice. Slices are CsrDu::Slice views, with
@@ -79,7 +77,6 @@ class OffsetUnits {
     std::uint32_t usize = 0;
     std::uint64_t rskip = 0;
     std::uint32_t base = 0;
-    std::uint32_t stride = 0;          ///< RLE units only
     std::vector<std::uint32_t> offsets;  ///< usize-1 offsets from base
   };
   std::vector<Unit> decode_units() const;

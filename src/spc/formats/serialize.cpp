@@ -1,5 +1,6 @@
 #include "spc/formats/serialize.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <fstream>
@@ -51,21 +52,21 @@ void write_array(std::ostream& out, const aligned_vector<T>& v) {
 template <typename T>
 aligned_vector<T> read_array(std::istream& in) {
   const std::uint64_t n = read_u64(in);
-  // Sanity bound + bad_alloc translation so a corrupted length field
-  // reads as a parse error instead of an allocation failure.
-  if (n > (1ULL << 36) / sizeof(T)) {
-    throw ParseError("spcm: implausible array length");
-  }
+  // The array grows to at most twice what has arrived (and at least one
+  // 64 KiB chunk) before each read, so a corrupted length field fails at
+  // the end of the stream instead of allocating what it claims.
+  constexpr std::uint64_t kChunk = (std::uint64_t{1} << 16) / sizeof(T);
   aligned_vector<T> v;
-  try {
-    v.resize(n);
-  } catch (const std::bad_alloc&) {
-    throw ParseError("spcm: array length exceeds available memory");
-  }
-  in.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(n * sizeof(T)));
-  if (!in) {
-    throw ParseError("spcm: truncated array payload");
+  while (v.size() < n) {
+    const std::uint64_t have = v.size();
+    const std::uint64_t want = std::min(n, std::max(2 * have, kChunk));
+    v.reserve(want);
+    v.resize(want);
+    in.read(reinterpret_cast<char*>(v.data() + have),
+            static_cast<std::streamsize>((want - have) * sizeof(T)));
+    if (!in) {
+      throw ParseError("spcm: truncated array payload");
+    }
   }
   return v;
 }
@@ -77,6 +78,25 @@ void write_header(std::ostream& out, SpcmTag tag, index_t nrows,
   write_u32(out, static_cast<std::uint32_t>(tag));
   write_u32(out, nrows);
   write_u32(out, ncols);
+}
+
+// CSR-DU's encoder options. The two words after split_threshold are
+// reserved: written as 0 and 16, as every container has carried them,
+// and ignored on load.
+void write_du_options(std::ostream& out, const CsrDuOptions& o) {
+  write_u32(out, o.max_unit);
+  write_u32(out, o.split_threshold);
+  write_u32(out, 0);
+  write_u32(out, 16);
+}
+
+CsrDuOptions read_du_options(std::istream& in) {
+  CsrDuOptions o;
+  o.max_unit = read_u32(in);
+  o.split_threshold = read_u32(in);
+  read_u32(in);
+  read_u32(in);
+  return o;
 }
 
 SpcmTag expect_header(std::istream& in, SpcmTag want, index_t* nrows,
@@ -119,11 +139,7 @@ void save(const Csr& m, std::ostream& out) {
 
 void save(const CsrDu& m, std::ostream& out) {
   write_header(out, SpcmTag::kCsrDu, m.nrows(), m.ncols());
-  const CsrDuOptions& o = m.options();
-  write_u32(out, o.max_unit);
-  write_u32(out, o.split_threshold);
-  write_u32(out, o.enable_rle ? 1 : 0);
-  write_u32(out, o.rle_min_run);
+  write_du_options(out, m.options());
   write_array(out, m.ctl());
   write_array(out, m.values());
 }
@@ -140,11 +156,7 @@ void save(const CsrVi& m, std::ostream& out) {
 
 void save(const CsrDuVi& m, std::ostream& out) {
   write_header(out, SpcmTag::kCsrDuVi, m.nrows(), m.ncols());
-  const CsrDuOptions& o = m.du().options();
-  write_u32(out, o.max_unit);
-  write_u32(out, o.split_threshold);
-  write_u32(out, o.enable_rle ? 1 : 0);
-  write_u32(out, o.rle_min_run);
+  write_du_options(out, m.du().options());
   const ValueIndex& vi = m.value_index();
   write_u32(out, static_cast<std::uint32_t>(vi.width()));
   write_array(out, m.du().ctl());
@@ -165,15 +177,17 @@ Csr load_csr(std::istream& in) {
 CsrDu load_csr_du(std::istream& in) {
   index_t nrows = 0, ncols = 0;
   expect_header(in, SpcmTag::kCsrDu, &nrows, &ncols);
-  CsrDuOptions o;
-  o.max_unit = read_u32(in);
-  o.split_threshold = read_u32(in);
-  o.enable_rle = read_u32(in) != 0;
-  o.rle_min_run = read_u32(in);
+  const CsrDuOptions o = read_du_options(in);
   auto ctl = read_array<std::uint8_t>(in);
   auto values = read_array<value_t>(in);
-  return CsrDu::from_raw(nrows, ncols, o, std::move(ctl),
-                         std::move(values));
+  CsrDu m = CsrDu::from_raw(nrows, ncols, o, std::move(ctl),
+                            std::move(values));
+  // from_raw() accepts a stream without values (CSR-DU-VI's index side);
+  // a CSR-DU container must carry one value per element.
+  if (m.values().size() != m.nnz()) {
+    throw ParseError("csr-du: ctl element count does not match values");
+  }
+  return m;
 }
 
 CsrVi load_csr_vi(std::istream& in) {
@@ -192,11 +206,7 @@ CsrVi load_csr_vi(std::istream& in) {
 CsrDuVi load_csr_du_vi(std::istream& in) {
   index_t nrows = 0, ncols = 0;
   expect_header(in, SpcmTag::kCsrDuVi, &nrows, &ncols);
-  CsrDuOptions o;
-  o.max_unit = read_u32(in);
-  o.split_threshold = read_u32(in);
-  o.enable_rle = read_u32(in) != 0;
-  o.rle_min_run = read_u32(in);
+  const CsrDuOptions o = read_du_options(in);
   const std::uint32_t width = read_u32(in);
   auto ctl = read_array<std::uint8_t>(in);
   auto val_ind = read_array<std::uint8_t>(in);

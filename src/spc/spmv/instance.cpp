@@ -213,7 +213,10 @@ auto slice_builder(Tag<Csr>, const Triplets& t, const InstanceOptions&,
 
 auto slice_builder(Tag<Csr16>, const Triplets& t, const InstanceOptions&,
                    const PerSlice&) {
-  SPC_CHECK_MSG(csr16_applicable(t), "csr16 requires ncols <= 65536");
+  if (!csr16_applicable(t)) {
+    throw InvalidArgument("csr16 requires ncols <= 65536 (got " +
+                          std::to_string(t.ncols()) + ")");
+  }
   return [&t](index_t b, index_t e) { return Csr16::from_rows(t, b, e); };
 }
 
@@ -524,18 +527,13 @@ void SpmvInstance::init(const Triplets& t) {
         partition_ = partition_rows_by_nnz(t, nthreads);
       }
     }
-    std::vector<int> plan;
     if (shared_pool_ != nullptr) {
-      // Borrowed pool: placement facts come from its workers. An unpinned
-      // pool leaves every worker's node unknowable.
+      // Borrowed pool: placement facts come from its workers.
       topo = discover_topology();
-      const std::vector<int>& cpus = shared_pool_->worker_cpus();
-      if (!cpus.empty() && cpus[0] >= 0) {
-        plan = cpus;
-      }
       xpool_ = shared_pool_.get();
       run_mu_ = std::make_unique<std::mutex>();
     } else {
+      std::vector<int> plan;
       if (opts_.pin_threads) {
         topo = discover_topology();
         plan = plan_placement(topo, nthreads, opts_.placement);
@@ -543,44 +541,28 @@ void SpmvInstance::init(const Triplets& t) {
       pool_ = std::make_unique<ThreadPool>(nthreads, plan);
       xpool_ = pool_.get();
     }
+    // Pinned workers' nodes, for the residency query and the steal
+    // schedule's victim order. An unpinned pool leaves them unknowable.
+    const std::vector<int>& cpus = xpool_->worker_cpus();
+    if (cpus[0] >= 0) {
+      thread_node_.resize(nthreads);
+      for (std::size_t th = 0; th < nthreads; ++th) {
+        thread_node_[th] = std::max(0, topo.node_of_cpu(cpus[th]));
+      }
+      if (topo.num_nodes() > 1) {
+        numa_policy_ = NumaPolicy::kLocal;
+      }
+      auto& reg = obs::Registry::global();
+      reg.gauge("spc.numa.nodes").set(static_cast<double>(topo.num_nodes()));
+      reg.counter("spc.numa.instances").add();
+    }
     setup_schedule(t, topo);
-    resolve_numa(topo, plan);
   }
   build_slices(t);
   if (nthreads > 1 && fc.symmetric) {
     setup_sym();
   }
   prepare();
-}
-
-void SpmvInstance::resolve_numa(const Topology& topo,
-                                const std::vector<int>& cpus) {
-  const NumaPolicy requested = numa_policy_from_env(opts_.numa);
-  // NUMA placement needs pinned workers: without a plan a worker's node
-  // is unknowable, so the policy resolves to off.
-  if (cpus.empty()) {
-    if (requested != NumaPolicy::kOff) {
-      note_decision("numa", numa_policy_name(requested), "off",
-                    "workers are not pinned, so per-worker NUMA nodes "
-                    "are unknown");
-    }
-    return;
-  }
-  if (resolve_numa_policy(requested, topo.num_nodes()) == NumaPolicy::kOff) {
-    if (requested != NumaPolicy::kOff) {
-      note_decision("numa", numa_policy_name(requested), "off",
-                    "machine has a single NUMA node");
-    }
-    return;
-  }
-  numa_policy_ = NumaPolicy::kLocal;
-  thread_node_.resize(nthreads_);
-  for (std::size_t th = 0; th < nthreads_; ++th) {
-    thread_node_[th] = std::max(0, topo.node_of_cpu(cpus[th]));
-  }
-  auto& reg = obs::Registry::global();
-  reg.gauge("spc.numa.nodes").set(static_cast<double>(topo.num_nodes()));
-  reg.counter("spc.numa.instances").add();
 }
 
 void SpmvInstance::build_slices(const Triplets& t) {
@@ -718,17 +700,9 @@ void SpmvInstance::setup_schedule(const Triplets& t, const Topology& topo) {
         ids.data() + chunk_plan_.owner_begin[th],
         chunk_plan_.owner_begin[th + 1] - chunk_plan_.owner_begin[th]);
   }
-  // NUMA-near victim order from the pin plan; unknown topology (or a
-  // single node) degrades to plain rotation inside the helper.
-  std::vector<int> tnodes;
-  const std::vector<int>& cpus = xpool_->worker_cpus();
-  if (topo.num_nodes() > 1 && !cpus.empty() && cpus[0] >= 0) {
-    tnodes.resize(nthreads_);
-    for (std::size_t th = 0; th < nthreads_; ++th) {
-      tnodes[th] = std::max(0, topo.node_of_cpu(cpus[th]));
-    }
-  }
-  steal_victims_ = steal_victim_order(nthreads_, tnodes);
+  // NUMA-near victim order from the recorded nodes; unpinned workers
+  // (no nodes) or a single node give plain rotation.
+  steal_victims_ = steal_victim_order(nthreads_, thread_node_);
 
   auto& reg = obs::Registry::global();
   sched_steals_counter_ = &reg.counter("spc.sched.steals");
@@ -753,8 +727,10 @@ void SpmvInstance::sched_reset() {
 
 SpmvInstance::NumaResidency SpmvInstance::matrix_residency() const {
   NumaResidency r;
-  if (numa_policy_ == NumaPolicy::kOff) {
-    r.reason = "numa placement off";
+  if (thread_node_.empty()) {
+    r.reason = nthreads_ == 1 ? "serial instance: no worker nodes"
+                              : "workers are not pinned, so their NUMA "
+                                "nodes are unknown";
     return r;
   }
   std::string reason;

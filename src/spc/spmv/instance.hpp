@@ -64,20 +64,12 @@ const std::vector<Format>& all_formats();
 bool format_requires_symmetry(Format f);
 
 struct InstanceOptions {
-  /// Encoder knobs for the DU formats, applied as given (enable_rle
-  /// turns on CSR-DU's RLE units).
+  /// Encoder knobs for the DU formats, applied as given.
   CsrDuOptions du;
   bool pin_threads = true;         ///< bind workers per the placement plan
   Placement placement = Placement::kCloseFirst;
   /// Partition rows by nnz (paper's scheme); false = equal row counts.
   bool balance_by_nnz = true;
-  /// NUMA bookkeeping (overridable via SPC_NUMA). Every pooled instance
-  /// has worker t build slice t whatever the policy, so pinned workers
-  /// first-touch their own slices; kLocal also records each worker's
-  /// node (thread_nodes(), matrix_residency(), the spc.numa.* metrics).
-  /// kAuto picks it on multi-node machines and stays off on flat ones.
-  /// See support/first_touch.hpp.
-  NumaPolicy numa = NumaPolicy::kAuto;
   /// Work scheduling (overridable via SPC_SCHED): kStatic is the
   /// paper's one-range-per-worker model (zero-overhead default); kSteal
   /// runs the row-partitioned formats as cache-sized chunks that idle
@@ -104,11 +96,11 @@ struct InstanceOptions {
 
 /// One configuration aspect the instance resolved differently from what
 /// was requested (including env-var overrides), with the reason — e.g. a
-/// steal schedule demoted to static for a symmetric format, NUMA
-/// placement off because workers are unpinned. Silent-at-run-time
-/// fallbacks stay queryable this way.
+/// steal schedule demoted to static for a symmetric format, or the
+/// scalar tier for columns past the vector kernels' gather lanes.
+/// Silent-at-run-time fallbacks stay queryable this way.
 struct InstanceDecision {
-  std::string aspect;     ///< "schedule" | "numa" | "isa"
+  std::string aspect;     ///< "schedule" | "isa"
   std::string requested;  ///< what the options/env asked for
   std::string resolved;   ///< what actually runs
   std::string reason;
@@ -126,7 +118,7 @@ class SpmvInstance {
   /// model). The instance serializes its own runs internally, so several
   /// threads may call run() on instances sharing one pool concurrently;
   /// opts.pin_threads/placement are ignored (the pool is already built).
-  /// NUMA bookkeeping engages only when the pool's workers are pinned.
+  /// Worker nodes are recorded only when the pool's workers are pinned.
   /// A pool of two or more workers builds the slices: the constructor
   /// queues for it like a run and holds it while the build runs, so it
   /// throws Error when called from one of the pool's own workers. The
@@ -168,7 +160,7 @@ class SpmvInstance {
   bool run_on_caller(const Vector& x, Vector& y);
 
   /// Every configuration aspect resolved away from its requested value
-  /// (schedule/numa/isa fallbacks), in resolution order.
+  /// (schedule/isa fallbacks), in resolution order.
   /// Empty when everything runs exactly as asked.
   const std::vector<InstanceDecision>& decisions() const {
     return decisions_;
@@ -205,19 +197,19 @@ class SpmvInstance {
   /// constructor) rather than built by this instance.
   bool pool_is_shared() const { return shared_pool_ != nullptr; }
 
-  /// The NUMA bookkeeping policy actually in effect: the resolved value
-  /// of opts.numa / SPC_NUMA, or kOff when unpinned workers or the
-  /// thread count rule it out. Recorded into the JSONL metrics as
-  /// "numa".
+  /// The NUMA placement report: kLocal exactly when the workers are
+  /// pinned and the machine has more than one node, kOff otherwise.
+  /// Recorded into the JSONL metrics as "numa".
   NumaPolicy numa_policy() const { return numa_policy_; }
 
-  /// NUMA node each worker's pin target lives on (empty when placement
-  /// is off).
+  /// NUMA node each worker's pin target lives on: recorded for every
+  /// pinned pooled instance, empty for unpinned and serial ones.
   const std::vector<int>& thread_nodes() const { return thread_node_; }
 
   /// Best-effort page-residency summary of the slices' arrays, via the
   /// move_pages(2) query form. `available` is false (with a reason) when
-  /// placement is off or the kernel refuses the query — never an error.
+  /// no worker nodes are recorded or the kernel refuses the query —
+  /// never an error.
   struct NumaResidency {
     bool available = false;
     std::string reason;
@@ -316,9 +308,9 @@ class SpmvInstance {
 
  private:
   /// Shared constructor body: validates options, partitions, builds or
-  /// borrows the pool, resolves NUMA, builds the slices, resolves the
-  /// schedule, binds. Expects format_/nthreads_/opts_ (and shared_pool_,
-  /// when borrowing) already set.
+  /// borrows the pool, records the workers' nodes, resolves the schedule,
+  /// builds the slices, binds. Expects format_/nthreads_/opts_ (and
+  /// shared_pool_, when borrowing) already set.
   void init(const Triplets& t);
   /// Records a requested-vs-resolved configuration fallback for
   /// decisions(). Idempotent per (aspect, resolved, reason) so the
@@ -332,16 +324,13 @@ class SpmvInstance {
   void run_locked(const Vector& x, Vector& y);
   /// Raw pool dispatch for the scheduler executors (ctx = this).
   void dispatch_raw(ThreadPool::RawJob fn);
-  /// Resolves opts.numa / SPC_NUMA against the pool's pin plan (`cpus`,
-  /// empty when unpinned) and the machine.
-  void resolve_numa(const Topology& topo, const std::vector<int>& cpus);
   /// Encodes every worker's row range as its own slice on the worker
   /// that owns it (serial instances: on the calling thread). The value
   /// formats' census runs per slice on those workers too.
   void build_slices(const Triplets& t);
   /// Resolves opts.schedule / SPC_SCHED and, when a dynamic schedule is
   /// active, builds the chunk plan, the per-worker deques, and the
-  /// NUMA-near victim order.
+  /// NUMA-near victim order from thread_nodes().
   void setup_schedule(const Triplets& t, const Topology& topo);
   /// Plans the symmetric formats' conflict windows from the slices and
   /// allocates the window (or private y) buffers.
@@ -382,8 +371,8 @@ class SpmvInstance {
   KernelBinding binding_;
   CsrDu::UnitHistogram du_hist_;
   bool has_du_hist_ = false;
-  // NUMA bookkeeping (resolved once in init): the policy and each
-  // worker's node.
+  // NUMA bookkeeping (recorded once in init): the placement report and
+  // each pinned worker's node.
   NumaPolicy numa_policy_ = NumaPolicy::kOff;
   std::vector<int> thread_node_;
   // Cached metrics-registry handles (lookup once here, lock-free in run).

@@ -196,18 +196,6 @@ void spmv(const CsrDu::Slice& s, const value_t* x, value_t* y) {
     }
     x_idx += varint_decode(p);
 
-    if (uflags & kDuRle) {
-      // Constant-stride run: usize elements at x_idx, x_idx+stride, ...
-      const std::uint64_t stride = varint_decode(p);
-      std::uint64_t idx = x_idx;
-      for (std::uint32_t k = 0; k < usize; ++k) {
-        acc += v[k] * x[idx];
-        idx += stride;
-      }
-      v += usize;
-      x_idx = idx - stride;
-      continue;
-    }
     switch (static_cast<DeltaClass>(uflags & kDuClassMask)) {
       case DeltaClass::kU8:
         acc += (*v++) * x[x_idx];
@@ -335,17 +323,6 @@ void spmv_du_vi_slice(const CsrDu::Slice& s,
     }
     x_idx += varint_decode(p);
 
-    if (uflags & kDuRle) {
-      const std::uint64_t stride = varint_decode(p);
-      std::uint64_t idx = x_idx;
-      for (std::uint32_t i = 0; i < usize; ++i) {
-        acc += uniq[val_ind[k + i]] * x[idx];
-        idx += stride;
-      }
-      k += usize;
-      x_idx = idx - stride;
-      continue;
-    }
     switch (static_cast<DeltaClass>(uflags & kDuClassMask)) {
       case DeltaClass::kU8:
         acc += uniq[val_ind[k++]] * x[x_idx];
@@ -460,8 +437,7 @@ void offset_units_impl(const CsrDu::Slice& s, Values v, const value_t* x,
     const value_t* const xb = x + load_u32(p);
     p += 4;
     acc += v[0] * xb[0];
-    // RLE units carry no class bits, so one switch covers every body.
-    switch (uflags & (kDuRle | kDuClassMask)) {
+    switch (uflags & kDuClassMask) {
       case static_cast<std::uint8_t>(DeltaClass::kU8):
         for (std::uint32_t k = 1; k < usize; ++k) {
           acc += v[k] * xb[p[k - 1]];
@@ -480,14 +456,6 @@ void offset_units_impl(const CsrDu::Slice& s, Values v, const value_t* x,
         }
         p += 4 * (usize - 1);
         break;
-      default: {  // kDuRle: col_k = base + k * stride
-        const std::uint64_t stride = load_u32(p);
-        p += 4;
-        for (std::uint32_t k = 1; k < usize; ++k) {
-          acc += v[k] * xb[k * stride];
-        }
-        break;
-      }
     }
     v.advance(usize);
   }

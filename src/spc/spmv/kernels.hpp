@@ -141,7 +141,7 @@ void spmv(const Jds& m, const value_t* x, value_t* y);
 // ------------------------------------------------------------- CSR-DU ---
 
 /// Decodes and multiplies one ctl slice (Fig 3 of the paper, extended
-/// with the RJMP/RLE1 unit types). Writes y only for rows in the slice.
+/// with RJMP row skips). Writes y only for rows in the slice.
 void spmv(const CsrDu::Slice& s, const value_t* x, value_t* y);
 
 inline void spmv(const CsrDu& m, const value_t* x, value_t* y) {

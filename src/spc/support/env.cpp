@@ -97,10 +97,6 @@ const std::vector<EnvVarInfo>& env_registry() {
        "dispatch tier (clamp-down)",
        "Caps the runtime kernel-dispatch tier; scalar pins the "
        "bit-reproducible reference kernels."},
-      {"SPC_NUMA", "enum", "auto|off|local", "InstanceOptions::numa",
-       "NUMA bookkeeping: local records each pinned worker's node and "
-       "answers residency queries (workers build their own slices under "
-       "every policy)."},
       {"SPC_SCHED", "enum", "static|steal",
        "InstanceOptions::schedule",
        "Work schedule: one-range-per-worker or work stealing."},

@@ -1,6 +1,6 @@
 // Shared SPC_* environment-variable access.
 //
-// Every runtime knob (SPC_SCHED, SPC_NUMA, SPC_ISA, SPC_TUNE, the
+// Every runtime knob (SPC_SCHED, SPC_ISA, SPC_TUNE, the
 // harness SPC_ITERS family, ...) reads the environment through these
 // helpers instead of hand-rolled getenv + strto* + static-bool-warned
 // blocks. Unset and empty both mean "not configured"; an unparseable

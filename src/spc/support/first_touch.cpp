@@ -10,9 +10,6 @@
 #include <cerrno>
 #include <cstring>
 
-#include "spc/support/env.hpp"
-#include "spc/support/strutil.hpp"
-
 namespace spc {
 
 namespace {
@@ -25,48 +22,7 @@ std::size_t page_size() {
 }  // namespace
 
 std::string numa_policy_name(NumaPolicy p) {
-  switch (p) {
-    case NumaPolicy::kAuto:
-      return "auto";
-    case NumaPolicy::kOff:
-      return "off";
-    case NumaPolicy::kLocal:
-      return "local";
-  }
-  return "?";
-}
-
-bool parse_numa_policy(const std::string& name, NumaPolicy* out) {
-  const std::string n = to_lower(name);
-  if (n == "auto") {
-    *out = NumaPolicy::kAuto;
-  } else if (n == "off" || n == "0" || n == "none") {
-    *out = NumaPolicy::kOff;
-  } else if (n == "local" || n == "firsttouch" || n == "first-touch") {
-    *out = NumaPolicy::kLocal;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-NumaPolicy numa_policy_from_env(NumaPolicy fallback) {
-  const auto env = env_str("SPC_NUMA");
-  if (!env) {
-    return fallback;
-  }
-  NumaPolicy p = fallback;
-  if (!parse_numa_policy(*env, &p)) {
-    env_warn_once("SPC_NUMA", *env, "auto|off|local");
-  }
-  return p;
-}
-
-NumaPolicy resolve_numa_policy(NumaPolicy requested, std::size_t nnodes) {
-  if (requested == NumaPolicy::kAuto) {
-    return nnodes > 1 ? NumaPolicy::kLocal : NumaPolicy::kOff;
-  }
-  return requested;
+  return p == NumaPolicy::kLocal ? "local" : "off";
 }
 
 bool query_page_nodes(const void* p, std::size_t bytes,

@@ -5,11 +5,10 @@
 // worker's own arrays, and worker t of every pooled instance builds
 // slice t, so on a pinned pool every page of a slice lands on its
 // owner's node — the standard placement for ccNUMA SpMV
-// (Schubert/Hager/Fehske) — under every policy. The policy only decides
-// the bookkeeping: under `local` the instance records each worker's node
-// and answers residency queries; under `off` it does neither. The build
-// happens at set-up, off the timed path, and the encoded bytes never
-// depend on the policy. This header holds the policy knob, the
+// (Schubert/Hager/Fehske). A pinned pooled instance records each
+// worker's node and answers residency queries; an unpinned or serial
+// one has no worker nodes to record. The build happens at set-up, off
+// the timed path. This header holds the placement report, the
 // rebased-pointer helper that lets kernels index a slice with absolute
 // rows, and the page-residency query.
 #pragma once
@@ -23,30 +22,15 @@
 
 namespace spc {
 
-/// NUMA bookkeeping policy for a prepared SpMV instance (the SPC_NUMA
-/// knob). Worker t builds (and so first-touches) slice t under each.
+/// The NUMA placement a prepared SpMV instance reports
+/// (SpmvInstance::numa_policy()): a read-only report, not a setting.
 enum class NumaPolicy {
-  kAuto,   ///< local on multi-node machines, off on flat ones
-  kOff,    ///< no per-worker node records
-  kLocal,  ///< records each worker's node; residency queries answer
+  kOff,    ///< one node, or no pinned workers
+  kLocal,  ///< pinned workers on a multi-node machine
 };
 
-/// Canonical lower-case name ("auto", "off", "local").
+/// Canonical lower-case name ("off", "local").
 std::string numa_policy_name(NumaPolicy p);
-
-/// Parses a policy name; returns false on unknown names, leaving *out
-/// untouched.
-bool parse_numa_policy(const std::string& name, NumaPolicy* out);
-
-/// `fallback` overridden by a parseable SPC_NUMA environment value; an
-/// unparseable value is diagnosed once to stderr and ignored.
-NumaPolicy numa_policy_from_env(NumaPolicy fallback);
-
-/// Resolves kAuto against the machine: local when `nnodes` > 1, off
-/// otherwise. Non-auto policies pass through (an explicit local on a
-/// flat machine still records the workers' nodes, which is what the
-/// single-node CI leg relies on).
-NumaPolicy resolve_numa_policy(NumaPolicy requested, std::size_t nnodes);
 
 /// Builds a pointer that, indexed with an *absolute* position, lands in a
 /// slice array that only stores positions >= `first`. The arithmetic

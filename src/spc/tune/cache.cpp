@@ -20,9 +20,10 @@ std::string json_str(const obs::Json& j, const char* key) {
 }
 
 bool parse_entry(const obs::Json& j, TuneCacheEntry* out) {
-  // v1 lines keyed matrices by the byte-wise FNV-1a fingerprint; none
-  // of their keys can match a v2 fingerprint, so they read as bad lines.
-  if (!j.is_object() || json_str(j, "tune") != "v2") {
+  // v1 lines keyed matrices by the byte-wise FNV-1a fingerprint, and v2
+  // keys carried a NUMA policy; neither can match a v3 key, so they read
+  // as bad lines.
+  if (!j.is_object() || json_str(j, "tune") != "v3") {
     return false;
   }
   TuneCacheEntry e;
@@ -32,7 +33,6 @@ bool parse_entry(const obs::Json& j, TuneCacheEntry* out) {
   e.key.threads =
       threads != nullptr ? static_cast<std::size_t>(threads->as_u64(1)) : 1;
   e.key.isa = json_str(j, "isa");
-  e.key.numa = json_str(j, "numa");
   e.key.schedule = json_str(j, "schedule");
   e.format = json_str(j, "format");
   if (const obs::Json* v = j.find("probe_ns")) {
@@ -52,12 +52,11 @@ bool parse_entry(const obs::Json& j, TuneCacheEntry* out) {
 
 obs::Json entry_json(const TuneCacheEntry& e) {
   obs::Json j = obs::Json::object();
-  j.set("tune", "v2");
+  j.set("tune", "v3");
   j.set("matrix_fp", e.key.matrix_fp);
   j.set("machine_id", e.key.machine_id);
   j.set("threads", static_cast<std::uint64_t>(e.key.threads));
   j.set("isa", e.key.isa);
-  j.set("numa", e.key.numa);
   j.set("schedule", e.key.schedule);
   j.set("format", e.format);
   j.set("probe_ns", e.probe_ns);
@@ -71,7 +70,7 @@ obs::Json entry_json(const TuneCacheEntry& e) {
 std::string TuneCacheKey::key() const {
   std::ostringstream os;
   os << matrix_fp << '|' << machine_id << '|' << threads << '|' << isa
-     << '|' << numa << '|' << schedule;
+     << '|' << schedule;
   return os.str();
 }
 

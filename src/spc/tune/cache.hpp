@@ -5,7 +5,7 @@
 // probe's winner in a JSONL file beside the run-ledger (results/ by
 // convention, SPC_TUNE_CACHE to relocate), keyed by the matrix content
 // fingerprint plus the MachineFingerprint id plus the execution context
-// (threads, isa, numa, schedule). A repeat run on the same
+// (threads, isa, schedule). A repeat run on the same
 // matrix and machine constructs the cached winner directly and skips
 // the probe entirely (probe_ns == 0 in the bench provenance); a run on
 // different hardware, a different thread count, or a touched matrix
@@ -26,7 +26,6 @@ struct TuneCacheKey {
   std::string machine_id;  ///< obs::MachineFingerprint::id()
   std::size_t threads = 1;
   std::string isa;         ///< active tier name
-  std::string numa;        ///< requested policy name (env-resolved)
   std::string schedule;    ///< requested schedule name (env-resolved)
 
   std::string key() const;

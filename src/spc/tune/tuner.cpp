@@ -11,7 +11,6 @@
 #include "spc/spmv/dispatch.hpp"
 #include "spc/support/env.hpp"
 #include "spc/support/error.hpp"
-#include "spc/support/first_touch.hpp"
 #include "spc/support/rng.hpp"
 #include "spc/support/stats.hpp"
 #include "spc/support/timing.hpp"
@@ -34,7 +33,6 @@ TuneCacheKey make_key(const std::string& fingerprint, std::size_t nthreads,
   key.machine_id = obs::machine_fingerprint().id();
   key.threads = nthreads;
   key.isa = isa_tier_name(active_isa_tier());
-  key.numa = numa_policy_name(numa_policy_from_env(opts.numa));
   key.schedule = schedule_name(schedule_from_env(opts.schedule));
   return key;
 }

@@ -141,6 +141,22 @@ TEST(EngineRegistry, AutoFormatStampsTuneProvenance) {
   EXPECT_FALSE(info.tune_source.empty());
 }
 
+TEST(EngineRegistry, Csr16PastItsWidthIsInvalidAndRegistersNothing) {
+  Engine eng(small_engine());
+  ASSERT_TRUE(eng.register_matrix("fig1", test::paper_matrix()).ok());
+  Triplets wide(2, 65537);
+  wide.add(0, 65536, 1.0);
+  wide.add(1, 0, 2.0);
+  wide.sort_and_combine();
+  RegisterOptions ropts;
+  ropts.format = Format::kCsr16;
+  const Status st = eng.register_matrix("wide", wide, ropts);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("65536"), std::string::npos) << st.message();
+  EXPECT_FALSE(eng.has_matrix("wide"));
+  EXPECT_EQ(eng.matrix_ids(), std::vector<std::string>{"fig1"});
+}
+
 // Registration builds the slices on the engine's pool, so a registration
 // from one of that pool's workers would wait for itself: it returns a
 // Status instead, and the engine keeps serving.

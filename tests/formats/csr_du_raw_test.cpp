@@ -34,16 +34,12 @@ TEST(CsrDuFromRaw, AcceptsHandBuiltStream) {
 TEST(CsrDuFromRaw, RoundTripsEncoderOutput) {
   Rng rng(1);
   const Triplets t = test::random_triplets(100, 5000, 2000, rng);
-  CsrDuOptions opts;
-  opts.enable_rle = true;
-  opts.rle_min_run = 4;
-  const CsrDu orig = CsrDu::from_triplets(t, opts);
+  const CsrDu orig = CsrDu::from_triplets(t);
   const CsrDu back =
-      CsrDu::from_raw(100, 5000, opts,
+      CsrDu::from_raw(100, 5000, {},
                       aligned_vector<std::uint8_t>(orig.ctl()),
                       aligned_vector<value_t>(orig.values()));
-  EXPECT_EQ(back.unit_count(), orig.unit_count());
-  EXPECT_EQ(back.rle_unit_count(), orig.rle_unit_count());
+  EXPECT_EQ(back.histogram(), orig.histogram());
   test::expect_triplets_eq(t, back.to_triplets());
 }
 
@@ -91,26 +87,17 @@ TEST(CsrDuFromRaw, RejectsValueCountMismatch) {
                ParseError);
 }
 
-TEST(CsrDuFromRaw, RejectsRleColumnOverflow) {
-  // RLE unit: 5 elements, stride 100 — runs far past ncols.
-  std::vector<std::uint8_t> ctl = {
-      static_cast<std::uint8_t>(kDuNewRow | kDuRle), 5, 0, 100};
-  EXPECT_THROW(
-      CsrDu::from_raw(1, 64, {}, to_aligned(ctl),
-                      {1, 1, 1, 1, 1}),
-      ParseError);
-}
-
-TEST(CsrDuFromRaw, AcceptsRleStrideUnit) {
-  // 4 elements at columns 2, 5, 8, 11 (stride 3).
-  std::vector<std::uint8_t> ctl = {
-      static_cast<std::uint8_t>(kDuNewRow | kDuRle), 4, 2, 3};
-  const CsrDu m = CsrDu::from_raw(1, 12, {}, to_aligned(ctl),
-                                  {1.0, 2.0, 3.0, 4.0});
-  const Triplets t = m.to_triplets();
-  ASSERT_EQ(t.nnz(), 4u);
-  EXPECT_EQ(t.entries()[3], (Entry{0, 11, 4.0}));
-  EXPECT_EQ(m.rle_unit_count(), 1u);
+TEST(CsrDuFromRaw, RejectsReservedFlagBits) {
+  // Only the class bits, RJMP and NR have a meaning; a unit setting any
+  // other bit is rejected, whatever its body.
+  for (const int bit : {2, 3, 4, 7}) {
+    std::vector<std::uint8_t> ctl = minimal_unit();
+    ctl[0] = static_cast<std::uint8_t>(ctl[0] | (1u << bit));
+    EXPECT_THROW(
+        CsrDu::from_raw(1, 4, {}, to_aligned(ctl), {0.5, 1.5}),
+        ParseError)
+        << "bit " << bit;
+  }
 }
 
 TEST(CsrDuFromRaw, EmptyStreamIsEmptyMatrix) {

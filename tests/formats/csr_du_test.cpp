@@ -23,7 +23,6 @@ TEST(CsrDu, PaperTableIGoldenUnits) {
   for (int u = 0; u < 6; ++u) {
     EXPECT_TRUE(units[u].new_row) << "unit " << u;
     EXPECT_EQ(units[u].cls, DeltaClass::kU8) << "unit " << u;
-    EXPECT_FALSE(units[u].rle) << "unit " << u;
     EXPECT_EQ(units[u].rskip, 0u) << "unit " << u;
     EXPECT_EQ(units[u].usize, usize[u]) << "unit " << u;
     EXPECT_EQ(units[u].ujmp, ujmp[u]) << "unit " << u;
@@ -132,91 +131,6 @@ TEST(CsrDu, SplitThresholdOneKeepsUnitsU8) {
   test::expect_triplets_eq(t, m.to_triplets());
 }
 
-TEST(CsrDu, RleUnitsDetectDenseRuns) {
-  Triplets t(2, 600);
-  for (index_t c = 100; c < 400; ++c) {
-    t.add(0, c, 1.5);  // 300 consecutive columns
-  }
-  t.add(1, 0, 2.0);
-  t.add(1, 512, 2.5);
-  t.sort_and_combine();
-  CsrDuOptions opts;
-  opts.enable_rle = true;
-  opts.rle_min_run = 16;
-  const CsrDu m = CsrDu::from_triplets(t, opts);
-  EXPECT_GT(m.rle_unit_count(), 0u);
-  test::expect_triplets_eq(t, m.to_triplets());
-
-  // RLE must shrink the stream vs the non-RLE encoding.
-  CsrDuOptions plain;
-  plain.enable_rle = false;
-  const CsrDu m2 = CsrDu::from_triplets(t, plain);
-  EXPECT_LT(m.ctl_bytes(), m2.ctl_bytes());
-}
-
-TEST(CsrDu, RleDetectsConstantStrideRuns) {
-  // DIA-like structure: every 3rd column, far beyond stride 1.
-  Triplets t(1, 3000);
-  for (index_t k = 0; k < 800; ++k) {
-    t.add(0, 17 + 3 * k, 1.0 + k % 5);
-  }
-  t.sort_and_combine();
-  CsrDuOptions opts;
-  opts.enable_rle = true;
-  opts.rle_min_run = 8;
-  const CsrDu m = CsrDu::from_triplets(t, opts);
-  EXPECT_GT(m.rle_unit_count(), 0u);
-  for (const auto& u : m.decode_units()) {
-    if (u.rle) {
-      EXPECT_EQ(u.stride, 3u);
-    }
-  }
-  test::expect_triplets_eq(t, m.to_triplets());
-  // Stride runs must compress far below the plain encoding.
-  CsrDuOptions plain;
-  const CsrDu m2 = CsrDu::from_triplets(t, plain);
-  EXPECT_LT(m.ctl_bytes(), m2.ctl_bytes() / 10);
-}
-
-TEST(CsrDu, RleMixedStridesWithinRow) {
-  Triplets t(1, 10000);
-  for (index_t k = 0; k < 100; ++k) {
-    t.add(0, k, 1.0);  // stride-1 run
-  }
-  for (index_t k = 0; k < 100; ++k) {
-    t.add(0, 2000 + 7 * k, 2.0);  // stride-7 run
-  }
-  t.sort_and_combine();
-  CsrDuOptions opts;
-  opts.enable_rle = true;
-  opts.rle_min_run = 8;
-  const CsrDu m = CsrDu::from_triplets(t, opts);
-  EXPECT_GE(m.rle_unit_count(), 2u);
-  test::expect_triplets_eq(t, m.to_triplets());
-}
-
-TEST(CsrDu, RleUnitsCountUnderTheirStrideClass) {
-  // An RLE unit's header carries the u8 class bits, but the histogram
-  // counts it under its stride's class, so the class totals partition
-  // every unit and element: this stride-300 run lands in u16.
-  Triplets t(1, 20000);
-  for (index_t k = 0; k < 40; ++k) {
-    t.add(0, 5 + 300 * k, 1.0);
-  }
-  t.sort_and_combine();
-  CsrDuOptions opts;
-  opts.enable_rle = true;
-  opts.rle_min_run = 8;
-  const CsrDu m = CsrDu::from_triplets(t, opts);
-  const CsrDu::UnitHistogram& h = m.histogram();
-  ASSERT_EQ(h.units, 1u);
-  EXPECT_EQ(h.rle_units, 1u);
-  const auto u16 = static_cast<std::size_t>(DeltaClass::kU16);
-  EXPECT_EQ(h.units_per_class[u16], 1u);
-  EXPECT_EQ(h.elems_per_class[u16], 40u);
-  EXPECT_EQ(h, m.unit_histogram());
-}
-
 TEST(CsrDu, SingleElementMatrix) {
   Triplets t(1, 1);
   t.add(0, 0, 42.0);
@@ -266,9 +180,7 @@ TEST(CsrDu, MultiSliceMatchesPerCallSlices) {
                                   1 + static_cast<index_t>(
                                           rng.next_below(6)),
                                   rng, ValueModel::random());
-    CsrDuOptions o;
-    o.enable_rle = seed % 2 == 1;
-    const CsrDu m = CsrDu::from_triplets(t, o);
+    const CsrDu m = CsrDu::from_triplets(t);
     // Random monotone bounds, duplicates (empty ranges) included.
     std::vector<index_t> bounds = {0};
     while (bounds.back() < m.nrows()) {
@@ -330,10 +242,7 @@ TEST(CsrDu, SliceOfEmptyRowRangeIsEmpty) {
 TEST(CsrDu, CursorVisitsEveryElementInOrder) {
   Rng rng(21);
   const Triplets t = test::random_triplets(300, 20000, 4000, rng);
-  CsrDuOptions opts;
-  opts.enable_rle = true;
-  opts.rle_min_run = 4;
-  const CsrDu m = CsrDu::from_triplets(t, opts);
+  const CsrDu m = CsrDu::from_triplets(t);
   CsrDu::Cursor cur(m.full());
   index_t row = 0, col = 0;
   usize_t k = 0;
@@ -389,15 +298,11 @@ TEST(CsrDu, InvalidOptionsRejected) {
   bad = CsrDuOptions{};
   bad.split_threshold = 0;
   EXPECT_THROW(CsrDu::from_triplets(t, bad), Error);
-  bad = CsrDuOptions{};
-  bad.rle_min_run = 1;
-  EXPECT_THROW(CsrDu::from_triplets(t, bad), Error);
 }
 
 struct DuParamCase {
   std::uint32_t max_unit;
   std::uint32_t split_threshold;
-  bool rle;
   std::uint32_t seed;
 };
 
@@ -414,23 +319,17 @@ TEST_P(CsrDuParamRoundTrip, EncodesAndDecodesExactly) {
   CsrDuOptions opts;
   opts.max_unit = pc.max_unit;
   opts.split_threshold = pc.split_threshold;
-  opts.enable_rle = pc.rle;
   const CsrDu m = CsrDu::from_triplets(t, opts);
   test::expect_triplets_eq(t, m.to_triplets());
 }
 
 INSTANTIATE_TEST_SUITE_P(
     OptionSweep, CsrDuParamRoundTrip,
-    ::testing::Values(DuParamCase{255, 8, false, 1},
-                      DuParamCase{255, 8, true, 2},
-                      DuParamCase{4, 8, false, 3},
-                      DuParamCase{1, 1, false, 4},
-                      DuParamCase{255, 1, false, 5},
-                      DuParamCase{255, 64, false, 6},
-                      DuParamCase{16, 2, true, 7},
-                      DuParamCase{255, 8, true, 8},
-                      DuParamCase{100, 3, true, 9},
-                      DuParamCase{255, 255, false, 10}));
+    ::testing::Values(DuParamCase{255, 8, 1}, DuParamCase{255, 8, 2},
+                      DuParamCase{4, 8, 3}, DuParamCase{1, 1, 4},
+                      DuParamCase{255, 1, 5}, DuParamCase{255, 64, 6},
+                      DuParamCase{16, 2, 7}, DuParamCase{255, 8, 8},
+                      DuParamCase{100, 3, 9}, DuParamCase{255, 255, 10}));
 
 }  // namespace
 }  // namespace spc

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstring>
 #include <sstream>
 #include <tuple>
@@ -37,17 +36,16 @@ TEST(Serialize, CsrDuRoundTripPreservesStreamAndOptions) {
   Rng rng(2);
   const Triplets t = gen_banded(500, 25, 8, rng, ValueModel::pooled(16));
   CsrDuOptions opts;
-  opts.enable_rle = true;
   opts.split_threshold = 4;
+  opts.max_unit = 100;
   const CsrDu m = CsrDu::from_triplets(t, opts);
   const CsrDu back = round_trip(m, [](std::istream& in) {
     return load_csr_du(in);
   });
   EXPECT_EQ(back.ctl(), m.ctl());
-  EXPECT_EQ(back.unit_count(), m.unit_count());
-  EXPECT_EQ(back.rle_unit_count(), m.rle_unit_count());
+  EXPECT_EQ(back.histogram(), m.histogram());
   EXPECT_EQ(back.options().split_threshold, 4u);
-  EXPECT_TRUE(back.options().enable_rle);
+  EXPECT_EQ(back.options().max_unit, 100u);
   test::expect_triplets_eq(t, back.to_triplets());
 }
 
@@ -68,9 +66,7 @@ TEST(Serialize, CsrDuViRoundTrip) {
   Rng rng(4);
   const Triplets t =
       gen_banded(400, 30, 9, rng, ValueModel::pooled(40));
-  CsrDuOptions opts;
-  opts.enable_rle = true;
-  const CsrDuVi m = CsrDuVi::from_triplets(t, opts);
+  const CsrDuVi m = CsrDuVi::from_triplets(t);
   const CsrDuVi back = round_trip(m, [](std::istream& in) {
     return load_csr_du_vi(in);
   });
@@ -205,8 +201,8 @@ std::vector<std::size_t> length_fields(const std::string& c,
 // loads each copy. Every load must throw ParseError or give a matrix
 // whose scalar kernel and to_triplets() stay inside it: its coordinates
 // in bounds, and, under the sanitizers, no access outside its arrays.
-// Byte 3 of a length field is left alone: flipped, it asks for 4-34 GB,
-// which the loader's plausibility bound lets through to the allocation.
+// A flipped high byte of a length field claims gigabytes; the loader
+// must fail at the end of the stream without allocating them.
 template <typename M, typename Load>
 void flip_each(const std::string& full, std::size_t fixed_bytes,
                const std::vector<std::size_t>& elem_bytes, Load load,
@@ -217,9 +213,6 @@ void flip_each(const std::string& full, std::size_t fixed_bytes,
   }
   const std::vector<std::size_t> lengths =
       length_fields(full, fixed_bytes, elem_bytes);
-  const auto gigabytes = [&](std::size_t p) {
-    return std::find(lengths.begin(), lengths.end(), p - 3) != lengths.end();
-  };
   for (const std::size_t f : lengths) {
     for (std::size_t p = f; p < f + 8; ++p) {
       positions.push_back(p);
@@ -232,9 +225,6 @@ void flip_each(const std::string& full, std::size_t fixed_bytes,
   }
   int rejected = 0;
   for (const std::size_t pos : positions) {
-    if (gigabytes(pos)) {
-      continue;
-    }
     std::string mutated = full;
     mutated[pos] = static_cast<char>(mutated[pos] ^ 0xFF);
     std::stringstream in(mutated);
@@ -287,6 +277,8 @@ TEST(Serialize, CorruptedCtlStreamIsRejected) {
   }
   // Most flips must be rejected; none may crash or read out of bounds.
   EXPECT_GT(rejected, accepted / 4);
+  // header (20 bytes) and DU options (16); ctl, values
+  flip_each<CsrDu>(full, 36, {1, 8}, load_csr_du, "csr-du");
 
   // The value-index containers at each index width: pooled values
   // (u8, u16) and all-distinct ones (u32).
@@ -312,6 +304,120 @@ TEST(Serialize, CorruptedCtlStreamIsRejected) {
     flip_each<CsrDuVi>(saved(duvi), 40, {1, 1, 8}, load_csr_du_vi,
                        std::string("csr-du-vi ") + name);
   }
+}
+
+// A container written field by field, for streams save() never writes.
+class Container {
+ public:
+  Container(SpcmTag tag, index_t nrows, index_t ncols) {
+    bytes_ = "SPCM";
+    put(kSpcmVersion).put(static_cast<std::uint32_t>(tag)).put(nrows);
+    put(ncols);
+  }
+  template <typename T>
+  Container& put(T v) {
+    bytes_.append(reinterpret_cast<const char*>(&v), sizeof(v));
+    return *this;
+  }
+  template <typename T>
+  Container& array(const std::vector<T>& v) {
+    put(static_cast<std::uint64_t>(v.size()));
+    for (const T e : v) {
+      put(e);
+    }
+    return *this;
+  }
+  // CSR-DU's options: max_unit, split_threshold, two reserved words.
+  Container& du_options() { return put(255u).put(8u).put(0u).put(16u); }
+  std::string str() const { return bytes_; }
+
+ private:
+  std::string bytes_;
+};
+
+template <typename T>
+aligned_vector<T> aligned(const std::vector<T>& v) {
+  return aligned_vector<T>(v.begin(), v.end());
+}
+
+// Two ctl streams whose sums wrap: a 4x4 matrix whose only unit skips
+// 2^64-1 rows, which wraps the row counter back to -1, and a 1x10 one
+// whose u64 deltas 2^40 and 2^64-2^40+1 wrap to column 1 while the
+// kernel reads x[2^40].
+struct HostileCtl {
+  const char* what;
+  index_t nrows, ncols;
+  std::vector<std::uint8_t> ctl;
+  std::vector<value_t> values;
+};
+
+std::vector<HostileCtl> hostile_ctl_streams() {
+  std::vector<std::uint8_t> row_wrap = {
+      static_cast<std::uint8_t>(kDuNewRow | kDuRJmp), 1};
+  row_wrap.insert(row_wrap.end(), 9, 0xFF);  // rskip = 2^64 - 1
+  row_wrap.insert(row_wrap.end(), {0x01, 0});
+  std::vector<std::uint8_t> col_wrap = {
+      static_cast<std::uint8_t>(kDuNewRow |
+                                static_cast<std::uint8_t>(DeltaClass::kU64)),
+      3, 0};
+  for (const std::uint64_t d :
+       {std::uint64_t{1} << 40, ~(std::uint64_t{1} << 40) + 2}) {
+    for (int b = 0; b < 8; ++b) {
+      col_wrap.push_back(static_cast<std::uint8_t>(d >> (8 * b)));
+    }
+  }
+  return {{"row skip wraps", 4, 4, row_wrap, {42.0}},
+          {"column sum wraps", 1, 10, col_wrap, {1.0, 2.0, 3.0}}};
+}
+
+TEST(Serialize, CtlStreamsThatWrapAreRejected) {
+  for (const HostileCtl& h : hostile_ctl_streams()) {
+    EXPECT_THROW(CsrDu::from_raw(h.nrows, h.ncols, {}, aligned(h.ctl),
+                                 aligned(h.values)),
+                 ParseError)
+        << h.what;
+    std::stringstream du(Container(SpcmTag::kCsrDu, h.nrows, h.ncols)
+                             .du_options()
+                             .array(h.ctl)
+                             .array(h.values)
+                             .str());
+    EXPECT_THROW(load_csr_du(du), ParseError) << h.what;
+    const std::vector<std::uint8_t> val_ind(h.values.size(), 0);
+    std::stringstream duvi(Container(SpcmTag::kCsrDuVi, h.nrows, h.ncols)
+                               .du_options()
+                               .put(1u)  // u8 value indices
+                               .array(h.ctl)
+                               .array(val_ind)
+                               .array(std::vector<value_t>{6.0})
+                               .str());
+    EXPECT_THROW(load_csr_du_vi(duvi), ParseError) << h.what;
+  }
+}
+
+TEST(Serialize, CsrDuContainerWithoutValuesIsRejected) {
+  // The ctl stream holds two elements and the values array none: the
+  // kernel would read values that are not there.
+  std::stringstream in(Container(SpcmTag::kCsrDu, 1, 4)
+                           .du_options()
+                           .array(std::vector<std::uint8_t>{kDuNewRow, 2, 1, 2})
+                           .array(std::vector<value_t>{})
+                           .str());
+  EXPECT_THROW(load_csr_du(in), ParseError);
+}
+
+TEST(Serialize, CsrDuContainerLayout) {
+  // save() lays a CSR-DU container out field by field as the writer above
+  // does, reserved option words 0 and 16 included, so the hostile
+  // containers differ from a valid one only in their streams.
+  const CsrDu m = CsrDu::from_triplets(test::paper_matrix());
+  const std::vector<std::uint8_t> ctl(m.ctl().begin(), m.ctl().end());
+  const std::vector<value_t> values(m.values().begin(), m.values().end());
+  EXPECT_EQ(Container(SpcmTag::kCsrDu, 6, 6)
+                .du_options()
+                .array(ctl)
+                .array(values)
+                .str(),
+            saved(m));
 }
 
 TEST(Serialize, FromRawRejectsInconsistentCsr) {

@@ -120,10 +120,11 @@ INSTANTIATE_TEST_SUITE_P(
                                          Format::kSymCsrVi),
                        ::testing::Values(1, 2, 3, 4, 8)));
 
-TEST(SymInstance, NumaLocalIsBitIdenticalToOff) {
-  // The slices (rows, diagonal) hold the same bytes under every policy
-  // and every phase runs in the same order, so the NUMA bookkeeping
-  // must not change a single bit — in either reduction mode.
+TEST(SymInstance, PinnedIsBitIdenticalToUnpinned) {
+  // The slices (rows, diagonal) hold the same bytes on pinned and
+  // unpinned pools and every phase runs in the same order, so recording
+  // the workers' nodes must not change a single bit — in either
+  // reduction mode.
   test::ScopedEnv isa("SPC_ISA", "scalar");
   test::ScopedEnv red("SPC_SYM_REDUCE", "");  // opts decide, not the env
   test::ScopedEnv sch("SPC_SCHED", "");
@@ -131,48 +132,29 @@ TEST(SymInstance, NumaLocalIsBitIdenticalToOff) {
   Rng xr(18);
   const Vector x = random_vector(500, xr);
 
-  InstanceOptions opts;
-  opts.pin_threads = true;  // placement needs pinned workers
   for (const Format f : {Format::kSymCsr, Format::kSymCsrVi}) {
     for (const SymReduce reduce : {SymReduce::kWindow, SymReduce::kPrivate}) {
+      InstanceOptions opts;
       opts.sym_reduce = reduce;
       const std::string cell = format_name(f) + " " + sym_reduce_name(reduce);
-      Vector y_off(500, 0.0);
-      {
-        test::ScopedEnv numa("SPC_NUMA", "off");
-        SpmvInstance off(t, f, 4, opts);
-        ASSERT_EQ(off.numa_policy(), NumaPolicy::kOff) << cell;
-        ASSERT_EQ(off.sym_reduce(), reduce) << cell;
-        off.run(x, y_off);
-      }
-      EXPECT_LT(rel_error(test::reference_spmv(t, x), y_off), kTol) << cell;
-      test::ScopedEnv numa("SPC_NUMA", "local");
-      SpmvInstance placed(t, f, 4, opts);
-      EXPECT_EQ(placed.numa_policy(), NumaPolicy::kLocal) << cell;
+      opts.pin_threads = false;
+      SpmvInstance unpinned(t, f, 4, opts);
+      ASSERT_TRUE(unpinned.thread_nodes().empty()) << cell;
+      ASSERT_EQ(unpinned.sym_reduce(), reduce) << cell;
+      Vector y_unpinned(500, 0.0);
+      unpinned.run(x, y_unpinned);
+      EXPECT_LT(rel_error(test::reference_spmv(t, x), y_unpinned), kTol)
+          << cell;
+      opts.pin_threads = true;
+      SpmvInstance pinned(t, f, 4, opts);
+      EXPECT_EQ(pinned.thread_nodes().size(), 4u) << cell;
       for (int run = 0; run < 2; ++run) {
         Vector y(500, -1.0);
-        placed.run(x, y);
-        EXPECT_EQ(max_abs_diff(y_off, y), 0.0) << cell << " run " << run;
+        pinned.run(x, y);
+        EXPECT_EQ(max_abs_diff(y_unpinned, y), 0.0) << cell << " run " << run;
       }
     }
   }
-
-  // Unpinned runs can't know worker nodes: placement resolves to off,
-  // and the result is the pinned off run's.
-  opts.sym_reduce = SymReduce::kAuto;
-  opts.schedule = Schedule::kStatic;
-  Vector y_off(500, 0.0);
-  {
-    test::ScopedEnv numa("SPC_NUMA", "off");
-    SpmvInstance(t, Format::kSymCsr, 4, opts).run(x, y_off);
-  }
-  test::ScopedEnv numa("SPC_NUMA", "local");
-  opts.pin_threads = false;
-  SpmvInstance unpinned(t, Format::kSymCsr, 4, opts);
-  EXPECT_EQ(unpinned.numa_policy(), NumaPolicy::kOff);
-  Vector y_unpinned(500, -1.0);
-  unpinned.run(x, y_unpinned);
-  EXPECT_EQ(max_abs_diff(y_off, y_unpinned), 0.0);
 }
 
 TEST(SymInstance, WorksInsideCg) {

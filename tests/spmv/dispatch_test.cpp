@@ -130,19 +130,15 @@ TEST(InstanceDispatch, DuHistogramOnlyForDuFormats) {
   }
 }
 
-TEST(UnitHistogram, CountsClassesAndRuns) {
-  // A banded matrix encoded with RLE on: the histogram must agree with
-  // the encoder's own unit statistics and classify every element.
+TEST(UnitHistogram, CountsClasses) {
+  // A banded matrix: the histogram must agree with the encoder's own
+  // unit statistics and classify every element.
   Rng rng(21);
   const Triplets t =
       gen_banded(256, 9, 1, rng, ValueModel::random());
-  CsrDuOptions opts;
-  opts.enable_rle = true;
-  opts.rle_min_run = 8;
-  const CsrDu du = CsrDu::from_triplets(t, opts);
+  const CsrDu du = CsrDu::from_triplets(t);
   const CsrDu::UnitHistogram h = du.unit_histogram();
   EXPECT_EQ(h.units, du.unit_count());
-  EXPECT_EQ(h.rle_units, du.rle_unit_count());
   EXPECT_EQ(h.nnz, du.nnz());
   usize_t class_units = 0;
   usize_t class_elems = 0;
@@ -152,8 +148,6 @@ TEST(UnitHistogram, CountsClassesAndRuns) {
   }
   EXPECT_EQ(class_units, h.units);
   EXPECT_EQ(class_elems, h.nnz);
-  EXPECT_LE(h.seq_units, h.rle_units);
-  EXPECT_LE(h.seq_elems, h.rle_elems);
 }
 
 }  // namespace

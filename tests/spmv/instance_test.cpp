@@ -207,39 +207,83 @@ TEST(SpmvInstance, EvenPartitionOptionWorks) {
   EXPECT_EQ(inst.partition().bounds[1], 100u);
 }
 
-TEST(SpmvInstanceNuma, PolicyOffForSerialInstances) {
-  test::ScopedEnv numa("SPC_NUMA", "local");
+// CSR-16 at its width limit: 2^16 columns is the widest it holds, and
+// column 65535 is the largest u16 index. There it runs bit-identical to
+// CSR at the scalar tier; one column more and it refuses, naming the
+// limit, as the symmetric formats refuse an unsymmetric matrix.
+TEST(SpmvInstance, Csr16AtItsWidthLimit) {
+  test::ScopedEnv isa("SPC_ISA", "scalar");
+  Rng rng(71);
+  Triplets t(64, 65536);
+  for (index_t r = 0; r < 64; ++r) {
+    t.add(r, 65535, rng.next_double(-1.0, 1.0));
+    t.add(r, r * 1000, rng.next_double(-1.0, 1.0));
+    t.add(r, 65535 - r, rng.next_double(-1.0, 1.0));
+  }
+  t.sort_and_combine();
+  Rng xr(72);
+  const Vector x = random_vector(t.ncols(), xr);
+  InstanceOptions opts;
+  opts.pin_threads = false;
+  for (const std::size_t threads : {1u, 4u}) {
+    SpmvInstance csr(t, Format::kCsr, threads, opts);
+    SpmvInstance csr16(t, Format::kCsr16, threads, opts);
+    Vector y_csr(t.nrows(), 0.0);
+    Vector y16(t.nrows(), std::numeric_limits<double>::quiet_NaN());
+    csr.run(x, y_csr);
+    csr16.run(x, y16);
+    EXPECT_EQ(std::memcmp(y_csr.data(), y16.data(),
+                          y16.size() * sizeof(value_t)),
+              0)
+        << threads << " threads";
+  }
+
+  Triplets wide(1, 65537);
+  wide.add(0, 65536, 1.0);
+  wide.sort_and_combine();
+  try {
+    SpmvInstance inst(wide, Format::kCsr16, 1, opts);
+    ADD_FAILURE() << "csr16 accepted 65537 columns";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("65536"), std::string::npos)
+        << e.what();
+  }
+}
+
+// No instance decides anything about NUMA, so none records a decision.
+void expect_no_numa_decision(const SpmvInstance& inst) {
+  for (const InstanceDecision& d : inst.decisions()) {
+    EXPECT_NE(d.aspect, "numa") << d.reason;
+  }
+}
+
+TEST(SpmvInstanceNuma, SerialInstancesRecordNoNodes) {
   const Triplets t = test::paper_matrix();
   SpmvInstance inst(t, Format::kCsr, 1);
   EXPECT_EQ(inst.numa_policy(), NumaPolicy::kOff);
   EXPECT_TRUE(inst.thread_nodes().empty());
+  const auto res = inst.matrix_residency();
+  EXPECT_FALSE(res.available);
+  EXPECT_FALSE(res.reason.empty());
+  expect_no_numa_decision(inst);
 }
 
-TEST(SpmvInstanceNuma, PolicyOffWithoutPinnedWorkers) {
-  // A worker's node is unknowable without a pin plan, so placement
-  // silently resolves to off rather than guessing.
-  test::ScopedEnv numa("SPC_NUMA", "local");
+TEST(SpmvInstanceNuma, UnpinnedWorkersRecordNoNodes) {
+  // A worker's node is unknowable without a pin plan, so none is
+  // recorded rather than guessed.
   InstanceOptions opts;
   opts.pin_threads = false;
   const Triplets t = test::paper_matrix();
   SpmvInstance inst(t, Format::kCsr, 2, opts);
   EXPECT_EQ(inst.numa_policy(), NumaPolicy::kOff);
+  EXPECT_TRUE(inst.thread_nodes().empty());
+  const auto res = inst.matrix_residency();
+  EXPECT_FALSE(res.available);
+  EXPECT_FALSE(res.reason.empty());
+  expect_no_numa_decision(inst);
 }
 
-TEST(SpmvInstanceNuma, AutoResolvesAgainstTheMachine) {
-  test::ScopedEnv numa("SPC_NUMA", "auto");
-  const Triplets t = test::paper_matrix();
-  SpmvInstance inst(t, Format::kCsr, 2);
-  const std::size_t nnodes = discover_topology().num_nodes();
-  if (nnodes > 1) {
-    EXPECT_EQ(inst.numa_policy(), NumaPolicy::kLocal);
-  } else {
-    EXPECT_EQ(inst.numa_policy(), NumaPolicy::kOff);
-  }
-}
-
-TEST(SpmvInstanceNuma, LocalPlacementRunsAndReportsResidency) {
-  test::ScopedEnv numa("SPC_NUMA", "local");
+TEST(SpmvInstanceNuma, PinnedWorkersRecordTheirNodesAndResidency) {
   Rng rng(56);
   const Triplets t =
       gen_ragged(400, 400, 12, 0.1, rng, ValueModel::pooled(30));
@@ -247,8 +291,17 @@ TEST(SpmvInstanceNuma, LocalPlacementRunsAndReportsResidency) {
   const Vector x = random_vector(t.ncols(), xr);
   const Vector ref = test::reference_spmv(t, x);
   SpmvInstance inst(t, Format::kCsrDuVi, 4);
-  EXPECT_EQ(inst.numa_policy(), NumaPolicy::kLocal);
+  const Topology topo = discover_topology();
+  // The report reads local exactly on a multi-node machine.
+  EXPECT_EQ(inst.numa_policy(), topo.num_nodes() > 1 ? NumaPolicy::kLocal
+                                                     : NumaPolicy::kOff);
   ASSERT_EQ(inst.thread_nodes().size(), 4u);
+  for (std::size_t th = 0; th < 4; ++th) {
+    EXPECT_EQ(inst.thread_nodes()[th],
+              std::max(0, topo.node_of_cpu(inst.pool()->worker_cpus()[th])))
+        << "worker " << th;
+  }
+  expect_no_numa_decision(inst);
   Vector y(t.nrows(), 0.0);
   inst.run(x, y);
   EXPECT_LT(rel_error(ref, y), kTol);
@@ -260,25 +313,6 @@ TEST(SpmvInstanceNuma, LocalPlacementRunsAndReportsResidency) {
   } else {
     EXPECT_FALSE(res.reason.empty());
   }
-}
-
-TEST(SpmvInstanceNuma, ResidencyUnavailableWhenPlacementOff) {
-  test::ScopedEnv numa("SPC_NUMA", "off");
-  const Triplets t = test::paper_matrix();
-  SpmvInstance inst(t, Format::kCsr, 2);
-  const auto res = inst.matrix_residency();
-  EXPECT_FALSE(res.available);
-  EXPECT_FALSE(res.reason.empty());
-}
-
-TEST(SpmvInstanceNuma, OptionsPolicyUsedWhenEnvUnset) {
-  // InstanceOptions carries the policy; SPC_NUMA (when set) overrides.
-  test::ScopedEnv numa("SPC_NUMA", "");
-  InstanceOptions opts;
-  opts.numa = NumaPolicy::kLocal;
-  const Triplets t = test::paper_matrix();
-  SpmvInstance inst(t, Format::kCsr, 2, opts);
-  EXPECT_EQ(inst.numa_policy(), NumaPolicy::kLocal);
 }
 
 // ---- Pool-built instances ------------------------------------------------

@@ -114,12 +114,6 @@ TEST_P(KernelAgreement, AllFormatsMatchReference) {
   const CsrDu du = CsrDu::from_triplets(t);
   check("csr-du", [&](Vector& y) { spmv(du, x.data(), y.data()); });
 
-  CsrDuOptions rle;
-  rle.enable_rle = true;
-  rle.rle_min_run = 4;
-  const CsrDu du_rle = CsrDu::from_triplets(t, rle);
-  check("csr-du-rle", [&](Vector& y) { spmv(du_rle, x.data(), y.data()); });
-
   const CsrVi vi = CsrVi::from_triplets(t);
   check("csr-vi", [&](Vector& y) { spmv(vi, x.data(), y.data()); });
 

@@ -179,35 +179,32 @@ TEST(SchedInstance, EveryFormatMatchesStaticBitForBitAtScalar) {
   }
 }
 
-TEST(SchedInstance, StealComposesWithNumaPolicies) {
-  // Chunk closures bind to their owner's slice: bit-identical results
-  // with and without the NUMA bookkeeping (an explicit local resolves
-  // as asked on a single-node machine too).
+TEST(SchedInstance, StealOnPinnedWorkersMatchesUnpinnedStatic) {
+  // Pinned workers record their nodes, which order each thief's
+  // victims; chunk closures still bind to their owner's slice, so y is
+  // the bits of an unpinned static run.
   const Triplets t = skewed_matrix();
   Rng xr(13);
   const Vector x = random_vector(t.ncols(), xr);
   test::ScopedEnv isa("SPC_ISA", "scalar");
   test::ScopedEnv sched("SPC_SCHED", "");
-  InstanceOptions opts;
-  opts.pin_threads = true;  // placement needs pinned workers
-  opts.chunk_nnz = 2048;
-  opts.schedule = Schedule::kSteal;
+  InstanceOptions unpinned;
+  unpinned.pin_threads = false;
+  InstanceOptions pinned;
+  pinned.chunk_nnz = 2048;
+  pinned.schedule = Schedule::kSteal;
   for (const Format f : sched_formats()) {
     if (f == Format::kCsr16 && !csr16_applicable(t)) {
       continue;
     }
-    Vector y_off(t.nrows(), 0.0);
-    {
-      test::ScopedEnv numa("SPC_NUMA", "off");
-      SpmvInstance inst(t, f, 4, opts);
-      inst.run(x, y_off);
-    }
-    test::ScopedEnv numa("SPC_NUMA", "local");
-    SpmvInstance inst(t, f, 4, opts);
-    EXPECT_EQ(inst.numa_policy(), NumaPolicy::kLocal) << format_name(f);
+    Vector y_static(t.nrows(), 0.0);
+    SpmvInstance(t, f, 4, unpinned).run(x, y_static);
+    SpmvInstance inst(t, f, 4, pinned);
+    EXPECT_EQ(inst.thread_nodes().size(), 4u) << format_name(f);
+    ASSERT_EQ(inst.schedule(), Schedule::kSteal) << format_name(f);
     Vector y(t.nrows(), std::numeric_limits<double>::quiet_NaN());
     inst.run(x, y);
-    EXPECT_EQ(max_abs_diff(y_off, y), 0.0) << format_name(f);
+    EXPECT_EQ(max_abs_diff(y_static, y), 0.0) << format_name(f);
   }
 }
 

@@ -53,8 +53,6 @@ TEST_P(SliceProperty, DuSlicesComposeUnderRandomPartitions) {
       1 + static_cast<index_t>(rng.next_below(16)),
       0.25 * rng.next_double(), rng, ValueModel::random());
   CsrDuOptions opts;
-  opts.enable_rle = rng.next_bernoulli(0.5);
-  opts.rle_min_run = 4;
   opts.split_threshold =
       1 + static_cast<std::uint32_t>(rng.next_below(16));
   const CsrDu m = CsrDu::from_triplets(t, opts);
@@ -252,12 +250,12 @@ const CsrDu* du_of(const M&) {
 
 bool same_units(const CsrDu::DecodedUnit& a, const CsrDu::DecodedUnit& b) {
   return a.uflags == b.uflags && a.usize == b.usize && a.rskip == b.rskip &&
-         a.ujmp == b.ujmp && a.stride == b.stride && a.ucis == b.ucis;
+         a.ujmp == b.ujmp && a.ucis == b.ucis;
 }
 
 bool same_units(const OffsetUnits::Unit& a, const OffsetUnits::Unit& b) {
   return a.uflags == b.uflags && a.usize == b.usize && a.rskip == b.rskip &&
-         a.base == b.base && a.stride == b.stride && a.offsets == b.offsets;
+         a.base == b.base && a.offsets == b.offsets;
 }
 
 usize_t stream_bytes(const CsrDu& m) { return m.ctl_bytes(); }
@@ -331,9 +329,7 @@ TEST_P(SliceProperty, RowRangeBuildersConcatenateAndCompose) {
       gen_ragged(n, n, 1 + static_cast<index_t>(rng.next_below(16)),
                  0.25 * rng.next_double(), rng, values);
   const Triplets ts = symmetrize(t);
-  CsrDuOptions du;
-  du.enable_rle = rng.next_bernoulli(0.5);
-  du.rle_min_run = 4;
+  const CsrDuOptions du;
   Rng xr(9000 + GetParam());
   const Vector x = random_vector(n, xr);
 

@@ -1,6 +1,6 @@
 // Fuzz sweep for the symmetric conflict-window reduction. The contract
 // under test: at SPC_ISA=scalar, the window and private-y schemes are
-// *bit-identical* for every (format, threads, numa, schedule) cell —
+// *bit-identical* for every (format, threads, schedule) cell —
 // both fold the same per-thread partial sums in ascending thread order,
 // so the reduction layout is interchangeable by construction. Neither
 // is bit-identical to serial (the per-thread grouping reassociates
@@ -80,8 +80,8 @@ Triplets fuzz_matrix(std::uint64_t seed) {
   }
 }
 
-// The sweep body: for both symmetric formats, every threads x numa cell
-// must produce a window result bit-identical to the private result, and
+// The sweep body: for both symmetric formats, every thread count must
+// produce a window result bit-identical to the private result, and
 // both within kTol of the serial kernel.
 void expect_window_matches_private(const Triplets& t,
                                    const std::string& label,
@@ -102,28 +102,23 @@ void expect_window_matches_private(const Triplets& t,
         << label << " " << format_name(f) << " serial";
 
     for (const std::size_t threads : {2, 4, 8}) {
-      for (const NumaPolicy numa : {NumaPolicy::kOff, NumaPolicy::kAuto}) {
-        InstanceOptions opts = base;
-        opts.numa = numa;
+      InstanceOptions opts = base;
+      opts.sym_reduce = SymReduce::kWindow;
+      SpmvInstance win(t, f, threads, opts);
+      ASSERT_EQ(win.sym_reduce(), SymReduce::kWindow);
+      Vector y_win(t.nrows(), std::numeric_limits<double>::quiet_NaN());
+      win.run(x, y_win);
 
-        opts.sym_reduce = SymReduce::kWindow;
-        SpmvInstance win(t, f, threads, opts);
-        ASSERT_EQ(win.sym_reduce(), SymReduce::kWindow);
-        Vector y_win(t.nrows(), std::numeric_limits<double>::quiet_NaN());
-        win.run(x, y_win);
+      opts.sym_reduce = SymReduce::kPrivate;
+      SpmvInstance priv(t, f, threads, opts);
+      ASSERT_EQ(priv.sym_reduce(), SymReduce::kPrivate);
+      Vector y_priv(t.nrows(), std::numeric_limits<double>::quiet_NaN());
+      priv.run(x, y_priv);
 
-        opts.sym_reduce = SymReduce::kPrivate;
-        SpmvInstance priv(t, f, threads, opts);
-        ASSERT_EQ(priv.sym_reduce(), SymReduce::kPrivate);
-        Vector y_priv(t.nrows(), std::numeric_limits<double>::quiet_NaN());
-        priv.run(x, y_priv);
-
-        const std::string cell = label + " " + std::string(format_name(f)) +
-                                 " x" + std::to_string(threads) +
-                                 " numa=" + numa_policy_name(numa);
-        EXPECT_EQ(max_abs_diff(y_win, y_priv), 0.0) << cell;
-        EXPECT_LT(rel_error(ref, y_win), kTol) << cell;
-      }
+      const std::string cell = label + " " + std::string(format_name(f)) +
+                               " x" + std::to_string(threads);
+      EXPECT_EQ(max_abs_diff(y_win, y_priv), 0.0) << cell;
+      EXPECT_LT(rel_error(ref, y_win), kTol) << cell;
     }
   }
 }

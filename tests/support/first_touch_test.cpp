@@ -1,5 +1,5 @@
-// NumaPolicy parsing/resolution, absolute indexing through rebased
-// slice pointers, and the page-residency query.
+// The placement report's names, absolute indexing through rebased slice
+// pointers, and the page-residency query.
 //
 // Placement itself (which node a page lands on) is hardware-dependent and
 // checked best-effort by query_page_nodes, which must degrade gracefully.
@@ -10,58 +10,12 @@
 #include <string>
 #include <vector>
 
-#include "test_util.hpp"
-
 namespace spc {
 namespace {
 
-TEST(NumaPolicy, NamesRoundTrip) {
-  for (const NumaPolicy p :
-       {NumaPolicy::kAuto, NumaPolicy::kOff, NumaPolicy::kLocal}) {
-    NumaPolicy parsed = NumaPolicy::kAuto;
-    ASSERT_TRUE(parse_numa_policy(numa_policy_name(p), &parsed))
-        << numa_policy_name(p);
-    EXPECT_EQ(parsed, p);
-  }
-}
-
-TEST(NumaPolicy, ParseAcceptsAliases) {
-  NumaPolicy p = NumaPolicy::kAuto;
-  EXPECT_TRUE(parse_numa_policy("first-touch", &p));
-  EXPECT_EQ(p, NumaPolicy::kLocal);
-  EXPECT_TRUE(parse_numa_policy("none", &p));
-  EXPECT_EQ(p, NumaPolicy::kOff);
-  EXPECT_TRUE(parse_numa_policy("LOCAL", &p));
-  EXPECT_EQ(p, NumaPolicy::kLocal);
-}
-
-TEST(NumaPolicy, ParseRejectsUnknownLeavingOutputUntouched) {
-  NumaPolicy p = NumaPolicy::kLocal;
-  // The retired x-mirror policies parse like any other unknown name.
-  for (const char* name : {"sideways", "replicate", "interleaved"}) {
-    EXPECT_FALSE(parse_numa_policy(name, &p)) << name;
-    EXPECT_EQ(p, NumaPolicy::kLocal) << name;
-  }
-}
-
-TEST(NumaPolicy, EnvOverridesFallback) {
-  test::ScopedEnv env("SPC_NUMA", "local");
-  EXPECT_EQ(numa_policy_from_env(NumaPolicy::kOff), NumaPolicy::kLocal);
-}
-
-TEST(NumaPolicy, BadEnvValueKeepsFallback) {
-  test::ScopedEnv env("SPC_NUMA", "definitely-not-a-policy");
-  EXPECT_EQ(numa_policy_from_env(NumaPolicy::kLocal), NumaPolicy::kLocal);
-}
-
-TEST(NumaPolicy, AutoResolvesByNodeCount) {
-  EXPECT_EQ(resolve_numa_policy(NumaPolicy::kAuto, 1), NumaPolicy::kOff);
-  EXPECT_EQ(resolve_numa_policy(NumaPolicy::kAuto, 2), NumaPolicy::kLocal);
-  // Explicit policies pass through even on flat machines — the
-  // single-node CI leg relies on local still having workers build their
-  // slices.
-  EXPECT_EQ(resolve_numa_policy(NumaPolicy::kLocal, 1), NumaPolicy::kLocal);
-  EXPECT_EQ(resolve_numa_policy(NumaPolicy::kOff, 4), NumaPolicy::kOff);
+TEST(NumaPolicy, ReportNames) {
+  EXPECT_EQ(numa_policy_name(NumaPolicy::kOff), "off");
+  EXPECT_EQ(numa_policy_name(NumaPolicy::kLocal), "local");
 }
 
 TEST(RebasePtr, AbsoluteIndexingLandsInSlice) {

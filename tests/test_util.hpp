@@ -101,7 +101,7 @@ inline Triplets random_triplets(index_t nrows, index_t ncols,
 
 /// The fuzz suites' swarm (seeds 0..20): deterministic draws spanning
 /// the structures the kernels and encoders specialize on: dense-ish rows
-/// (contiguous AVX loads), banded (RLE-friendly strides), ragged
+/// (contiguous AVX loads), banded (constant strides), ragged
 /// (unit-length tails), rmat (irregular gathers), pooled values (small
 /// VI tables), long dense rows, plus degenerate shapes.
 inline Triplets swarm_matrix(int seed) {
@@ -136,7 +136,7 @@ inline Triplets swarm_matrix(int seed) {
           ValueModel::random());
     case 5: {
       // Long dense rows: exercises the vector kernels' main loops for
-      // many iterations and the stride-1 RLE decode.
+      // many iterations and rows longer than one DU unit.
       const index_t n = 4 + static_cast<index_t>(rng.next_below(8));
       Triplets t(n, 512);
       for (index_t r = 0; r < n; ++r) {

@@ -109,7 +109,6 @@ tune::TuneCacheEntry sample_entry(const std::string& machine_id,
   e.key.machine_id = machine_id;
   e.key.threads = 4;
   e.key.isa = "avx2";
-  e.key.numa = "off";
   e.key.schedule = "static";
   e.format = format;
   e.probe_ns = 123456;
@@ -399,9 +398,10 @@ TEST(Tuner, RetiredFormatNamesInTheCacheReprobe) {
 }
 
 TEST(Tuner, VersionOneCacheLinesAreBadLinesAndReprobe) {
-  // v1 lines keyed matrices by the byte-wise FNV-1a fingerprint. A v1
-  // line for this very cell must count as a bad line, not throw, and
-  // leave the tuner to probe again.
+  // v1 lines keyed matrices by the byte-wise FNV-1a fingerprint, and v2
+  // lines keyed them by a NUMA policy too. A v1 and a v2 line for this
+  // very cell must each count as a bad line, not throw, and leave the
+  // tuner to probe again.
   Rng rng(42);
   const Triplets t = test::random_triplets(200, 200, 3000, rng, 8);
   InstanceOptions opts;
@@ -416,13 +416,16 @@ TEST(Tuner, VersionOneCacheLinesAreBadLinesAndReprobe) {
     std::ifstream f(topts.cache_path);
     ASSERT_TRUE(std::getline(f, line));
   }
-  obs::Json j = obs::Json::parse(line);
-  j.set("tune", "v1");
+  obs::Json v1 = obs::Json::parse(line);
+  obs::Json v2 = v1;
+  v1.set("tune", "v1");
+  v2.set("tune", "v2");
+  v2.set("numa", "off");
   {
     std::ofstream f(topts.cache_path, std::ios::trunc);
-    f << j.dump() << '\n';
+    f << v1.dump() << '\n' << v2.dump() << '\n';
   }
-  EXPECT_EQ(tune::TuneCache(topts.cache_path).bad_lines(), 1u);
+  EXPECT_EQ(tune::TuneCache(topts.cache_path).bad_lines(), 2u);
   EXPECT_EQ(tune::TuneCache(topts.cache_path).size(), 0u);
   tune::TuneReport again;
   tune::auto_instance(t, 1, opts, topts, &again);
