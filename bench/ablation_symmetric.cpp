@@ -2,8 +2,11 @@
 // paper's compression formats, on the symmetric members of the corpus.
 // SymCsr halves index *and* value data — the largest ws reduction
 // available — but pays a scatter (and, multithreaded, a conflict-window
-// reduction; see ablation_sym for window vs private y).
+// reduction). Every timed cell goes to the SPC_METRICS sink, so
+// profile_report shows the fold's share of the symmetric runs.
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "spc/bench/harness.hpp"
 #include "spc/formats/sym_csr.hpp"
@@ -34,14 +37,19 @@ void run() {
     const double csr_b = static_cast<double>(csr.matrix_bytes());
     for (const Format f : {Format::kCsr, Format::kCsrDu, Format::kCsrVi,
                            Format::kSymCsr, Format::kSymCsrVi}) {
-      SpmvInstance s1(mc.mat, f, 1, opts);
-      SpmvInstance sn(mc.mat, f, mt, opts);
-      table.add_row(
-          {mc.name, format_name(f),
-           fmt_fixed(static_cast<double>(s1.matrix_bytes()) / csr_b, 2),
-           fmt_fixed(time_spmv(s1, cfg.iterations, cfg.warmup) * 1e3, 2),
-           fmt_fixed(time_spmv(sn, cfg.iterations, cfg.warmup) * 1e3,
-                     2)});
+      std::vector<std::string> row = {mc.name, format_name(f)};
+      for (const std::size_t threads : {std::size_t{1}, mt}) {
+        SpmvInstance inst(mc.mat, f, threads, opts);
+        const RunMetrics m =
+            time_spmv_metrics(inst, cfg.iterations, cfg.warmup);
+        emit_metrics_record("ablation_symmetric", mc, inst, m);
+        if (threads == 1) {
+          row.push_back(fmt_fixed(
+              static_cast<double>(inst.matrix_bytes()) / csr_b, 2));
+        }
+        row.push_back(fmt_fixed(m.seconds * 1e3, 2));
+      }
+      table.add_row(std::move(row));
     }
   });
   table.print(std::cout);

@@ -132,11 +132,6 @@ bool parse_record(const std::string& line, Record& r) {
                   seconds
             : 0.0;
     r.sym_window_frac = num(j, "sym_window_frac");
-    // Window and private runs of one cell are different reduction
-    // layouts — keep them apart.
-    if (const std::string mode = str(j, "sym_reduce"); !mode.empty()) {
-      r.schedule += "+" + mode;
-    }
   }
   if (const spc::obs::Json* roof = j.find("roofline");
       roof != nullptr && roof->is_object()) {

@@ -1,5 +1,6 @@
 #include "spc/bench/harness.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -25,6 +26,31 @@ namespace {
 // (regress_check's injection mode).
 std::uint64_t pad_ns_per_iter() {
   return env_u64("SPC_PAD_NS_PER_ITER").value_or(0);
+}
+
+// "1,2,4": positive base-10 counts; nullopt when any token is not one
+// or no count is given.
+std::optional<std::vector<std::size_t>> parse_thread_list(
+    const std::string& s) {
+  std::vector<std::size_t> threads;
+  std::stringstream ss(s);
+  std::string tok;
+  while (std::getline(ss, tok, ',')) {
+    if (tok.empty()) {
+      continue;
+    }
+    std::size_t n = 0;
+    const char* const end = tok.data() + tok.size();
+    const auto [p, ec] = std::from_chars(tok.data(), end, n);
+    if (ec != std::errc() || p != end || n == 0) {
+      return std::nullopt;
+    }
+    threads.push_back(n);
+  }
+  if (threads.empty()) {
+    return std::nullopt;
+  }
+  return threads;
 }
 
 void busy_wait_ns(std::uint64_t ns) {
@@ -70,7 +96,11 @@ SetClass classify_ws(usize_t ws, const SetThresholds& th) {
 BenchConfig BenchConfig::from_env() {
   BenchConfig cfg;
   if (const auto s = env_str("SPC_SCALE")) {
-    cfg.scale = parse_corpus_scale(*s);
+    try {
+      cfg.scale = parse_corpus_scale(*s);
+    } catch (const InvalidArgument&) {
+      env_warn_once("SPC_SCALE", *s, "tiny|small|bench");
+    }
   }
   if (const auto n = env_u64("SPC_ITERS")) {
     cfg.iterations = *n;
@@ -79,16 +109,11 @@ BenchConfig BenchConfig::from_env() {
     cfg.warmup = *n;
   }
   if (const auto s = env_str("SPC_THREADS")) {
-    cfg.threads.clear();
-    std::stringstream ss(*s);
-    std::string tok;
-    while (std::getline(ss, tok, ',')) {
-      if (!tok.empty()) {
-        cfg.threads.push_back(std::stoull(tok));
-      }
-    }
-    if (cfg.threads.empty()) {
-      cfg.threads = {1};
+    if (auto threads = parse_thread_list(*s)) {
+      cfg.threads = std::move(*threads);
+    } else {
+      env_warn_once("SPC_THREADS", *s,
+                    "comma-separated positive thread counts");
     }
   }
   if (const auto n = env_u64("SPC_MAX_MATRICES")) {
@@ -280,7 +305,6 @@ obs::Json make_metrics_record(
   // carried and what the reduction phase cost (profile_report turns the
   // latter into a share of the timed loop).
   if (inst.sym_active()) {
-    rec.set("sym_reduce", sym_reduce_name(inst.sym_reduce()));
     rec.set("sym_window_frac", m.sym_window_frac);
     rec.set("reduce_ns", m.reduce_ns);
   }

@@ -51,6 +51,8 @@ SetClass classify_ws(usize_t ws, const SetThresholds& th);
 ///   SPC_THREADS=1,2,4,8          thread counts       (default 1,2,4,8)
 ///   SPC_MAX_MATRICES=N           truncate the corpus (default all)
 ///   SPC_PIN=0|1                  pin threads         (default 1)
+/// An unparseable value (an unknown scale, a thread count that is not a
+/// positive integer) warns once on stderr and keeps the default.
 struct BenchConfig {
   CorpusScale scale = CorpusScale::kSmall;
   std::size_t iterations = 128;
@@ -132,9 +134,9 @@ struct RunMetrics {
   std::size_t sched_chunks = 0;
   /// Chunks executed by non-owners over the timed loop (steal schedule).
   std::uint64_t steals = 0;
-  /// Symmetric formats only: window rows as a fraction of the private-y
-  /// scheme's rows (1.0 = private fallback, 0 = sym inactive), and the
-  /// wall time of the reduction phase over the timed loop.
+  /// Pooled symmetric formats only: the conflict windows' rows over
+  /// threads*nrows (SpmvInstance::sym_window_frac(); 0 = sym inactive),
+  /// and the wall time of the reduction phase over the timed loop.
   double sym_window_frac = 0.0;
   std::uint64_t reduce_ns = 0;
   obs::CounterReadings counters;

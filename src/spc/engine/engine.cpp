@@ -1,6 +1,7 @@
 #include "spc/engine/engine.hpp"
 
 #include <algorithm>
+#include <new>
 #include <utility>
 
 #include "spc/support/error.hpp"
@@ -86,9 +87,10 @@ Status Engine::register_matrix(const std::string& id, const Triplets& t,
 
   // Encode outside the registry lock: tuning/encoding may take a while
   // and must not stall concurrent submits to other matrices.
-  auto entry = std::make_shared<MatrixEntry>();
-  entry->id = id;
+  std::shared_ptr<MatrixEntry> entry;
   try {
+    entry = std::make_shared<MatrixEntry>();
+    entry->id = id;
     Format fmt = ropts.format;
     tune::TuneReport rep;
     if (ropts.auto_format) {
@@ -106,8 +108,16 @@ Status Engine::register_matrix(const std::string& id, const Triplets& t,
       p.fingerprint = rep.fingerprint;
       entry->inst->set_tune_provenance(std::move(p));
     }
-  } catch (const Error& e) {
+  } catch (const InvalidArgument& e) {
     return Status::Invalid("registering matrix '" + id + "': " + e.what());
+  } catch (const ParseError& e) {
+    return Status::Invalid("registering matrix '" + id + "': " + e.what());
+  } catch (const std::bad_alloc&) {
+    return Status::Exhausted("registering matrix '" + id +
+                             "': out of memory");
+  } catch (const Error& e) {
+    // A failed SPC_CHECK or another library fault, not the caller's.
+    return Status::Internal("registering matrix '" + id + "': " + e.what());
   }
 
   {

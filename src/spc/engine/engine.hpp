@@ -57,9 +57,11 @@ class Engine {
   /// while the build runs, so requests arriving meanwhile queue or take
   /// the serial fallback. kAlreadyExists when the id is taken,
   /// kInvalidArgument when encoding refuses the matrix or the call comes
-  /// from one of the pool's own workers, kUnavailable after shutdown.
-  /// Registration is synchronous; when it returns ok() the matrix is
-  /// resident and servable.
+  /// from one of the pool's own workers, kResourceExhausted when an
+  /// allocation fails, kInternal on any other library fault (a failed
+  /// internal check), kUnavailable after shutdown. A failed registration
+  /// leaves the registry unchanged. Registration is synchronous; when it
+  /// returns ok() the matrix is resident and servable.
   Status register_matrix(const std::string& id, const Triplets& t,
                          const RegisterOptions& ropts = {});
 

@@ -122,7 +122,7 @@ void ThreadPool::run(const std::function<void(std::size_t)>& fn) {
 
 void ThreadPool::check_not_own_worker() const {
   if (t_worker_of == this) {
-    throw Error(
+    throw InvalidArgument(
         "ThreadPool::run called from one of the pool's own workers: the "
         "dispatch would wait for the calling worker forever");
   }

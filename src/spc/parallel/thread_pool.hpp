@@ -66,9 +66,9 @@ class ThreadPool {
   /// call per worker; nothing allocates either way).
   ///
   /// Called from one of this pool's own workers, run() and try_run()
-  /// throw Error instead of waiting for a dispatch that could never
-  /// finish (the caller is one of the workers it waits for). Running a
-  /// different pool from a worker is fine.
+  /// throw InvalidArgument instead of waiting for a dispatch that could
+  /// never finish (the caller is one of the workers it waits for).
+  /// Running a different pool from a worker is fine.
   void run(const std::function<void(std::size_t)>& fn);
 
   /// The non-allocating dispatch primitive: a plain function pointer
@@ -133,7 +133,8 @@ class ThreadPool {
  private:
   void worker_main(std::size_t tid, int cpu);
 
-  /// Throws Error when the calling thread is one of this pool's workers.
+  /// Throws InvalidArgument when the calling thread is one of this
+  /// pool's workers.
   void check_not_own_worker() const;
 
   /// Publishes the job, wakes workers, and blocks until all are done.

@@ -82,48 +82,34 @@ void SpmvInstance::steal_job(void* ctx, std::size_t tid) {
 
 void SpmvInstance::sym_compute_job(void* ctx, std::size_t tid) {
   auto* self = static_cast<SpmvInstance*>(ctx);
-  // Zero this worker's conflict window (or full private y copy) before
-  // its rows run; the kernels accumulate into it.
-  Vector& s = self->sym_reduce_ == SymReduce::kWindow
-                  ? self->sym_win_[tid]
-                  : self->sym_private_y_[tid];
-  std::fill(s.begin(), s.end(), 0.0);
+  // Zero this worker's conflict window before its rows run; the kernels
+  // accumulate into it.
+  Vector& win = self->sym_win_[tid];
+  std::fill(win.begin(), win.end(), 0.0);
   self->binding_.per_thread[tid](self->run_args_.x, self->run_args_.y);
 }
 
 void SpmvInstance::sym_reduce_job(void* ctx, std::size_t tid) {
   auto* self = static_cast<SpmvInstance*>(ctx);
   value_t* const y = self->run_args_.y;
-  if (self->sym_reduce_ == SymReduce::kWindow) {
-    // Fold the overlapping windows into this worker's own compute rows
-    // (cache/NUMA-local — it just wrote them). Ascending thread order
-    // keeps the accumulation deterministic. Thread 0's window is always
-    // empty (nothing below row 0), so the fold starts at 1.
-    const index_t r0 = self->partition_.row_begin(tid);
-    const index_t r1 = self->partition_.row_end(tid);
-    for (std::size_t t = 1; t < self->nthreads_; ++t) {
-      const index_t wb = self->sym_plan_.win_begin[t];
-      const index_t we = self->partition_.row_begin(t);
-      const index_t lo = std::max(r0, wb);
-      const index_t hi = std::min(r1, we);
-      if (lo >= hi) {
-        continue;
-      }
-      const value_t* const win = self->sym_win_[t].data();
-      for (index_t r = lo; r < hi; ++r) {
-        y[r] += win[r - wb];
-      }
+  // Fold the windows into this worker's rows of the even split. Every
+  // row adds the windows that cover it in ascending thread order, so y
+  // does not depend on which worker folds the row, and no worker adds
+  // more than (T-1)/T * nrows window values, however the windows pile
+  // up below one owner. Thread 0's window is always empty (nothing
+  // below row 0), so the fold starts at 1.
+  const index_t r0 = self->sym_fold_rows_.row_begin(tid);
+  const index_t r1 = self->sym_fold_rows_.row_end(tid);
+  for (std::size_t t = 1; t < self->nthreads_; ++t) {
+    const index_t wb = self->sym_win_begin_[t];
+    const index_t lo = std::max(r0, wb);
+    const index_t hi = std::min(r1, self->partition_.row_begin(t));
+    if (lo >= hi) {
+      continue;
     }
-  } else {
-    // Private-y fallback: even row split sums the full-length copies.
-    const index_t r0 = self->sym_reduce_rows_.row_begin(tid);
-    const index_t r1 = self->sym_reduce_rows_.row_end(tid);
-    std::fill(y + r0, y + r1, 0.0);
-    for (const Vector& s : self->sym_private_y_) {
-      const value_t* const sp = s.data();
-      for (index_t r = r0; r < r1; ++r) {
-        y[r] += sp[r];
-      }
+    const value_t* const win = self->sym_win_[t].data();
+    for (index_t r = lo; r < hi; ++r) {
+      y[r] += win[r - wb];
     }
   }
 }
@@ -268,12 +254,9 @@ struct SliceBind {
   /// covers chunks[i]..chunks[i+1].
   std::vector<index_t> chunks = {};
   // Symmetric formats' pooled closures: the conflict window and the row
-  // where direct scatters start (window mode), or the worker's private
-  // full-length y (private mode). All zero for serial instances.
+  // it starts at. Zero for serial instances.
   value_t* win = nullptr;
   index_t win_begin = 0;
-  index_t direct_begin = 0;
-  value_t* private_y = nullptr;
 };
 
 // A slice's closures: the serial pass over its rows, the pooled
@@ -334,9 +317,9 @@ SliceKernels du_kernels(const OffsetUnits& du, const SliceBind& p, Fn fn,
 
 // Symmetric kernels (see kernels.hpp for the window parameterization):
 // the serial pass scatters straight into y; the pooled closure writes
-// its own rows into y and conflicts into the window, or everything into
-// the private y. run_parallel wraps the pooled closures in the
-// zero/compute/reduce phases.
+// its own rows into y (direct_begin = b) and conflicts into the window.
+// run_parallel wraps the pooled closures in the zero/compute/reduce
+// phases.
 template <typename Fn, typename... A>
 SliceKernels sym_kernels(const SliceBind& p, Fn fn, const A*... a) {
   SliceKernels k;
@@ -347,10 +330,8 @@ SliceKernels sym_kernels(const SliceBind& p, Fn fn, const A*... a) {
   };
   value_t* const win = p.win;
   const index_t wb = p.win_begin;
-  const index_t db = p.direct_begin;
-  value_t* const py = p.private_y;
   k.pooled = [=](const value_t* x, value_t* y) {
-    fn(a..., x, py != nullptr ? py : y, win, wb, db, b, e);
+    fn(a..., x, y, win, wb, b, b, e);
   };
   return k;
 }
@@ -604,7 +585,7 @@ void SpmvInstance::setup_sym() {
   const std::size_t nthreads = nthreads_;
   // Thread t's scatters outside its rows start at the smallest first
   // column among its rows (columns ascend within a row).
-  std::vector<index_t> win_begin(nthreads);
+  sym_win_begin_.assign(nthreads, 0);
   std::visit(
       [&](const auto& slices) {
         using M = typename std::decay_t<decltype(slices)>::value_type;
@@ -619,29 +600,22 @@ void SpmvInstance::setup_sym() {
                 wb = std::min(wb, ci[rp[r]]);
               }
             }
-            win_begin[th] = wb;
+            sym_win_begin_[th] = wb;
           }
         }
       },
       slices_);
-  sym_plan_ = plan_sym_windows(std::move(win_begin), partition_, nrows_,
-                               sym_reduce_from_env(opts_.sym_reduce));
-  sym_reduce_ =
-      sym_plan_.use_window ? SymReduce::kWindow : SymReduce::kPrivate;
-  sym_active_ = true;
-  if (sym_reduce_ == SymReduce::kWindow) {
-    for (std::size_t th = 0; th < nthreads; ++th) {
-      sym_win_.emplace_back(
-          partition_.row_begin(th) - sym_plan_.win_begin[th], 0.0);
-    }
-  } else {
-    sym_private_y_.assign(nthreads, Vector(nrows_, 0.0));
-    sym_reduce_rows_ = partition_rows_even(nrows_, nthreads);
+  for (std::size_t th = 0; th < nthreads; ++th) {
+    sym_win_.emplace_back(partition_.row_begin(th) - sym_win_begin_[th],
+                          0.0);
+    sym_window_rows_ += sym_win_.back().size();
   }
+  sym_fold_rows_ = partition_rows_even(nrows_, nthreads);
+  sym_active_ = true;
   auto& reg = obs::Registry::global();
   sym_reduce_counter_ = &reg.counter("spc.sym.reduce_ns");
   reg.gauge("spc.sym.window_rows")
-      .set(static_cast<double>(sym_window_rows()));
+      .set(static_cast<double>(sym_window_rows_));
 }
 
 void SpmvInstance::setup_schedule(const Triplets& t, const Topology& topo) {
@@ -829,12 +803,9 @@ void SpmvInstance::prepare() {
                 chunk_plan_.bounds.begin() + chunk_plan_.owner_begin[th + 1];
             p.chunks.assign(first, last + 1);
           }
-          if (sym_active_ && sym_reduce_ == SymReduce::kWindow) {
+          if (sym_active_) {
             p.win = sym_win_[th].data();
-            p.win_begin = sym_plan_.win_begin[th];
-            p.direct_begin = p.b;
-          } else if (sym_active_) {
-            p.private_y = sym_private_y_[th].data();
+            p.win_begin = sym_win_begin_[th];
           }
           SliceKernels k = bind(slices[th], p);
           serial.push_back(std::move(k.serial));
@@ -860,16 +831,9 @@ void SpmvInstance::prepare() {
 }
 
 double SpmvInstance::sym_window_frac() const {
-  if (!sym_active_) {
-    return 0.0;
-  }
-  if (sym_reduce_ == SymReduce::kPrivate) {
-    return 1.0;
-  }
   const double denom =
       static_cast<double>(nthreads_) * static_cast<double>(nrows_);
-  return denom > 0.0 ? static_cast<double>(sym_plan_.total_rows) / denom
-                     : 0.0;
+  return denom > 0.0 ? static_cast<double>(sym_window_rows_) / denom : 0.0;
 }
 
 usize_t SpmvInstance::matrix_bytes() const {
@@ -977,16 +941,13 @@ void SpmvInstance::run_parallel(const Vector& x, Vector& y) {
   value_t* const yp = y.data();
 
   // Symmetric formats: two-phase execution — zero+compute (direct rows
-  // into the shared y, conflicts into the per-thread windows or private
-  // copies), then the reduction. When the window plan has no conflict
-  // rows at all, the reduction phase is skipped entirely.
+  // into the shared y, conflicts into the per-thread windows), then the
+  // fold. When no window holds a row, the fold is skipped entirely.
   if (sym_active_) {
     run_args_.x = xp;
     run_args_.y = yp;
-    const bool reduce_needed = sym_reduce_ == SymReduce::kPrivate ||
-                               sym_plan_.total_rows > 0;
     dispatch_raw(&SpmvInstance::sym_compute_job);
-    if (reduce_needed) {
+    if (sym_window_rows_ > 0) {
       const std::uint64_t t0 = now_ns();
       dispatch_raw(&SpmvInstance::sym_reduce_job);
       const std::uint64_t t1 = now_ns();

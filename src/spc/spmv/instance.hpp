@@ -30,7 +30,6 @@
 #include "spc/parallel/schedule.hpp"
 #include "spc/parallel/thread_pool.hpp"
 #include "spc/spmv/dispatch.hpp"
-#include "spc/spmv/sym_spmv.hpp"
 #include "spc/support/first_touch.hpp"
 #include "spc/support/status.hpp"
 
@@ -80,11 +79,6 @@ struct InstanceOptions {
   /// from the discovered L2 size (parallel/schedule.hpp). SPC_CHUNK_NNZ
   /// overrides either.
   usize_t chunk_nnz = 0;
-  /// Conflict-reduction strategy for the symmetric formats (overridable
-  /// via SPC_SYM_REDUCE): kAuto uses the bounded conflict windows unless
-  /// the plan degenerates toward full-length windows, where the classic
-  /// private-y path is cheaper. See spmv/sym_spmv.hpp.
-  SymReduce sym_reduce = SymReduce::kAuto;
 
   /// Checks the option values themselves (not their fit to a matrix):
   /// the DU encoder knobs' ranges (CsrDuOptions::validate()). Returns
@@ -260,21 +254,11 @@ class SpmvInstance {
   /// active (multithreaded pool runs of kSymCsr / kSymCsrVi).
   bool sym_active() const { return sym_active_; }
 
-  /// The conflict-reduction strategy actually in effect (kWindow or
-  /// kPrivate; kAuto never survives resolution). Meaningful only when
-  /// sym_active(). Recorded into the JSONL metrics as "sym_reduce".
-  SymReduce sym_reduce() const { return sym_reduce_; }
+  /// Total conflict-window rows across threads (0 when !sym_active()).
+  usize_t sym_window_rows() const { return sym_window_rows_; }
 
-  /// Total conflict-window rows across threads (0 in private mode).
-  usize_t sym_window_rows() const {
-    return sym_active_ && sym_reduce_ == SymReduce::kWindow
-               ? sym_plan_.total_rows
-               : 0;
-  }
-
-  /// Reduction traffic relative to the private-y sweep's nthreads*nrows:
-  /// the window span fraction under kWindow, 1.0 under kPrivate, 0.0
-  /// when no symmetric reduction runs at all.
+  /// sym_window_rows() over nthreads*nrows: the windows' share of one
+  /// full-length y per worker. 0.0 when no symmetric reduction runs.
   double sym_window_frac() const;
 
   /// Nanoseconds of reduction-phase wall time accumulated since the last
@@ -332,8 +316,8 @@ class SpmvInstance {
   /// active, builds the chunk plan, the per-worker deques, and the
   /// NUMA-near victim order from thread_nodes().
   void setup_schedule(const Triplets& t, const Topology& topo);
-  /// Plans the symmetric formats' conflict windows from the slices and
-  /// allocates the window (or private y) buffers.
+  /// Plans the symmetric formats' conflict windows from the slices,
+  /// allocates the window buffers and splits the fold evenly.
   void setup_sym();
 
   Format format_;
@@ -401,15 +385,14 @@ class SpmvInstance {
   };
   RunArgs run_args_;
   // Symmetric conflict-window execution (kSymCsr / kSymCsrVi, pooled
-  // runs): the resolved reduction strategy, the per-thread window plan,
-  // the window buffers, the private-mode full-length y copies and their
-  // even reduce split, and the reduction-phase timer.
+  // runs): worker t scatters below its rows only into sym_win_[t], which
+  // covers rows [sym_win_begin_[t], row_begin(t)); the fold sums the
+  // windows over an even row split. Plus the reduction-phase timer.
   bool sym_active_ = false;
-  SymReduce sym_reduce_ = SymReduce::kWindow;
-  SymWindowPlan sym_plan_;
-  std::vector<Vector> sym_win_;        ///< one per worker (kWindow)
-  std::vector<Vector> sym_private_y_;  ///< one per worker (kPrivate)
-  RowPartition sym_reduce_rows_;       ///< kPrivate reduce-phase split
+  std::vector<index_t> sym_win_begin_;  ///< one per worker
+  std::vector<Vector> sym_win_;         ///< one per worker
+  usize_t sym_window_rows_ = 0;         ///< sum of the windows' sizes
+  RowPartition sym_fold_rows_;          ///< fold-phase split (even)
   std::uint64_t sym_reduce_ns_ = 0;
   obs::Counter* sym_reduce_counter_ = nullptr;
   TuneProvenance tune_;
@@ -419,8 +402,8 @@ class SpmvInstance {
   static void static_job(void* ctx, std::size_t tid);
   static void steal_job(void* ctx, std::size_t tid);
   /// Symmetric-path executors: the compute job zeroes the worker's
-  /// window (or private y copy) then runs its rows; the reduce job folds
-  /// the overlapping windows (or sums the private copies) into y.
+  /// window then runs its rows; the reduce job folds the windows that
+  /// cover the worker's share of the even split into y.
   static void sym_compute_job(void* ctx, std::size_t tid);
   static void sym_reduce_job(void* ctx, std::size_t tid);
 };

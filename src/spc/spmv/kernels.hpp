@@ -228,10 +228,13 @@ void spmv_offset_units_vi(const CsrDu::Slice& s, const IndT* val_ind,
 ///
 /// Modes by parameterization (one kernel, bit-identical accumulation):
 ///   window  — direct_begin = row_begin: own-range scatters go straight
-///             to the shared y, cross-thread conflicts into `win`.
+///             to the shared y, cross-thread conflicts into `win`. The
+///             pooled symmetric instances run this.
 ///   private — direct_begin = 0, y = the thread's zeroed full-length
 ///             scratch: every scatter lands in the scratch; `win` is
-///             never touched (may be nullptr).
+///             never touched (may be nullptr). No execution path runs
+///             it: summed in ascending thread order, it is the tests'
+///             bit-level oracle for the window fold.
 ///   serial  — direct_begin = 0 over the full range: scatters hit rows
 ///             already assigned, so y needs no pre-zeroing.
 inline void spmv_sym_csr_win(const index_t* __restrict row_ptr,

@@ -103,9 +103,6 @@ const std::vector<EnvVarInfo>& env_registry() {
       {"SPC_CHUNK_NNZ", "u64", "non-zeros per chunk (0 = L2-derived)",
        "InstanceOptions::chunk_nnz",
        "Target chunk weight for the steal schedule."},
-      {"SPC_SYM_REDUCE", "enum", "auto|window|private",
-       "InstanceOptions::sym_reduce",
-       "Conflict-reduction strategy for the symmetric formats."},
       {"SPC_TUNE", "flag", "0|1|true|false|on|off|yes|no",
        "format=auto entry points",
        "Enables the per-matrix autotuner on format=auto entry points."},
@@ -131,7 +128,7 @@ const std::vector<EnvVarInfo>& env_registry() {
        "Untimed warmup iterations per bench cell."},
       {"SPC_THREADS", "list", "comma-separated thread counts",
        "bench harness", "Thread counts a bench sweeps."},
-      {"SPC_SCALE", "enum", "tiny|small|full", "bench harness",
+      {"SPC_SCALE", "enum", "tiny|small|bench", "bench harness",
        "Scales the synthetic bench corpus."},
       {"SPC_PIN", "u64", "0|1", "bench harness",
        "Disables worker pinning in the bench harness when 0."},

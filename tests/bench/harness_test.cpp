@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-
-#include "spc/obs/ledger.hpp"
 #include <fstream>
 #include <sstream>
+#include <string>
+
+#include "spc/gen/generators.hpp"
+#include "spc/obs/ledger.hpp"
+#include "spc/support/env.hpp"
 
 namespace spc {
 namespace {
@@ -78,6 +81,35 @@ TEST(BenchConfig, EnvParsing) {
   EXPECT_EQ(cfg.threads, (std::vector<std::size_t>{1, 3, 9}));
   EXPECT_FALSE(cfg.pin_threads);
   EXPECT_FALSE(cfg.describe().empty());
+
+  // Unparseable values warn once and keep the defaults instead of
+  // ending the bench: an unknown scale, a thread list with a non-number,
+  // and a zero thread count.
+  const BenchConfig dflt;
+  {
+    EnvGuard bad("SPC_SCALE", "full");
+    EXPECT_EQ(BenchConfig::from_env().scale, dflt.scale);
+  }
+  for (const char* threads : {"2,x", "0"}) {
+    EnvGuard bad("SPC_THREADS", threads);
+    EXPECT_EQ(BenchConfig::from_env().threads, dflt.threads) << threads;
+  }
+}
+
+// Every scale the env registry advertises (and so docs/API.md) parses.
+TEST(BenchConfig, EveryRegisteredScaleParses) {
+  const EnvVarInfo* row = nullptr;
+  for (const EnvVarInfo& v : env_registry()) {
+    if (std::string(v.name) == "SPC_SCALE") {
+      row = &v;
+    }
+  }
+  ASSERT_NE(row, nullptr);
+  std::stringstream ss(row->values);
+  std::string scale;
+  while (std::getline(ss, scale, '|')) {
+    EXPECT_NO_THROW(parse_corpus_scale(scale)) << scale;
+  }
 }
 
 TEST(ForEachMatrix, VisitsTinyCorpus) {
@@ -187,6 +219,25 @@ TEST(MakeMetricsRecord, CarriesLedgerProvenanceAndSamples) {
   EXPECT_GT(rec.find("bytes_per_nnz")->as_double(), 0.0);
   // No SPC_ROOFLINE_GBPS → no roofline block.
   EXPECT_EQ(rec.find("roofline"), nullptr);
+}
+
+// A pooled symmetric run records its window share and fold time; the
+// reduction has one scheme, so no mode key.
+TEST(MakeMetricsRecord, PooledSymCsrCarriesWindowAndReduceFields) {
+  MatrixCase mc;
+  mc.name = "lap2d";
+  mc.mat = gen_laplacian_2d(40, 40);
+  InstanceOptions opts;
+  opts.pin_threads = false;
+  SpmvInstance inst(mc.mat, Format::kSymCsr, 2, opts);
+  ASSERT_TRUE(inst.sym_active());
+  const RunMetrics m = time_spmv_metrics(inst, 4, 1);
+  const obs::Json rec = make_metrics_record("harness_test", mc, inst, m);
+  ASSERT_NE(rec.find("sym_window_frac"), nullptr);
+  EXPECT_GT(rec.find("sym_window_frac")->as_double(), 0.0);
+  EXPECT_LT(rec.find("sym_window_frac")->as_double(), 1.0);
+  ASSERT_NE(rec.find("reduce_ns"), nullptr);
+  EXPECT_EQ(rec.find("sym_reduce"), nullptr);
 }
 
 TEST(MakeMetricsRecord, RooflineBlockWhenBandwidthKnown) {

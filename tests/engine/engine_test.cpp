@@ -180,6 +180,44 @@ TEST(EngineRegistry, RegisterFromAPoolWorkerReturnsAStatus) {
             1e-12);
 }
 
+// A fault while the tuner probes is not the caller's mistake: a library
+// error reads as kInternal, an allocation failure as kResourceExhausted,
+// and neither escapes as an exception. The registry stays as it was, so
+// the same id registers afterwards.
+TEST(EngineRegistry, ProbeFaultsReadAsInternalOrExhausted) {
+  Engine eng(small_engine());
+  const Triplets t = gen_laplacian_2d(12, 12);
+  struct Case {
+    StatusCode code;
+    std::function<void()> fault;
+  };
+  const Case cases[] = {
+      {StatusCode::kInternal, [] { throw Error("probe fault"); }},
+      {StatusCode::kResourceExhausted, [] { throw std::bad_alloc(); }},
+  };
+  for (const Case& c : cases) {
+    RegisterOptions ropts = no_tune_cache();
+    ropts.auto_format = true;
+    int probes = 0;
+    ropts.tune.probe_timer = [&](SpmvInstance&, const Vector&,
+                                 Vector&) -> std::uint64_t {
+      ++probes;
+      c.fault();
+      return 0;
+    };
+    Status st = Status::Ok();
+    EXPECT_NO_THROW(st = eng.register_matrix("lap", t, ropts));
+    EXPECT_EQ(probes, 1) << "the matrix must leave two candidates to probe";
+    EXPECT_EQ(st.code(), c.code) << st.to_string();
+    EXPECT_FALSE(eng.has_matrix("lap"));
+    EXPECT_TRUE(eng.matrix_ids().empty());
+
+    ropts.tune.probe_timer = nullptr;
+    ASSERT_TRUE(eng.register_matrix("lap", t, ropts).ok());
+    ASSERT_TRUE(eng.unregister_matrix("lap").ok());
+  }
+}
+
 // Registrations take the pool for their build while requests to another
 // matrix are in flight: both finish, and every response stays exact.
 TEST(EngineRegistry, RegistersWhileServingAnotherMatrix) {

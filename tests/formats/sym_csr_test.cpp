@@ -10,6 +10,7 @@
 #include "spc/gen/generators.hpp"
 #include "spc/spmv/instance.hpp"
 #include "spc/spmv/kernels.hpp"
+#include "sym_fold.hpp"
 #include "test_util.hpp"
 
 namespace spc {
@@ -92,7 +93,7 @@ TEST(SymCsr, SerialKernelMatchesReference) {
 }
 
 // Pooled runs of the symmetric formats go through SpmvInstance's
-// scatter/reduce phases (conflict windows or private y).
+// scatter/reduce phases (the conflict windows).
 class SymInstanceMt
     : public ::testing::TestWithParam<std::tuple<Format, std::size_t>> {};
 
@@ -101,13 +102,16 @@ TEST_P(SymInstanceMt, MatchesReferenceAcrossThreadCounts) {
   const Triplets t = random_symmetric(400, 2500, 11);
   Rng xr(12);
   const Vector x = random_vector(400, xr);
-  const Vector ref = test::reference_spmv(t, x);
+  const Vector ref = test::reference_spmv_ld(t, x);
   InstanceOptions opts;
   opts.pin_threads = false;
   SpmvInstance inst(t, format, threads, opts);
   Vector y(400, 0.0);
   inst.run(x, y);
   EXPECT_LT(rel_error(ref, y), kTol);
+  if (inst.isa_tier() == IsaTier::kScalar) {
+    EXPECT_TRUE(test::same_bits(y, test::sym_worker_fold(t, inst, x)));
+  }
   // Stability across repeated runs (window/scratch re-zeroing).
   Vector y2(400, 5.0);
   inst.run(x, y2);
@@ -123,36 +127,33 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(SymInstance, PinnedIsBitIdenticalToUnpinned) {
   // The slices (rows, diagonal) hold the same bytes on pinned and
   // unpinned pools and every phase runs in the same order, so recording
-  // the workers' nodes must not change a single bit — in either
-  // reduction mode.
+  // the workers' nodes must not change a single bit.
   test::ScopedEnv isa("SPC_ISA", "scalar");
-  test::ScopedEnv red("SPC_SYM_REDUCE", "");  // opts decide, not the env
   test::ScopedEnv sch("SPC_SCHED", "");
   const Triplets t = random_symmetric(500, 4000, 17);
   Rng xr(18);
   const Vector x = random_vector(500, xr);
 
   for (const Format f : {Format::kSymCsr, Format::kSymCsrVi}) {
-    for (const SymReduce reduce : {SymReduce::kWindow, SymReduce::kPrivate}) {
-      InstanceOptions opts;
-      opts.sym_reduce = reduce;
-      const std::string cell = format_name(f) + " " + sym_reduce_name(reduce);
-      opts.pin_threads = false;
-      SpmvInstance unpinned(t, f, 4, opts);
-      ASSERT_TRUE(unpinned.thread_nodes().empty()) << cell;
-      ASSERT_EQ(unpinned.sym_reduce(), reduce) << cell;
-      Vector y_unpinned(500, 0.0);
-      unpinned.run(x, y_unpinned);
-      EXPECT_LT(rel_error(test::reference_spmv(t, x), y_unpinned), kTol)
-          << cell;
-      opts.pin_threads = true;
-      SpmvInstance pinned(t, f, 4, opts);
-      EXPECT_EQ(pinned.thread_nodes().size(), 4u) << cell;
-      for (int run = 0; run < 2; ++run) {
-        Vector y(500, -1.0);
-        pinned.run(x, y);
-        EXPECT_EQ(max_abs_diff(y_unpinned, y), 0.0) << cell << " run " << run;
-      }
+    InstanceOptions opts;
+    const std::string cell = format_name(f);
+    opts.pin_threads = false;
+    SpmvInstance unpinned(t, f, 4, opts);
+    ASSERT_TRUE(unpinned.thread_nodes().empty()) << cell;
+    Vector y_unpinned(500, 0.0);
+    unpinned.run(x, y_unpinned);
+    EXPECT_LT(rel_error(test::reference_spmv_ld(t, x), y_unpinned), kTol)
+        << cell;
+    EXPECT_TRUE(
+        test::same_bits(y_unpinned, test::sym_worker_fold(t, unpinned, x)))
+        << cell;
+    opts.pin_threads = true;
+    SpmvInstance pinned(t, f, 4, opts);
+    EXPECT_EQ(pinned.thread_nodes().size(), 4u) << cell;
+    for (int run = 0; run < 2; ++run) {
+      Vector y(500, -1.0);
+      pinned.run(x, y);
+      EXPECT_TRUE(test::same_bits(y_unpinned, y)) << cell << " run " << run;
     }
   }
 }
@@ -171,6 +172,10 @@ TEST(SymInstance, WorksInsideCg) {
     // validate repeated operator application drifts nowhere.
     Vector y1(t.nrows(), 0.0), y2(t.nrows(), 0.0);
     A.run(b, y1);
+    if (A.isa_tier() == IsaTier::kScalar) {
+      EXPECT_TRUE(test::same_bits(y1, test::sym_worker_fold(t, A, b)))
+          << format_name(f);
+    }
     for (int i = 0; i < 10; ++i) {
       A.run(b, y2);
     }

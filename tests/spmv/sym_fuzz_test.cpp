@@ -1,11 +1,13 @@
 // Fuzz sweep for the symmetric conflict-window reduction. The contract
-// under test: at SPC_ISA=scalar, the window and private-y schemes are
-// *bit-identical* for every (format, threads, schedule) cell —
-// both fold the same per-thread partial sums in ascending thread order,
-// so the reduction layout is interchangeable by construction. Neither
-// is bit-identical to serial (the per-thread grouping reassociates
-// foreign scatter contributions), so serial agreement is held to 1e-12
-// relative error instead.
+// under test: at SPC_ISA=scalar, every pooled (format, threads) cell is
+// *bit-identical* to a fold written here in the test — each worker's
+// rows run through the whole-matrix kernel into a zeroed full-length y
+// of its own (the private-y parameterization), and those vectors are
+// summed in ascending worker order. The windows fold the same partial
+// sums in the same order, only into less memory. Neither is
+// bit-identical to serial (the per-worker grouping reassociates foreign
+// scatter contributions), so agreement with a long-double reference is
+// held to 1e-12 relative error instead.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,7 +18,7 @@
 
 #include "spc/gen/generators.hpp"
 #include "spc/spmv/instance.hpp"
-#include "spc/spmv/sym_spmv.hpp"
+#include "sym_fold.hpp"
 #include "test_util.hpp"
 
 namespace spc {
@@ -81,62 +83,51 @@ Triplets fuzz_matrix(std::uint64_t seed) {
 }
 
 // The sweep body: for both symmetric formats, every thread count must
-// produce a window result bit-identical to the private result, and
-// both within kTol of the serial kernel.
-void expect_window_matches_private(const Triplets& t,
-                                   const std::string& label,
-                                   std::uint64_t xseed) {
+// produce a pooled result bit-identical to the worker fold, within kTol
+// of the long-double reference, as the serial kernel is.
+void expect_pooled_matches_fold(const Triplets& t, const std::string& label,
+                                std::uint64_t xseed) {
   test::ScopedEnv isa("SPC_ISA", "scalar");
-  test::ScopedEnv red("SPC_SYM_REDUCE", "");  // opts decide, not the env
   Rng xr(xseed * 31 + 7);
   const Vector x = random_vector(t.ncols(), xr);
-  const Vector ref = test::reference_spmv(t, x);
+  const Vector ref = test::reference_spmv_ld(t, x);
 
   for (const Format f : {Format::kSymCsr, Format::kSymCsrVi}) {
-    InstanceOptions base;
-    base.pin_threads = false;
-    SpmvInstance serial(t, f, 1, base);
+    InstanceOptions opts;
+    opts.pin_threads = false;
+    SpmvInstance serial(t, f, 1, opts);
     Vector y_serial(t.nrows(), 0.0);
     serial.run(x, y_serial);
     ASSERT_LT(rel_error(ref, y_serial), kTol)
         << label << " " << format_name(f) << " serial";
 
     for (const std::size_t threads : {2, 4, 8}) {
-      InstanceOptions opts = base;
-      opts.sym_reduce = SymReduce::kWindow;
-      SpmvInstance win(t, f, threads, opts);
-      ASSERT_EQ(win.sym_reduce(), SymReduce::kWindow);
-      Vector y_win(t.nrows(), std::numeric_limits<double>::quiet_NaN());
-      win.run(x, y_win);
-
-      opts.sym_reduce = SymReduce::kPrivate;
-      SpmvInstance priv(t, f, threads, opts);
-      ASSERT_EQ(priv.sym_reduce(), SymReduce::kPrivate);
-      Vector y_priv(t.nrows(), std::numeric_limits<double>::quiet_NaN());
-      priv.run(x, y_priv);
+      SpmvInstance pooled(t, f, threads, opts);
+      Vector y(t.nrows(), std::numeric_limits<double>::quiet_NaN());
+      pooled.run(x, y);
 
       const std::string cell = label + " " + std::string(format_name(f)) +
                                " x" + std::to_string(threads);
-      EXPECT_EQ(max_abs_diff(y_win, y_priv), 0.0) << cell;
-      EXPECT_LT(rel_error(ref, y_win), kTol) << cell;
+      EXPECT_TRUE(test::same_bits(y, test::sym_worker_fold(t, pooled, x)))
+          << cell;
+      EXPECT_LT(rel_error(ref, y), kTol) << cell;
     }
   }
 }
 
 class SymFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(SymFuzz, WindowBitIdenticalToPrivateAcrossCells) {
+TEST_P(SymFuzz, PooledBitIdenticalToWorkerFoldAcrossCells) {
   const std::uint64_t seed = GetParam();
-  expect_window_matches_private(fuzz_matrix(seed),
-                                "seed " + std::to_string(seed), seed);
+  expect_pooled_matches_fold(fuzz_matrix(seed),
+                             "seed " + std::to_string(seed), seed);
 }
 
 INSTANTIATE_TEST_SUITE_P(TwentyOneSeeds, SymFuzz,
                          ::testing::Range<std::uint64_t>(0, 21));
 
 // Arrow matrix: a dense first row/column drags every thread's window
-// start to row 0 — the worst case the kAuto degeneracy check exists
-// for. Forced kWindow must still agree with kPrivate bit-for-bit.
+// start to row 0, so the windows span half of threads*nrows.
 TEST(SymFuzzAdversarial, ArrowMatrix) {
   const index_t n = 600;
   Triplets t(n, n);
@@ -149,7 +140,7 @@ TEST(SymFuzzAdversarial, ArrowMatrix) {
     t.add(0, i, v);
   }
   t.sort_and_combine();
-  expect_window_matches_private(t, "arrow", 101);
+  expect_pooled_matches_fold(t, "arrow", 101);
 }
 
 // Dense middle row (and, by symmetry, column): scatters concentrate on
@@ -170,11 +161,37 @@ TEST(SymFuzzAdversarial, DenseMiddleRow) {
     }
   }
   dense.sort_and_combine();
-  expect_window_matches_private(dense, "dense-mid-row", 102);
+  expect_pooled_matches_fold(dense, "dense-mid-row", 102);
+}
+
+// Dense last row over random mirrored pairs: the lower-triangle balance
+// gives the last row's worker few rows, so worker 0 owns most of them,
+// while every later worker's window reaches down toward row 0. At 4
+// threads the windows hold more than threads*nrows/2 rows, and the
+// owner of the rows they cover is worker 0.
+TEST(SymFuzzAdversarial, DenseLastRow) {
+  const index_t n = 600;
+  Rng rng(56);
+  const Triplets base = random_symmetric(n, 3 * static_cast<usize_t>(n), rng);
+  Triplets t(n, n);
+  for (const Entry& e : base.entries()) {
+    t.add(e.row, e.col, e.val);
+  }
+  for (index_t j = 0; j + 1 < n; ++j) {
+    t.add(n - 1, j, 0.5);
+    t.add(j, n - 1, 0.5);
+  }
+  t.sort_and_combine();
+  InstanceOptions opts;
+  opts.pin_threads = false;
+  const SpmvInstance four(t, Format::kSymCsr, 4, opts);
+  EXPECT_GT(four.partition().row_end(0), n / 2);
+  EXPECT_GT(four.sym_window_rows(), 2 * static_cast<usize_t>(n));
+  expect_pooled_matches_fold(t, "dense-last-row", 106);
 }
 
 // Diagonal-only: the lower triangle is empty, every window is empty,
-// and the reduction must degrade to a no-op in both modes.
+// and the fold is skipped.
 TEST(SymFuzzAdversarial, DiagonalOnly) {
   const index_t n = 64;
   Triplets t(n, n);
@@ -182,7 +199,7 @@ TEST(SymFuzzAdversarial, DiagonalOnly) {
     t.add(i, i, static_cast<value_t>(i + 1));
   }
   t.sort_and_combine();
-  expect_window_matches_private(t, "diag-only", 103);
+  expect_pooled_matches_fold(t, "diag-only", 103);
 }
 
 // More threads than rows: partitions with empty ranges must not scatter
@@ -198,38 +215,17 @@ TEST(SymFuzzAdversarial, TinyMatrices) {
       }
     }
     t.sort_and_combine();
-    expect_window_matches_private(t, "tiny n=" + std::to_string(n),
+    expect_pooled_matches_fold(t, "tiny n=" + std::to_string(n),
                                   104 + static_cast<std::uint64_t>(n));
-  }
-}
-
-// SPC_SYM_REDUCE overrides whatever the options request — the knob the
-// ablation relies on being unset.
-TEST(SymFuzzEnv, EnvOverridesRequestedMode) {
-  test::ScopedEnv isa("SPC_ISA", "scalar");
-  const Triplets t = gen_laplacian_2d(20, 20);
-  InstanceOptions opts;
-  opts.pin_threads = false;
-  {
-    test::ScopedEnv red("SPC_SYM_REDUCE", "private");
-    opts.sym_reduce = SymReduce::kAuto;
-    SpmvInstance inst(t, Format::kSymCsr, 4, opts);
-    EXPECT_EQ(inst.sym_reduce(), SymReduce::kPrivate);
-  }
-  {
-    test::ScopedEnv red("SPC_SYM_REDUCE", "window");
-    opts.sym_reduce = SymReduce::kPrivate;
-    SpmvInstance inst(t, Format::kSymCsr, 4, opts);
-    EXPECT_EQ(inst.sym_reduce(), SymReduce::kWindow);
   }
 }
 
 // The work-stealing schedule is demoted to static for the symmetric
 // formats (stealing would break the window ownership invariant), with a
-// decisions() entry; the result must still match private-y bit-for-bit.
+// decisions() entry; the result must still match the worker fold
+// bit-for-bit.
 TEST(SymFuzzEnv, StealDemotesToStatic) {
   test::ScopedEnv isa("SPC_ISA", "scalar");
-  test::ScopedEnv red("SPC_SYM_REDUCE", "");
   Rng rng(77);
   const Triplets t = random_symmetric(300, 1200, rng);
   Rng xr(78);
@@ -238,23 +234,17 @@ TEST(SymFuzzEnv, StealDemotesToStatic) {
   InstanceOptions opts;
   opts.pin_threads = false;
   opts.schedule = Schedule::kSteal;
-  opts.sym_reduce = SymReduce::kWindow;
-  SpmvInstance win(t, Format::kSymCsr, 4, opts);
-  EXPECT_EQ(win.schedule(), Schedule::kStatic);
-  EXPECT_EQ(win.sched_chunks(), 0u);
-  ASSERT_FALSE(win.decisions().empty());
-  EXPECT_EQ(win.decisions()[0].aspect, "schedule");
-  EXPECT_EQ(win.decisions()[0].requested, "steal");
-  EXPECT_EQ(win.decisions()[0].resolved, "static");
-  Vector y_win(300, 0.0);
-  win.run(x, y_win);
-
-  opts.sym_reduce = SymReduce::kPrivate;
-  SpmvInstance priv(t, Format::kSymCsr, 4, opts);
-  Vector y_priv(300, 1.0);
-  priv.run(x, y_priv);
-  EXPECT_EQ(max_abs_diff(y_win, y_priv), 0.0);
-  EXPECT_LT(rel_error(test::reference_spmv(t, x), y_win), kTol);
+  SpmvInstance inst(t, Format::kSymCsr, 4, opts);
+  EXPECT_EQ(inst.schedule(), Schedule::kStatic);
+  EXPECT_EQ(inst.sched_chunks(), 0u);
+  ASSERT_FALSE(inst.decisions().empty());
+  EXPECT_EQ(inst.decisions()[0].aspect, "schedule");
+  EXPECT_EQ(inst.decisions()[0].requested, "steal");
+  EXPECT_EQ(inst.decisions()[0].resolved, "static");
+  Vector y(300, 1.0);
+  inst.run(x, y);
+  EXPECT_TRUE(test::same_bits(y, test::sym_worker_fold(t, inst, x)));
+  EXPECT_LT(rel_error(test::reference_spmv_ld(t, x), y), kTol);
 }
 
 }  // namespace

@@ -78,6 +78,21 @@ inline Vector reference_spmv(const Triplets& t, const Vector& x) {
   return y;
 }
 
+/// reference_spmv accumulated in long double and rounded once per row:
+/// the yardstick for kernels whose summation order differs from the
+/// triplets' (the symmetric formats' scatters).
+inline Vector reference_spmv_ld(const Triplets& t, const Vector& x) {
+  std::vector<long double> acc(t.nrows(), 0.0L);
+  for (const Entry& e : t.entries()) {
+    acc[e.row] += static_cast<long double>(e.val) * x[e.col];
+  }
+  Vector y(t.nrows(), 0.0);
+  for (index_t r = 0; r < t.nrows(); ++r) {
+    y[r] = static_cast<value_t>(acc[r]);
+  }
+  return y;
+}
+
 /// Random sparse triplets with `nnz_target` draws (duplicates combined).
 inline Triplets random_triplets(index_t nrows, index_t ncols,
                                 usize_t nnz_target, Rng& rng,
